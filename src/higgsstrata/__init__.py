@@ -34,7 +34,7 @@ from .hn_types import (
     compare_polygon,
     compute_phi_blocks,
     enumerate_hn_types,
-    first_block_choices,
+    first_slope_bound,
     general_first_slope_bound,
     higgs_index_order,
     higgs_stratum_index,

@@ -27,7 +27,6 @@ from .hn_types import (
     classify_rank3,
     compare_polygon,
     enumerate_hn_types,
-    first_block_choices,
 )
 from .linalg import frac, mat
 from .minnorm import PointCloud, index_set_B, min_norm_point
@@ -48,9 +47,17 @@ from .weight_lattice import (
 )
 
 
-def _default_cap() -> int:
+def _cap(args) -> int:
+    """The --cap value, else HIGGSSTRATA_CAP, else the default cap."""
+    if args.cap is not None:
+        return args.cap
     env = os.environ.get("HIGGSSTRATA_CAP")
-    return int(env) if env else DEFAULT_INDEX_CAP
+    if not env:
+        return DEFAULT_INDEX_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HIGGSSTRATA_CAP must be an integer, got {env!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -108,22 +115,7 @@ def _add_ctx_flags(sub, with_rank=True):
 def _cmd_enumerate(args) -> None:
     ctx = _ctx_from(args)
     flavor = HNFlavor.HIGGS_HN if args.flavor == "higgs" else HNFlavor.HN
-    bound = frac(args.max_slope)
-    if args.parallel:
-        # partition by the first block; the merged result is sorted identically
-        from concurrent.futures import ThreadPoolExecutor
-
-        choices = first_block_choices(ctx, bound)
-        with ThreadPoolExecutor() as pool:
-            chunks = pool.map(
-                lambda fb: enumerate_hn_types(ctx, bound, flavor=flavor, first_block=fb),
-                choices,
-            )
-        types = sorted(
-            (t for chunk in chunks for t in chunk), key=lambda t: t.slope_vector
-        )
-    else:
-        types = enumerate_hn_types(ctx, bound, flavor=flavor)
+    types = enumerate_hn_types(ctx, frac(args.max_slope), flavor=flavor)
     payload = {
         "schema": "higgsstrata.enumerate/1",
         "types": [t.to_json() for t in types],
@@ -181,7 +173,7 @@ def _cmd_minnorm(args) -> None:
 
 def _cmd_index_set(args) -> None:
     cloud = _points_from_json(_load_json_arg(args.points, args.points_file, "points"))
-    reps = index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=args.cap)
+    reps = index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
     payload = {
         "schema": "higgsstrata.index_set/1",
         "vectors": [[rational_to_json(x) for x in v] for v in reps],
@@ -202,7 +194,7 @@ def _load_point(args) -> ModelPoint:
 def _cmd_point_coords(args) -> None:
     ctx = _ctx_from(args)
     point = _load_point(args)
-    table = coordinates(point, ctx, cap=args.cap)
+    table = coordinates(point, ctx, cap=_cap(args))
     support = table.support()
     payload = {
         "schema": "higgsstrata.point_coords/1",
@@ -285,7 +277,7 @@ def _cmd_stabdim(args) -> None:
         return
     ctx = _ctx_from(args)
     point = _load_point(args)
-    dim = unipotent_stabilizer_dim(point, flag, ctx, cap=args.cap)
+    dim = unipotent_stabilizer_dim(point, flag, ctx, cap=_cap(args))
     payload = {
         "schema": "higgsstrata.stabdim/1",
         "kind": "unipotent_stabilizer",
@@ -334,7 +326,7 @@ def _cmd_report(args) -> None:
         for entry in data["points"]
     ]
     max_slope = frac(args.max_slope) if args.max_slope else None
-    records = assemble(corpus, ctx, max_first_slope=max_slope, parallel=args.parallel)
+    records = assemble(corpus, ctx, max_first_slope=max_slope)
     closure = closure_order_report(records)
     report_json = {
         "schema": "higgsstrata.report/1",
@@ -378,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ctx_flags(p)
     p.add_argument("--max-slope", required=True)
     p.add_argument("--flavor", choices=["hn", "higgs"], default="hn")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("order", help="compare two type polygons")
@@ -417,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points")
     p.add_argument("--points-file")
     p.add_argument("--no-chamber", action="store_true")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_index_set)
 
     p = subs.add_parser("point-coords", help="projective coordinates of a point")
     _add_ctx_flags(p)
     p.add_argument("--point")
     p.add_argument("--point-file")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_point_coords)
 
     p = subs.add_parser("point-check", help="membership and inequality checks")
@@ -448,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point-file")
     p.add_argument("--phis")
     p.add_argument("--phis-file")
-    p.add_argument("--cap", type=int, default=_default_cap())
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_stabdim)
 
     p = subs.add_parser("classify", help="rank-3 compatibility verdict")
@@ -468,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-slope")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=_cmd_report)
 
     for sub_action in subs.choices.values():

@@ -232,7 +232,6 @@ def enumerate_hn_types(
     *,
     flavor: HNFlavor = HNFlavor.HN,
     min_slope_exclusive=None,
-    first_block: tuple[int, int] | None = None,
 ) -> list[HNType]:
     """All types with the ambient (rank, degree) and first slope <= the bound.
 
@@ -241,8 +240,7 @@ def enumerate_hn_types(
     bound region yields an empty list.  ``min_slope_exclusive`` optionally
     restricts every block slope to lie strictly above the given rational,
     which prunes enumeration when only blocks with positive section counts are
-    wanted.  ``first_block`` restricts to types whose first block is the given
-    (rank, degree) pair, which lets callers partition the enumeration.
+    wanted.
     """
     r_total, d_total = ctx.rank, ctx.degree
     bound = frac(max_first_slope)
@@ -266,8 +264,6 @@ def enumerate_hn_types(
             if r1 == rem_r:
                 hi = min(hi, rem_d)  # a final block must absorb the rest exactly
             for d1 in range(lo, hi + 1):
-                if prev is None and first_block is not None and (r1, d1) != first_block:
-                    continue
                 slope = Fraction(d1, r1)
                 if slope == avg and r1 != rem_r:
                     continue  # later blocks could not stay below the average
@@ -280,30 +276,6 @@ def enumerate_hn_types(
     rec(r_total, d_total, None, [])
     out.sort(key=lambda t: t.slope_vector)
     return out
-
-
-def first_block_choices(
-    ctx: CurveContext, max_first_slope, min_slope_exclusive=None
-) -> list[tuple[int, int]]:
-    """All possible first blocks under the slope bound, for partitioned runs."""
-    r_total, d_total = ctx.rank, ctx.degree
-    bound = frac(max_first_slope)
-    floor_excl = None if min_slope_exclusive is None else frac(min_slope_exclusive)
-    choices = []
-    for r1 in range(1, r_total + 1):
-        lo = -((-d_total * r1) // r_total)
-        hi_frac = bound * r1
-        hi = hi_frac.numerator // hi_frac.denominator
-        if r1 == r_total:
-            hi = min(hi, d_total)
-        for d1 in range(lo, hi + 1):
-            slope = Fraction(d1, r1)
-            if slope == Fraction(d_total, r_total) and r1 != r_total:
-                continue
-            if floor_excl is not None and slope <= floor_excl:
-                continue
-            choices.append((r1, d1))
-    return choices
 
 
 def compare_polygon(a: HNType, b: HNType) -> PolygonOrder:
@@ -363,6 +335,14 @@ def general_first_slope_bound(mu: HNType, ctx: CurveContext) -> Fraction:
     return mu.top_slope + (Fraction((r - 1) ** 2, r) + 1) * ctx.deg_line
 
 
+def first_slope_bound(mu: HNType, ctx: CurveContext) -> Fraction:
+    """First-slope bound for underlying types of a pair of Higgs type mu: the
+    average-slope bound if mu is semistable, the general bound otherwise."""
+    if mu.is_semistable:
+        return nsequation_bound(ctx)
+    return general_first_slope_bound(mu, ctx)
+
+
 def t_mu_candidates(mu: HNType, ctx: CurveContext, max_first_slope=None) -> list[HNType]:
     """Finite superset of underlying types compatible with the Higgs type mu.
 
@@ -372,7 +352,7 @@ def t_mu_candidates(mu: HNType, ctx: CurveContext, max_first_slope=None) -> list
     """
     if (mu.rank, mu.degree) != (ctx.rank, ctx.degree):
         raise AmbientMismatch("type does not match the context's (rank, degree)")
-    bound = nsequation_bound(ctx) if mu.is_semistable else general_first_slope_bound(mu, ctx)
+    bound = first_slope_bound(mu, ctx)
     if max_first_slope is not None:
         bound = min(bound, frac(max_first_slope))
     return enumerate_hn_types(ctx, bound, flavor=HNFlavor.HN)
@@ -488,8 +468,7 @@ def u_tau_candidates(tau: HNType, ctx: CurveContext) -> CandidateSet:
     # Reverse necessary condition: tau must lie under mu's own first-slope bound.
     bound_ok = []
     for mu in cands:
-        bound = nsequation_bound(ctx) if mu.is_semistable else general_first_slope_bound(mu, ctx)
-        if tau.top_slope <= bound:
+        if tau.top_slope <= first_slope_bound(mu, ctx):
             bound_ok.append(mu)
     sharp = r <= 3
     return CandidateSet(tuple(bound_ok), sharp=sharp)

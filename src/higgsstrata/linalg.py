@@ -21,11 +21,14 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' and {'num','den'} dicts to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, dict):
-        return Fraction(int(x["num"]), int(x["den"]))
     if isinstance(x, float):
         raise TypeError("floating point input is not accepted; pass a rational")
-    return Fraction(x)
+    try:
+        if isinstance(x, dict):
+            return Fraction(int(x["num"]), int(x["den"]))
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {x!r} has a zero denominator") from None
 
 
 def vec(entries) -> Vec:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded
+from .errors import CapExceeded, HiggsStrataError
 from .linalg import Vec, dot, nullspace, solve_unique, vec
 
 DEFAULT_SUPPORT_CAP = 100_000
@@ -192,7 +192,8 @@ def min_norm_point(cloud, method: str = "wolfe") -> Vec:
         x = wolfe_min_norm(pts)
     else:
         x = min_norm_point_by_faces(pts)
-    assert kkt_certificate(pts, x), "exact KKT certificate failed"
+    if not kkt_certificate(pts, x):
+        raise HiggsStrataError("exact KKT certificate failed")
     return x
 
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CapExceeded,
@@ -130,6 +131,14 @@ class ModelPoint:
     @property
     def npoints(self) -> int:
         return len(self.factors)
+
+    @cached_property
+    def _support(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per factor: its nonzero det subsets and nonzero end keys (s, i, j).
+
+        Independent of any instability vector, so every predicate shares it.
+        """
+        return tuple(_factor_support(f.y, f.c, f.phi, self.m) for f in self.factors)
 
     def rescale_factor(self, k: int, t) -> "ModelPoint":
         """Projective rescaling (c, phi) -> (t c, t phi) of factor k (0-based)."""
@@ -235,6 +244,15 @@ def _factor_end_values(factor_y, factor_phi, subsets, r: int) -> dict:
     return out
 
 
+def _factor_support(y, c, phi, m: int) -> tuple[tuple, tuple]:
+    """Nonzero det subsets and nonzero end keys of one factor, in table order."""
+    r = len(y)
+    subsets = list(itertools.combinations(range(1, m + 1), r))
+    dets = _factor_det_values(y, c, subsets)
+    ends = _factor_end_values(y, phi, subsets, r)
+    return tuple(s for s, v in dets.items() if v), tuple(k for k, v in ends.items() if v)
+
+
 def _table_from_factors(factors, m: int, r: int) -> dict[CoordinateIndex, object]:
     """Full coordinate table from (y, c, phi) triples over any base ring."""
     subsets = list(itertools.combinations(range(1, m + 1), r))
@@ -294,44 +312,43 @@ def _factor_weight_supports(p: ModelPoint, beta: BetaVector):
     """Per factor: achievable weights with a witness key, for both families.
 
     Returns (det_list, end_list) where each entry is a dict
-    {weight: witness key} over the factor's nonzero coordinates.
+    {weight: witness key} over the factor's nonzero coordinates; the witness
+    is the first key of that weight in table order.
     """
     entries = _beta_entries(beta, p)
-    m, r = p.m, p.r
-    subsets = list(itertools.combinations(range(1, m + 1), r))
     det_weights = {
-        s: -sum((entries[l - 1] for l in s), Fraction(0)) for s in subsets
+        s: -sum((entries[l - 1] for l in s), Fraction(0))
+        for s in itertools.combinations(range(1, p.m + 1), p.r)
     }
     det_list, end_list = [], []
-    for f in p.factors:
-        dets = {}
-        if f.c != 0:
-            for s in subsets:
-                if det(_minor(f.y, s)):
-                    w = det_weights[s]
-                    if w not in dets:
-                        dets[w] = s
-        ends = {}
-        for s in subsets:
-            b = _end_matrix(_minor(f.y, s), f.phi)
-            base = det_weights[s]
-            for i in range(1, r + 1):
-                for j in range(1, r + 1):
-                    if b[i - 1][j - 1]:
-                        w = base + entries[s[j - 1] - 1] - entries[s[i - 1] - 1]
-                        if w not in ends:
-                            ends[w] = (s, i, j)
+    for det_keys, end_keys in p._support:
+        dets, ends = {}, {}
+        for s in det_keys:
+            dets.setdefault(det_weights[s], s)
+        for s, i, j in end_keys:
+            w = det_weights[s] + entries[s[j - 1] - 1] - entries[s[i - 1] - 1]
+            ends.setdefault(w, (s, i, j))
         det_list.append(dets)
         end_list.append(ends)
     return det_list, end_list
 
 
-def _family_min_max(per_factor) -> tuple[Fraction, Fraction] | None:
-    if any(not d for d in per_factor):
-        return None
-    lo = sum((min(d) for d in per_factor), Fraction(0))
-    hi = sum((max(d) for d in per_factor), Fraction(0))
-    return lo, hi
+def _family_min_max(p: ModelPoint, beta: BetaVector):
+    """Families supported at every factor, with their least and greatest weight.
+
+    Returns ([(per-factor weight dicts, index builder)], lo, hi).
+    """
+    det_list, end_list = _factor_weight_supports(p, beta)
+    families = [
+        (fam, make_index)
+        for fam, make_index in ((det_list, _det_index), (end_list, _end_index))
+        if all(fam)
+    ]
+    if not families:
+        raise DegeneratePoint("all coordinates vanish")
+    lo = min(sum((min(d) for d in fam), Fraction(0)) for fam, _ in families)
+    hi = max(sum((max(d) for d in fam), Fraction(0)) for fam, _ in families)
+    return families, lo, hi
 
 
 def _achieve_sum(per_factor, target: Fraction):
@@ -406,18 +423,10 @@ def membership(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Membership
     where no equality witness exists).
     """
     _check_shapes(p, ctx)
-    det_list, end_list = _factor_weight_supports(p, beta)
-    target = beta.norm_sq
-    ranges = [r for r in (_family_min_max(det_list), _family_min_max(end_list)) if r]
-    if not ranges:
-        raise DegeneratePoint("all coordinates vanish")
-    lo = min(r[0] for r in ranges)
-    hi = max(r[1] for r in ranges)
-    if lo < target:
+    _, lo, hi = _family_min_max(p, beta)
+    if lo != beta.norm_sq:
         return Membership.OUTSIDE
-    if lo == target:
-        return Membership.IN_Z if hi == target else Membership.IN_Y_NOT_Z
-    return Membership.OUTSIDE
+    return Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
 
 
 @dataclass(frozen=True)
@@ -442,22 +451,12 @@ def verify_step1(
     and the missing-witness condition are recorded instead.
     """
     _check_shapes(p, ctx)
-    det_list, end_list = _factor_weight_supports(p, beta)
+    families, lo, _ = _family_min_max(p, beta)
     target = beta.norm_sq
-    families = []
-    if all(det_list):
-        families.append(("det", det_list, _det_index))
-    if all(end_list):
-        families.append(("end", end_list, _end_index))
-    if not families:
-        raise DegeneratePoint("all coordinates vanish")
-    lo = min(
-        sum((min(d) for d in fam), Fraction(0)) for _, fam, _ in families
-    )
     violations: list[tuple[CoordinateIndex, Fraction]] = []
     truncated = False
     witness = None
-    for _, fam, make_index in families:
+    for fam, make_index in families:
         if len(violations) < max_violations:
             below, trunc = _collect_below(fam, target, max_violations - len(violations))
             truncated = truncated or trunc
@@ -512,16 +511,22 @@ def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelP
     strictly above the squared norm set to zero.  Raises NotInY for points
     outside the inequality locus.
     """
+    return _retract_with_dims(p, beta, ctx)[0]
+
+
+def _retract_with_dims(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
+    """The retraction plus each factor's image-block boundaries (0, *dims)."""
     if membership(p, beta, ctx) is Membership.OUTSIDE:
         raise NotInY("the retraction is defined only on the inequality locus")
     cuts = beta.flag.cuts
-    new_factors = []
+    new_factors, dims_per_factor = [], []
     for f in p.factors:
         adapted, dims = _adapted_factor(f, cuts)
         y_new = _block_filter(adapted.y, dims, cuts)
         phi_new = _block_filter(adapted.phi, dims, dims)
         new_factors.append(Factor(y_new, adapted.c, phi_new))
-    return ModelPoint(tuple(new_factors))
+        dims_per_factor.append((0,) + dims)
+    return ModelPoint(tuple(new_factors)), dims_per_factor
 
 
 @dataclass(frozen=True)
@@ -626,29 +631,19 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> set[Vec]:
     """Distinct supported weights of one graded block across all factors."""
     per_factor: list[set[Vec]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
-        r_b = len(y_b)
-        weights: set[Vec] = set()
-        subsets = list(itertools.combinations(range(1, m_g + 1), r_b))
+        det_keys, end_keys = _factor_support(y_b, c, phi_b, m_g)
         base = {
             s: tuple(
                 Fraction(0) if l in s else Fraction(1) for l in range(1, m_g + 1)
             )
-            for s in subsets
+            for s in itertools.combinations(range(1, m_g + 1), len(y_b))
         }
-        if c != 0:
-            for s in subsets:
-                if r_b == 0 or det(_minor(y_b, s)):
-                    weights.add(base[s])
-        if r_b:
-            for s in subsets:
-                b = _end_matrix(_minor(y_b, s), phi_b)
-                for i in range(1, r_b + 1):
-                    for j in range(1, r_b + 1):
-                        if b[i - 1][j - 1]:
-                            w = list(base[s])
-                            w[s[j - 1] - 1] += 1
-                            w[s[i - 1] - 1] -= 1
-                            weights.add(tuple(w))
+        weights = {base[s] for s in det_keys}
+        for s, i, j in end_keys:
+            w = list(base[s])
+            w[s[j - 1] - 1] += 1
+            w[s[i - 1] - 1] -= 1
+            weights.add(tuple(w))
         per_factor.append(weights)
     if any(not w for w in per_factor):
         return set()
@@ -676,15 +671,9 @@ def verify_step2(
     trace-zero diagonal subgroups with entries up to ``lambda_bound``.  This
     is a necessary condition for full semistability, not a decision of it.
     """
-    retracted = retract_p_beta(p, beta, ctx)
+    retracted, dims_per_factor = _retract_with_dims(p, beta, ctx)
     cuts = (0,) + beta.flag.cuts
     blocks: list[BlockReport] = []
-    # Image-block boundaries per factor (the retracted point is block diagonal).
-    dims_per_factor = []
-    for f in retracted.factors:
-        _, dims = adapted_flag_basis(_columns(f.y), beta.flag.cuts)
-        dims_per_factor.append((0,) + dims)
-    n = ctx.npoints
     all_ok = True
     for gamma in range(1, len(beta.m_blocks) + 1):
         m_g = beta.m_blocks[gamma - 1]

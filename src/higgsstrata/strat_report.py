@@ -22,8 +22,8 @@ from .hn_types import (
     PolygonOrder,
     compare_polygon,
     enumerate_hn_types,
+    first_slope_bound,
     general_first_slope_bound,
-    nsequation_bound,
     u_tau_candidates,
 )
 from .point_model import (
@@ -89,7 +89,6 @@ def assemble(
     candidates: list[BetaVector] | None = None,
     max_first_slope=None,
     require_block_semistability: bool = True,
-    parallel: bool = False,
 ) -> list[StratumRecord]:
     """Partition a corpus of (id, point, flag) triples into stratum records.
 
@@ -104,8 +103,7 @@ def assemble(
     equality locus is what separates the strata.  Nonzero records are refined
     by stabiliser dimension, with equality-locus points collected in a
     separate terminal graded record.  Records are sorted by norm, then
-    stabiliser index, graded records last.  ``parallel`` classifies corpus
-    points in a thread pool; the output is deterministic either way.
+    stabiliser index, graded records last.
     """
     if candidates is None:
         candidates = default_beta_candidates(ctx, max_first_slope)
@@ -113,8 +111,7 @@ def assemble(
     zero = next((b for b in candidates if b.is_zero), None)
     buckets: dict[tuple, list] = {}
 
-    def classify(entry):
-        point_id, point, flag = entry
+    for point_id, point, flag in corpus:
         matches = []
         results = {}
         for beta in nonzero:
@@ -126,17 +123,6 @@ def assemble(
                     continue
             matches.append(beta)
             results[id(beta)] = got
-        return matches, results
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            classified = list(pool.map(classify, corpus))
-    else:
-        classified = [classify(entry) for entry in corpus]
-
-    for (point_id, point, flag), (matches, results) in zip(corpus, classified):
         if len(matches) > 1:
             raise AmbiguousMembership(point_id, matches)
         if not matches:
@@ -331,12 +317,7 @@ def compat_cross_table(
                 )
                 for tau in enumerate_hn_types(ctx, tau_bound):
                     for mu in u_tau_candidates(tau, ctx):
-                        bound = (
-                            nsequation_bound(ctx)
-                            if mu.is_semistable
-                            else general_first_slope_bound(mu, ctx)
-                        )
-                        ok = tau.top_slope <= bound
+                        ok = tau.top_slope <= first_slope_bound(mu, ctx)
                         row = CompatRow(r, d, deg_line, tau, mu, ok)
                         rows.append(row)
                         if not ok:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -188,28 +189,37 @@ class TestExitCodes:
         assert code == 1 and "CapExceeded" in err
 
 
-class TestParallel:
-    def test_enumerate_parallel_matches_sequential(self, capsys):
-        argv = ["enumerate", "--rank", "3", "--degree", "2", "--max-slope", "3"]
-        seq = run_json(capsys, *argv)
-        par = run_json(capsys, *argv, "--parallel")
-        assert seq == par
+class TestMalformedInput:
+    """Bad input ends with one ``Name: message`` line on stderr, not a traceback."""
 
-    def test_report_parallel_matches_sequential(self, capsys, tmp_path, point_file):
-        corpus = {
-            "points": [
-                {"id": "a", "point": json.loads(open(point_file).read()), "flag": [3, 2]}
-            ]
-        }
-        corpus_path = tmp_path / "corpus.json"
-        corpus_path.write_text(json.dumps(corpus))
-        base = [
-            "report", "--rank", "2", "--degree", "7", "--genus", "2",
-            "--corpus-file", str(corpus_path), "--max-slope", "5",
-        ]
-        seq = run_json(capsys, *base, "--out-prefix", str(tmp_path / "s"))
-        par = run_json(capsys, *base, "--out-prefix", str(tmp_path / "p"), "--parallel")
-        assert seq["records"] == par["records"]
+    ZERO_DEN_POINT = json.dumps(
+        {"factors": [{"y": [[1, 0, 0], [0, {"num": 1, "den": 0}, 1]], "c": 1, "phi": [[0, 0], [0, 0]]}]}
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", "1/0"],
+            ["minnorm", "--points", '[["1/0",1]]'],
+            ["point-coords", "--point", ZERO_DEN_POINT, "--rank", "2", "--degree", "1"],
+        ],
+        ids=["max-slope", "minnorm-points", "point-json"],
+    )
+    def test_zero_denominator(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert re.fullmatch(r"ValueError: .*zero denominator\n", err), err
+
+    def test_non_integer_cap_env_var(self, capsys, monkeypatch, point_file):
+        monkeypatch.setenv("HIGGSSTRATA_CAP", "abc")
+        assert run(capsys, "beta", "--tau", "5,3", "--genus", "2")[0] == 0
+        code, _, err = run(
+            capsys,
+            "point-coords", "--point-file", point_file,
+            "--rank", "2", "--degree", "7", "--genus", "2",
+        )
+        assert code == 1
+        assert re.fullmatch(r"ValueError: HIGGSSTRATA_CAP .*\n", err), err
 
 
 class TestSvg:

@@ -78,17 +78,6 @@ class TestEnumerate:
         keys = [t.slope_vector for t in out]
         assert keys == sorted(keys)
 
-    def test_first_block_partition_reassembles(self):
-        from higgsstrata import first_block_choices
-
-        ctx = CurveContext(3, 2)
-        whole = enumerate_hn_types(ctx, 3)
-        merged = []
-        for fb in first_block_choices(ctx, 3):
-            merged.extend(enumerate_hn_types(ctx, 3, first_block=fb))
-        merged.sort(key=lambda t: t.slope_vector)
-        assert merged == whole
-
 
 class TestPolygonOrder:
     def test_semistable_is_minimal(self):

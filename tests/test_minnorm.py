@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import higgsstrata
 from higgsstrata import (
     CapExceeded,
+    HiggsStrataError,
     PointCloud,
     hull_contains_origin,
     index_set_B,
@@ -66,6 +72,29 @@ class TestMinNorm:
             active = [p for p in cloud.points if dot(p, x) == xx]
             assert active
             assert min_norm_point(PointCloud.from_points(active)) == x
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(higgsstrata.minnorm, "wolfe_min_norm", lambda pts: (F(1), F(1)))
+        with pytest.raises(HiggsStrataError, match="KKT"):
+            min_norm_point([[1, 0], [0, 1]])
+
+    def test_failed_certificate_raises_under_optimize(self):
+        script = (
+            "import higgsstrata.minnorm as mn\n"
+            "from higgsstrata.errors import HiggsStrataError\n"
+            "mn.wolfe_min_norm = lambda pts: (1, 1)\n"
+            "try:\n"
+            "    mn.min_norm_point([[1, 0], [0, 1]])\n"
+            "except HiggsStrataError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(higgsstrata.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.stdout.strip() == "raised", done.stderr
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

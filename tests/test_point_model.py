@@ -40,6 +40,7 @@ from higgsstrata.linalg import mat, mat_mul
 
 CTX3 = CurveContext(2, 1, genus=0, npoints=1)  # m = 3
 CTX73 = CurveContext(2, 7, genus=2, npoints=1)  # m = 5
+CTX73_N2 = CurveContext(2, 7, genus=2, npoints=2)
 TAU43 = HNType(((1, 4), (1, 3)))
 TAU52 = HNType(((1, 5), (1, 2)))
 
@@ -241,6 +242,15 @@ class TestStep2:
         report = verify_step2(p, beta, CTX73, lambda_bound=3)
         assert report.trace_classes_checked == 13 and report.trace_identity_ok
 
+    def test_rank_zero_block_weights(self):
+        # a rank-0 block has the det coordinate () iff c != 0, and no end coordinate
+        from higgsstrata.point_model import _block_weight_set
+
+        ones = (F(1),) * 3
+        assert _block_weight_set([(), ()], [1, 2], [(), ()], 3) == {(F(2),) * 3}
+        assert _block_weight_set([()], [5], [()], 3) == {ones}
+        assert _block_weight_set([(), ()], [1, 0], [(), ()], 3) == set()
+
 
 class TestScalingInvariance:
     def setup_method(self):
@@ -426,35 +436,44 @@ class TestDirectDefinitionCrossChecks:
             return Membership.IN_Y_NOT_Z
         return Membership.OUTSIDE
 
-    def test_membership_matches_direct_scan(self):
+    def _cases(self):
+        """(ctx, points, betas) at one and at two evaluation points."""
         rng = random.Random(31)
-        ctx = CTX73
-        betas = [
-            beta_of_type(TAU43, ctx),
-            beta_of_type(TAU52, ctx),
-            beta_of_type(HNType(((2, 7),)), ctx),
-        ]
-        points = [
+        one = [
             flagged_point(3, [[2, 0], [5, 3]]),
             flagged_point(3, [[2, 0], [0, 3]]),
             flagged_point(4, [[1, 0], [2, 3]]),
             ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),)),
         ]
-        for _ in range(4):
-            points.append(build_flagged_point(TAU43, ctx, rng))
-        for p in points:
-            for beta in betas:
-                assert membership(p, beta, ctx) is self._direct_membership(p, beta, ctx)
+        one += [build_flagged_point(TAU43, CTX73, rng) for _ in range(4)]
+        two = [
+            ModelPoint(flagged_point(3, [[2, 0], [5, 3]]).factors + flagged_point(4, [[1, 0], [2, 3]]).factors),
+            ModelPoint(flagged_point(3, [[2, 0], [0, 3]]).factors + flagged_point(3, [[0, 0], [1, 0]], c=0).factors),
+        ]
+        two += [build_flagged_point(TAU43, CTX73_N2, rng) for _ in range(2)]
+        two += [build_flagged_point(TAU52, CTX73_N2, rng, graded=True)]
+        for ctx, points in ((CTX73, one), (CTX73_N2, two)):
+            betas = [beta_of_type(tau, ctx) for tau in (TAU43, TAU52, HNType(((2, 7),)))]
+            yield ctx, points, betas
+
+    def test_membership_matches_direct_scan(self):
+        for ctx, points, betas in self._cases():
+            for p in points:
+                for beta in betas:
+                    assert membership(p, beta, ctx) is self._direct_membership(p, beta, ctx)
 
     def test_min_support_weight_matches_direct_scan(self):
-        p = flagged_point(3, [[2, 0], [5, 3]])
-        for tau in (TAU43, TAU52):
-            beta = beta_of_type(tau, CTX73)
-            table = coordinates(p, CTX73)
-            direct = min(
-                pairing(alpha_of_index(idx, CTX73), beta) for idx in table.support()
-            )
-            assert verify_step1(p, beta, CTX73).min_support_weight == direct
+        for ctx, points, betas in self._cases():
+            for p in points:
+                support = coordinates(p, ctx).support()
+                for beta in betas:
+                    direct = min(pairing(alpha_of_index(idx, ctx), beta) for idx in support)
+                    report = verify_step1(p, beta, ctx)
+                    assert report.min_support_weight == direct
+                    witness = report.equality_witness
+                    if witness is not None:
+                        assert witness in support
+                        assert pairing(alpha_of_index(witness, ctx), beta) == beta.norm_sq
 
     def test_equality_weight_counting_characterisation(self):
         # for a flag-adapted point in standard position, a supported det
