@@ -5,7 +5,9 @@ standard output, tagged with a versioned ``schema`` key.  Rational values are
 accepted as integers or "p/q" strings and always emitted in lowest terms.
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
 2 usage error.  The environment variable HIGGSSTRATA_CAP overrides the
-default enumeration cap.
+default enumeration cap: for ``index-set`` it counts the weight subsets of at
+most a + 1 distinct weights, a being their affine dimension, elsewhere
+coordinate indices.  Type enumeration stops past 200,000 types.
 """
 
 from __future__ import annotations
@@ -474,7 +476,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args.func(args)
-    except (HiggsStrataError, ValueError, TypeError, OSError, KeyError) as exc:
+    except (HiggsStrataError, ValueError, TypeError, OSError, KeyError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

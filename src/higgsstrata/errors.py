@@ -33,7 +33,9 @@ class NonPositiveBlockDimension(HiggsStrataError):
 class CapExceeded(HiggsStrataError):
     """An enumeration would exceed the caller-supplied cap.
 
-    ``count`` is the exact size the enumeration would have had.
+    ``count`` is the exact size the enumeration would have had, except for
+    HN-type enumeration, which stops on passing the cap and so reports a
+    lower bound.
     """
 
     def __init__(self, count: int, cap: int):

@@ -18,8 +18,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import AmbientMismatch
+from .errors import AmbientMismatch, CapExceeded
 from .linalg import Mat, frac, mat
+
+DEFAULT_INDEX_CAP = 200_000
 
 
 class HNFlavor(str, Enum):
@@ -240,7 +242,8 @@ def enumerate_hn_types(
     bound region yields an empty list.  ``min_slope_exclusive`` optionally
     restricts every block slope to lie strictly above the given rational,
     which prunes enumeration when only blocks with positive section counts are
-    wanted.
+    wanted.  Raises CapExceeded once more than DEFAULT_INDEX_CAP types have
+    been collected, since a huge bound admits that many.
     """
     r_total, d_total = ctx.rank, ctx.degree
     bound = frac(max_first_slope)
@@ -251,6 +254,8 @@ def enumerate_hn_types(
         if rem_r == 0:
             if rem_d == 0:
                 out.append(HNType(tuple(blocks), flavor))
+                if len(out) > DEFAULT_INDEX_CAP:
+                    raise CapExceeded(len(out), DEFAULT_INDEX_CAP)
             return
         avg = Fraction(rem_d, rem_r)
         for r1 in range(1, rem_r + 1):
@@ -264,6 +269,8 @@ def enumerate_hn_types(
             if r1 == rem_r:
                 hi = min(hi, rem_d)  # a final block must absorb the rest exactly
             for d1 in range(lo, hi + 1):
+                if floor_excl is not None and r1 < rem_r and rem_d - d1 <= floor_excl * (rem_r - r1):
+                    break  # later blocks cannot all stay above the floor
                 slope = Fraction(d1, r1)
                 if slope == avg and r1 != rem_r:
                     continue  # later blocks could not stay below the average

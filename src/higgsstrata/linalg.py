@@ -42,10 +42,6 @@ def mat(rows) -> Mat:
     return m
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
@@ -62,10 +58,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(a: Mat, v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -303,10 +295,3 @@ class Dual:
     @staticmethod
     def lift(x: Fraction) -> "Dual":
         return Dual(frac(x), Fraction(0))
-
-
-def dual_matrix(base: Mat, eps_part: Mat) -> tuple[tuple[Dual, ...], ...]:
-    return tuple(
-        tuple(Dual(x, y) for x, y in zip(row_a, row_b))
-        for row_a, row_b in zip(base, eps_part)
-    )

@@ -4,8 +4,8 @@ The primary solver is Wolfe's method run entirely in rational arithmetic,
 which terminates finitely and returns the exact minimiser together with an
 exact KKT certificate.  A brute-force oracle projects the origin onto the
 affine hull of every subset and keeps the feasible minimum; it exists so the
-two routes can be compared with zero tolerance.  No floating point fast path
-is provided anywhere.
+two routes can be compared with zero tolerance; index sets project once per
+affinely independent weight subset.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, HiggsStrataError
-from .linalg import Vec, dot, nullspace, solve_unique, vec
+from .linalg import Vec, dot, nullspace, rank, solve_unique, vec
 
 DEFAULT_SUPPORT_CAP = 100_000
 
@@ -38,10 +38,8 @@ class PointCloud:
 
     @classmethod
     def from_points(cls, points) -> "PointCloud":
-        pts = [vec(p) for p in points]
-        if not pts:
-            raise ValueError("a point cloud needs at least one point")
-        return cls(len(pts[0]), tuple(pts))
+        pts = tuple(vec(p) for p in points)
+        return cls(len(pts[0]) if pts else 0, pts)
 
 
 def _as_points(cloud) -> tuple[Vec, ...]:
@@ -274,40 +272,39 @@ def nonneg_combination_exists(columns, target) -> bool:
     return cost[width] == 0
 
 
-def index_set_B(
-    weights,
-    restrict_to_chamber: bool = True,
-    cap: int = DEFAULT_SUPPORT_CAP,
-    max_support_size: int | None = None,
-    method: str = "wolfe",
-) -> list[Vec]:
+def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_SUPPORT_CAP) -> list[Vec]:
     """Closest-to-origin points of the hulls of all weight supports.
 
-    Every nonempty subset of the (deduplicated) weights contributes the
-    minimum-norm point of its hull; results are deduplicated and, when
-    ``restrict_to_chamber`` is set, replaced by their weakly decreasing
-    rearrangement, discarding representatives whose largest coordinate is
-    negative (a nonzero trace-free closest point always has a positive
-    largest coordinate, so nothing relevant is lost).  Returns a
-    lexicographically sorted list.
+    By Caratheodory the minimum-norm point of a support lies in the relative
+    interior of conv(S) for some affinely independent S inside it, so it is
+    the projection of the origin onto aff(S), with positive barycentric
+    weights; conversely each such projection lies in conv(S), minimises the
+    norm over aff(S) and so is the minimum-norm point of the support S.  One
+    exact, KKT-certified solve per subset of at most a + 1 distinct weights (a
+    their affine dimension) therefore suffices; ``cap`` bounds the number of
+    those subsets and is checked before any solve.  Results are deduplicated
+    and, with ``restrict_to_chamber``, replaced by their weakly decreasing
+    rearrangement, dropping those whose largest coordinate is negative (a
+    nonzero trace-free closest point has a positive one).  Sorted.
     """
     pts = sorted(set(_as_points(weights)))
-    n = len(pts)
-    sizes = range(1, n + 1) if max_support_size is None else range(
-        1, min(n, max_support_size) + 1
-    )
-    count = sum(math.comb(n, s) for s in sizes)
+    affine_dim = rank(tuple(tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]))
+    sizes = range(1, affine_dim + 2)
+    count = sum(math.comb(len(pts), s) for s in sizes)
     if count > cap:
         raise CapExceeded(count, cap)
     found: set[Vec] = set()
-    for size in sizes:
-        for support in itertools.combinations(pts, size):
-            v = min_norm_point(PointCloud.from_points(support), method=method)
-            if restrict_to_chamber:
-                rep = tuple(sorted(v, reverse=True))
-                if rep and rep[0] < 0:
-                    continue
-                found.add(rep)
-            else:
-                found.add(v)
+    for subset in itertools.chain.from_iterable(itertools.combinations(pts, s) for s in sizes):
+        solved = _affine_minimizer(list(subset))
+        # None: affinely dependent; a zero weight: a smaller subset gives the point.
+        if solved is None or min(solved[0]) <= 0:
+            continue
+        v = solved[1]
+        if not kkt_certificate(subset, v):
+            raise HiggsStrataError("exact KKT certificate failed")
+        if restrict_to_chamber:
+            v = tuple(sorted(v, reverse=True))
+            if v and v[0] < 0:
+                continue
+        found.add(v)
     return sorted(found)

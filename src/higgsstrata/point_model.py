@@ -109,6 +109,8 @@ class ModelPoint:
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a model point needs at least one factor")
+        if not factors[0].y:
+            raise ValueError("factor 1: y must have at least one row")
         r, m = self.r, self.m
         for k, f in enumerate(factors, start=1):
             if len(f.y) != r or len(f.y[0]) != m:
@@ -224,20 +226,18 @@ def _minor(y, subset: tuple[int, ...]):
     return tuple(tuple(row[l - 1] for l in subset) for row in y)
 
 
-def _end_matrix(y_i, phi):
-    """B = y_I^T phi adj(y_I^T); entry (i, j) is det * tr(y_I s_ij y_I^-1 phi^T)."""
-    y_t = transpose(y_i)
-    return mat_mul(mat_mul(y_t, phi), adjugate(y_t))
-
-
 def _factor_det_values(factor_y, factor_c, subsets) -> dict:
     return {s: factor_c * det(_minor(factor_y, s)) for s in subsets}
 
 
 def _factor_end_values(factor_y, factor_phi, subsets, r: int) -> dict:
+    """End values B_I = (y^T phi)_I adj(y_I^T); entry (i, j) is det * tr(y_I s_ij y_I^-1 phi^T)."""
+    y_t_phi = mat_mul(transpose(factor_y), factor_phi)
     out = {}
     for s in subsets:
-        b = _end_matrix(_minor(factor_y, s), factor_phi)
+        b = mat_mul(
+            tuple(y_t_phi[l - 1] for l in s), adjugate(transpose(_minor(factor_y, s)))
+        )
         for i in range(1, r + 1):
             for j in range(1, r + 1):
                 out[(s, i, j)] = b[i - 1][j - 1]

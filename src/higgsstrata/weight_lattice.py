@@ -18,10 +18,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import CapExceeded, NonPositiveBlockDimension
-from .hn_types import CurveContext, FlagShape, HNType
+from .hn_types import DEFAULT_INDEX_CAP, CurveContext, FlagShape, HNType
 from .linalg import Vec, dot, frac
-
-DEFAULT_INDEX_CAP = 200_000
 
 
 @dataclass(frozen=True)

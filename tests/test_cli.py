@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsstrata import CurveContext, Factor, HNType, ModelPoint
 from higgsstrata.cli import main
@@ -210,6 +217,43 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert re.fullmatch(r"ValueError: .*zero denominator\n", err), err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["polygons", "--types", "[[[1, 1e400]]]", "--out", os.devnull], "OverflowError"),
+            (
+                ["point-coords", "--point", '{"factors": [{"y": [], "c": 1, "phi": []}]}',
+                 "--rank", "1", "--degree", "1"],
+                "ValueError",
+            ),
+        ],
+        ids=["infinite-degree", "empty-y"],
+    )
+    def test_malformed_json(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert re.fullmatch(name + r": .*\n", err), err
+
+    def test_unbounded_slope_hits_type_cap(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "enumerate", "--rank", "2", "--degree", "1", "--max-slope", "1e400")
+        assert code == 1 and not out
+        assert re.fullmatch(r"CapExceeded: .*\n", err), err
+        assert time.monotonic() - start < 10
+
+    def test_huge_report_slope_is_pruned(self, capsys, tmp_path, point_file):
+        # every block slope must exceed genus - 1, which bounds the first slope
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps(
+            {"points": [{"id": "a", "point": json.loads(open(point_file).read()), "flag": [3, 2]}]}
+        ))
+        common = ["report", "--rank", "2", "--degree", "7", "--genus", "2", "--corpus-file", str(corpus_path)]
+        start = time.monotonic()
+        huge = run_json(capsys, *common, "--max-slope", "1e9", "--out-prefix", str(tmp_path / "a"))
+        assert time.monotonic() - start < 10
+        small = run_json(capsys, *common, "--max-slope", "5", "--out-prefix", str(tmp_path / "b"))
+        assert huge["records"] == small["records"]
+
     def test_non_integer_cap_env_var(self, capsys, monkeypatch, point_file):
         monkeypatch.setenv("HIGGSSTRATA_CAP", "abc")
         assert run(capsys, "beta", "--tau", "5,3", "--genus", "2")[0] == 0
@@ -241,3 +285,147 @@ class TestSvg:
         run(capsys, "polygons", "--types", "[[[1,2],[1,1]],[[2,3]]]", "--out", out)
         doc = open(out).read()
         assert doc.count("#000000") > 0 and doc.count("#999999") > 0
+
+
+# Free-form input for the fuzz test.  JSON is built as text so that tokens
+# json.dumps cannot emit (1e400, which parses to an infinite float) appear.
+_ATOMS = [
+    "0", "1", "-2", "7", "100000000000000000000", "1e400", "0.5", "null", "true",
+    '"3/4"', '"-5/2"', '"1/0"', '"x"', '""', "[]", "{}",
+    '{"num": 2, "den": 3}', '{"num": 1, "den": 0}', '{"num": "a", "den": 1}',
+]
+_RATIONALS = [
+    "0", "1", "-1", "3/2", "-7/3", "5", "1/0", "0/0", "abc", "", "0.5", "1e-400", "1e400", " 2",
+]
+_atom = st.sampled_from(_ATOMS)
+_json_matrix = st.lists(
+    st.lists(_atom, max_size=4).map(lambda xs: "[" + ",".join(xs) + "]"), max_size=4
+).map(lambda rows: "[" + ",".join(rows) + "]")
+_json_list = lambda items: st.lists(items, max_size=2).map(lambda xs: "[" + ",".join(xs) + "]")  # noqa: E731
+_small_int = st.sampled_from(["0", "1", "1", "2", "2", "3", "-1", "x"])
+_int_list = st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "x", ""]), max_size=3).map(",".join)
+
+
+def _flag(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _point_case(draw):
+    """Context flags, a point document, its tau and flag blocks.
+
+    Half the cases are free-form; the rest are well-shaped integer points
+    with a matching genus-0 context, so the deep routes run too.
+    """
+    if draw(st.booleans()):
+        ctx = [
+            "--rank", draw(_small_int), "--degree", draw(_small_int),
+            "--genus", draw(st.sampled_from(["0", "1", "2"])),
+            "--npoints", draw(st.sampled_from(["1", "2", "0"])),
+        ]
+        factor = st.builds('{{"y": {}, "c": {}, "phi": {}}}'.format, _json_matrix, _atom, _json_matrix)
+        shape = draw(st.sampled_from(['{{"factors": [{}]}}', "[{}]", "{{}}"]))
+        point = shape.format(",".join(draw(st.lists(factor, max_size=2))))
+        return ctx, point, [draw(_int_list), draw(_int_list)], draw(_int_list)
+    r, d, n = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    m = d + r
+    entries = st.integers(-1, 2)
+    factors = [
+        {
+            "y": draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r)),
+            "c": draw(entries),
+            "phi": draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r)),
+        }
+        for _ in range(n)
+    ]
+    ctx = ["--rank", str(r), "--degree", str(d), "--genus", "0", "--npoints", str(n)]
+    taus = [[str(d), str(r)]] + ([[f"{a},{d - a}", "1,1"] for a in range(d + 1)] if r == 2 else [])
+    flag = draw(st.sampled_from([[m], [1] * m, [m - 1, 1] if m > 1 else [m]]))
+    return ctx, json.dumps({"factors": factors}), draw(st.sampled_from(taus)), ",".join(map(str, flag))
+
+
+def _argv(tmp: str, ctx: list, point: str, tau: list, blocks: str):
+    point_arg = ["--point", point]
+    free_ctx = st.tuples(
+        st.just("--rank"), _small_int, st.just("--degree"), _small_int,
+        st.just("--npoints"), st.sampled_from(["1", "2", "0"]),
+    ).map(list)
+    verbs = [
+        # --max-slope stays small here: the type count grows with it by
+        # design, up to the cap; TestMalformedInput runs 1e400.
+        st.tuples(
+            st.just(["enumerate"]), free_ctx,
+            st.sampled_from([["--max-slope", q] for q in _RATIONALS if q != "1e400"]),
+            _flag("--flavor", st.sampled_from(["hn", "higgs", "x"])),
+        ),
+        st.tuples(
+            st.just(["order", "--rank"]), _small_int.map(lambda v: [v]),
+            _int_list.map(lambda v: ["--a", v]), _int_list.map(lambda v: ["--b", v]),
+            _flag("--ranks-a", _int_list),
+        ),
+        st.tuples(
+            st.just(["beta", "--tau"]), _int_list.map(lambda v: [v]),
+            _flag("--ranks", _int_list), _flag("--genus", _small_int), _flag("--npoints", _small_int),
+        ),
+        st.tuples(
+            st.just(["compat", "--rank-max"]), st.sampled_from(["0", "1", "2", "x"]).map(lambda v: [v]),
+            st.sampled_from(["-1", "0", "2", "3"]).map(lambda v: ["--d-max", v]),
+            st.sampled_from(["0", "1"]).map(lambda v: ["--degl-max", v]),
+        ),
+        st.tuples(
+            st.just(["minnorm", "--points"]), _json_matrix.map(lambda v: [v]),
+            _flag("--method", st.sampled_from(["wolfe", "faces", "x"])),
+        ),
+        st.tuples(
+            st.just(["index-set", "--points"]), _json_matrix.map(lambda v: [v]),
+            _flag("--cap", _small_int), st.sampled_from([[], ["--no-chamber"]]),
+        ),
+        st.tuples(st.just(["point-coords"] + ctx + point_arg), _flag("--cap", _small_int)),
+        st.tuples(
+            st.just(["point-check", "--tau", tau[0], "--ranks", tau[1]] + ctx[4:] + point_arg),
+            st.sampled_from([[], ["--step2"]]),
+        ),
+        st.tuples(st.just(["stabdim", "--blocks", blocks] + ctx + point_arg)),
+        st.tuples(
+            st.just(["stabdim", "--blocks"]), _int_list.map(lambda v: [v]),
+            _json_list(_json_matrix).map(lambda v: ["--phis", v]),
+        ),
+        st.tuples(
+            st.just(["classify", "--tau-type"]), _int_list.map(lambda v: [v, "--mu-type"]),
+            _int_list.map(lambda v: [v]),
+        ),
+        st.tuples(_json_list(_json_matrix).map(
+            lambda v: ["polygons", "--types", v, "--out", os.path.join(tmp, "p.svg")]
+        )),
+        st.tuples(
+            st.just(["report"] + ctx + [
+                "--corpus-file", os.path.join(tmp, "corpus.json"),
+                "--out-prefix", os.path.join(tmp, "rep"),
+            ]),
+            _flag("--max-slope", st.sampled_from(_RATIONALS)),
+        ),
+    ]
+    return st.one_of(verbs).map(lambda parts: [a for part in parts for a in part] + ["--json"])
+
+
+class TestFuzz:
+    """Any argv: exit 0 with one JSON document, 1 with one ``Name: message`` line, or 2."""
+
+    @given(st.data(), _point_case())
+    @settings(max_examples=150, deadline=None)
+    def test_contract(self, data, case):
+        ctx, point, tau, blocks = case
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "corpus.json"), "w", encoding="utf-8") as handle:
+                handle.write('{"points": [{"id": "a", "point": %s, "flag": [%s]}]}' % (point, blocks))
+            argv = data.draw(_argv(tmp, ctx, point, tau, blocks))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            json.loads(out.getvalue())
+            assert out.getvalue().count("\n") == 1, argv
+        elif code == 1:
+            assert not out.getvalue(), argv
+            assert re.fullmatch(r"[A-Za-z]\w*: [^\n]*\n", err.getvalue()), (argv, err.getvalue())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -145,16 +146,47 @@ class TestIndexSet:
         assert got == [(F(-1),), (F(0),), (F(1),)]
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            index_set_B([[i, 1] for i in range(12)], cap=100)
+        # affine dimension 2: subsets of at most 3 of the 12 weights are counted
+        with pytest.raises(CapExceeded) as exc:
+            index_set_B([[i, i * i] for i in range(12)], cap=100)
+        assert exc.value.count == 298
 
-    def test_support_size_limit(self):
-        weights = [[1, 0], [0, 1], [-1, -1]]
-        singles = index_set_B(weights, max_support_size=1)
-        full = index_set_B(weights)
-        assert set(singles) <= set(full)
-        # the origin needs the full support here, so the limit drops it
-        assert (F(0), F(0)) in full and (F(0), F(0)) not in singles
+    def test_collinear_cloud_under_cap(self):
+        # affine dimension 1: only the 12 + 66 singletons and pairs count
+        got = index_set_B([[i, 1] for i in range(12)], cap=100)
+        assert got == [(F(1), F(0)), (F(1), F(1))] + [(F(i), F(1)) for i in range(2, 12)]
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            higgsstrata.minnorm, "_affine_minimizer",
+            lambda pts: ([F(1, len(pts))] * len(pts), (F(1), F(1))),
+        )
+        with pytest.raises(HiggsStrataError, match="KKT"):
+            index_set_B([[1, 0], [0, 1]])
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.fractions(-3, 3, max_denominator=2), min_size=dim, max_size=dim),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_wolfe_over_every_support(self, weights, chamber):
+        pts = sorted({tuple(w) for w in weights})
+        expected = set()
+        for size in range(1, len(pts) + 1):
+            for support in itertools.combinations(pts, size):
+                v = min_norm_point(support)
+                if chamber:
+                    v = tuple(sorted(v, reverse=True))
+                    if v[0] < 0:
+                        continue
+                expected.add(v)
+        assert index_set_B(weights, restrict_to_chamber=chamber) == sorted(expected)
 
     def test_zero_included_iff_origin_in_some_hull(self):
         got = index_set_B([[1, 0], [0, 1]])
