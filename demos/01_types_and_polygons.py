@@ -7,6 +7,8 @@ two candidate constructions that bound how the plain and Higgs-field
 filtration types of one object can differ.
 """
 
+import os
+import tempfile
 from fractions import Fraction
 
 from higgsstrata import (
@@ -54,6 +56,6 @@ print(
 )
 
 # Overlaid polygons, first type black, the rest grey.
-path = "/tmp/higgsstrata_polygons.svg"
+path = os.path.join(tempfile.gettempdir(), "higgsstrata_polygons.svg")
 emit_polygon_svg([HNType(((1, 2), (1, 1))), HNType.semistable(2, 3)], path)
 print("wrote", path)

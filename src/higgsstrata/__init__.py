@@ -68,6 +68,7 @@ from .point_model import (
     retract_p_beta,
     stabdim_retraction_report,
     unipotent_stabilizer_dim,
+    unipotent_stabilizer_dim_dense_oracle,
     verify_step1,
     verify_step2,
 )

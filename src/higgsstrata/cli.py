@@ -6,7 +6,10 @@ accepted as integers or "p/q" strings and always emitted in lowest terms.
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
 2 usage error.  The environment variable HIGGSSTRATA_CAP overrides the
 default enumeration cap: for ``index-set`` it counts the weight subsets of at
-most a + 1 distinct weights, a being their affine dimension, elsewhere
+most a + 1 distinct weights, a being their affine dimension; for ``stabdim``
+the rows of the per-factor stabiliser system, N C(m,r) (1 + r^2) for N
+points, rank r and m sections (``report`` holds its stabiliser calls to the
+default cap in the same rows); for ``point-coords`` the C(m,r)^N (1 + r^(2N))
 coordinate indices.  Type enumeration stops past 200,000 types.
 """
 
@@ -305,7 +308,7 @@ def _cmd_classify(args) -> None:
 
 def _cmd_polygons(args) -> None:
     data = _load_json_arg(args.types, args.types_file, "types")
-    types = [HNType(tuple((int(r), int(d)) for r, d in blocks)) for blocks in data]
+    types = [HNType(tuple(blocks)) for blocks in data]
     doc = svg_mod.emit_polygon_svg(types, args.out)
     payload = {
         "schema": "higgsstrata.polygons/1",

@@ -24,6 +24,13 @@ from .linalg import Mat, frac, mat
 DEFAULT_INDEX_CAP = 200_000
 
 
+def _integer(x) -> int:
+    """``x`` itself if it is an int; floats, bools, strings and fractions are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 class HNFlavor(str, Enum):
     """Semantic label only: both flavors share the same shape."""
 
@@ -89,7 +96,7 @@ class HNType:
     flavor: HNFlavor = HNFlavor.HN
 
     def __post_init__(self):
-        blocks = tuple((int(r), int(d)) for r, d in self.blocks)
+        blocks = tuple((_integer(r), _integer(d)) for r, d in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a type needs at least one block")
@@ -177,7 +184,7 @@ class HNType:
 
     @classmethod
     def from_json(cls, data: dict, flavor: HNFlavor = HNFlavor.HN) -> "HNType":
-        return cls(tuple((int(r), int(d)) for r, d in data["rank_degree_pairs"]), flavor)
+        return cls(tuple(data["rank_degree_pairs"]), flavor)
 
     def __repr__(self) -> str:
         body = ",".join(f"({r},{d})" for r, d in self.blocks)
@@ -191,7 +198,7 @@ class FlagShape:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(b) for b in self.block_sizes)
+        sizes = tuple(_integer(b) for b in self.block_sizes)
         object.__setattr__(self, "block_sizes", sizes)
         if not sizes or any(b < 1 for b in sizes):
             raise ValueError("flag blocks must all have size >= 1")

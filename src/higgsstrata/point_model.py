@@ -135,12 +135,20 @@ class ModelPoint:
         return len(self.factors)
 
     @cached_property
+    def _values(self) -> tuple[tuple[dict, dict], ...]:
+        """Per factor: its det values and end values, evaluated once.
+
+        The full table is their tensor product (see ``_table_from_parts``).
+        """
+        return tuple(_factor_values(f.y, f.c, f.phi, self.m) for f in self.factors)
+
+    @cached_property
     def _support(self) -> tuple[tuple[tuple, tuple], ...]:
         """Per factor: its nonzero det subsets and nonzero end keys (s, i, j).
 
         Independent of any instability vector, so every predicate shares it.
         """
-        return tuple(_factor_support(f.y, f.c, f.phi, self.m) for f in self.factors)
+        return tuple(_factor_support(values) for values in self._values)
 
     def rescale_factor(self, k: int, t) -> "ModelPoint":
         """Projective rescaling (c, phi) -> (t c, t phi) of factor k (0-based)."""
@@ -244,22 +252,27 @@ def _factor_end_values(factor_y, factor_phi, subsets, r: int) -> dict:
     return out
 
 
-def _factor_support(y, c, phi, m: int) -> tuple[tuple, tuple]:
-    """Nonzero det subsets and nonzero end keys of one factor, in table order."""
+def _factor_values(y, c, phi, m: int, subsets=None) -> tuple[dict, dict]:
+    """One factor's det values and end values over ``subsets`` (default: all r-subsets)."""
     r = len(y)
-    subsets = list(itertools.combinations(range(1, m + 1), r))
-    dets = _factor_det_values(y, c, subsets)
-    ends = _factor_end_values(y, phi, subsets, r)
+    if subsets is None:
+        subsets = list(itertools.combinations(range(1, m + 1), r))
+    return _factor_det_values(y, c, subsets), _factor_end_values(y, phi, subsets, r)
+
+
+def _factor_support(values: tuple[dict, dict]) -> tuple[tuple, tuple]:
+    """Nonzero det subsets and nonzero end keys of one factor, in table order."""
+    dets, ends = values
     return tuple(s for s, v in dets.items() if v), tuple(k for k, v in ends.items() if v)
 
 
-def _table_from_factors(factors, m: int, r: int) -> dict[CoordinateIndex, object]:
-    """Full coordinate table from (y, c, phi) triples over any base ring."""
+def _table_from_parts(parts, m: int, r: int) -> dict[CoordinateIndex, object]:
+    """Full coordinate table from per-factor (det values, end values) over any base ring."""
     subsets = list(itertools.combinations(range(1, m + 1), r))
-    det_parts = [_factor_det_values(y, c, subsets) for y, c, phi in factors]
-    end_parts = [_factor_end_values(y, phi, subsets, r) for y, c, phi in factors]
+    det_parts = [dets for dets, _ in parts]
+    end_parts = [ends for _, ends in parts]
     table: dict[CoordinateIndex, object] = {}
-    n = len(factors)
+    n = len(parts)
     for combo in itertools.product(subsets, repeat=n):
         val = det_parts[0][combo[0]]
         for k in range(1, n):
@@ -296,10 +309,7 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     total = coordinate_index_count(ctx)
     if total > cap:
         raise CapExceeded(total, cap)
-    table = _table_from_factors(
-        [(f.y, f.c, f.phi) for f in p.factors], p.m, p.r
-    )
-    return CoordinateTable(table)
+    return CoordinateTable(_table_from_parts(p._values, p.m, p.r))
 
 
 def _beta_entries(beta: BetaVector, p: ModelPoint) -> Vec:
@@ -631,7 +641,7 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> set[Vec]:
     """Distinct supported weights of one graded block across all factors."""
     per_factor: list[set[Vec]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
-        det_keys, end_keys = _factor_support(y_b, c, phi_b, m_g)
+        det_keys, end_keys = _factor_support(_factor_values(y_b, c, phi_b, m_g))
         base = {
             s: tuple(
                 Fraction(0) if l in s else Fraction(1) for l in range(1, m_g + 1)
@@ -719,6 +729,14 @@ def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:
     ]
 
 
+def _sheared(y: Mat, a: int, l: int) -> tuple:
+    """y over dual numbers, moved along the direction column l += eps * column a."""
+    return tuple(
+        tuple(Dual(x, row[a] if col == l else Fraction(0)) for col, x in enumerate(row))
+        for row in y
+    )
+
+
 def unipotent_stabilizer_dim(
     p: ModelPoint,
     flag: FlagShape,
@@ -728,11 +746,85 @@ def unipotent_stabilizer_dim(
     """Dimension of the first-order unipotent stabiliser of the point.
 
     The unipotent algebra is the strictly upper block triangle of the flag
-    (blocks ordered by decreasing instability value); a direction stabilises
-    the point when its first-order action on the full coordinate table is a
-    scalar multiple of the table.  Computed as the exact nullity of the
-    linear system in (direction, scalar), with coordinates differentiated
-    through dual numbers.
+    (blocks ordered by decreasing instability value); a direction D
+    stabilises the point when D T = s T for some scalar s, T being the full
+    coordinate table.  T is the sum of the families A = a_1 (x) ... (x) a_N
+    and B = b_1 (x) ... (x) b_N, where a_k holds factor k's det values and
+    b_k its end values.  D moves every factor's y at once, so by the product
+    rule it acts on A as a derivation: D A = sum_k a_1 (x) .. D a_k .. (x) a_N.
+    When every a_k is nonzero, D A = s A holds exactly when D a_k = s_k a_k
+    for every k, with s = sum_k s_k: write D a_k = s_k a_k + w_k where
+    f_k(w_k) = 0 for a functional f_k with f_k(a_k) = 1; contracting every
+    slot but k with the f_j leaves (sum_j s_j) a_k + w_k, a multiple of a_k
+    only if w_k = 0.  Likewise D b_k = t_k b_k with s = sum_k t_k.  A family
+    with a zero factor (c_k = 0 or phi_k = 0) vanishes identically along
+    every direction, since D moves only y, and gives no condition;
+    DegeneratePoint is raised when both families vanish.
+
+    So the system has the unknowns xi_p (one per upper position p) and one
+    s_{F,k} per surviving family F and factor k, the rows
+    sum_p xi_p d_p v - s_{F,k} v = 0 over factor k's values v in family F,
+    and sum_k s_{det,k} = sum_k s_{end,k} when both families survive.  Each
+    s_{F,k} is fixed by xi, so the nullity is the stabiliser dimension, as
+    on the full table.  (On this algebra every s_{F,k} comes out 0, since a
+    nilpotent direction acts nilpotently; the system does not assume it.)
+    The derivatives d_p v come from one factor at a time over dual numbers.
+    ``cap`` bounds the row count N C(m,r) (1 + r^2) and is checked before
+    any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
+    full-table route, kept as a test oracle.
+    """
+    _check_shapes(p, ctx)
+    if flag.total != p.m:
+        raise ValueError("flag total must equal the section count")
+    rows = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
+    if rows > cap:
+        raise CapExceeded(rows, cap)
+    families = [
+        fam for fam in (0, 1) if all(any(values[fam].values()) for values in p._values)
+    ]
+    if not families:
+        raise DegeneratePoint("all coordinates vanish")
+    positions = _lie_upper_positions(flag)
+    n, width = p.npoints, len(positions)
+    zeros = [Fraction(0)] * (width + len(families) * n)
+    # columns: xi_p, then s_{F,k} at width + (slot of F) * n + k
+    acc = EchelonAccumulator(len(zeros))
+    if len(families) == 2:
+        acc.add([Fraction(0)] * width + [Fraction(1)] * n + [Fraction(-1)] * n)
+    subsets = list(itertools.combinations(range(1, p.m + 1), p.r))
+    for k, (f, base) in enumerate(zip(p.factors, p._values)):
+        # only the values over subsets through column l move along (a, l)
+        moved = [
+            _factor_values(
+                _sheared(f.y, a, l), f.c, f.phi, p.m, [s for s in subsets if l + 1 in s]
+            )
+            for a, l in positions
+        ]
+        for slot, fam in enumerate(families):
+            for key, v in base[fam].items():
+                row = list(zeros)
+                for col, d in enumerate(moved):
+                    if key in d[fam]:
+                        row[col] = d[fam][key].b
+                row[width + slot * n + k] = -v
+                if any(row):
+                    acc.add(row)
+    return acc.nullity
+
+
+def unipotent_stabilizer_dim_dense_oracle(
+    p: ModelPoint,
+    flag: FlagShape,
+    ctx: CurveContext,
+    cap: int = DEFAULT_INDEX_CAP,
+) -> int:
+    """Independent route: the direction's action on the full coordinate table.
+
+    Exact nullity of the linear system in (direction, scalar) asking the
+    first-order action to be a scalar multiple of the table, with all
+    C(m,r)^N (1 + r^(2N)) coordinates differentiated through dual numbers;
+    ``cap`` counts those coordinate indices.  A test oracle for
+    ``unipotent_stabilizer_dim``.
     """
     _check_shapes(p, ctx)
     if flag.total != p.m:
@@ -741,29 +833,24 @@ def unipotent_stabilizer_dim(
     if total > cap:
         raise CapExceeded(total, cap)
     positions = _lie_upper_positions(flag)
-    base = _table_from_factors([(f.y, f.c, f.phi) for f in p.factors], p.m, p.r)
+    base = _table_from_parts(
+        [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors], p.m, p.r
+    )
     order = list(base)
     if not any(base[idx] for idx in order):
         raise DegeneratePoint("all coordinates vanish")
     eps_columns = []
     for (a, l) in positions:
-        dual_factors = []
-        for f in p.factors:
-            eps_y = tuple(
-                tuple(
-                    f.y[i][a] if col == l else Fraction(0)
-                    for col in range(p.m)
-                )
-                for i in range(p.r)
+        dual_parts = [
+            _factor_values(
+                _sheared(f.y, a, l),
+                Dual.lift(f.c),
+                tuple(tuple(Dual.lift(x) for x in row) for row in f.phi),
+                p.m,
             )
-            y_dual = tuple(
-                tuple(Dual(x, e) for x, e in zip(row, erow))
-                for row, erow in zip(f.y, eps_y)
-            )
-            c_dual = Dual(f.c, Fraction(0))
-            phi_dual = tuple(tuple(Dual(x, Fraction(0)) for x in row) for row in f.phi)
-            dual_factors.append((y_dual, c_dual, phi_dual))
-        dual_table = _table_from_factors(dual_factors, p.m, p.r)
+            for f in p.factors
+        ]
+        dual_table = _table_from_parts(dual_parts, p.m, p.r)
         eps_columns.append([dual_table[idx].b for idx in order])
     acc = EchelonAccumulator(len(positions) + 1)
     for row_i, idx in enumerate(order):

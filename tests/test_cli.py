@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
 import time
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_flagged_point
 from higgsstrata import CurveContext, Factor, HNType, ModelPoint
 from higgsstrata.cli import main
 
@@ -119,6 +121,28 @@ class TestJsonRoundTrips:
         )
         assert data["kind"] == "unipotent_stabilizer" and data["dim"] >= 0
 
+    def _four_point_stabdim(self, capsys, *extra):
+        ctx = CurveContext(2, 7, genus=2, npoints=4)
+        point = build_flagged_point(HNType(((1, 5), (1, 2))), ctx, random.Random(6))
+        return run(
+            capsys,
+            "stabdim", "--point", json.dumps(point.to_json()), "--blocks", "4,1",
+            "--rank", "2", "--degree", "7", "--genus", "2", "--npoints", "4", *extra,
+        )
+
+    def test_stabdim_four_points(self, capsys):
+        # 10^4 * (1 + 2^8) = 2,570,000 coordinate indices, 4 * 10 * 5 = 200 rows
+        start = time.monotonic()
+        code, out, err = self._four_point_stabdim(capsys, "--json")
+        assert time.monotonic() - start < 10
+        assert code == 0, err
+        assert json.loads(out)["kind"] == "unipotent_stabilizer"
+
+    def test_stabdim_cap_counts_rows(self, capsys):
+        code, out, err = self._four_point_stabdim(capsys, "--cap", "199")
+        assert code == 1 and not out
+        assert re.fullmatch(r"CapExceeded: .*size 200 exceeds cap 199\n", err), err
+
     def test_stabdim_phis(self, capsys):
         data = run_json(
             capsys, "stabdim", "--blocks", "1,1", "--phis", "[[[0,0],[1,0]]]"
@@ -220,19 +244,32 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv,name",
         [
-            (["polygons", "--types", "[[[1, 1e400]]]", "--out", os.devnull], "OverflowError"),
+            (["polygons", "--types", "[[[1, 1e400]]]", "--out", os.devnull], "TypeError"),
             (
                 ["point-coords", "--point", '{"factors": [{"y": [], "c": 1, "phi": []}]}',
                  "--rank", "1", "--degree", "1"],
                 "ValueError",
             ),
+            (["polygons", "--types", "[[[1,1.5],[1,0.9]]]", "--out", os.devnull], "TypeError"),
         ],
-        ids=["infinite-degree", "empty-y"],
+        ids=["infinite-degree", "empty-y", "non-integer-block"],
     )
     def test_malformed_json(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out
         assert re.fullmatch(name + r": .*\n", err), err
+
+    def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps(
+            {"points": [{"id": "a", "point": json.loads(open(point_file).read()), "flag": [2.9, 3.2]}]}
+        ))
+        code, out, err = run(
+            capsys, "report", "--rank", "2", "--degree", "7", "--genus", "2",
+            "--corpus-file", str(corpus_path), "--out-prefix", str(tmp_path / "r"),
+        )
+        assert code == 1 and not out
+        assert re.fullmatch(r"TypeError: .*\n", err), err
 
     def test_unbounded_slope_hits_type_cap(self, capsys):
         start = time.monotonic()

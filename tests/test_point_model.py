@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_flagged_point, mutate_break_flag
 from higgsstrata import (
+    CapExceeded,
     CoordinateIndex,
     CurveContext,
+    DegeneratePoint,
     Factor,
     FlagShape,
     HiggsDatum,
@@ -22,6 +27,7 @@ from higgsstrata import (
     NotInY,
     alpha_of_index,
     beta_of_type,
+    coordinate_index_count,
     coordinates,
     from_higgs_data,
     lowering_dim_comparison,
@@ -32,6 +38,7 @@ from higgsstrata import (
     retract_p_beta,
     stabdim_retraction_report,
     unipotent_stabilizer_dim,
+    unipotent_stabilizer_dim_dense_oracle,
     verify_step1,
     verify_step2,
 )
@@ -359,6 +366,94 @@ class TestUnipotentStabilizer:
             # unipotent stabiliser also counts directions acting trivially on
             # the section space beyond the fibre data, so it dominates
             assert dim >= expected
+
+
+_SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def _stabilizer_cases(draw):
+    """(point, flag, ctx) at genus 0, small enough for the full-table oracle.
+
+    Each factor keeps both families, or has c = 0, or has phi = 0, so that
+    one family or both can vanish across the factors.
+    """
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    sizes = [
+        m for m in range(r, r + 3)
+        if coordinate_index_count(CurveContext(r, m - r, genus=0, npoints=n)) <= 2000
+    ]
+    m = draw(st.sampled_from(sizes))
+    factors = []
+    for _ in range(n):
+        y = [[draw(_SPARSE) for _ in range(m)] for _ in range(r)]
+        # one column per row that only this row touches: full row rank
+        for i, col in enumerate(draw(st.permutations(range(m)))[:r]):
+            for a in range(r):
+                y[a][col] = draw(st.integers(1, 2)) if a == i else 0
+        phi = [[draw(_SPARSE) for _ in range(r)] for _ in range(r)]
+        kind = draw(st.sampled_from(["both", "c=0", "phi=0"]))
+        c = 0 if kind == "c=0" else draw(st.sampled_from([1, -1, 2]))
+        if kind == "phi=0":
+            phi = [[0] * r for _ in range(r)]
+        elif not any(map(any, phi)):
+            phi[0][0] = 1
+        factors.append(Factor(y, c, phi))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=1))) if m > 1 else []
+    blocks = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+    return ModelPoint(tuple(factors)), FlagShape(tuple(blocks)), CurveContext(r, m - r, genus=0, npoints=n)
+
+
+def _dim_or_degenerate(route, p, flag, ctx):
+    try:
+        return route(p, flag, ctx)
+    except DegeneratePoint:
+        return "degenerate"
+
+
+class TestStabilizerDenseOracle:
+    """The factorised per-factor system against the full N-fold table."""
+
+    @given(_stabilizer_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_oracle(self, case):
+        p, flag, ctx = case
+        assert _dim_or_degenerate(unipotent_stabilizer_dim, p, flag, ctx) == _dim_or_degenerate(
+            unipotent_stabilizer_dim_dense_oracle, p, flag, ctx
+        )
+
+    def test_both_families_vanish(self):
+        ctx = CurveContext(2, 1, genus=0, npoints=2)  # m = 3
+        p = ModelPoint((
+            Factor([[1, 0, 1], [0, 1, 2]], 0, [[1, 2], [0, 1]]),
+            Factor([[1, 1, 0], [0, 1, 1]], 3, [[0, 0], [0, 0]]),
+        ))
+        for route in (unipotent_stabilizer_dim, unipotent_stabilizer_dim_dense_oracle):
+            with pytest.raises(DegeneratePoint):
+                route(p, FlagShape((2, 1)), ctx)
+
+    def test_cap_counts_factorised_rows(self):
+        beta = beta_of_type(TAU52, CTX73_N2)
+        flag = FlagShape(beta.m_blocks)
+        p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
+        # N C(m,r) (1 + r^2) = 2 * 10 * 5 rows against 10^2 * 17 coordinates
+        dim = unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=100)
+        with pytest.raises(CapExceeded) as exc:
+            unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=99)
+        assert exc.value.count == 100
+        with pytest.raises(CapExceeded) as exc:
+            unipotent_stabilizer_dim_dense_oracle(p, flag, CTX73_N2, cap=100)
+        assert exc.value.count == 1700
+        assert unipotent_stabilizer_dim_dense_oracle(p, flag, CTX73_N2) == dim
+
+    def test_three_points_under_budget(self):
+        ctx = CurveContext(2, 7, genus=2, npoints=3)
+        beta = beta_of_type(TAU43, ctx)
+        p = build_flagged_point(TAU43, ctx, random.Random(4))
+        start = time.monotonic()
+        unipotent_stabilizer_dim(p, FlagShape(beta.m_blocks), ctx)
+        assert time.monotonic() - start < 5
 
 
 class TestNilpotentCommutant:
