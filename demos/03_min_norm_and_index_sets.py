@@ -35,15 +35,10 @@ for trial in range(3):
     fast = min_norm_point(pts)
     slow = min_norm_point_by_faces(pts)
     assert fast == slow
-    print(f"random cloud {trial}: both methods give", tuple(str(x) for x in fast))
+    print(f"random cloud {trial}: both routes give", tuple(str(x) for x in fast))
 
-# Membership of the origin, by minimum norm and by exact simplex feasibility.
+# Membership of the origin, by exact simplex feasibility.
 print("origin in hull of {(1,1),(-1,-1)}:", hull_contains_origin([[1, 1], [-1, -1]]))
-print(
-    "  (simplex route agrees:",
-    hull_contains_origin([[1, 1], [-1, -1]], method="feasibility"),
-    ")",
-)
 
 # The one-dimensional toy: supports {1}, {-1,1} give 1 and 0; the negative
 # representative reflects out of the chamber.

@@ -24,7 +24,6 @@ from .hn_types import (
     CandidateSet,
     CurveContext,
     FlagShape,
-    HNFlavor,
     HNType,
     PhiBlock,
     PolygonOrder,

@@ -10,7 +10,10 @@ most a + 1 distinct weights, a being their affine dimension; for ``stabdim``
 the rows of the per-factor stabiliser system, N C(m,r) (1 + r^2) for N
 points, rank r and m sections (``report`` holds its stabiliser calls to the
 default cap in the same rows); for ``point-coords`` the C(m,r)^N (1 + r^(2N))
-coordinate indices.  Type enumeration stops past 200,000 types.
+coordinate indices.  Type enumeration stops past 200,000 types, and
+``point-check --step2`` refuses a ``--lambda-bound`` whose
+prod_{g<s}(2 bound m_g + 1) block-trace heads (the traces of all blocks but
+the last) exceed 200,000.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import HiggsStrataError
 from .hn_types import (
     CurveContext,
     FlagShape,
-    HNFlavor,
     HNType,
     classify_rank3,
     compare_polygon,
@@ -69,12 +71,12 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _parse_type(degrees: str, ranks: str | None, flavor=HNFlavor.HN) -> HNType:
+def _parse_type(degrees: str, ranks: str | None) -> HNType:
     ds = _parse_int_list(degrees)
     rs = _parse_int_list(ranks) if ranks else [1] * len(ds)
     if len(rs) != len(ds):
         raise ValueError("ranks and degrees must have the same length")
-    return HNType(tuple(zip(rs, ds)), flavor)
+    return HNType(tuple(zip(rs, ds)))
 
 
 def _load_json_arg(inline: str | None, path: str | None, what: str):
@@ -119,8 +121,7 @@ def _add_ctx_flags(sub, with_rank=True):
 
 def _cmd_enumerate(args) -> None:
     ctx = _ctx_from(args)
-    flavor = HNFlavor.HIGGS_HN if args.flavor == "higgs" else HNFlavor.HN
-    types = enumerate_hn_types(ctx, frac(args.max_slope), flavor=flavor)
+    types = enumerate_hn_types(ctx, frac(args.max_slope))
     payload = {
         "schema": "higgsstrata.enumerate/1",
         "types": [t.to_json() for t in types],
@@ -168,7 +169,7 @@ def _cmd_compat(args) -> None:
 
 def _cmd_minnorm(args) -> None:
     cloud = _points_from_json(_load_json_arg(args.points, args.points_file, "points"))
-    v = min_norm_point(cloud, method=args.method)
+    v = min_norm_point(cloud)
     payload = {
         "schema": "higgsstrata.minnorm/1",
         "point": [rational_to_json(x) for x in v],
@@ -374,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("enumerate", help="list types under a slope bound")
     _add_ctx_flags(p)
     p.add_argument("--max-slope", required=True)
-    p.add_argument("--flavor", choices=["hn", "higgs"], default="hn")
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("order", help="compare two type polygons")
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("minnorm", help="minimum-norm point of a hull")
     p.add_argument("--points")
     p.add_argument("--points-file")
-    p.add_argument("--method", choices=["wolfe", "faces"], default="wolfe")
     p.set_defaults(func=_cmd_minnorm)
 
     p = subs.add_parser("index-set", help="closest points over all supports")

@@ -31,13 +31,6 @@ def _integer(x) -> int:
     return x
 
 
-class HNFlavor(str, Enum):
-    """Semantic label only: both flavors share the same shape."""
-
-    HN = "hn"
-    HIGGS_HN = "higgs_hn"
-
-
 class PolygonOrder(Enum):
     LESS = "Less"
     GREATER = "Greater"
@@ -93,7 +86,6 @@ class HNType:
     """Ordered (rank, degree) blocks with strictly decreasing slopes."""
 
     blocks: tuple[tuple[int, int], ...]
-    flavor: HNFlavor = HNFlavor.HN
 
     def __post_init__(self):
         blocks = tuple((_integer(r), _integer(d)) for r, d in self.blocks)
@@ -170,21 +162,16 @@ class HNType:
     def polygon_heights(self) -> tuple[Fraction, ...]:
         return tuple(self.polygon_at(x) for x in range(self.rank + 1))
 
-    def as_flavor(self, flavor: HNFlavor) -> "HNType":
-        if flavor == self.flavor:
-            return self
-        return HNType(self.blocks, flavor)
-
     @classmethod
-    def semistable(cls, rank: int, degree: int, flavor: HNFlavor = HNFlavor.HN) -> "HNType":
-        return cls(((rank, degree),), flavor)
+    def semistable(cls, rank: int, degree: int) -> "HNType":
+        return cls(((rank, degree),))
 
     def to_json(self) -> dict:
         return {"rank_degree_pairs": [[r, d] for r, d in self.blocks]}
 
     @classmethod
-    def from_json(cls, data: dict, flavor: HNFlavor = HNFlavor.HN) -> "HNType":
-        return cls(tuple(data["rank_degree_pairs"]), flavor)
+    def from_json(cls, data: dict) -> "HNType":
+        return cls(tuple(data["rank_degree_pairs"]))
 
     def __repr__(self) -> str:
         body = ",".join(f"({r},{d})" for r, d in self.blocks)
@@ -239,7 +226,6 @@ def enumerate_hn_types(
     ctx: CurveContext,
     max_first_slope,
     *,
-    flavor: HNFlavor = HNFlavor.HN,
     min_slope_exclusive=None,
 ) -> list[HNType]:
     """All types with the ambient (rank, degree) and first slope <= the bound.
@@ -260,7 +246,7 @@ def enumerate_hn_types(
     def rec(rem_r: int, rem_d: int, prev: Fraction | None, blocks: list[tuple[int, int]]):
         if rem_r == 0:
             if rem_d == 0:
-                out.append(HNType(tuple(blocks), flavor))
+                out.append(HNType(tuple(blocks)))
                 if len(out) > DEFAULT_INDEX_CAP:
                     raise CapExceeded(len(out), DEFAULT_INDEX_CAP)
             return
@@ -369,7 +355,7 @@ def t_mu_candidates(mu: HNType, ctx: CurveContext, max_first_slope=None) -> list
     bound = first_slope_bound(mu, ctx)
     if max_first_slope is not None:
         bound = min(bound, frac(max_first_slope))
-    return enumerate_hn_types(ctx, bound, flavor=HNFlavor.HN)
+    return enumerate_hn_types(ctx, bound)
 
 
 class Rank3Kind(Enum):
@@ -454,21 +440,20 @@ def u_tau_candidates(tau: HNType, ctx: CurveContext) -> CandidateSet:
     if (tau.rank, tau.degree) != (ctx.rank, ctx.degree):
         raise AmbientMismatch("type does not match the context's (rank, degree)")
     r, d, deg_line = ctx.rank, ctx.degree, ctx.deg_line
-    higgs_tau = tau.as_flavor(HNFlavor.HIGGS_HN)
 
     if deg_line == 0:
-        return CandidateSet((higgs_tau,), sharp=True)
+        return CandidateSet((tau,), sharp=True)
 
     if r == 2:
         if tau.is_semistable:
-            return CandidateSet((higgs_tau,), sharp=True)
-        mu0 = HNType.semistable(r, d, HNFlavor.HIGGS_HN)
+            return CandidateSet((tau,), sharp=True)
+        mu0 = HNType.semistable(r, d)
         d1 = tau.blocks[0][1]
         if Fraction(d1) > Fraction(d + deg_line, 2):
-            return CandidateSet((higgs_tau,), sharp=True)
-        return CandidateSet((mu0, higgs_tau), sharp=True)
+            return CandidateSet((tau,), sharp=True)
+        return CandidateSet((mu0, tau), sharp=True)
 
-    cands = enumerate_hn_types(ctx, tau.top_slope, flavor=HNFlavor.HIGGS_HN)
+    cands = enumerate_hn_types(ctx, tau.top_slope)
     if r == 3:
         kept = []
         for mu in cands:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, HiggsStrataError
-from .linalg import Vec, dot, nullspace, rank, solve_unique, vec
+from .linalg import Vec, dot, rank, solve_unique, vec
 
 DEFAULT_SUPPORT_CAP = 100_000
 
@@ -70,23 +70,16 @@ def _affine_minimizer(points: list[Vec]) -> tuple[list[Fraction], Vec] | None:
     return lam, y
 
 
-def _affine_dependence(points: list[Vec]) -> list[Fraction] | None:
-    """Coefficients c (not all zero, summing to zero) with sum c_i p_i = 0."""
-    cols = len(points)
-    rows = [tuple(p[i] for p in points) for i in range(len(points[0]))]
-    rows.append(tuple(Fraction(1) for _ in range(cols)))
-    basis = nullspace(tuple(rows))
-    if not basis:
-        return None
-    return list(basis[0])
-
-
 def wolfe_min_norm(points) -> Vec:
     """Wolfe's minimum-norm-point method over the rationals.
 
     Maintains a corral with positive barycentric weights; each major cycle
     strictly decreases the norm, so the run visits each corral at most once
-    and terminates with the exact minimiser.
+    and terminates with the exact minimiser.  Corrals stay affinely
+    independent (Wolfe 1976): x minimises the norm over the corral's affine
+    hull, on which <x, q> = <x, x>, the entering point has <x, p> < <x, x>,
+    and minor cycles only drop points.  A singular corral raises
+    HiggsStrataError.
     """
     pts = list(_as_points(points))
     x = min(pts, key=lambda p: dot(p, p))
@@ -107,23 +100,7 @@ def wolfe_min_norm(points) -> Vec:
             sub = [pts[i] for i in corral]
             solved = _affine_minimizer(sub)
             if solved is None:
-                # Affinely dependent corral: retire one point along a dependence.
-                c = _affine_dependence(sub)
-                steps = [
-                    (weights[i] / c[i], i) for i in range(len(c)) if c[i] > 0
-                ]
-                if not steps:
-                    steps = [
-                        (weights[i] / c[i], i) for i in range(len(c)) if c[i] < 0
-                    ]
-                    theta = max(t for t, _ in steps)
-                else:
-                    theta = min(t for t, _ in steps)
-                weights = [w - theta * ci for w, ci in zip(weights, c)]
-                drop = next(i for i, w in enumerate(weights) if w == 0)
-                corral.pop(drop)
-                weights.pop(drop)
-                continue
+                raise HiggsStrataError("Wolfe corral became affinely dependent")
             alpha, y = solved
             if all(a >= 0 for a in alpha):
                 x = y
@@ -174,22 +151,17 @@ def min_norm_point_by_faces(points) -> Vec:
     return best
 
 
-def min_norm_point(cloud, method: str = "wolfe") -> Vec:
+def min_norm_point(cloud) -> Vec:
     """Exact closest point to the origin of the convex hull of the cloud.
 
-    ``method`` is "wolfe" (default) or "faces" (the exhaustive oracle, for
-    small clouds).  The result is certified: every point pairs with it at
-    least as much as its squared norm.
+    Computed by Wolfe's method and certified: every point pairs with it at
+    least as much as its squared norm.  ``min_norm_point_by_faces`` is the
+    independent oracle.
     """
-    if method not in ("wolfe", "faces"):
-        raise ValueError("method must be 'wolfe' or 'faces'")
     pts = _as_points(cloud)
     if len(pts) == 1:
         return pts[0]
-    if method == "wolfe":
-        x = wolfe_min_norm(pts)
-    else:
-        x = min_norm_point_by_faces(pts)
+    x = wolfe_min_norm(pts)
     if not kkt_certificate(pts, x):
         raise HiggsStrataError("exact KKT certificate failed")
     return x
@@ -201,21 +173,15 @@ def kkt_certificate(points, x: Vec) -> bool:
     return all(dot(p, x) >= xx for p in _as_points(points))
 
 
-def hull_contains_origin(points, method: str = "minnorm") -> bool:
-    """Whether the origin lies in the convex hull, by two independent routes.
+def hull_contains_origin(points) -> bool:
+    """Whether the origin lies in the convex hull, by an exact phase-1 simplex.
 
-    "minnorm" tests whether the minimum-norm point vanishes; "feasibility"
-    runs an exact phase-1 simplex on the convex-combination system.
+    Independent of ``min_norm_point``, which vanishes exactly in this case.
     """
     pts = _as_points(points)
-    if method == "minnorm":
-        return all(x == 0 for x in min_norm_point(pts))
-    if method == "feasibility":
-        dim = len(pts[0])
-        columns = [tuple(p) + (Fraction(1),) for p in pts]
-        target = tuple([Fraction(0)] * dim) + (Fraction(1),)
-        return nonneg_combination_exists(columns, target)
-    raise ValueError("method must be 'minnorm' or 'feasibility'")
+    columns = [tuple(p) + (Fraction(1),) for p in pts]
+    target = tuple([Fraction(0)] * len(pts[0])) + (Fraction(1),)
+    return nonneg_combination_exists(columns, target)
 
 
 def nonneg_combination_exists(columns, target) -> bool:
@@ -256,7 +222,9 @@ def nonneg_combination_exists(columns, target) -> bool:
             if tableau[i][enter] > 0
         ]
         if not ratios:
-            break  # unbounded cannot happen in phase 1; defensive
+            # The artificial sum is bounded below by 0, so an improving
+            # column always has a positive entry.
+            raise HiggsStrataError("phase-1 simplex found no pivot row")
         _, pivot_row = min(ratios, key=lambda t: (t[0], basis[t[1]]))
         piv = tableau[pivot_row][enter]
         tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]

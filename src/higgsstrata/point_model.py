@@ -678,9 +678,11 @@ def verify_step2(
     convex hull of its supported weights; failures return the exact
     separating direction found by the minimum-norm computation.  The
     blockwise grading/trace identity is checked exactly over all integer
-    trace-zero diagonal subgroups with entries up to ``lambda_bound``.  This
-    is a necessary condition for full semistability, not a decision of it.
+    trace-zero diagonal subgroups with entries up to ``lambda_bound``, first,
+    so its cap (see ``step2_trace_identity``) holds before any other work.
+    This is a necessary condition for full semistability, not a decision of it.
     """
+    checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
     retracted, dims_per_factor = _retract_with_dims(p, beta, ctx)
     cuts = (0,) + beta.flag.cuts
     blocks: list[BlockReport] = []
@@ -713,7 +715,6 @@ def verify_step2(
         witness = None if ss else _integer_direction(v)
         all_ok = all_ok and ss
         blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, witness))
-    checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
     return Step2Report(
         all_ok and identity_ok, tuple(blocks), checked, identity_ok, retracted
     )
@@ -750,28 +751,29 @@ def unipotent_stabilizer_dim(
     stabilises the point when D T = s T for some scalar s, T being the full
     coordinate table.  T is the sum of the families A = a_1 (x) ... (x) a_N
     and B = b_1 (x) ... (x) b_N, where a_k holds factor k's det values and
-    b_k its end values.  D moves every factor's y at once, so by the product
-    rule it acts on A as a derivation: D A = sum_k a_1 (x) .. D a_k .. (x) a_N.
-    When every a_k is nonzero, D A = s A holds exactly when D a_k = s_k a_k
-    for every k, with s = sum_k s_k: write D a_k = s_k a_k + w_k where
-    f_k(w_k) = 0 for a functional f_k with f_k(a_k) = 1; contracting every
-    slot but k with the f_j leaves (sum_j s_j) a_k + w_k, a multiple of a_k
-    only if w_k = 0.  Likewise D b_k = t_k b_k with s = sum_k t_k.  A family
-    with a zero factor (c_k = 0 or phi_k = 0) vanishes identically along
+    b_k its end values, and D acts on each by the product rule:
+    D A = sum_k a_1 (x) .. D a_k .. (x) a_N.
+
+    Here s = 0.  By Cramer's rule on B_I = (y^T phi)_I adj(y_I^T), the end
+    value at (I, i, j) is det(y_I with column j replaced by phi^T y_{s_i}),
+    s_i the i-th element of I; the det values are minors of y.  So both
+    families carry linear representations of y's column operations, on which
+    the strictly upper block triangle acts nilpotently, as on their tensor
+    products; D T = s T with T != 0 then forces s = 0.  When every a_k is
+    nonzero, contracting D A = 0 in every slot but k with functionals f_j,
+    f_j(a_j) = 1, leaves D a_k in the span of a_k, hence D a_k = 0; likewise
+    for B.  A family with a zero factor (c_k = 0 or phi_k = 0) vanishes along
     every direction, since D moves only y, and gives no condition;
     DegeneratePoint is raised when both families vanish.
 
-    So the system has the unknowns xi_p (one per upper position p) and one
-    s_{F,k} per surviving family F and factor k, the rows
-    sum_p xi_p d_p v - s_{F,k} v = 0 over factor k's values v in family F,
-    and sum_k s_{det,k} = sum_k s_{end,k} when both families survive.  Each
-    s_{F,k} is fixed by xi, so the nullity is the stabiliser dimension, as
-    on the full table.  (On this algebra every s_{F,k} comes out 0, since a
-    nilpotent direction acts nilpotently; the system does not assume it.)
-    The derivatives d_p v come from one factor at a time over dual numbers.
-    ``cap`` bounds the row count N C(m,r) (1 + r^2) and is checked before
-    any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
-    full-table route, kept as a test oracle.
+    So the unknowns are xi_p, one per upper position p, with one row
+    sum_p xi_p d_p v = 0 per value v of each factor in each surviving family,
+    and the nullity is the stabiliser dimension.  The derivatives come from
+    one factor at a time over dual numbers, and only values over subsets
+    through the moved column change.  ``cap`` bounds the row count
+    N C(m,r) (1 + r^2) and is checked before any evaluation;
+    ``unipotent_stabilizer_dim_dense_oracle`` is the full-table route, which
+    keeps s as an unknown, as a test oracle.
     """
     _check_shapes(p, ctx)
     if flag.total != p.m:
@@ -779,34 +781,22 @@ def unipotent_stabilizer_dim(
     rows = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
     if rows > cap:
         raise CapExceeded(rows, cap)
-    families = [
-        fam for fam in (0, 1) if all(any(values[fam].values()) for values in p._values)
-    ]
+    families = [fam for fam in (0, 1) if all(sup[fam] for sup in p._support)]
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     positions = _lie_upper_positions(flag)
-    n, width = p.npoints, len(positions)
-    zeros = [Fraction(0)] * (width + len(families) * n)
-    # columns: xi_p, then s_{F,k} at width + (slot of F) * n + k
-    acc = EchelonAccumulator(len(zeros))
-    if len(families) == 2:
-        acc.add([Fraction(0)] * width + [Fraction(1)] * n + [Fraction(-1)] * n)
+    acc = EchelonAccumulator(len(positions))
     subsets = list(itertools.combinations(range(1, p.m + 1), p.r))
-    for k, (f, base) in enumerate(zip(p.factors, p._values)):
-        # only the values over subsets through column l move along (a, l)
+    for f in p.factors:
         moved = [
             _factor_values(
                 _sheared(f.y, a, l), f.c, f.phi, p.m, [s for s in subsets if l + 1 in s]
             )
             for a, l in positions
         ]
-        for slot, fam in enumerate(families):
-            for key, v in base[fam].items():
-                row = list(zeros)
-                for col, d in enumerate(moved):
-                    if key in d[fam]:
-                        row[col] = d[fam][key].b
-                row[width + slot * n + k] = -v
+        for fam in families:
+            for key in dict.fromkeys(key for d in moved for key in d[fam]):
+                row = [d[fam][key].b if key in d[fam] else Fraction(0) for d in moved]
                 if any(row):
                     acc.add(row)
     return acc.nullity

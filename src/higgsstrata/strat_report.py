@@ -88,7 +88,6 @@ def assemble(
     ctx: CurveContext,
     candidates: list[BetaVector] | None = None,
     max_first_slope=None,
-    require_block_semistability: bool = True,
 ) -> list[StratumRecord]:
     """Partition a corpus of (id, point, flag) triples into stratum records.
 
@@ -96,7 +95,7 @@ def assemble(
     flags an inconsistent candidate list); points matching none go to the
     zero record when the zero vector is among the candidates, else
     UnclassifiedPoint is raised.  Matching a candidate means lying in its
-    inequality locus and, by default, also passing the blockwise torus
+    inequality locus and also passing the blockwise torus
     semistability of the retracted point: the inequality locus alone is not
     disjoint across candidates (a deeper graded point satisfies the locus
     conditions of shallower vectors too), and the semistable part of the
@@ -118,9 +117,8 @@ def assemble(
             got = membership(point, beta, ctx)
             if got is Membership.OUTSIDE:
                 continue
-            if require_block_semistability:
-                if not verify_step2(point, beta, ctx, lambda_bound=0).passed:
-                    continue
+            if not verify_step2(point, beta, ctx, lambda_bound=0).passed:
+                continue
             matches.append(beta)
             results[id(beta)] = got
         if len(matches) > 1:

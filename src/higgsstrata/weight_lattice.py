@@ -131,9 +131,10 @@ def beta_of_type(tau: HNType, ctx: CurveContext) -> BetaVector:
 class CoordinateIndex:
     """Name of one projective coordinate of the product embedding.
 
-    ``kind`` is "det" or "end"; ``subsets`` holds one sorted r-element subset
-    of {1..m} per evaluation point, and for the "end" kind ``ij`` holds one
-    (i, j) pair of 1-based positions into the corresponding subset.
+    ``kind`` is "det" or "end"; ``subsets`` holds one strictly increasing
+    r-element subset of {1..m} per evaluation point (an unsorted one is
+    refused), and for the "end" kind ``ij`` holds one (i, j) pair of 1-based
+    positions into the corresponding subset.
     """
 
     kind: str
@@ -143,7 +144,9 @@ class CoordinateIndex:
     def __post_init__(self):
         if self.kind not in ("det", "end"):
             raise ValueError("kind must be 'det' or 'end'")
-        subsets = tuple(tuple(sorted(int(x) for x in s)) for s in self.subsets)
+        subsets = tuple(tuple(int(x) for x in s) for s in self.subsets)
+        if any(a >= b for sub in subsets for a, b in zip(sub, sub[1:])):
+            raise ValueError(f"subsets must be strictly increasing, got {subsets}")
         object.__setattr__(self, "subsets", subsets)
         if self.kind == "end":
             if self.ij is None or len(self.ij) != len(subsets):
@@ -309,13 +312,20 @@ def step2_trace_identity(
     sum_g(-N r_g/m_g * trace_g) must equal the pairing with beta.  Both sides
     depend on the diagonal only through its block traces, so the check runs
     exactly over all achievable block-trace tuples.  Returns (number of
-    classes checked, all_ok, first failing block-trace tuple or None).
+    classes checked, all_ok, first failing block-trace tuple or None).  A
+    negative bound raises ValueError; CapExceeded is raised before any work
+    when the prod_{g<s}(2 bound m_g + 1) heads exceed DEFAULT_INDEX_CAP.
     """
+    if bound < 0:
+        raise ValueError(f"the trace bound must be >= 0, got {bound}")
     n = beta.npoints
     r_blocks = beta.rank_blocks
     m_blocks = beta.m_blocks
     values = beta.block_values
     s = len(m_blocks)
+    heads = math.prod(2 * bound * m_g + 1 for m_g in m_blocks[:-1])
+    if heads > DEFAULT_INDEX_CAP:
+        raise CapExceeded(heads, DEFAULT_INDEX_CAP)
     ranges = [range(-bound * m_g, bound * m_g + 1) for m_g in m_blocks[:-1]]
     last_lo, last_hi = -bound * m_blocks[-1], bound * m_blocks[-1]
     checked = 0

@@ -19,7 +19,6 @@ from higgsstrata import (
     CurveContext,
     Factor,
     FlagShape,
-    HNFlavor,
     HNType,
     Membership,
     ModelPoint,
@@ -94,7 +93,7 @@ def test_ac02_min_norm_oracle_equivalence():
             for _ in range(npts)
         ]
         cloud = PointCloud.from_points(pts)
-        if min_norm_point(cloud, "wolfe") != min_norm_point_by_faces(cloud):
+        if min_norm_point(cloud) != min_norm_point_by_faces(cloud):
             ok = False
             break
     _report(2, "min-norm oracle equivalence", ok, time.monotonic() - start, 30.0,
@@ -201,12 +200,12 @@ def test_ac05_rank2_classification():
     for d in range(1, 21):
         for deg_line in (0, 1, 2):
             ctx = CurveContext(2, d, genus=0, deg_line=deg_line)
-            mu0 = HNType.semistable(2, d, HNFlavor.HIGGS_HN)
+            mu0 = HNType.semistable(2, d)
             d1_min = d // 2 + 1
             for d1 in range(d1_min, d + 11):
                 tau = HNType(((1, d1), (1, d - d1)))
                 got = set(u_tau_candidates(tau, ctx))
-                want = {tau.as_flavor(HNFlavor.HIGGS_HN)}
+                want = {tau}
                 if not F(d1) > F(d + deg_line, 2):
                     want.add(mu0)
                 ok = ok and got == want
@@ -226,7 +225,7 @@ def test_ac06_degl_zero_forces_equality():
             ctx = CurveContext(r, d, genus=0, deg_line=0)
             for tau in enumerate_hn_types(ctx, d):
                 got = u_tau_candidates(tau, ctx)
-                ok = ok and list(got) == [tau.as_flavor(HNFlavor.HIGGS_HN)]
+                ok = ok and list(got) == [tau]
                 ok = ok and got.sharp
                 checked += 1
     _report(6, "degree-0 twisting equality", ok, time.monotonic() - start, 5.0,

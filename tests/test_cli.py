@@ -67,14 +67,6 @@ class TestJsonRoundTrips:
         types = [HNType.from_json(t) for t in data["types"]]
         assert HNType(((2, 1),)) in types and len(types) == 3
 
-    def test_enumerate_higgs_flavor(self, capsys):
-        data = run_json(
-            capsys,
-            "enumerate", "--rank", "2", "--degree", "1", "--max-slope", "2",
-            "--flavor", "higgs",
-        )
-        assert len(data["types"]) == 3
-
     def test_minnorm(self, capsys):
         data = run_json(capsys, "minnorm", "--points", "[[1,0],[0,1]]")
         assert [F(e["num"], e["den"]) for e in data["point"]] == [F(1, 2), F(1, 2)]
@@ -207,6 +199,20 @@ class TestExitCodes:
         assert run(capsys, "bogus-verb")[0] == 2
         assert run(capsys, "beta")[0] == 2  # missing required --tau
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minnorm", "--points", "[[1,0],[0,1]]", "--method", "faces"],
+            ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", "2", "--flavor", "higgs"],
+        ],
+        ids=["minnorm-method", "enumerate-flavor"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "usage:" in err and "unrecognized arguments" in err
+        assert "Traceback" not in err
+
     def test_success_exit_zero(self, capsys):
         assert run(capsys, "classify", "--tau-type", "3", "--mu-type", "3")[0] == 0
 
@@ -277,6 +283,24 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert re.fullmatch(r"CapExceeded: .*\n", err), err
         assert time.monotonic() - start < 10
+
+    def test_huge_lambda_bound_hits_trace_cap(self, capsys, point_file):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "point-check", "--point-file", point_file, "--tau", "5,2", "--ranks", "1,1",
+            "--genus", "2", "--step2", "--lambda-bound", "1000000000",
+        )
+        assert code == 1 and not out
+        assert re.fullmatch(r"CapExceeded: .*\n", err), err
+        assert time.monotonic() - start < 10
+
+    def test_negative_lambda_bound(self, capsys, point_file):
+        code, out, err = run(
+            capsys, "point-check", "--point-file", point_file, "--tau", "5,2", "--ranks", "1,1",
+            "--genus", "2", "--step2", "--lambda-bound", "-1",
+        )
+        assert code == 1 and not out
+        assert re.fullmatch(r"ValueError: .*\n", err), err
 
     def test_huge_report_slope_is_pruned(self, capsys, tmp_path, point_file):
         # every block slope must exceed genus - 1, which bounds the first slope
@@ -393,7 +417,6 @@ def _argv(tmp: str, ctx: list, point: str, tau: list, blocks: str):
         st.tuples(
             st.just(["enumerate"]), free_ctx,
             st.sampled_from([["--max-slope", q] for q in _RATIONALS if q != "1e400"]),
-            _flag("--flavor", st.sampled_from(["hn", "higgs", "x"])),
         ),
         st.tuples(
             st.just(["order", "--rank"]), _small_int.map(lambda v: [v]),
@@ -411,7 +434,6 @@ def _argv(tmp: str, ctx: list, point: str, tau: list, blocks: str):
         ),
         st.tuples(
             st.just(["minnorm", "--points"]), _json_matrix.map(lambda v: [v]),
-            _flag("--method", st.sampled_from(["wolfe", "faces", "x"])),
         ),
         st.tuples(
             st.just(["index-set", "--points"]), _json_matrix.map(lambda v: [v]),

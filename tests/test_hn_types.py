@@ -11,7 +11,6 @@ from higgsstrata import (
     AmbientMismatch,
     CurveContext,
     FlagShape,
-    HNFlavor,
     HNType,
     PolygonOrder,
     Rank3Kind,
@@ -176,31 +175,28 @@ class TestCandidates:
         ctx = CurveContext(2, 3, genus=0, deg_line=2)
         tau = blocks((1, 2), (1, 1))
         got = u_tau_candidates(tau, ctx)
-        assert set(got) == {
-            HNType(((2, 3),), HNFlavor.HIGGS_HN),
-            tau.as_flavor(HNFlavor.HIGGS_HN),
-        }
+        assert set(got) == {HNType(((2, 3),)), tau}
         assert got.sharp
 
     def test_u_tau_rank_two_drops_semistable(self):
         ctx = CurveContext(2, 3, genus=0, deg_line=2)
         tau = blocks((1, 3), (1, 0))
         got = u_tau_candidates(tau, ctx)  # 3 > (3 + 2)/2
-        assert list(got) == [tau.as_flavor(HNFlavor.HIGGS_HN)]
+        assert list(got) == [tau]
 
     def test_u_tau_degl_zero(self):
         for r, d in [(2, 5), (3, 4), (4, 7)]:
             ctx = CurveContext(r, d, genus=0, deg_line=0)
             for tau in enumerate_hn_types(ctx, F(d, 1) + 2)[:8]:
                 got = u_tau_candidates(tau, ctx)
-                assert list(got) == [tau.as_flavor(HNFlavor.HIGGS_HN)]
+                assert list(got) == [tau]
                 assert got.sharp
 
     def test_u_tau_contains_tau(self):
         for deg_line in (0, 1, 2):
             ctx = CurveContext(3, 5, genus=0, deg_line=deg_line)
             for tau in enumerate_hn_types(ctx, 4):
-                assert tau.as_flavor(HNFlavor.HIGGS_HN) in u_tau_candidates(tau, ctx)
+                assert tau in u_tau_candidates(tau, ctx)
 
     def test_u_tau_rank3_forbidden_never_present(self):
         ctx = CurveContext(3, 5, genus=0, deg_line=2)

@@ -38,6 +38,44 @@ def random_cloud(rng: random.Random, dim=None, npts=None) -> PointCloud:
     return PointCloud.from_points(pts)
 
 
+@st.composite
+def degenerate_clouds(draw):
+    """At most 7 points in dimension 1-4, with repeated points and collinear runs."""
+    dim = draw(st.integers(1, 4))
+    point = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=dim, max_size=dim)
+    pts = [draw(point)]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "repeat", "collinear"]))
+        if kind == "new":
+            pts.append(draw(point))
+        elif kind == "repeat":
+            pts.append(draw(st.sampled_from(pts)))
+        else:
+            p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            t = draw(st.fractions(-2, 2, max_denominator=3))
+            pts.append([a + t * (b - a) for a, b in zip(p, q)])
+    return draw(st.permutations(pts))
+
+
+def _run_under_optimize(patch: str) -> subprocess.CompletedProcess:
+    """Run min_norm_point under ``python -O`` after ``patch``; prints 'raised' on HiggsStrataError."""
+    script = (
+        "import higgsstrata.minnorm as mn\n"
+        "from higgsstrata.errors import HiggsStrataError\n"
+        f"{patch}\n"
+        "try:\n"
+        "    mn.min_norm_point([[1, 0], [0, 1]])\n"
+        "except HiggsStrataError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(higgsstrata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestMinNorm:
     def test_origin_inside(self):
         assert min_norm_point(PointCloud.from_points([[1, 1], [-1, -1]])) == (F(0), F(0))
@@ -53,13 +91,13 @@ class TestMinNorm:
 
     def test_methods_agree_on_examples(self):
         for pts in ([[1, 0], [0, 1]], [[1, 1], [-1, -1]], [[2, 3]], [[1, 2], [3, 1], [-1, 5]]):
-            assert min_norm_point(pts, "wolfe") == min_norm_point(pts, "faces")
+            assert min_norm_point(pts) == min_norm_point_by_faces(pts)
 
     def test_oracle_equality_random(self):
         rng = random.Random(11)
         for _ in range(30):
             cloud = random_cloud(rng)
-            assert min_norm_point(cloud, "wolfe") == min_norm_point_by_faces(cloud)
+            assert min_norm_point(cloud) == min_norm_point_by_faces(cloud)
 
     def test_kkt_with_active_support_equality(self):
         rng = random.Random(5)
@@ -80,26 +118,22 @@ class TestMinNorm:
             min_norm_point([[1, 0], [0, 1]])
 
     def test_failed_certificate_raises_under_optimize(self):
-        script = (
-            "import higgsstrata.minnorm as mn\n"
-            "from higgsstrata.errors import HiggsStrataError\n"
-            "mn.wolfe_min_norm = lambda pts: (1, 1)\n"
-            "try:\n"
-            "    mn.min_norm_point([[1, 0], [0, 1]])\n"
-            "except HiggsStrataError:\n"
-            "    print('raised')\n"
-        )
-        src = str(Path(higgsstrata.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = _run_under_optimize("mn.wolfe_min_norm = lambda pts: (1, 1)")
         assert done.stdout.strip() == "raised", done.stderr
 
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            min_norm_point([[1]], method="float")
+    def test_dependent_corral_raises(self, monkeypatch):
+        monkeypatch.setattr(higgsstrata.minnorm, "_affine_minimizer", lambda pts: None)
+        with pytest.raises(HiggsStrataError, match="affinely dependent"):
+            min_norm_point([[1, 0], [0, 1]])
+
+    def test_dependent_corral_raises_under_optimize(self):
+        done = _run_under_optimize("mn._affine_minimizer = lambda pts: None")
+        assert done.stdout.strip() == "raised", done.stderr
+
+    @given(degenerate_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_degenerate_clouds_match_faces_oracle(self, pts):
+        assert min_norm_point(pts) == min_norm_point_by_faces(pts)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -114,9 +148,8 @@ class TestHullMembership:
         hits = 0
         for _ in range(40):
             cloud = random_cloud(rng, dim=rng.randint(1, 3), npts=rng.randint(1, 5))
-            a = hull_contains_origin(cloud, "minnorm")
-            b = hull_contains_origin(cloud, "feasibility")
-            assert a == b
+            a = hull_contains_origin(cloud)
+            assert a == all(x == 0 for x in min_norm_point(cloud))
             hits += a
         assert 0 < hits < 40  # both outcomes exercised
 

@@ -96,6 +96,17 @@ class TestAlpha:
         with pytest.raises(ValueError):
             CoordinateIndex("end", ((1, 2),))
 
+    def test_unsorted_subset_refused(self):
+        # sorting would move position 1 of the subset from section 2 to
+        # section 1 and give weight (-1, 1, 1, 1) at (r, d) = (2, 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CoordinateIndex("end", ((2, 1),), ((1, 2),))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CoordinateIndex("det", ((1, 2), (3, 3)))
+        ctx = CurveContext(2, 2, genus=0, npoints=1)  # m = 4
+        idx = CoordinateIndex("end", ((1, 2),), ((2, 1),))
+        assert alpha_of_index(idx, ctx) == (F(1), F(-1), F(1), F(1))
+
 
 class TestPairing:
     def test_zero_vector(self):
@@ -226,6 +237,13 @@ class TestTraceIdentity:
         beta = beta_of_type(HNType(((1, 4), (1, 3))), ctx)
         checked, ok, bad = step2_trace_identity(beta, 3)
         assert ok and bad is None and checked == 13
+
+    def test_cap_before_work(self):
+        ctx = CurveContext(2, 7, genus=2)
+        beta = beta_of_type(HNType(((1, 5), (1, 2))), ctx)  # m_blocks (4, 1)
+        with pytest.raises(CapExceeded) as exc:
+            step2_trace_identity(beta, 10**9)
+        assert exc.value.count == 8 * 10**9 + 1
 
     def test_explicit_diagonals_match_block_form(self):
         from higgsstrata.weight_lattice import pairing_with_diagonal
