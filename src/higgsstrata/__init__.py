@@ -60,12 +60,10 @@ from .point_model import (
     Step2Report,
     coordinates,
     from_higgs_data,
-    lowering_dim_comparison,
     membership,
     nilpotent_commutant_dim,
     nilpotent_commutant_dim_dense_oracle,
     retract_p_beta,
-    stabdim_retraction_report,
     unipotent_stabilizer_dim,
     unipotent_stabilizer_dim_dense_oracle,
     verify_step1,

@@ -19,16 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import AmbientMismatch, CapExceeded
-from .linalg import Mat, frac, mat
+from .linalg import Mat, frac, integer, mat
 
 DEFAULT_INDEX_CAP = 200_000
-
-
-def _integer(x) -> int:
-    """``x`` itself if it is an int; floats, bools, strings and fractions are refused."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
 
 
 class PolygonOrder(Enum):
@@ -88,7 +81,7 @@ class HNType:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        blocks = tuple((_integer(r), _integer(d)) for r, d in self.blocks)
+        blocks = tuple((integer(r), integer(d)) for r, d in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a type needs at least one block")
@@ -185,7 +178,7 @@ class FlagShape:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(_integer(b) for b in self.block_sizes)
+        sizes = tuple(integer(b) for b in self.block_sizes)
         object.__setattr__(self, "block_sizes", sizes)
         if not sizes or any(b < 1 for b in sizes):
             raise ValueError("flag blocks must all have size >= 1")

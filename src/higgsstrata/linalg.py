@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals (and over dual numbers).
 
 Matrices are tuples of tuples of ``Fraction``; vectors are tuples.  Everything
-here is exact: no floating point, no tolerances.  The determinant and adjugate
-work over any commutative ring whose elements support ``+``, ``-``, ``*`` and
-truthiness at zero, which is what the first-order (dual-number) coordinate
-differentiation in ``point_model`` relies on.
+here is exact: no floating point, no tolerances.  The determinant works over
+any commutative ring whose elements support ``+``, ``-``, ``*`` and
+truthiness at zero; dual numbers serve only the dense stabiliser oracle in
+``point_model``, which differentiates the full coordinate table.
 """
 
 from __future__ import annotations
@@ -17,15 +17,25 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
 
+def integer(x) -> int:
+    """``x`` itself if it is an int; floats, bools, strings and fractions are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and {'num','den'} dicts to Fraction."""
+    """Coerce ints, strings like '3/4' and {'num','den'} dicts of ints to Fraction.
+
+    Floats and bools are refused, also as a dict's num or den, not rounded.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("floating point input is not accepted; pass a rational")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{type(x).__name__} input {x!r} is not accepted; pass a rational")
     try:
         if isinstance(x, dict):
-            return Fraction(int(x["num"]), int(x["den"]))
+            return Fraction(integer(x["num"]), integer(x["den"]))
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"rational {x!r} has a zero denominator") from None
@@ -108,8 +118,7 @@ def adjugate(a) -> tuple:
     if n == 0:
         return ()
     if n == 1:
-        one = Dual.lift(1) if isinstance(a[0][0], Dual) else Fraction(1)
-        return ((one,),)
+        return ((Fraction(1),),)
     rows = range(n)
 
     def strike(i: int, j: int):

@@ -7,8 +7,10 @@ Its projective coordinates are
     det family:  prod_k  c_k * det(y_k restricted to columns J_k)
     end family:  prod_k  det(y_k|I_k) * tr(y_k|I_k . sigma_ij . y_k|I_k^(-1) . phi_k^T)
 
-where sigma_ij has a single one in position (i, j); the end value is evaluated
-through the adjugate so it stays polynomial when the minor vanishes.  Note the
+where sigma_ij has a single one in position (i, j).  Both are read off one
+table of Laplace cofactors per factor (``_factor_values``): the end value is
+the Cramer form det(y_I with column j replaced by phi^T y_{s_i}), polynomial
+also where the minor vanishes, and no matrix is inverted.  Note the
 transpose: phi is stored in the presentation's convention, i.e. as the
 transpose of the endomorphism of the quotient fibre.  Consequently a Higgs
 field preserving the subspace flag appears here as a block *lower* triangular
@@ -44,8 +46,8 @@ from .linalg import (
     Mat,
     Vec,
     adapted_flag_basis,
-    adjugate,
     det,
+    dot,
     frac,
     inverse,
     mat,
@@ -135,10 +137,11 @@ class ModelPoint:
         return len(self.factors)
 
     @cached_property
-    def _values(self) -> tuple[tuple[dict, dict], ...]:
-        """Per factor: its det values and end values, evaluated once.
+    def _values(self) -> tuple[tuple[dict, dict, tuple[dict, dict]], ...]:
+        """Per factor: its det values, end values and cofactor tables, evaluated once.
 
-        The full table is their tensor product (see ``_table_from_parts``).
+        The full table is the tensor product of the values (see
+        ``_table_from_parts``); the stabiliser reads the cofactor tables.
         """
         return tuple(_factor_values(f.y, f.c, f.phi, self.m) for f in self.factors)
 
@@ -229,48 +232,48 @@ def _columns(y: Mat) -> list[Vec]:
     return [tuple(row[l] for row in y) for l in range(len(y[0]))]
 
 
-def _minor(y, subset: tuple[int, ...]):
-    """Square submatrix of the 1-based columns in ``subset``."""
-    return tuple(tuple(row[l - 1] for l in subset) for row in y)
+def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
+    """One factor's det values, end values and cofactor tables (V_y, V_z).
 
-
-def _factor_det_values(factor_y, factor_c, subsets) -> dict:
-    return {s: factor_c * det(_minor(factor_y, s)) for s in subsets}
-
-
-def _factor_end_values(factor_y, factor_phi, subsets, r: int) -> dict:
-    """End values B_I = (y^T phi)_I adj(y_I^T); entry (i, j) is det * tr(y_I s_ij y_I^-1 phi^T)."""
-    y_t_phi = mat_mul(transpose(factor_y), factor_phi)
-    out = {}
-    for s in subsets:
-        b = mat_mul(
-            tuple(y_t_phi[l - 1] for l in s), adjugate(transpose(_minor(factor_y, s)))
-        )
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                out[(s, i, j)] = b[i - 1][j - 1]
-    return out
-
-
-def _factor_values(y, c, phi, m: int, subsets=None) -> tuple[dict, dict]:
-    """One factor's det values and end values over ``subsets`` (default: all r-subsets)."""
+    For each (r-1)-subset K, f_K is the Laplace cofactor vector of [y_K | w]
+    along its last column, so det[y_K | w] = f_K . w.  The tables hold
+    V_y[K][x-1] = f_K . y_x and V_z[K][x-1] = f_K . z_x, z = phi^T y.  The det
+    value at I is c V_y(I minus s_r, s_r); by Cramer's rule on
+    B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
+    det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
+    Works over any commutative ring.
+    """
     r = len(y)
-    if subsets is None:
-        subsets = list(itertools.combinations(range(1, m + 1), r))
-    return _factor_det_values(y, c, subsets), _factor_end_values(y, phi, subsets, r)
+    if r == 0:
+        return {(): c}, {}, ({}, {})
+    y_cols, z_cols = _columns(y), _columns(mat_mul(transpose(phi), y))
+    v_y, v_z = {}, {}
+    for K in itertools.combinations(range(1, m + 1), r - 1):
+        y_k = tuple(tuple(row[l - 1] for l in K) for row in y)
+        f = [(-1) ** (r - 1 - i) * det(y_k[:i] + y_k[i + 1:]) for i in range(r)]
+        v_y[K] = [dot(f, col) for col in y_cols]
+        v_z[K] = [dot(f, col) for col in z_cols]
+    subsets = list(itertools.combinations(range(1, m + 1), r))
+    dets = {s: c * v_y[s[:-1]][s[-1] - 1] for s in subsets}
+    ends = {}
+    for s in subsets:
+        for i, j in itertools.product(range(1, r + 1), repeat=2):
+            v = v_z[s[:j - 1] + s[j:]][s[i - 1] - 1]
+            ends[(s, i, j)] = v if (r - j) % 2 == 0 else -v
+    return dets, ends, (v_y, v_z)
 
 
-def _factor_support(values: tuple[dict, dict]) -> tuple[tuple, tuple]:
+def _factor_support(values: tuple[dict, dict, tuple]) -> tuple[tuple, tuple]:
     """Nonzero det subsets and nonzero end keys of one factor, in table order."""
-    dets, ends = values
+    dets, ends, _ = values
     return tuple(s for s, v in dets.items() if v), tuple(k for k, v in ends.items() if v)
 
 
 def _table_from_parts(parts, m: int, r: int) -> dict[CoordinateIndex, object]:
-    """Full coordinate table from per-factor (det values, end values) over any base ring."""
+    """Full coordinate table from per-factor ``_factor_values`` over any base ring."""
     subsets = list(itertools.combinations(range(1, m + 1), r))
-    det_parts = [dets for dets, _ in parts]
-    end_parts = [ends for _, ends in parts]
+    det_parts = [values[0] for values in parts]
+    end_parts = [values[1] for values in parts]
     table: dict[CoordinateIndex, object] = {}
     n = len(parts)
     for combo in itertools.product(subsets, repeat=n):
@@ -300,10 +303,10 @@ def _check_shapes(p: ModelPoint, ctx: CurveContext) -> None:
 def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) -> CoordinateTable:
     """Evaluate every projective coordinate of the point, exactly.
 
-    End-family entries are computed through the adjugate (det times the trace
-    of the adjugate conjugation), so vanishing minors are handled without any
-    matrix inversion.  Raises CapExceeded when the index count exceeds the
-    cap, and DegeneratePoint if every coordinate vanishes.
+    Every value is a product of per-factor entries of the cofactor tables of
+    ``_factor_values``, so vanishing minors are handled without any matrix
+    inversion.  Raises CapExceeded when the index count exceeds the cap, and
+    DegeneratePoint if every coordinate vanishes.
     """
     _check_shapes(p, ctx)
     total = coordinate_index_count(ctx)
@@ -730,14 +733,6 @@ def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:
     ]
 
 
-def _sheared(y: Mat, a: int, l: int) -> tuple:
-    """y over dual numbers, moved along the direction column l += eps * column a."""
-    return tuple(
-        tuple(Dual(x, row[a] if col == l else Fraction(0)) for col, x in enumerate(row))
-        for row in y
-    )
-
-
 def unipotent_stabilizer_dim(
     p: ModelPoint,
     flag: FlagShape,
@@ -754,26 +749,28 @@ def unipotent_stabilizer_dim(
     b_k its end values, and D acts on each by the product rule:
     D A = sum_k a_1 (x) .. D a_k .. (x) a_N.
 
-    Here s = 0.  By Cramer's rule on B_I = (y^T phi)_I adj(y_I^T), the end
-    value at (I, i, j) is det(y_I with column j replaced by phi^T y_{s_i}),
-    s_i the i-th element of I; the det values are minors of y.  So both
-    families carry linear representations of y's column operations, on which
-    the strictly upper block triangle acts nilpotently, as on their tensor
-    products; D T = s T with T != 0 then forces s = 0.  When every a_k is
-    nonzero, contracting D A = 0 in every slot but k with functionals f_j,
-    f_j(a_j) = 1, leaves D a_k in the span of a_k, hence D a_k = 0; likewise
-    for B.  A family with a zero factor (c_k = 0 or phi_k = 0) vanishes along
-    every direction, since D moves only y, and gives no condition;
-    DegeneratePoint is raised when both families vanish.
+    Here s = 0.  Every value is, up to sign and the factor c, an entry
+    V(K, x) = det[y_K | w_x] of a cofactor table of ``_factor_values``
+    (w = y for det values and, by Cramer's rule, w = z = phi^T y for end
+    values), and every entry is such a value.  The direction p = (a, l),
+    column l += eps column a (1-based, a < l), moves w_l along with y_l and
+    acts on the entries like gl_m on Plücker coordinates, replacing l by a:
+    d_p V(K, x) = [x = l] V(K, a) + [l in K, a not in K] (-1)^e V(K with l -> a, x),
+    e = #{k in K : a < k < l}.  So both families carry linear representations
+    of y's column operations, on which the strictly upper block triangle acts
+    nilpotently, as on their tensor products; D T = s T with T != 0 then
+    forces s = 0.  When every a_k is nonzero, contracting D A = 0 in every
+    slot but k with functionals f_j, f_j(a_j) = 1, leaves D a_k in the span
+    of a_k, hence D a_k = 0; likewise for B.  A family with a zero factor
+    (c_k = 0 or phi_k = 0) vanishes along every direction, since D moves only
+    y, and gives no condition; DegeneratePoint is raised when both vanish.
 
     So the unknowns are xi_p, one per upper position p, with one row
-    sum_p xi_p d_p v = 0 per value v of each factor in each surviving family,
-    and the nullity is the stabiliser dimension.  The derivatives come from
-    one factor at a time over dual numbers, and only values over subsets
-    through the moved column change.  ``cap`` bounds the row count
-    N C(m,r) (1 + r^2) and is checked before any evaluation;
-    ``unipotent_stabilizer_dim_dense_oracle`` is the full-table route, which
-    keeps s as an unknown, as a test oracle.
+    [d_p V(K, x)]_p per table entry of each factor in each surviving family,
+    read off the cached tables; the nullity is the stabiliser dimension.
+    ``cap`` bounds N C(m,r) (1 + r^2), the number of values, and is checked
+    before any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
+    full-table route, which keeps s as an unknown, as a test oracle.
     """
     _check_shapes(p, ctx)
     if flag.total != p.m:
@@ -784,22 +781,36 @@ def unipotent_stabilizer_dim(
     families = [fam for fam in (0, 1) if all(sup[fam] for sup in p._support)]
     if not families:
         raise DegeneratePoint("all coordinates vanish")
-    positions = _lie_upper_positions(flag)
-    acc = EchelonAccumulator(len(positions))
-    subsets = list(itertools.combinations(range(1, p.m + 1), p.r))
-    for f in p.factors:
-        moved = [
-            _factor_values(
-                _sheared(f.y, a, l), f.c, f.phi, p.m, [s for s in subsets if l + 1 in s]
-            )
+    positions = [(a + 1, l + 1) for a, l in _lie_upper_positions(flag)]
+    moves = {
+        K: [
+            (tuple(sorted(set(K) - {l} | {a})), (-1) ** sum(a < k < l for k in K))
+            if l in K and a not in K else None
             for a, l in positions
         ]
-        for fam in families:
-            for key in dict.fromkeys(key for d in moved for key in d[fam]):
-                row = [d[fam][key].b if key in d[fam] else Fraction(0) for d in moved]
-                if any(row):
-                    acc.add(row)
+        for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
+    }
+    acc = EchelonAccumulator(len(positions))
+    for _, _, tables in p._values:
+        for table in (tables[fam] for fam in families):
+            for K, values in table.items():
+                for x in range(1, p.m + 1):
+                    row = [
+                        (values[a - 1] if x == l else Fraction(0))
+                        + (move[1] * table[move[0]][x - 1] if move else 0)
+                        for (a, l), move in zip(positions, moves[K])
+                    ]
+                    if any(row):
+                        acc.add(row)
     return acc.nullity
+
+
+def _sheared(y: Mat, a: int, l: int) -> tuple:
+    """y over dual numbers, moved along the direction column l += eps * column a."""
+    return tuple(
+        tuple(Dual(x, row[a] if col == l else Fraction(0)) for col, x in enumerate(row))
+        for row in y
+    )
 
 
 def unipotent_stabilizer_dim_dense_oracle(
@@ -823,9 +834,7 @@ def unipotent_stabilizer_dim_dense_oracle(
     if total > cap:
         raise CapExceeded(total, cap)
     positions = _lie_upper_positions(flag)
-    base = _table_from_parts(
-        [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors], p.m, p.r
-    )
+    base = _table_from_parts(p._values, p.m, p.r)
     order = list(base)
     if not any(base[idx] for idx in order):
         raise DegeneratePoint("all coordinates vanish")
@@ -911,50 +920,3 @@ def nilpotent_commutant_dim_dense_oracle(flag: FlagShape, phis) -> int:
     stacked = tuple(commutant) + tuple(lowering)
     dim_sum_space = rank(stacked)
     return len(commutant) + len(lowering) - dim_sum_space
-
-
-@dataclass(frozen=True)
-class LoweringComparison:
-    """Exploratory comparison of lowering commutants before and after grading."""
-
-    full_dim: int
-    graded_dim: int
-    equal: bool
-    coupling_vanishes: bool
-
-
-def lowering_dim_comparison(flag: FlagShape, phis) -> LoweringComparison:
-    """Compare the lowering commutant of the matrices with that of their graded parts.
-
-    The naive matrix-level analogue of the bundle statement fails in general;
-    ``coupling_vanishes`` records whether every strictly lower block of every
-    matrix is zero, the restricted family on which agreement is asserted.
-    """
-    mats = [mat(phi) for phi in phis]
-    graded = [_block_filter(phi, flag.cuts, flag.cuts) for phi in mats]
-    coupling = True
-    for phi in mats:
-        for a in range(flag.total):
-            for b in range(flag.total):
-                if flag.block_of(a + 1) > flag.block_of(b + 1) and phi[a][b] != 0:
-                    coupling = False
-    full = nilpotent_commutant_dim(flag, mats)
-    part = nilpotent_commutant_dim(flag, graded)
-    return LoweringComparison(full, part, full == part, coupling)
-
-
-@dataclass(frozen=True)
-class StabDimRetractionReport:
-    """Empirical check of stabiliser-dimension invariance under retraction."""
-
-    dim_before: int
-    dim_after: int
-    equal: bool
-
-
-def stabdim_retraction_report(
-    p: ModelPoint, beta: BetaVector, flag: FlagShape, ctx: CurveContext
-) -> StabDimRetractionReport:
-    before = unipotent_stabilizer_dim(p, flag, ctx)
-    after = unipotent_stabilizer_dim(retract_p_beta(p, beta, ctx), flag, ctx)
-    return StabDimRetractionReport(before, after, before == after)

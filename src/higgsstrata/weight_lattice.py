@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import CapExceeded, NonPositiveBlockDimension
 from .hn_types import DEFAULT_INDEX_CAP, CurveContext, FlagShape, HNType
-from .linalg import Vec, dot, frac
+from .linalg import Vec, dot, frac, integer
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class CoordinateIndex:
     def __post_init__(self):
         if self.kind not in ("det", "end"):
             raise ValueError("kind must be 'det' or 'end'")
-        subsets = tuple(tuple(int(x) for x in s) for s in self.subsets)
+        subsets = tuple(tuple(integer(x) for x in s) for s in self.subsets)
         if any(a >= b for sub in subsets for a, b in zip(sub, sub[1:])):
             raise ValueError(f"subsets must be strictly increasing, got {subsets}")
         object.__setattr__(self, "subsets", subsets)
@@ -152,7 +152,7 @@ class CoordinateIndex:
             if self.ij is None or len(self.ij) != len(subsets):
                 raise ValueError("'end' indices need one (i, j) pair per point")
             object.__setattr__(
-                self, "ij", tuple((int(i), int(j)) for i, j in self.ij)
+                self, "ij", tuple((integer(i), integer(j)) for i, j in self.ij)
             )
         elif self.ij is not None:
             raise ValueError("'det' indices carry no (i, j) data")
@@ -343,8 +343,3 @@ def step2_trace_identity(
         if lhs != rhs:
             return checked, False, traces
     return checked, True, None
-
-
-def pairing_with_diagonal(beta: BetaVector, lam: tuple[int, ...]) -> Fraction:
-    """Pairing of beta with an explicit integer diagonal, for spot checks."""
-    return dot(beta.entries, tuple(Fraction(x) for x in lam))

@@ -42,7 +42,7 @@ from higgsstrata import (
 )
 from higgsstrata.hn_types import Rank3Kind
 from higgsstrata.minnorm import PointCloud
-from higgsstrata.weight_lattice import alpha_of_index, pairing_with_diagonal
+from higgsstrata.weight_lattice import alpha_of_index, pairing
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float, budget: float, detail: str = ""):
@@ -188,7 +188,7 @@ def test_ac04_step2_trace_identity():
                                 beta.rank_blocks, beta.m_blocks, traces
                             )
                         )
-                        ok = ok and lhs == pairing_with_diagonal(beta, tuple(lam))
+                        ok = ok and lhs == pairing(beta, tuple(F(x) for x in lam))
     _report(4, "step-2 trace identity", ok, time.monotonic() - start, 30.0,
             f"{types_checked} types, bound 3, exact")
 

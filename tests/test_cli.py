@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -176,6 +177,74 @@ class TestJsonRoundTrips:
             assert data["schema"].startswith("higgsstrata.")
 
 
+def _golden_point(*factors) -> str:
+    return json.dumps({"factors": [{"y": y, "c": c, "phi": phi} for y, c, phi in factors]})
+
+
+# (context flags, point, stabiliser flag blocks): r = 1, 2 and 3, singular
+# minors, c = 0, phi = 0 and N = 2.
+_GOLDEN_CASES = {
+    "r1": (
+        ["--rank", "1", "--degree", "2"],
+        _golden_point(([[1, 0, 2]], 3, [[1]])),
+        "2,1",
+    ),
+    "r2-c0": (
+        ["--rank", "2", "--degree", "2"],
+        _golden_point(([[1, 1, 0, 0], [0, 1, 1, 0]], 0, [[1, 2], [0, -1]])),
+        "2,2",
+    ),
+    "r2-phi0": (
+        ["--rank", "2", "--degree", "3"],
+        _golden_point(([[1, 0, 1, 0, 2], [0, 1, 1, 1, 0]], 5, [[0, 0], [0, 0]])),
+        "3,2",
+    ),
+    "r3": (
+        ["--rank", "3", "--degree", "2"],
+        _golden_point(
+            ([[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, "1/2"]], "2/3",
+             [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        ),
+        "2,2,1",
+    ),
+    "r2-n2": (
+        ["--rank", "2", "--degree", "1", "--npoints", "2"],
+        _golden_point(
+            ([[1, 0, 1], [0, 1, 1]], 1, [[1, 0], [1, 1]]),
+            ([[1, 2, 0], [0, 0, 1]], -1, [[0, 0], [3, 0]]),
+        ),
+        "1,2",
+    ),
+}
+
+# sha256 of the --json stdout, recorded from the adjugate/dual-number
+# evaluator that the cofactor table replaced.
+_GOLDEN_DIGESTS = {
+    ("point-coords", "r1"): "bc64560b7256630a0749dc7f5321bb936bd14141262abbcae1e49b707eec9748",
+    ("stabdim", "r1"): "a34aeaa4e3942014f25399c8c5af44a9328e81a77b1da11d2856d3989a6727c6",
+    ("point-coords", "r2-c0"): "c5ac3d7167f67beffa0f96c5fbc1e7362ba62887479efbf80c56a7e6792e9944",
+    ("stabdim", "r2-c0"): "afe4e1e91ed1a72c66fe808221cb4f35eb43eefd6b15b4d866b2e918d90b8951",
+    ("point-coords", "r2-phi0"): "fd04d65e77d70c97c172b8b8ee9d0b18418b49e514118bdb0219d43ac109cbde",
+    ("stabdim", "r2-phi0"): "3b3fb7e37a4217e3aca6481573f39fd724ca548c7f585471d2f6db603552875c",
+    ("point-coords", "r3"): "7c9142948cb6b210e846b74c8e5520af6d25adba517a1e10a83b5e8d3602e0f6",
+    ("stabdim", "r3"): "a34aeaa4e3942014f25399c8c5af44a9328e81a77b1da11d2856d3989a6727c6",
+    ("point-coords", "r2-n2"): "7f9a68a95ce600fd13d013cd618658b4e7566073e2bacdc874e31cbeb92b5071",
+    ("stabdim", "r2-n2"): "afe4e1e91ed1a72c66fe808221cb4f35eb43eefd6b15b4d866b2e918d90b8951",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "verb,case", list(_GOLDEN_DIGESTS), ids=[f"{v}-{c}" for v, c in _GOLDEN_DIGESTS]
+    )
+    def test_json_stdout_digest(self, capsys, verb, case):
+        ctx, point, blocks = _GOLDEN_CASES[case]
+        extra = ["--blocks", blocks] if verb == "stabdim" else []
+        code, out, err = run(capsys, verb, "--point", point, *ctx, *extra, "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_DIGESTS[(verb, case)]
+
+
 class TestExitCodes:
     DOMAIN_ERRORS = [
         # (argv, reason)
@@ -264,6 +333,21 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out
         assert re.fullmatch(name + r": .*\n", err), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minnorm", "--points", '[[{"num": 1.5, "den": 1}, 2], [3, 4]]'],
+            ["minnorm", "--points", "[[true, 2], [3, 4]]"],
+            ["point-coords", "--point", '{"factors": [{"y": [[1, 0]], "c": true, "phi": [[0]]}]}',
+             "--rank", "1", "--degree", "1"],
+        ],
+        ids=["dict-float", "bool", "point-bool"],
+    )
+    def test_lossy_rational(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert re.fullmatch(r"TypeError: .*\n", err), err
 
     def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
         corpus_path = tmp_path / "corpus.json"

@@ -246,8 +246,6 @@ class TestTraceIdentity:
         assert exc.value.count == 8 * 10**9 + 1
 
     def test_explicit_diagonals_match_block_form(self):
-        from higgsstrata.weight_lattice import pairing_with_diagonal
-
         ctx = CurveContext(2, 7, genus=2)
         beta = beta_of_type(HNType(((1, 4), (1, 3))), ctx)
         n = beta.npoints
@@ -257,7 +255,7 @@ class TestTraceIdentity:
                 -F(n * r_g, m_g) * t
                 for r_g, m_g, t in zip(beta.rank_blocks, beta.m_blocks, traces)
             )
-            assert lhs == pairing_with_diagonal(beta, lam)
+            assert lhs == pairing(beta, tuple(F(x) for x in lam))
 
 
 class TestRationalJson:
@@ -266,6 +264,25 @@ class TestRationalJson:
         assert rational_from_json({"num": 3, "den": 6}) == F(1, 2)
         assert rational_from_json("7/3") == F(7, 3)
         assert rational_from_json(5) == F(5)
+
+    @pytest.mark.parametrize(
+        "data", [1.5, True, {"num": 1.5, "den": 1}, {"num": 1, "den": True}, {"num": "3", "den": 1}]
+    )
+    def test_lossy_rationals_refused(self, data):
+        with pytest.raises(TypeError):
+            rational_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "det", "subsets": [[1.9, 2.2]]},
+            {"kind": "end", "subsets": [[1, 2]], "ij": [[1.5, True]]},
+            {"kind": "det", "subsets": [[True, 2]]},
+        ],
+    )
+    def test_non_integer_index_refused(self, data):
+        with pytest.raises(TypeError):
+            CoordinateIndex.from_json(data)
 
     def test_norm_sq_helper(self):
         assert norm_sq((F(1, 2), F(1, 2))) == F(1, 2)
