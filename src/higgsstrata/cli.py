@@ -388,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("beta", help="instability vector of a type")
     p.add_argument("--tau", required=True, help="comma-separated block degrees")
     p.add_argument("--ranks", help="comma-separated block ranks (default all 1)")
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--degl", type=int, default=0)
-    p.add_argument("--npoints", type=int, default=1)
+    _add_ctx_flags(p, with_rank=False)
     p.set_defaults(func=_cmd_beta)
 
     p = subs.add_parser("compat", help="cross-check the candidate tables")
@@ -427,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point-file")
     p.add_argument("--tau", required=True)
     p.add_argument("--ranks")
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--degl", type=int, default=0)
-    p.add_argument("--npoints", type=int, default=1)
+    _add_ctx_flags(p, with_rank=False)
     p.add_argument("--step2", action="store_true")
     p.add_argument("--lambda-bound", type=int, default=2)
     p.set_defaults(func=_cmd_point_check)

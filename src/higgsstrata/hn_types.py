@@ -47,6 +47,8 @@ class CurveContext:
     npoints: int = 1
 
     def __post_init__(self):
+        for name in ("rank", "degree", "genus", "deg_line", "npoints"):
+            object.__setattr__(self, name, integer(getattr(self, name)))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.genus < 0:
@@ -389,8 +391,8 @@ def classify_rank3(tau_composition, mu_composition) -> Rank3Verdict:
     Both arguments are compositions of 3 (rank patterns).  The semistable
     pattern (3,) pairs only with itself.
     """
-    tau_c = tuple(int(x) for x in tau_composition)
-    mu_c = tuple(int(x) for x in mu_composition)
+    tau_c = tuple(integer(x) for x in tau_composition)
+    mu_c = tuple(integer(x) for x in mu_composition)
     for name, comp in (("first", tau_c), ("second", mu_c)):
         if sum(comp) != 3 or any(x < 1 for x in comp):
             raise ValueError(f"{name} argument is not a composition of 3: {comp}")
@@ -520,39 +522,19 @@ def compute_phi_blocks(flag: FlagShape, phi) -> dict[tuple[int, int], PhiBlock]:
 def higgs_stratum_index(flag: FlagShape, phi, mu: HNType | None = None) -> tuple[int, int] | None:
     """Stratum pair of a Higgs-field matrix against a flag, or None if invariant.
 
-    A pair (i, j) qualifies when its block is nonzero while every block (i', j')
-    with i' <= i, j' >= j (other than (i, j) itself) vanishes.  When several
+    A pair (i, j) qualifies when its block (see ``compute_phi_blocks``) is
+    defined and nonzero; by induction, defined means every block (i', j')
+    with i' <= i, j' >= j other than (i, j) itself vanishes.  When several
     pairs qualify, the pair minimising the slope-difference weight is returned
     if ``mu`` is supplied, else the first in the (i ascending, j descending)
     scan order; None means the matrix preserves the flag.
     """
-    phi_m = mat(phi)
-    n = flag.total
-    if len(phi_m) != n or (phi_m and len(phi_m[0]) != n):
-        raise ValueError(f"matrix must be {n}x{n} for this flag")
-    s = flag.length
-
-    def block_nonzero(i: int, j: int) -> bool:
-        return any(x for row in _submatrix(phi_m, flag, i, j) for x in row)
-
-    def qualifies(i: int, j: int) -> bool:
-        if not block_nonzero(i, j):
-            return False
-        for i2 in range(1, i + 1):
-            for j2 in range(j, s + 1):
-                if (i2, j2) != (i, j) and block_nonzero(i2, j2):
-                    return False
-        return True
-
     found = [
-        (i, j)
-        for i in range(1, s + 1)
-        for j in range(s, i, -1)
-        if qualifies(i, j)
+        pair for pair, block in compute_phi_blocks(flag, phi).items()
+        if block.defined and not block.is_zero
     ]
     if not found:
         return None
-    if mu is not None and len(found) > 1:
-        found.sort(key=lambda p: (pair_weight(mu, *p), p))
-        return found[0]
+    if mu is not None:
+        return min(found, key=lambda p: (pair_weight(mu, *p), p))
     return found[0]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -62,7 +63,7 @@ from .weight_lattice import (
     BetaVector,
     CoordinateIndex,
     beta_of_type,
-    coordinate_index_count,
+    enumerate_coordinate_indices,
     rational_from_json,
     rational_to_json,
     step2_trace_identity,
@@ -140,8 +141,8 @@ class ModelPoint:
     def _values(self) -> tuple[tuple[dict, dict, tuple[dict, dict]], ...]:
         """Per factor: its det values, end values and cofactor tables, evaluated once.
 
-        The full table is the tensor product of the values (see
-        ``_table_from_parts``); the stabiliser reads the cofactor tables.
+        The full table is the tensor product of the values (see ``_table``);
+        the stabiliser reads the cofactor tables.
         """
         return tuple(_factor_values(f.y, f.c, f.phi, self.m) for f in self.factors)
 
@@ -163,21 +164,9 @@ class ModelPoint:
         return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:])
 
     def gauge_factor(self, k: int, alpha) -> "ModelPoint":
-        """Basis change of the quotient fibre of factor k by alpha in GL(r).
-
-        y -> alpha y, c -> c / det(alpha), phi -> alpha^-T phi alpha^T / det(alpha);
-        every projective coordinate is unchanged by this move.
-        """
-        alpha_m = mat(alpha)
-        d = det(alpha_m)
-        if d == 0:
-            raise ValueError("gauge matrix must be invertible")
-        f = self.factors[k]
-        alpha_t = transpose(alpha_m)
-        alpha_t_inv = inverse(alpha_t)
-        new_phi = mat_mul(mat_mul(alpha_t_inv, f.phi), alpha_t)
-        new_phi = tuple(tuple(x / d for x in row) for row in new_phi)
-        gauged = Factor(mat_mul(alpha_m, f.y), f.c / d, new_phi)
+        """Basis change of the quotient fibre of factor k by alpha in GL(r)
+        (see ``_gauged``); every projective coordinate is unchanged by this move."""
+        gauged = _gauged(self.factors[k], mat(alpha))
         return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:
@@ -269,25 +258,19 @@ def _factor_support(values: tuple[dict, dict, tuple]) -> tuple[tuple, tuple]:
     return tuple(s for s, v in dets.items() if v), tuple(k for k, v in ends.items() if v)
 
 
-def _table_from_parts(parts, m: int, r: int) -> dict[CoordinateIndex, object]:
-    """Full coordinate table from per-factor ``_factor_values`` over any base ring."""
-    subsets = list(itertools.combinations(range(1, m + 1), r))
-    det_parts = [values[0] for values in parts]
-    end_parts = [values[1] for values in parts]
+def _table(indices, parts) -> dict[CoordinateIndex, object]:
+    """Coordinate values in index order, each the product of per-factor
+    ``_factor_values`` entries, over any base ring."""
     table: dict[CoordinateIndex, object] = {}
-    n = len(parts)
-    for combo in itertools.product(subsets, repeat=n):
-        val = det_parts[0][combo[0]]
-        for k in range(1, n):
-            val = val * det_parts[k][combo[k]]
-        table[CoordinateIndex("det", combo)] = val
-    pairs = list(itertools.product(range(1, r + 1), repeat=2))
-    for combo in itertools.product(subsets, repeat=n):
-        for ij in itertools.product(pairs, repeat=n):
-            val = end_parts[0][(combo[0],) + tuple(ij[0])]
-            for k in range(1, n):
-                val = val * end_parts[k][(combo[k],) + tuple(ij[k])]
-            table[CoordinateIndex("end", combo, ij)] = val
+    for idx in indices:
+        if idx.kind == "det":
+            vals = [part[0][s] for part, s in zip(parts, idx.subsets)]
+        else:
+            vals = [part[1][(s, i, j)] for part, s, (i, j) in zip(parts, idx.subsets, idx.ij)]
+        val = vals[0]
+        for v in vals[1:]:
+            val = val * v
+        table[idx] = val
     return table
 
 
@@ -309,10 +292,8 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     DegeneratePoint if every coordinate vanishes.
     """
     _check_shapes(p, ctx)
-    total = coordinate_index_count(ctx)
-    if total > cap:
-        raise CapExceeded(total, cap)
-    return CoordinateTable(_table_from_parts(p._values, p.m, p.r))
+    indices = enumerate_coordinate_indices(ctx, cap)
+    return CoordinateTable(_table(indices, p._values))
 
 
 def _beta_entries(beta: BetaVector, p: ModelPoint) -> Vec:
@@ -487,32 +468,42 @@ def verify_step1(
 
 def _block_filter(matrix: Mat, row_cuts, col_cuts) -> Mat:
     """Zero out every entry outside the aligned diagonal blocks."""
-    def block_of(pos: int, cuts) -> int:
-        for g, cut in enumerate(cuts):
-            if pos < cut:
-                return g
-        raise IndexError
-
     return tuple(
         tuple(
-            x if block_of(a, row_cuts) == block_of(b, col_cuts) else Fraction(0)
+            x if bisect_right(row_cuts, a) == bisect_right(col_cuts, b) else Fraction(0)
             for b, x in enumerate(row)
         )
         for a, row in enumerate(matrix)
     )
 
 
+def _gauged(f: Factor, alpha: Mat) -> Factor:
+    """The basis change y -> alpha y, c -> c / det(alpha),
+    phi -> alpha^-T phi alpha^T / det(alpha) of one factor."""
+    d = det(alpha)
+    if d == 0:
+        raise ValueError("gauge matrix must be invertible")
+    alpha_t = transpose(alpha)
+    phi = mat_mul(mat_mul(inverse(alpha_t), f.phi), alpha_t)
+    return Factor(mat_mul(alpha, f.y), f.c / d, tuple(tuple(x / d for x in row) for row in phi))
+
+
 def _adapted_factor(f: Factor, cuts) -> tuple[Factor, tuple[int, ...]]:
-    """Gauge a factor into the basis adapted to the image flag of the cuts."""
+    """Gauge a factor by g^-1, g the basis adapted to the image flag of the cuts."""
     g, dims = adapted_flag_basis(_columns(f.y), cuts)
-    g_inv = inverse(g)
-    d = det(g)
-    y_t = mat_mul(g_inv, f.y)
-    g_t = transpose(g)
-    g_t_inv = inverse(g_t)
-    phi_t = mat_mul(mat_mul(g_t, f.phi), g_t_inv)
-    phi_t = tuple(tuple(d * x for x in row) for row in phi_t)
-    return Factor(y_t, d * f.c, phi_t), dims
+    return _gauged(f, inverse(g)), dims
+
+
+def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
+    """Every factor gauged into its adapted basis, with its image-block cuts.
+
+    In that basis y and phi are block triangular, and their aligned diagonal
+    blocks are the graded point.  Raises NotInY for points outside the
+    inequality locus, where the retraction is not defined.
+    """
+    if membership(p, beta, ctx) is Membership.OUTSIDE:
+        raise NotInY("the retraction is defined only on the inequality locus")
+    return [_adapted_factor(f, beta.flag.cuts) for f in p.factors]
 
 
 def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelPoint:
@@ -524,22 +515,11 @@ def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelP
     strictly above the squared norm set to zero.  Raises NotInY for points
     outside the inequality locus.
     """
-    return _retract_with_dims(p, beta, ctx)[0]
-
-
-def _retract_with_dims(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
-    """The retraction plus each factor's image-block boundaries (0, *dims)."""
-    if membership(p, beta, ctx) is Membership.OUTSIDE:
-        raise NotInY("the retraction is defined only on the inequality locus")
     cuts = beta.flag.cuts
-    new_factors, dims_per_factor = [], []
-    for f in p.factors:
-        adapted, dims = _adapted_factor(f, cuts)
-        y_new = _block_filter(adapted.y, dims, cuts)
-        phi_new = _block_filter(adapted.phi, dims, dims)
-        new_factors.append(Factor(y_new, adapted.c, phi_new))
-        dims_per_factor.append((0,) + dims)
-    return ModelPoint(tuple(new_factors)), dims_per_factor
+    return ModelPoint(tuple(
+        Factor(_block_filter(f.y, dims, cuts), f.c, _block_filter(f.phi, dims, dims))
+        for f, dims in _adapted_factors(p, beta, ctx)
+    ))
 
 
 @dataclass(frozen=True)
@@ -600,8 +580,7 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
         phi_t = mat_mul(mat_mul(g_t, f.phi), inverse(g_t))
         for a in range(r):
             for b in range(r):
-                ga = next(i for i, cut in enumerate(dims) if a < cut)
-                gb = next(i for i, cut in enumerate(dims) if b < cut)
+                ga, gb = bisect_right(dims, a), bisect_right(dims, b)
                 if ga < gb and phi_t[a][b] != 0:
                     raise InvariantViolation(
                         ga + 1, k, "phi does not preserve the image flag"
@@ -629,7 +608,6 @@ class Step2Report:
     blocks: tuple[BlockReport, ...]
     trace_classes_checked: int
     trace_identity_ok: bool
-    retracted: ModelPoint
 
 
 def _integer_direction(v: Vec) -> tuple[int, ...]:
@@ -674,7 +652,7 @@ def verify_step2(
     ctx: CurveContext,
     lambda_bound: int = 2,
 ) -> Step2Report:
-    """Torus-level semistability of the retracted point, block by block.
+    """Torus-level semistability of the graded point, block by block.
 
     Each graded block must contain its twisted character (the barycentric
     multiple of the all-ones vector fixed by the trace bookkeeping) in the
@@ -686,22 +664,18 @@ def verify_step2(
     This is a necessary condition for full semistability, not a decision of it.
     """
     checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
-    retracted, dims_per_factor = _retract_with_dims(p, beta, ctx)
+    adapted = _adapted_factors(p, beta, ctx)
     cuts = (0,) + beta.flag.cuts
     blocks: list[BlockReport] = []
     all_ok = True
     for gamma in range(1, len(beta.m_blocks) + 1):
         m_g = beta.m_blocks[gamma - 1]
+        c_lo, c_hi = cuts[gamma - 1], cuts[gamma]
         y_blocks, c_vals, phi_blocks, r_bs = [], [], [], []
-        for f, dims in zip(retracted.factors, dims_per_factor):
-            r_lo, r_hi = dims[gamma - 1], dims[gamma]
-            c_lo, c_hi = cuts[gamma - 1], cuts[gamma]
-            y_blocks.append(
-                tuple(tuple(f.y[a][b] for b in range(c_lo, c_hi)) for a in range(r_lo, r_hi))
-            )
-            phi_blocks.append(
-                tuple(tuple(f.phi[a][b] for b in range(r_lo, r_hi)) for a in range(r_lo, r_hi))
-            )
+        for f, dims in adapted:
+            r_lo, r_hi = ((0,) + dims)[gamma - 1], dims[gamma - 1]
+            y_blocks.append(tuple(row[c_lo:c_hi] for row in f.y[r_lo:r_hi]))
+            phi_blocks.append(tuple(row[r_lo:r_hi] for row in f.phi[r_lo:r_hi]))
             c_vals.append(f.c)
             r_bs.append(r_hi - r_lo)
         weights = _block_weight_set(y_blocks, c_vals, phi_blocks, m_g)
@@ -719,7 +693,7 @@ def verify_step2(
         all_ok = all_ok and ss
         blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, witness))
     return Step2Report(
-        all_ok and identity_ok, tuple(blocks), checked, identity_ok, retracted
+        all_ok and identity_ok, tuple(blocks), checked, identity_ok
     )
 
 
@@ -766,8 +740,11 @@ def unipotent_stabilizer_dim(
     y, and gives no condition; DegeneratePoint is raised when both vanish.
 
     So the unknowns are xi_p, one per upper position p, with one row
-    [d_p V(K, x)]_p per table entry of each factor in each surviving family,
-    read off the cached tables; the nullity is the stabiliser dimension.
+    [d_p V(K, x)]_p per value of each factor in each surviving family, read
+    off the cached tables; the nullity is the stabiliser dimension.  A det
+    value is V_y(I minus max I, max I), so V_y rows are taken for x > max K
+    only: the others vanish (x in K) or repeat such a row up to sign.  Every
+    V_z entry is an end value.
     ``cap`` bounds N C(m,r) (1 + r^2), the number of values, and is checked
     before any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
     full-table route, which keeps s as an unknown, as a test oracle.
@@ -792,9 +769,11 @@ def unipotent_stabilizer_dim(
     }
     acc = EchelonAccumulator(len(positions))
     for _, _, tables in p._values:
-        for table in (tables[fam] for fam in families):
+        for fam in families:
+            table = tables[fam]
             for K, values in table.items():
-                for x in range(1, p.m + 1):
+                first = K[-1] + 1 if fam == 0 and K else 1
+                for x in range(first, p.m + 1):
                     row = [
                         (values[a - 1] if x == l else Fraction(0))
                         + (move[1] * table[move[0]][x - 1] if move else 0)
@@ -830,12 +809,9 @@ def unipotent_stabilizer_dim_dense_oracle(
     _check_shapes(p, ctx)
     if flag.total != p.m:
         raise ValueError("flag total must equal the section count")
-    total = coordinate_index_count(ctx)
-    if total > cap:
-        raise CapExceeded(total, cap)
+    order = list(enumerate_coordinate_indices(ctx, cap))
     positions = _lie_upper_positions(flag)
-    base = _table_from_parts(p._values, p.m, p.r)
-    order = list(base)
+    base = _table(order, p._values)
     if not any(base[idx] for idx in order):
         raise DegeneratePoint("all coordinates vanish")
     eps_columns = []
@@ -849,7 +825,7 @@ def unipotent_stabilizer_dim_dense_oracle(
             )
             for f in p.factors
         ]
-        dual_table = _table_from_parts(dual_parts, p.m, p.r)
+        dual_table = _table(order, dual_parts)
         eps_columns.append([dual_table[idx].b for idx in order])
     acc = EchelonAccumulator(len(positions) + 1)
     for row_i, idx in enumerate(order):

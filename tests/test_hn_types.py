@@ -6,6 +6,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsstrata import (
     AmbientMismatch,
@@ -23,6 +25,7 @@ from higgsstrata import (
     t_mu_candidates,
     u_tau_candidates,
 )
+from higgsstrata.hn_types import pair_weight
 
 
 def blocks(*pairs):
@@ -243,6 +246,28 @@ class TestClassifyRank3:
         with pytest.raises(ValueError):
             classify_rank3((2, 2), (1, 1, 1))
 
+    @pytest.mark.parametrize("tau_c", [(2.9, 1), (True, 2)])
+    def test_lossy_entries_refused(self, tau_c):
+        # int() would read these as (2, 1) and (1, 2)
+        with pytest.raises(TypeError):
+            classify_rank3(tau_c, (3,))
+
+
+class TestCurveContext:
+    def test_fractional_degree_refused(self):
+        with pytest.raises(TypeError):  # it would give the section count m = 9.5
+            CurveContext(2, 7.5)
+
+    def test_fractional_npoints_refused(self):
+        with pytest.raises(TypeError):
+            CurveContext(2, 7, npoints=1.5)
+
+    @pytest.mark.parametrize("field", ["rank", "genus", "deg_line"])
+    def test_bool_fields_refused(self, field):
+        kwargs = {"rank": 2, "degree": 7, field: True}
+        with pytest.raises(TypeError):
+            CurveContext(**kwargs)
+
 
 class TestPhiBlocks:
     def test_two_step_lower_corner(self):
@@ -303,3 +328,50 @@ class TestPhiBlocks:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compute_phi_blocks(FlagShape((1, 1)), [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def _qualifying_pairs(flag: FlagShape, phi) -> list[tuple[int, int]]:
+    """Reference rescan: the pairs (i, j) whose block is nonzero while every
+    other block (i', j') with i' <= i, j' >= j vanishes, in scan order."""
+    s, cuts = flag.length, (0,) + flag.cuts
+
+    def block_nonzero(i: int, j: int) -> bool:
+        return any(
+            phi[a][b]
+            for a in range(cuts[j - 1], cuts[j])
+            for b in range(cuts[i - 1], cuts[i])
+        )
+
+    def qualifies(i: int, j: int) -> bool:
+        if not block_nonzero(i, j):
+            return False
+        for i2 in range(1, i + 1):
+            for j2 in range(j, s + 1):
+                if (i2, j2) != (i, j) and block_nonzero(i2, j2):
+                    return False
+        return True
+
+    return [(i, j) for i in range(1, s + 1) for j in range(s, i, -1) if qualifies(i, j)]
+
+
+@st.composite
+def _stratum_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    n = sum(sizes)
+    phi = [[draw(st.sampled_from((0, 0, 0, 1, -2))) for _ in range(n)] for _ in range(n)]
+    mu = None
+    if draw(st.booleans()):
+        degrees = draw(st.sets(st.integers(-6, 6), min_size=len(sizes), max_size=len(sizes)))
+        mu = HNType(tuple((1, d) for d in sorted(degrees, reverse=True)))
+    return FlagShape(tuple(sizes)), phi, mu
+
+
+class TestStratumIndexReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_stratum_cases())
+    def test_matches_rescan(self, case):
+        flag, phi, mu = case
+        found = _qualifying_pairs(flag, phi)
+        if mu is not None and len(found) > 1:
+            found.sort(key=lambda p: (pair_weight(mu, *p), p))
+        assert higgs_stratum_index(flag, phi, mu) == (found[0] if found else None)

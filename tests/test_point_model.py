@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_flagged_point, mutate_break_flag
+from conftest import build_flagged_point, model_supported, mutate_break_flag, random_block
 from higgsstrata import (
     CapExceeded,
     CoordinateIndex,
@@ -29,6 +29,7 @@ from higgsstrata import (
     beta_of_type,
     coordinate_index_count,
     coordinates,
+    enumerate_hn_types,
     from_higgs_data,
     membership,
     nilpotent_commutant_dim,
@@ -91,6 +92,15 @@ class TestCoordinates:
             ModelPoint((Factor([[1, 2, 0], [2, 4, 0]], 1, [[1, 0], [0, 1]]),))
         with pytest.raises(ValueError):
             ModelPoint((Factor([[1, 0, 0], [0, 1, 0]], 0, [[0, 0], [0, 0]]),))
+
+    def test_cap_checked_before_any_value(self):
+        p = ModelPoint((Factor([[1, 2, 0], [0, 1, 3]], 1, [[1, 0], [0, 1]]),))
+        total = coordinate_index_count(CTX3)  # C(3,2) (1 + 2^2) = 15
+        with pytest.raises(CapExceeded) as exc:
+            coordinates(p, CTX3, cap=total - 1)
+        assert (exc.value.count, exc.value.cap) == (15, 14)
+        assert "_values" not in vars(p)  # no per-factor value was evaluated
+        assert len(coordinates(p, CTX3, cap=total).values) == total
 
 
 class TestMembership:
@@ -156,6 +166,34 @@ class TestRetraction:
             q = retract_p_beta(p, beta, ctx)
             assert membership(q, beta, ctx) is Membership.IN_Z
             assert retract_p_beta(q, beta, ctx) == q
+
+
+def _flagged_corpus():
+    """Flagged conftest points, graded and ungraded, of every supported unstable type."""
+    rng = random.Random(23)
+    for r, g, d, n in [(2, 2, 7, 1), (2, 2, 8, 1), (2, 0, 4, 2), (3, 2, 10, 1), (3, 0, 4, 1)]:
+        ctx = CurveContext(r, d, genus=g, npoints=n)
+        for tau in enumerate_hn_types(ctx, d + r, min_slope_exclusive=g - 1):
+            if tau.is_semistable or not model_supported(tau, ctx):
+                continue
+            for graded in (False, True) * 3:
+                yield beta_of_type(tau, ctx), ctx, build_flagged_point(tau, ctx, rng, graded=graded)
+
+
+class TestGradedBlocks:
+    def test_step2_reads_the_retracted_blocks(self):
+        # step 2 slices the diagonal blocks that the retraction keeps; a
+        # random gauge moves the point out of its adapted basis first
+        rng = random.Random(29)
+        count = 0
+        for beta, ctx, p in _flagged_corpus():
+            for k in range(p.npoints):
+                alpha = random_block(rng, p.r, p.r)
+                p = p.gauge_factor(k, alpha)
+            q = retract_p_beta(p, beta, ctx)
+            assert verify_step2(p, beta, ctx) == verify_step2(q, beta, ctx)
+            count += 1
+        assert count == 108
 
 
 class TestHiggsData:
