@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -365,7 +366,13 @@ def _cmd_report(args) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing reads only argv (HIGGSSTRATA_CAP is read when a verb runs), so one
+    parser serves every call of ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="higgsstrata",
         description="Exact instability-stratification combinatorics",

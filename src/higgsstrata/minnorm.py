@@ -4,8 +4,10 @@ The primary solver is Wolfe's method run entirely in rational arithmetic,
 which terminates finitely and returns the exact minimiser together with an
 exact KKT certificate.  A brute-force oracle projects the origin onto the
 affine hull of every subset and keeps the feasible minimum; it exists so the
-two routes can be compared with zero tolerance; index sets project once per
-affinely independent weight subset.  No floating point is used anywhere.
+two routes can be compared with zero tolerance.  Index sets walk the affinely
+independent weight subsets depth-first, extending each by one weight with an
+exact Gram-Schmidt step and pruning every extension by an affinely dependent
+weight.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -247,32 +249,68 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_SU
     interior of conv(S) for some affinely independent S inside it, so it is
     the projection of the origin onto aff(S), with positive barycentric
     weights; conversely each such projection lies in conv(S), minimises the
-    norm over aff(S) and so is the minimum-norm point of the support S.  One
-    exact, KKT-certified solve per subset of at most a + 1 distinct weights (a
-    their affine dimension) therefore suffices; ``cap`` bounds the number of
-    those subsets and is checked before any solve.  Results are deduplicated
-    and, with ``restrict_to_chamber``, replaced by their weakly decreasing
-    rearrangement, dropping those whose largest coordinate is negative (a
-    nonzero trace-free closest point has a positive one).  Sorted.
+    norm over aff(S) and so is the minimum-norm point of the support S.  So
+    every affinely independent subset S of the distinct weights (at most
+    a + 1 of them, a their affine dimension) is visited once and its
+    projection kept, KKT-certified, when all its weights are positive;
+    ``cap`` bounds the number of subsets of at most a + 1 weights and is
+    checked before any work.
+
+    The subsets are walked depth-first over the sorted weights, a child
+    adding one later weight: Wolfe's affine-minimiser step taken one point at
+    a time by exact Gram-Schmidt, O(k + dim) per subset instead of a
+    (k + 1) x (k + 1) solve.  A node S = {q0, ...} carries the projection x
+    of the origin onto aff(S) with its barycentric weights, and for each
+    later weight p the component d of p - q0 orthogonal to aff(S) - q0, with
+    its coefficients over S (p itself has coefficient 1).  Adding p moves x
+    to x - (<x, d>/<d, d>) d and the weights by the same multiple of d's
+    coefficients, and takes d's component out of every later residual.  A
+    zero residual means p lies in aff(S), hence in the affine hull of every
+    extension of S, so p is dropped from the whole subtree.  A sorted subset
+    is affinely dependent exactly when some prefix step adds such a point, so
+    the walk visits exactly the affinely independent subsets.
+
+    Results are deduplicated and, with ``restrict_to_chamber``, replaced by
+    their weakly decreasing rearrangement, dropping those whose largest
+    coordinate is negative (a nonzero trace-free closest point has a
+    positive one).  Sorted.
     """
     pts = sorted(set(_as_points(weights)))
     affine_dim = rank(tuple(tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]))
-    sizes = range(1, affine_dim + 2)
-    count = sum(math.comb(len(pts), s) for s in sizes)
+    count = sum(math.comb(len(pts), s) for s in range(1, affine_dim + 2))
     if count > cap:
         raise CapExceeded(count, cap)
     found: set[Vec] = set()
-    for subset in itertools.chain.from_iterable(itertools.combinations(pts, s) for s in sizes):
-        solved = _affine_minimizer(list(subset))
-        # None: affinely dependent; a zero weight: a smaller subset gives the point.
-        if solved is None or min(solved[0]) <= 0:
-            continue
-        v = solved[1]
-        if not kkt_certificate(subset, v):
-            raise HiggsStrataError("exact KKT certificate failed")
-        if restrict_to_chamber:
-            v = tuple(sorted(v, reverse=True))
-            if v and v[0] < 0:
-                continue
-        found.add(v)
+
+    def visit(members: list[Vec], x: Vec, lam: list[Fraction], later: list) -> None:
+        # later: (weight, residual, its coefficients over members) per later weight
+        if min(lam) > 0:
+            if not kkt_certificate(members, x):
+                raise HiggsStrataError("exact KKT certificate failed")
+            found.add(x)
+        for pos, (p, u, coeffs) in enumerate(later):
+            uu = dot(u, u)
+            s = dot(x, u) / uu
+            child = []
+            for q, d, e in later[pos + 1:]:
+                t = dot(d, u) / uu
+                if t:
+                    d = tuple(a - t * b for a, b in zip(d, u))
+                    if not any(d):
+                        continue
+                    e = [a - t * b for a, b in zip(e, coeffs)]
+                child.append((q, d, e + [-t]))
+            visit(
+                members + [p],
+                tuple(a - s * b for a, b in zip(x, u)),
+                [a - s * b for a, b in zip(lam, coeffs)] + [-s],
+                child,
+            )
+
+    for i, q0 in enumerate(pts):
+        later = [(p, tuple(a - b for a, b in zip(p, q0)), [Fraction(-1)]) for p in pts[i + 1:]]
+        visit([q0], q0, [Fraction(1)], later)
+    if restrict_to_chamber:
+        chamber = (tuple(sorted(v, reverse=True)) for v in found)
+        found = {v for v in chamber if not (v and v[0] < 0)}
     return sorted(found)

@@ -295,6 +295,32 @@ class TestExitCodes:
         assert code == 1 and "CapExceeded" in err
 
 
+class TestRepeatedCalls:
+    """Back-to-back ``main`` calls in one process share its parser but no state."""
+
+    POINTS = "[[-1],[1]]"
+
+    def test_no_chamber_then_chamber(self, capsys):
+        raw = run_json(capsys, "index-set", "--points", self.POINTS, "--no-chamber")
+        chamber = run_json(capsys, "index-set", "--points", self.POINTS)
+        one = {"num": 1, "den": 1}
+        assert raw["vectors"] == [[{"num": -1, "den": 1}], [{"num": 0, "den": 1}], [one]]
+        assert chamber["vectors"] == [[{"num": 0, "den": 1}], [one]]
+
+    def test_cap_then_default_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("HIGGSSTRATA_CAP", raising=False)
+        code, out, err = run(capsys, "index-set", "--points", self.POINTS, "--cap", "1", "--json")
+        assert (code, out) == (1, "") and err.startswith("CapExceeded")
+        assert len(run_json(capsys, "index-set", "--points", self.POINTS)["vectors"]) == 2
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run(capsys, "index-set", "--points", self.POINTS, "--bogus")
+        assert (code, out) == (2, "") and "usage:" in err
+        code, out, err = run(capsys, "index-set", "--points", self.POINTS, "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["vectors"]) == 2
+
+
 class TestMalformedInput:
     """Bad input ends with one ``Name: message`` line on stderr, not a traceback."""
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -11,14 +13,17 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import higgsstrata
 from higgsstrata import (
     CapExceeded,
+    CurveContext,
     HiggsStrataError,
     PointCloud,
+    alpha_of_index,
+    enumerate_coordinate_indices,
     hull_contains_origin,
     index_set_B,
     kkt_certificate,
@@ -40,31 +45,37 @@ def random_cloud(rng: random.Random, dim=None, npts=None) -> PointCloud:
 
 @st.composite
 def degenerate_clouds(draw):
-    """At most 7 points in dimension 1-4, with repeated points and collinear runs."""
+    """At most 7 points in dimension 1-4, with repeated points and collinear and coplanar runs."""
     dim = draw(st.integers(1, 4))
     point = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=dim, max_size=dim)
     pts = [draw(point)]
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["new", "repeat", "collinear"]))
+        kind = draw(st.sampled_from(["new", "repeat", "collinear", "coplanar"]))
         if kind == "new":
             pts.append(draw(point))
         elif kind == "repeat":
             pts.append(draw(st.sampled_from(pts)))
-        else:
+        elif kind == "collinear":
             p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
             t = draw(st.fractions(-2, 2, max_denominator=3))
             pts.append([a + t * (b - a) for a, b in zip(p, q)])
+        else:
+            p, q, r = (draw(st.sampled_from(pts)) for _ in range(3))
+            t, u = (draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(2))
+            pts.append([a + t * (b - a) + u * (c - a) for a, b, c in zip(p, q, r)])
     return draw(st.permutations(pts))
 
 
-def _run_under_optimize(patch: str) -> subprocess.CompletedProcess:
-    """Run min_norm_point under ``python -O`` after ``patch``; prints 'raised' on HiggsStrataError."""
+def _run_under_optimize(
+    patch: str, call: str = "mn.min_norm_point([[1, 0], [0, 1]])"
+) -> subprocess.CompletedProcess:
+    """Run ``call`` under ``python -O`` after ``patch``; prints 'raised' on HiggsStrataError."""
     script = (
         "import higgsstrata.minnorm as mn\n"
         "from higgsstrata.errors import HiggsStrataError\n"
         f"{patch}\n"
         "try:\n"
-        "    mn.min_norm_point([[1, 0], [0, 1]])\n"
+        f"    {call}\n"
         "except HiggsStrataError:\n"
         "    print('raised')\n"
     )
@@ -190,23 +201,45 @@ class TestIndexSet:
         assert got == [(F(1), F(0)), (F(1), F(1))] + [(F(i), F(1)) for i in range(2, 12)]
 
     def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            higgsstrata.minnorm, "_affine_minimizer",
-            lambda pts: ([F(1, len(pts))] * len(pts), (F(1), F(1))),
-        )
+        monkeypatch.setattr(higgsstrata.minnorm, "kkt_certificate", lambda pts, x: False)
         with pytest.raises(HiggsStrataError, match="KKT"):
             index_set_B([[1, 0], [0, 1]])
 
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda dim: st.lists(
-                st.lists(st.fractions(-3, 3, max_denominator=2), min_size=dim, max_size=dim),
-                min_size=1,
-                max_size=6,
-            )
-        ),
-        st.booleans(),
+    def test_failed_certificate_raises_under_optimize(self):
+        done = _run_under_optimize(
+            "mn.kkt_certificate = lambda pts, x: False", "mn.index_set_B([[1, 0], [0, 1]])"
+        )
+        assert done.stdout.strip() == "raised", done.stderr
+
+    # sha256 of the JSON of [[str(x) for x in v] for v in index_set_B(...)] and
+    # its length, recorded from the one-solve-per-subset route
+    LATTICE_GOLDEN = {
+        ((2, 2, 1), True): (7, "a51233729ef88bd4cfcdece3212336caabb965802c9f4e8061603eea735163b0"),
+        ((2, 2, 1), False): (43, "0622148602e7379474eb43a08a8accdadceac579fd59f5fb4f859e4535274d2c"),
+        ((2, 1, 2), True): (13, "4575e5bccfb029c8682c0e58cffcbef2131ad700ae6a6df1200b153f64c243a1"),
+        ((2, 1, 2), False): (58, "afbc96331f2f2ac47bddc8da2944225e10fc6e761ed4f7ee295730c1c3243af4"),
+    }
+
+    @pytest.mark.parametrize(
+        "lattice,chamber",
+        list(LATTICE_GOLDEN),
+        ids=[f"{''.join(map(str, lat))}-{'chamber' if c else 'raw'}" for lat, c in LATTICE_GOLDEN],
     )
+    def test_full_genus0_lattices(self, lattice, chamber):
+        r, d, n = lattice
+        ctx = CurveContext(r, d, genus=0, npoints=n)
+        weights = sorted({alpha_of_index(idx, ctx) for idx in enumerate_coordinate_indices(ctx)})
+        assert len(weights) == {(2, 2, 1): 10, (2, 1, 2): 15}[lattice]
+        got = index_set_B(weights, restrict_to_chamber=chamber)
+        text = json.dumps([[str(x) for x in v] for v in got], separators=(",", ":"))
+        assert (len(got), hashlib.sha256(text.encode()).hexdigest()) == self.LATTICE_GOLDEN[lattice, chamber]
+
+    @given(degenerate_clouds(), st.booleans())
+    # the origin is interior to this sorted triangle, while its first two
+    # points project it off their segment: the walk must descend below a
+    # subset whose barycentric weights are not all positive
+    @example([[-1, 2], [0, 10], [1, -5]], False)
+    @example([[-1, 2], [0, 10], [1, -5]], True)
     @settings(max_examples=40, deadline=None)
     def test_matches_wolfe_over_every_support(self, weights, chamber):
         pts = sorted({tuple(w) for w in weights})
