@@ -41,7 +41,6 @@ from .minnorm import PointCloud, index_set_B, min_norm_point
 from .point_model import (
     ModelPoint,
     coordinates,
-    membership,
     nilpotent_commutant_dim,
     unipotent_stabilizer_dim,
     verify_step1,
@@ -224,8 +223,8 @@ def _cmd_point_check(args) -> None:
     ctx = CurveContext(tau.rank, tau.degree, args.genus, args.degl, args.npoints)
     beta = beta_of_type(tau, ctx)
     point = _load_point(args)
-    got = membership(point, beta, ctx)
     report = verify_step1(point, beta, ctx)
+    got = report.membership
     payload = {
         "schema": "higgsstrata.point_check/1",
         "membership": got.value,

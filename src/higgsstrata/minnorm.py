@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, HiggsStrataError
+from .hn_types import DEFAULT_INDEX_CAP
 from .linalg import Vec, dot, rank, solve_unique, vec
-
-DEFAULT_SUPPORT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def nonneg_combination_exists(columns, target) -> bool:
     return cost[width] == 0
 
 
-def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_SUPPORT_CAP) -> list[Vec]:
+def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_INDEX_CAP) -> list[Vec]:
     """Closest-to-origin points of the hulls of all weight supports.
 
     By Caratheodory the minimum-norm point of a support lies in the relative

@@ -328,9 +328,9 @@ def _factor_weight_supports(p: ModelPoint, beta: BetaVector):
 
 
 def _family_min_max(p: ModelPoint, beta: BetaVector):
-    """Families supported at every factor, with their least and greatest weight.
+    """Families supported at every factor, their least weight and the verdict.
 
-    Returns ([(per-factor weight dicts, index builder)], lo, hi).
+    Returns ([(per-factor weight dicts, index builder)], lo, membership).
     """
     det_list, end_list = _factor_weight_supports(p, beta)
     families = [
@@ -341,60 +341,47 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     lo = min(sum((min(d) for d in fam), Fraction(0)) for fam, _ in families)
+    if lo != beta.norm_sq:
+        return families, lo, Membership.OUTSIDE
     hi = max(sum((max(d) for d in fam), Fraction(0)) for fam, _ in families)
-    return families, lo, hi
+    return families, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
 
 
-def _achieve_sum(per_factor, target: Fraction):
-    """One witness tuple of per-factor keys with weights summing to target."""
+def _scan(per_factor, target: Fraction, limit: int, want_witness: bool):
+    """Tuples of per-factor keys, visited in lexicographic weight order.
+
+    Returns the first ``limit`` tuples whose weights sum below target, with
+    their sums, and (when ``want_witness``) the first tuple summing to it.
+    Subtrees that can hold neither are pruned on their suffix min and max.
+    """
     items = [sorted(d.items()) for d in per_factor]
-    mins = [it[0][0] for it in items]
-    maxs = [it[-1][0] for it in items]
-    suffix_min = [Fraction(0)] * (len(items) + 1)
-    suffix_max = [Fraction(0)] * (len(items) + 1)
-    for k in range(len(items) - 1, -1, -1):
-        suffix_min[k] = suffix_min[k + 1] + mins[k]
-        suffix_max[k] = suffix_max[k + 1] + maxs[k]
-
-    def dfs(k: int, acc: Fraction, chosen: tuple):
-        if k == len(items):
-            return chosen if acc == target else None
-        if acc + suffix_min[k] > target or acc + suffix_max[k] < target:
-            return None
-        for w, key in items[k]:
-            got = dfs(k + 1, acc + w, chosen + (key,))
-            if got is not None:
-                return got
-        return None
-
-    return dfs(0, Fraction(0), ())
-
-
-def _collect_below(per_factor, target: Fraction, limit: int):
-    """Up to ``limit`` witness tuples with weight sum strictly below target."""
-    items = [sorted(d.items()) for d in per_factor]
-    suffix_min = [Fraction(0)] * (len(items) + 1)
-    for k in range(len(items) - 1, -1, -1):
+    n = len(items)
+    suffix_min = [Fraction(0)] * (n + 1)
+    suffix_max = [Fraction(0)] * (n + 1)
+    for k in range(n - 1, -1, -1):
         suffix_min[k] = suffix_min[k + 1] + items[k][0][0]
-    found: list[tuple[tuple, Fraction]] = []
-    truncated = [False]
+        suffix_max[k] = suffix_max[k + 1] + items[k][-1][0]
+    below: list[tuple[tuple, Fraction]] = []
+    witness = None
 
-    def dfs(k: int, acc: Fraction, chosen: tuple):
-        if len(found) >= limit:
-            truncated[0] = True
+    def dfs(k: int, acc: Fraction, chosen: tuple) -> None:
+        nonlocal witness
+        lo, hi = acc + suffix_min[k], acc + suffix_max[k]
+        wants_below = len(below) < limit and lo < target
+        wants_equal = want_witness and witness is None and lo <= target <= hi
+        if not (wants_below or wants_equal):
             return
-        if acc + suffix_min[k] >= target:
-            return
-        if k == len(items):
-            found.append((chosen, acc))
+        if k == n:
+            if acc < target:
+                below.append((chosen, acc))
+            else:
+                witness = chosen
             return
         for w, key in items[k]:
             dfs(k + 1, acc + w, chosen + (key,))
-            if truncated[0]:
-                return
 
     dfs(0, Fraction(0), ())
-    return found, truncated[0]
+    return below, witness
 
 
 def _det_index(keys) -> CoordinateIndex:
@@ -414,25 +401,28 @@ def membership(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Membership
     IN_Z: every supported coordinate pairs with beta exactly at its squared
     norm.  IN_Y_NOT_Z: no supported coordinate pairs below it, at least one
     pairs at it, and some pairs above.  OUTSIDE otherwise (including the case
-    where no equality witness exists).
+    where no equality witness exists).  This is the verdict that
+    ``verify_step1`` puts on its report, without that report's violation and
+    witness scan; call ``verify_step1`` instead when both are wanted.
     """
     _check_shapes(p, ctx)
-    _, lo, hi = _family_min_max(p, beta)
-    if lo != beta.norm_sq:
-        return Membership.OUTSIDE
-    return Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
+    return _family_min_max(p, beta)[2]
 
 
 @dataclass(frozen=True)
 class Step1Report:
     """Outcome of the coordinate-by-coordinate inequality check against beta."""
 
-    passed: bool
+    membership: Membership
     norm_sq: Fraction
     min_support_weight: Fraction
     violations: tuple[tuple[CoordinateIndex, Fraction], ...]
-    violations_truncated: bool
     equality_witness: CoordinateIndex | None
+
+    @property
+    def passed(self) -> bool:
+        """No supported coordinate pairs below the norm, and one pairs at it."""
+        return self.min_support_weight == self.norm_sq
 
 
 def verify_step1(
@@ -441,29 +431,24 @@ def verify_step1(
     """Check that every supported coordinate pairs with beta at or above its
     squared norm, and exhibit one equality witness.
 
-    The report never raises on failure: violations (up to ``max_violations``)
-    and the missing-witness condition are recorded instead.
+    One pass over the point's weights against beta gives the least weight
+    and the ``membership`` verdict; one scan per family then collects the
+    first ``max_violations`` violating indices (det family first, each in
+    lexicographic weight order) and the first index pairing exactly at the
+    norm.  The report never raises on failure: ``passed`` reads the exact
+    least weight, never the (possibly cut short) violation list.
     """
     _check_shapes(p, ctx)
-    families, lo, _ = _family_min_max(p, beta)
+    families, lo, verdict = _family_min_max(p, beta)
     target = beta.norm_sq
     violations: list[tuple[CoordinateIndex, Fraction]] = []
-    truncated = False
     witness = None
     for fam, make_index in families:
-        if len(violations) < max_violations:
-            below, trunc = _collect_below(fam, target, max_violations - len(violations))
-            truncated = truncated or trunc
-            violations.extend((make_index(keys), w) for keys, w in below)
-        if witness is None:
-            keys = _achieve_sum(fam, target)
-            if keys is not None:
-                witness = make_index(keys)
-    # pass/fail comes from the exact minimum, not the (possibly truncated) list
-    passed = lo >= target and witness is not None
-    return Step1Report(
-        passed, target, lo, tuple(violations), truncated, witness
-    )
+        below, keys = _scan(fam, target, max_violations - len(violations), witness is None)
+        violations.extend((make_index(chosen), w) for chosen, w in below)
+        if keys is not None:
+            witness = make_index(keys)
+    return Step1Report(verdict, target, lo, tuple(violations), witness)
 
 
 def _block_filter(matrix: Mat, row_cuts, col_cuts) -> Mat:
@@ -506,6 +491,22 @@ def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     return [_adapted_factor(f, beta.flag.cuts) for f in p.factors]
 
 
+def _check_flag_adapted(phi: Mat, dims, k: int, tau: HNType) -> None:
+    """Raise InvariantViolation naming (block, factor k) unless the image flag
+    has dimensions r_1, r_1 + r_2, ... and ``phi``, written in a basis adapted
+    to that flag (``dims`` its step dimensions), preserves it."""
+    want = 0
+    for gamma, ((r_g, _), dim) in enumerate(zip(tau.blocks, dims), start=1):
+        want += r_g
+        if dim != want:
+            raise InvariantViolation(gamma, k, f"image flag has dimension {dim}, expected {want}")
+    for a, row in enumerate(phi):
+        for b, x in enumerate(row):
+            ga, gb = bisect_right(dims, a), bisect_right(dims, b)
+            if ga < gb and x != 0:
+                raise InvariantViolation(ga + 1, k, "phi does not preserve the image flag")
+
+
 def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelPoint:
     """Coordinate-zeroing retraction onto the equality locus of beta.
 
@@ -513,12 +514,19 @@ def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelP
     flag, then both y and phi are cut down to their aligned diagonal blocks.
     The resulting table equals the input table with every coordinate pairing
     strictly above the squared norm set to zero.  Raises NotInY for points
-    outside the inequality locus.
+    outside the inequality locus, and InvariantViolation, as
+    ``from_higgs_data`` does, for a factor that is not flag-adapted (the
+    inequality locus alone does not ensure that, e.g. when some c_k = 0 or
+    when factors compensate each other), where the cut would break that
+    contract.
     """
     cuts = beta.flag.cuts
+    adapted = _adapted_factors(p, beta, ctx)
+    for k, (f, dims) in enumerate(adapted, start=1):
+        _check_flag_adapted(f.phi, dims, k, beta.tau)
     return ModelPoint(tuple(
         Factor(_block_filter(f.y, dims, cuts), f.c, _block_filter(f.phi, dims, dims))
-        for f, dims in _adapted_factors(p, beta, ctx)
+        for f, dims in adapted
     ))
 
 
@@ -557,11 +565,6 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
     beta = beta_of_type(h.tau, h.ctx)
     cuts = beta.flag.cuts
     r = h.ctx.rank
-    rank_prefix = []
-    acc = 0
-    for r_g, _ in h.tau.blocks:
-        acc += r_g
-        rank_prefix.append(acc)
     if len(h.factors) != h.ctx.npoints:
         raise ValueError("factor count does not match the context")
     for k, f in enumerate(h.factors, start=1):
@@ -571,20 +574,8 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
             g, dims = adapted_flag_basis(_columns(f.y), cuts)
         except ValueError:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-        for gamma, (dim, want) in enumerate(zip(dims, rank_prefix), start=1):
-            if dim != want:
-                raise InvariantViolation(
-                    gamma, k, f"image flag has dimension {dim}, expected {want}"
-                )
         g_t = transpose(g)
-        phi_t = mat_mul(mat_mul(g_t, f.phi), inverse(g_t))
-        for a in range(r):
-            for b in range(r):
-                ga, gb = bisect_right(dims, a), bisect_right(dims, b)
-                if ga < gb and phi_t[a][b] != 0:
-                    raise InvariantViolation(
-                        ga + 1, k, "phi does not preserve the image flag"
-                    )
+        _check_flag_adapted(mat_mul(mat_mul(g_t, f.phi), inverse(g_t)), dims, k, h.tau)
     return ModelPoint(h.factors)
 
 

@@ -108,30 +108,24 @@ def assemble(
         candidates = default_beta_candidates(ctx, max_first_slope)
     nonzero = [b for b in candidates if not b.is_zero]
     zero = next((b for b in candidates if b.is_zero), None)
-    buckets: dict[tuple, list] = {}
+    buckets: dict[tuple, list] = {}  # (beta, delta, graded) -> member ids
 
     for point_id, point, flag in corpus:
         matches = []
-        results = {}
         for beta in nonzero:
             got = membership(point, beta, ctx)
             if got is Membership.OUTSIDE:
                 continue
             if not verify_step2(point, beta, ctx, lambda_bound=0).passed:
                 continue
-            matches.append(beta)
-            results[id(beta)] = got
+            matches.append((beta, got))
         if len(matches) > 1:
-            raise AmbiguousMembership(point_id, matches)
-        if not matches:
-            if zero is None:
-                raise UnclassifiedPoint(point_id)
-            buckets.setdefault(("zero",), []).append(point_id)
-            continue
-        beta = matches[0]
-        got = results[id(beta)]
-        if got is Membership.IN_Z:
-            buckets.setdefault((beta.tau.blocks, "graded"), []).append(point_id)
+            raise AmbiguousMembership(point_id, [beta for beta, _ in matches])
+        beta, got = matches[0] if matches else (zero, None)
+        if beta is None:
+            raise UnclassifiedPoint(point_id)
+        if got is not Membership.IN_Y_NOT_Z:
+            key = (beta, None, got is Membership.IN_Z)
         else:
             flag_shape = flag if isinstance(flag, FlagShape) else FlagShape(tuple(flag))
             if flag_shape.block_sizes != beta.m_blocks:
@@ -139,27 +133,13 @@ def assemble(
                     f"corpus flag {flag_shape.block_sizes} does not match the "
                     f"matched vector's blocks {beta.m_blocks} for point {point_id!r}"
                 )
-            delta = unipotent_stabilizer_dim(point, flag_shape, ctx)
-            buckets.setdefault((beta.tau.blocks, delta), []).append(point_id)
+            key = (beta, unipotent_stabilizer_dim(point, flag_shape, ctx), False)
+        buckets.setdefault(key, []).append(point_id)
 
-    by_blocks = {b.tau.blocks: b for b in nonzero}
-    records = []
-    for key, ids in buckets.items():
-        if key == ("zero",):
-            records.append(
-                StratumRecord(zero, zero.norm_sq, None, False, tuple(ids))
-            )
-        else:
-            blocks, tag = key
-            beta = by_blocks[blocks]
-            if tag == "graded":
-                records.append(
-                    StratumRecord(beta, beta.norm_sq, None, True, tuple(ids))
-                )
-            else:
-                records.append(
-                    StratumRecord(beta, beta.norm_sq, tag, False, tuple(ids))
-                )
+    records = [
+        StratumRecord(beta, beta.norm_sq, delta, graded, tuple(ids))
+        for (beta, delta, graded), ids in buckets.items()
+    ]
     records.sort(
         key=lambda rec: (
             rec.norm_sq,

@@ -12,14 +12,16 @@ import re
 import tempfile
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flagged_point
-from higgsstrata import CurveContext, Factor, HNType, ModelPoint
+from higgsstrata import CapExceeded, CurveContext, Factor, HNType, ModelPoint, index_set_B
 from higgsstrata.cli import main
+from higgsstrata.hn_types import DEFAULT_INDEX_CAP
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -145,7 +147,7 @@ class TestJsonRoundTrips:
     def test_report(self, capsys, tmp_path, point_file):
         corpus = {
             "points": [
-                {"id": "a", "point": json.loads(open(point_file).read()), "flag": [3, 2]}
+                {"id": "a", "point": json.loads(Path(point_file).read_text()), "flag": [3, 2]}
             ]
         }
         corpus_path = tmp_path / "corpus.json"
@@ -243,6 +245,77 @@ class TestGoldenOutput:
         code, out, err = run(capsys, verb, "--point", point, *ctx, *extra, "--json")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_DIGESTS[(verb, case)]
+
+
+_TAU43 = ["--tau", "4,3", "--ranks", "1,1", "--genus", "2"]
+_FLAG43 = ([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], 1, [[2, 0], [5, 3]])
+
+# (type and context flags, point): Outside with 20 violations (16 listed),
+# with and without an equality witness, InY_not_Z, InZ, c = 0 and N = 2.
+_POINT_CHECK_CASES = {
+    "outside-many": (
+        ["--tau", "3,2", "--ranks", "1,1", "--npoints", "3"],
+        _golden_point(
+            ([[-1, 1, -1, 0, -1, 0, 0], [0, 1, 0, -1, -1, 0, -1]], 1, [[0, 0], [1, -1]]),
+            ([[1, 0, 0, 1, -1, 1, -1], [0, -1, -1, -1, 1, 1, -1]], 1, [[0, 1], [-1, 0]]),
+            ([[1, -1, 1, -1, 0, 0, 1], [-1, 0, -1, 1, -1, 0, 0]], 1, [[-1, 0], [1, 1]]),
+        ),
+    ),
+    "outside-witness": (_TAU43, _golden_point(([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]))),
+    "outside-no-witness": (_TAU43, _golden_point(([[0, 1, 1, 0, 0], [0, -1, 0, 0, 0]], 1, [[1, 0], [0, -1]]))),
+    "iny": (_TAU43, _golden_point(_FLAG43)),
+    "inz": (_TAU43, _golden_point(([[1, 1, 1, 0, 0], [0, 0, 0, 1, 2]], 1, [[2, 0], [0, 3]]))),
+    "c0": (_TAU43, _golden_point(([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], 0, [[2, 0], [5, 3]]))),
+    "n2": (
+        _TAU43 + ["--npoints", "2"],
+        _golden_point(_FLAG43, ([[1, 2, 1, 3, 0], [0, 0, 0, 1, 2]], -1, [[0, 0], [1, 1]])),
+    ),
+}
+
+# (case, --step2) -> (exit code, sha256 of stdout + stderr), recorded from
+# the route that ran membership and step 1 as separate passes.
+_POINT_CHECK_DIGESTS = {
+    ("outside-many", False): (0, "898b4b441a6f8ece315fd976177754fba47c31c4087a3ae9dd3338bc9be90496"),
+    ("outside-many", True): (1, "5ecb5670178013946798700a1b6666312147343e06dfe39ac39b5a6c56a6c685"),
+    ("outside-witness", False): (0, "06571fd1bc05836992fe7bec1ec89f8921bfed92d09d7fdf74991e03b3539d0a"),
+    ("outside-witness", True): (1, "5ecb5670178013946798700a1b6666312147343e06dfe39ac39b5a6c56a6c685"),
+    ("outside-no-witness", False): (0, "add27038b5aada430d72e9c85160e8a3256a3a7e045e77f38f184a4da7486e27"),
+    ("outside-no-witness", True): (1, "5ecb5670178013946798700a1b6666312147343e06dfe39ac39b5a6c56a6c685"),
+    ("iny", False): (0, "107a1886356150741dc6c9ad697d99187a374c965fd6235ea79a040bd2cabfbe"),
+    ("iny", True): (0, "ef6ea4a164b7848b9fcbd197ae9dc0229df6724a74dd5d588abb024db08b0ff4"),
+    ("inz", False): (0, "b24528c871a0c7aca130a1dd59203ac0331161972b2e9129897d5eedc7a8a1a6"),
+    ("inz", True): (0, "60a3362e8af4f0c71c1f58d63ed5332fe6372d103b2615a86f946892884d55e3"),
+    ("c0", False): (0, "f8015c6fb0101b7513ce5032596987b76b0a99eafe34758927641db431df84ba"),
+    ("c0", True): (0, "475921b8a572e1a13fee20bd6e8f1cdc5394b0fd09cfdf3095f53584650226b8"),
+    ("n2", False): (0, "128840944553c45caf62dfc5579a82e6b43ac413aee5e49934607ebc4240a0aa"),
+    ("n2", True): (0, "46ba7687c8a2de2484e99f6f2ee53b40c00dbb71b3891326f2b3071927e25042"),
+}
+
+
+class TestGoldenPointCheck:
+    @pytest.mark.parametrize(
+        "case,step2",
+        list(_POINT_CHECK_DIGESTS),
+        ids=[f"{c}{'-step2' if s else ''}" for c, s in _POINT_CHECK_DIGESTS],
+    )
+    def test_output_digest(self, capsys, case, step2):
+        flags, point = _POINT_CHECK_CASES[case]
+        extra = ["--step2"] if step2 else []
+        code, out, err = run(capsys, "point-check", "--point", point, *flags, *extra, "--json")
+        assert (code, hashlib.sha256((out + err).encode()).hexdigest()) == _POINT_CHECK_DIGESTS[(case, step2)]
+
+
+class TestIndexSetDefaultCap:
+    def test_library_and_cli_share_the_default_cap(self, capsys, monkeypatch):
+        # 18 affinely independent points in Q^17: 2^18 - 1 subsets are counted
+        points = [[0] * 17] + [[int(i == j) for j in range(17)] for i in range(17)]
+        with pytest.raises(CapExceeded) as exc:
+            index_set_B(points)
+        assert (exc.value.count, exc.value.cap) == (262_143, DEFAULT_INDEX_CAP)
+        monkeypatch.delenv("HIGGSSTRATA_CAP", raising=False)
+        code, out, err = run(capsys, "index-set", "--points", json.dumps(points))
+        assert code == 1 and not out
+        assert err == f"CapExceeded: enumeration of size 262143 exceeds cap {DEFAULT_INDEX_CAP}\n"
 
 
 class TestExitCodes:
@@ -378,7 +451,7 @@ class TestMalformedInput:
     def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(
-            {"points": [{"id": "a", "point": json.loads(open(point_file).read()), "flag": [2.9, 3.2]}]}
+            {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text()), "flag": [2.9, 3.2]}]}
         ))
         code, out, err = run(
             capsys, "report", "--rank", "2", "--degree", "7", "--genus", "2",
@@ -416,7 +489,7 @@ class TestMalformedInput:
         # every block slope must exceed genus - 1, which bounds the first slope
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(
-            {"points": [{"id": "a", "point": json.loads(open(point_file).read()), "flag": [3, 2]}]}
+            {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text()), "flag": [3, 2]}]}
         ))
         common = ["report", "--rank", "2", "--degree", "7", "--genus", "2", "--corpus-file", str(corpus_path)]
         start = time.monotonic()
@@ -443,18 +516,18 @@ class TestSvg:
         types = "[[[1,2],[1,1]],[[2,3]]]"
         assert run(capsys, "polygons", "--types", types, "--out", a)[0] == 0
         assert run(capsys, "polygons", "--types", types, "--out", b)[0] == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_single_semistable_polygon(self, capsys, tmp_path):
         out = str(tmp_path / "t0.svg")
         assert run(capsys, "polygons", "--types", "[[[2,3]]]", "--out", out)[0] == 0
-        doc = open(out).read()
+        doc = Path(out).read_text()
         assert doc.count("<polyline") == 1 and "#000000" in doc
 
     def test_first_type_black_rest_grey(self, capsys, tmp_path):
         out = str(tmp_path / "two.svg")
         run(capsys, "polygons", "--types", "[[[1,2],[1,1]],[[2,3]]]", "--out", out)
-        doc = open(out).read()
+        doc = Path(out).read_text()
         assert doc.count("#000000") > 0 and doc.count("#999999") > 0
 
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flagged_point, model_supported, mutate_break_flag, random_block
@@ -41,7 +41,7 @@ from higgsstrata import (
     verify_step1,
     verify_step2,
 )
-from higgsstrata.linalg import adjugate, det, inverse, mat, mat_mul, transpose
+from higgsstrata.linalg import adjugate, det, inverse, mat, mat_mul, rank, transpose
 
 
 CTX3 = CurveContext(2, 1, genus=0, npoints=1)  # m = 3
@@ -125,6 +125,35 @@ class TestMembership:
         assert membership(p, self.beta, CTX73) is Membership.OUTSIDE
 
 
+_TRIT = st.sampled_from([-1, 0, 1])
+_MOSTLY = st.sampled_from([True, True, False])
+
+
+@st.composite
+def _small_rank2_cases(draw):
+    """(point, beta, ctx): r = 2, m <= 5, N <= 2, entries in {-1, 0, 1}, c in {0, 1},
+    beta of a two-block type.  Most factors get y's lower-left block zeroed at
+    the type's cut and a zero upper-right phi entry, which keeps many points
+    in the locus; at N = 2 one unadapted factor among adapted ones is where
+    the retraction's contract needs the flag check."""
+    m, n = draw(st.integers(3, 5)), draw(st.sampled_from([2, 1, 2]))
+    d1 = draw(st.integers(m // 2, m - 2))  # d1 > d2 = m - 2 - d1 >= 0
+    ctx = CurveContext(2, m - 2, genus=0, npoints=n)
+    beta = beta_of_type(HNType(((1, d1), (1, m - 2 - d1))), ctx)
+    factors = []
+    for _ in range(n):
+        y = [[draw(_TRIT) for _ in range(m)] for _ in range(2)]
+        if draw(_MOSTLY):
+            y[1][: d1 + 1] = [0] * (d1 + 1)
+        c = draw(st.sampled_from([0, 1]))
+        phi = [[draw(_TRIT) for _ in range(2)] for _ in range(2)]
+        if draw(_MOSTLY):
+            phi[0][1] = 0
+        assume(rank(mat(y)) == 2 and (c or any(map(any, phi))))
+        factors.append(Factor(y, c, phi))
+    return ModelPoint(tuple(factors)), beta, ctx
+
+
 class TestRetraction:
     def setup_method(self):
         self.beta = beta_of_type(TAU43, CTX73)
@@ -154,6 +183,48 @@ class TestRetraction:
         p = ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),))
         with pytest.raises(NotInY):
             retract_p_beta(p, self.beta, CTX73)
+
+    def test_unadapted_c0_point_refused(self):
+        # in the inequality locus, but the first three columns span a plane
+        ctx = CurveContext(3, 3, genus=0)  # m = 6
+        beta = beta_of_type(HNType(((1, 2), (2, 1))), ctx)
+        y = [[0, 0, 1, 0, 1, 1], [0, 1, 1, 1, -1, -1], [0, 0, 0, 1, 1, 0]]
+        p = ModelPoint((Factor(y, 0, [[0, 0, 0], [0, 0, 0], [1, 1, 0]]),))
+        assert membership(p, beta, ctx) is Membership.IN_Y_NOT_Z
+        with pytest.raises(InvariantViolation) as exc:
+            retract_p_beta(p, beta, ctx)
+        assert (exc.value.block_index, exc.value.factor_index) == (1, 1)
+
+    def test_compensating_factors_refused(self):
+        # factor 2's phi breaks the flag, yet the product stays in the locus
+        ctx = CurveContext(2, 1, genus=0, npoints=2)  # m = 3
+        beta = beta_of_type(HNType(((1, 1), (1, 0))), ctx)
+        p = ModelPoint((
+            Factor([[1, 0, 0], [0, 0, 1]], 1, [[0, 0], [1, 0]]),
+            Factor([[0, 0, 1], [1, 1, 1]], 1, [[0, 0], [1, 1]]),
+        ))
+        assert membership(p, beta, ctx) is Membership.IN_Y_NOT_Z
+        with pytest.raises(InvariantViolation) as exc:
+            retract_p_beta(p, beta, ctx)
+        assert (exc.value.block_index, exc.value.factor_index) == (1, 2)
+
+    @given(_small_rank2_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_in_locus_points_zero_exactly_or_are_refused(self, case):
+        p, beta, ctx = case
+        try:
+            if membership(p, beta, ctx) is Membership.OUTSIDE:
+                return
+        except DegeneratePoint:  # every coordinate vanishes: no point at all
+            return
+        try:
+            q = retract_p_beta(p, beta, ctx)
+        except InvariantViolation:
+            return
+        tp, tq = coordinates(p, ctx), coordinates(q, ctx)
+        for idx, v in tp.values.items():
+            w = pairing(alpha_of_index(idx, ctx), beta)
+            assert tq[idx] == (v if w == beta.norm_sq else F(0))
 
     def test_corpus_contract(self):
         rng = random.Random(17)
