@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals (and over dual numbers).
 
 Matrices are tuples of tuples of ``Fraction``; vectors are tuples.  Everything
-here is exact: no floating point, no tolerances.  The determinant works over
-any commutative ring whose elements support ``+``, ``-``, ``*`` and
-truthiness at zero; dual numbers serve only the dense stabiliser oracle in
-``point_model``, which differentiates the full coordinate table.
+here is exact: no floating point, no tolerances.  Rows of Python ints are
+accepted too, and elimination turns them into ``Fraction`` rows.  The
+determinant works over any commutative ring whose elements support ``+``,
+``-``, ``*`` and truthiness at zero; dual numbers serve only the dense
+stabiliser oracle in ``point_model``, which differentiates the full
+coordinate table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
+
+# Pivots are inverted as _ONE / pivot: 1 / pivot is a float for an int pivot.
+_ONE = Fraction(1)
 
 
 def integer(x) -> int:
@@ -84,7 +89,7 @@ def det(a) -> object:
     """
     n = len(a)
     if n == 0:
-        return Fraction(1)
+        return 1
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
     memo: dict[tuple[int, ...], object] = {}
@@ -148,7 +153,7 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = _ONE / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -231,7 +236,7 @@ class EchelonAccumulator:
         pivot = next((c for c in range(self.width) if work[c] != 0), None)
         if pivot is None:
             return False
-        inv = 1 / work[pivot]
+        inv = _ONE / work[pivot]
         work = [x * inv for x in work]
         self._rows.append(work)
         self._pivots.append(pivot)

@@ -22,6 +22,16 @@ which leaves every coordinate literally unchanged.  Membership in the
 instability loci, the coordinate-zeroing retraction, the two verification
 predicates for the instability correspondence, and the first-order unipotent
 stabiliser dimensions are all computed exactly.
+
+The hot path runs over Python int.  Each factor's tables are built from
+(L y, M c, M phi), L and M the lcms of the denominators of y and of (c, phi);
+the values are polynomials of degree r in y and 1 in (c, phi), so every
+value of factor k is its exact value times one nonzero constant s_k = L^r M.
+That leaves the support, hence every weight, and each stabiliser table's row
+space unchanged; ``coordinates`` divides by the product of the s_k.  Weights
+are pairings with D beta, D the lcm of beta's denominators, and
+``verify_step1`` divides by D.  ``Fraction`` appears only where a value
+leaves the module.
 """
 
 from __future__ import annotations
@@ -139,12 +149,21 @@ class ModelPoint:
 
     @cached_property
     def _values(self) -> tuple[tuple[dict, dict, tuple[dict, dict]], ...]:
-        """Per factor: its det values, end values and cofactor tables, evaluated once.
+        """Per factor: its det values, end values and cofactor tables over int
+        (``_integer_values``), evaluated once.
 
-        The full table is the tensor product of the values (see ``_table``);
-        the stabiliser reads the cofactor tables.
+        They are the exact values times the factor's scale.  The full table is
+        their tensor product (see ``_table``) divided by ``_scale``; the
+        stabiliser reads the cofactor tables.
         """
-        return tuple(_factor_values(f.y, f.c, f.phi, self.m) for f in self.factors)
+        return tuple(_integer_values(f.y, f.c, f.phi, self.m) for f in self.factors)
+
+    @cached_property
+    def _scale(self) -> int:
+        """The product of the factors' scales L^r M (see ``_denominator_lcms``)."""
+        return math.prod(
+            L ** self.r * M for L, M in (_denominator_lcms(f.y, f.c, f.phi) for f in self.factors)
+        )
 
     @cached_property
     def _support(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -230,7 +249,9 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     value at I is c V_y(I minus s_r, s_r); by Cramer's rule on
     B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
     det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
-    Works over any commutative ring.
+    Works over any commutative ring: the point's own tables are built over
+    int (``_integer_values``), the dense stabiliser oracle's over ``Fraction``
+    and dual numbers.
     """
     r = len(y)
     if r == 0:
@@ -250,6 +271,33 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
             v = v_z[s[:j - 1] + s[j:]][s[i - 1] - 1]
             ends[(s, i, j)] = v if (r - j) % 2 == 0 else -v
     return dets, ends, (v_y, v_z)
+
+
+def _denominator_lcms(y, c, phi) -> tuple[int, int]:
+    """L and M: the lcm of the denominators of y's entries, and of c's and phi's."""
+    return (
+        math.lcm(*(x.denominator for row in y for x in row)),
+        math.lcm(c.denominator, *(x.denominator for row in phi for x in row)),
+    )
+
+
+def _integer_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
+    """``_factor_values`` of the integer factor (L y, M c, M phi).
+
+    L and M clear the denominators (``_denominator_lcms``).  A det or end
+    value is of degree r in y and 1 in (c, phi), so each is the exact value
+    times the factor's scale s = L^r M; V_y entries scale by L^r and V_z
+    entries by L^r M.  One nonzero constant per factor (and per table) leaves
+    the support, hence every weight, and the row space of each stabiliser
+    table unchanged.
+    """
+    L, M = _denominator_lcms(y, c, phi)
+    return _factor_values(
+        tuple(tuple(x.numerator * (L // x.denominator) for x in row) for row in y),
+        c.numerator * (M // c.denominator),
+        tuple(tuple(x.numerator * (M // x.denominator) for x in row) for row in phi),
+        m,
+    )
 
 
 def _factor_support(values: tuple[dict, dict, tuple]) -> tuple[tuple, tuple]:
@@ -288,30 +336,40 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
 
     Every value is a product of per-factor entries of the cofactor tables of
     ``_factor_values``, so vanishing minors are handled without any matrix
-    inversion.  Raises CapExceeded when the index count exceeds the cap, and
-    DegeneratePoint if every coordinate vanishes.
+    inversion.  The tables are built over int from each factor's entries
+    with denominators cleared, which scales every value of factor k by s_k =
+    L_k^r M_k (see ``_integer_values``); each product is divided back by the
+    product of the s_k, so the values are the exact ``Fraction``s.  Raises
+    CapExceeded when the index count exceeds the cap, and DegeneratePoint if
+    every coordinate vanishes.
     """
     _check_shapes(p, ctx)
     indices = enumerate_coordinate_indices(ctx, cap)
-    return CoordinateTable(_table(indices, p._values))
+    scale = p._scale
+    return CoordinateTable(
+        {idx: Fraction(v, scale) for idx, v in _table(indices, p._values).items()}
+    )
 
 
-def _beta_entries(beta: BetaVector, p: ModelPoint) -> Vec:
+def _integer_beta(beta: BetaVector, p: ModelPoint) -> tuple[tuple[int, ...], int]:
+    """beta's entries times D, the lcm of their denominators, and D."""
     if beta.m != p.m:
         raise ValueError("instability vector length does not match the point")
-    return beta.entries
+    D = math.lcm(*(e.denominator for e in beta.entries))
+    return tuple(e.numerator * (D // e.denominator) for e in beta.entries), D
 
 
 def _factor_weight_supports(p: ModelPoint, beta: BetaVector):
     """Per factor: achievable weights with a witness key, for both families.
 
-    Returns (det_list, end_list) where each entry is a dict
+    Returns (det_list, end_list, D) where each entry is a dict
     {weight: witness key} over the factor's nonzero coordinates; the witness
-    is the first key of that weight in table order.
+    is the first key of that weight in table order.  Weights are the int
+    pairings with D beta (``_integer_beta``), i.e. D times the exact ones.
     """
-    entries = _beta_entries(beta, p)
+    entries, D = _integer_beta(beta, p)
     det_weights = {
-        s: -sum((entries[l - 1] for l in s), Fraction(0))
+        s: -sum(entries[l - 1] for l in s)
         for s in itertools.combinations(range(1, p.m + 1), p.r)
     }
     det_list, end_list = [], []
@@ -324,15 +382,16 @@ def _factor_weight_supports(p: ModelPoint, beta: BetaVector):
             ends.setdefault(w, (s, i, j))
         det_list.append(dets)
         end_list.append(ends)
-    return det_list, end_list
+    return det_list, end_list, D
 
 
 def _family_min_max(p: ModelPoint, beta: BetaVector):
     """Families supported at every factor, their least weight and the verdict.
 
-    Returns ([(per-factor weight dicts, index builder)], lo, membership).
+    Returns ([(per-factor weight dicts, index builder)], D, lo, membership),
+    with weights and lo in units of 1/D (see ``_factor_weight_supports``).
     """
-    det_list, end_list = _factor_weight_supports(p, beta)
+    det_list, end_list, D = _factor_weight_supports(p, beta)
     families = [
         (fam, make_index)
         for fam, make_index in ((det_list, _det_index), (end_list, _end_index))
@@ -340,14 +399,14 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     ]
     if not families:
         raise DegeneratePoint("all coordinates vanish")
-    lo = min(sum((min(d) for d in fam), Fraction(0)) for fam, _ in families)
-    if lo != beta.norm_sq:
-        return families, lo, Membership.OUTSIDE
-    hi = max(sum((max(d) for d in fam), Fraction(0)) for fam, _ in families)
-    return families, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
+    lo = min(sum(min(d) for d in fam) for fam, _ in families)
+    if lo != beta.norm_sq * D:
+        return families, D, lo, Membership.OUTSIDE
+    hi = max(sum(max(d) for d in fam) for fam, _ in families)
+    return families, D, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
 
 
-def _scan(per_factor, target: Fraction, limit: int, want_witness: bool):
+def _scan(per_factor, target, limit: int, want_witness: bool):
     """Tuples of per-factor keys, visited in lexicographic weight order.
 
     Returns the first ``limit`` tuples whose weights sum below target, with
@@ -356,15 +415,15 @@ def _scan(per_factor, target: Fraction, limit: int, want_witness: bool):
     """
     items = [sorted(d.items()) for d in per_factor]
     n = len(items)
-    suffix_min = [Fraction(0)] * (n + 1)
-    suffix_max = [Fraction(0)] * (n + 1)
+    suffix_min = [0] * (n + 1)
+    suffix_max = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         suffix_min[k] = suffix_min[k + 1] + items[k][0][0]
         suffix_max[k] = suffix_max[k + 1] + items[k][-1][0]
-    below: list[tuple[tuple, Fraction]] = []
+    below: list[tuple[tuple, int]] = []
     witness = None
 
-    def dfs(k: int, acc: Fraction, chosen: tuple) -> None:
+    def dfs(k: int, acc: int, chosen: tuple) -> None:
         nonlocal witness
         lo, hi = acc + suffix_min[k], acc + suffix_max[k]
         wants_below = len(below) < limit and lo < target
@@ -380,7 +439,7 @@ def _scan(per_factor, target: Fraction, limit: int, want_witness: bool):
         for w, key in items[k]:
             dfs(k + 1, acc + w, chosen + (key,))
 
-    dfs(0, Fraction(0), ())
+    dfs(0, 0, ())
     return below, witness
 
 
@@ -406,7 +465,7 @@ def membership(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Membership
     witness scan; call ``verify_step1`` instead when both are wanted.
     """
     _check_shapes(p, ctx)
-    return _family_min_max(p, beta)[2]
+    return _family_min_max(p, beta)[3]
 
 
 @dataclass(frozen=True)
@@ -436,19 +495,20 @@ def verify_step1(
     first ``max_violations`` violating indices (det family first, each in
     lexicographic weight order) and the first index pairing exactly at the
     norm.  The report never raises on failure: ``passed`` reads the exact
-    least weight, never the (possibly cut short) violation list.
+    least weight, never the (possibly cut short) violation list.  The
+    weights are int pairings with D beta, divided by D on the report.
     """
     _check_shapes(p, ctx)
-    families, lo, verdict = _family_min_max(p, beta)
-    target = beta.norm_sq
+    families, D, lo, verdict = _family_min_max(p, beta)
+    target = beta.norm_sq * D
     violations: list[tuple[CoordinateIndex, Fraction]] = []
     witness = None
     for fam, make_index in families:
         below, keys = _scan(fam, target, max_violations - len(violations), witness is None)
-        violations.extend((make_index(chosen), w) for chosen, w in below)
+        violations.extend((make_index(chosen), Fraction(w, D)) for chosen, w in below)
         if keys is not None:
             witness = make_index(keys)
-    return Step1Report(verdict, target, lo, tuple(violations), witness)
+    return Step1Report(verdict, beta.norm_sq, Fraction(lo, D), tuple(violations), witness)
 
 
 def _block_filter(matrix: Mat, row_cuts, col_cuts) -> Mat:
@@ -613,7 +673,7 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> set[Vec]:
     """Distinct supported weights of one graded block across all factors."""
     per_factor: list[set[Vec]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
-        det_keys, end_keys = _factor_support(_factor_values(y_b, c, phi_b, m_g))
+        det_keys, end_keys = _factor_support(_integer_values(y_b, c, phi_b, m_g))
         base = {
             s: tuple(
                 Fraction(0) if l in s else Fraction(1) for l in range(1, m_g + 1)
@@ -732,7 +792,11 @@ def unipotent_stabilizer_dim(
 
     So the unknowns are xi_p, one per upper position p, with one row
     [d_p V(K, x)]_p per value of each factor in each surviving family, read
-    off the cached tables; the nullity is the stabiliser dimension.  A det
+    off the cached tables; the nullity is the stabiliser dimension.  The
+    tables are over int (``_integer_values``): a row reads one (factor,
+    table) pair only, whose entries all carry the same nonzero scale (L^r
+    for V_y, L^r M for V_z), so each row is a nonzero multiple of the exact
+    one and the row space, hence the nullity, is unchanged.  A det
     value is V_y(I minus max I, max I), so V_y rows are taken for x > max K
     only: the others vanish (x in K) or repeat such a row up to sign.  Every
     V_z entry is an end value.
@@ -766,7 +830,7 @@ def unipotent_stabilizer_dim(
                 first = K[-1] + 1 if fam == 0 and K else 1
                 for x in range(first, p.m + 1):
                     row = [
-                        (values[a - 1] if x == l else Fraction(0))
+                        (values[a - 1] if x == l else 0)
                         + (move[1] * table[move[0]][x - 1] if move else 0)
                         for (a, l), move in zip(positions, moves[K])
                     ]
@@ -802,7 +866,7 @@ def unipotent_stabilizer_dim_dense_oracle(
         raise ValueError("flag total must equal the section count")
     order = list(enumerate_coordinate_indices(ctx, cap))
     positions = _lie_upper_positions(flag)
-    base = _table(order, p._values)
+    base = _table(order, [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors])
     if not any(base[idx] for idx in order):
         raise DegeneratePoint("all coordinates vanish")
     eps_columns = []

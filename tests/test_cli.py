@@ -217,6 +217,15 @@ _GOLDEN_CASES = {
         ),
         "1,2",
     ),
+    # rational entries with different denominators per factor in y, c and phi
+    "r2-n2-rational": (
+        ["--rank", "2", "--degree", "7", "--genus", "2", "--npoints", "2"],
+        _golden_point(
+            ([["1/2", "1/3", 1, 0, 0], [0, 0, 0, "1/2", "2/3"]], "3/2", [["1/3", 0], ["1/2", 1]]),
+            ([["1/4", 2, "3/7", "1/7", 0], [0, 0, 0, "1/4", "3/4"]], "-2/7", [[0, 0], ["3/4", "1/7"]]),
+        ),
+        "3,2",
+    ),
 }
 
 # sha256 of the --json stdout, recorded from the adjugate/dual-number
@@ -232,6 +241,9 @@ _GOLDEN_DIGESTS = {
     ("stabdim", "r3"): "a34aeaa4e3942014f25399c8c5af44a9328e81a77b1da11d2856d3989a6727c6",
     ("point-coords", "r2-n2"): "7f9a68a95ce600fd13d013cd618658b4e7566073e2bacdc874e31cbeb92b5071",
     ("stabdim", "r2-n2"): "afe4e1e91ed1a72c66fe808221cb4f35eb43eefd6b15b4d866b2e918d90b8951",
+    # recorded from the evaluator that built its tables over Fraction
+    ("point-coords", "r2-n2-rational"): "7d96a18ef549a303c8c83563161468babe6a69b9ceadc322960da2ac0d8a5fe8",
+    ("stabdim", "r2-n2-rational"): "3b3fb7e37a4217e3aca6481573f39fd724ca548c7f585471d2f6db603552875c",
 }
 
 
@@ -251,7 +263,8 @@ _TAU43 = ["--tau", "4,3", "--ranks", "1,1", "--genus", "2"]
 _FLAG43 = ([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], 1, [[2, 0], [5, 3]])
 
 # (type and context flags, point): Outside with 20 violations (16 listed),
-# with and without an equality witness, InY_not_Z, InZ, c = 0 and N = 2.
+# with and without an equality witness, InY_not_Z, InZ, c = 0 and N = 2;
+# then Outside, InY_not_Z and N = 2 with rational entries.
 _POINT_CHECK_CASES = {
     "outside-many": (
         ["--tau", "3,2", "--ranks", "1,1", "--npoints", "3"],
@@ -270,6 +283,15 @@ _POINT_CHECK_CASES = {
         _TAU43 + ["--npoints", "2"],
         _golden_point(_FLAG43, ([[1, 2, 1, 3, 0], [0, 0, 0, 1, 2]], -1, [[0, 0], [1, 1]])),
     ),
+    "rational-outside": (
+        _TAU43,
+        _golden_point(([[0, "1/2", 3, "4/7", 0], [0, "4/3", "1/3", 2, "1/4"]], "3/4", [["1/2", "2/3"], [0, 4]])),
+    ),
+    "rational-iny": (
+        _TAU43,
+        _golden_point(([["1/2", "1/3", 1, 0, 0], [0, 0, 0, "1/4", "2/7"]], "3/4", [["2/3", 0], ["5/7", "3/2"]])),
+    ),
+    "rational-n2": (_TAU43 + ["--npoints", "2"], _GOLDEN_CASES["r2-n2-rational"][1]),
 }
 
 # (case, --step2) -> (exit code, sha256 of stdout + stderr), recorded from
@@ -289,6 +311,13 @@ _POINT_CHECK_DIGESTS = {
     ("c0", True): (0, "475921b8a572e1a13fee20bd6e8f1cdc5394b0fd09cfdf3095f53584650226b8"),
     ("n2", False): (0, "128840944553c45caf62dfc5579a82e6b43ac413aee5e49934607ebc4240a0aa"),
     ("n2", True): (0, "46ba7687c8a2de2484e99f6f2ee53b40c00dbb71b3891326f2b3071927e25042"),
+    # recorded from the evaluator that built its tables and weights over Fraction
+    ("rational-outside", False): (0, "283f5cbfe0a0a0f0ab05fa80336cd54403219c4d360e025c533da5e86bcc376f"),
+    ("rational-outside", True): (1, "5ecb5670178013946798700a1b6666312147343e06dfe39ac39b5a6c56a6c685"),
+    ("rational-iny", False): (0, "107a1886356150741dc6c9ad697d99187a374c965fd6235ea79a040bd2cabfbe"),
+    ("rational-iny", True): (0, "ef6ea4a164b7848b9fcbd197ae9dc0229df6724a74dd5d588abb024db08b0ff4"),
+    ("rational-n2", False): (0, "128840944553c45caf62dfc5579a82e6b43ac413aee5e49934607ebc4240a0aa"),
+    ("rational-n2", True): (0, "46ba7687c8a2de2484e99f6f2ee53b40c00dbb71b3891326f2b3071927e25042"),
 }
 
 

@@ -42,6 +42,8 @@ from higgsstrata import (
     verify_step2,
 )
 from higgsstrata.linalg import adjugate, det, inverse, mat, mat_mul, rank, transpose
+from higgsstrata.point_model import _factor_values, _table
+from higgsstrata.weight_lattice import enumerate_coordinate_indices
 
 
 CTX3 = CurveContext(2, 1, genus=0, npoints=1)  # m = 3
@@ -558,9 +560,9 @@ class TestFactorValuesReference:
                     assert v == d * sum(conj[a][a] for a in range(r))
 
 
-def _dim_or_degenerate(route, p, flag, ctx):
+def _or_degenerate(route, *args):
     try:
-        return route(p, flag, ctx)
+        return route(*args)
     except DegeneratePoint:
         return "degenerate"
 
@@ -572,7 +574,7 @@ class TestStabilizerDenseOracle:
     @settings(max_examples=80, deadline=None)
     def test_matches_dense_oracle(self, case):
         p, flag, ctx = case
-        assert _dim_or_degenerate(unipotent_stabilizer_dim, p, flag, ctx) == _dim_or_degenerate(
+        assert _or_degenerate(unipotent_stabilizer_dim, p, flag, ctx) == _or_degenerate(
             unipotent_stabilizer_dim_dense_oracle, p, flag, ctx
         )
 
@@ -607,6 +609,88 @@ class TestStabilizerDenseOracle:
         start = time.monotonic()
         unipotent_stabilizer_dim(p, FlagShape(beta.m_blocks), ctx)
         assert time.monotonic() - start < 5
+
+
+@st.composite
+def _rational_cases(draw):
+    """(point, flag, beta, ctx) at genus 0 with rational entries, r 1-3, N 1-2.
+
+    The denominators 2, 3, 4 and 7 are dealt to y, c and phi so that each
+    differs between the factors; each entry is over 1 or that denominator,
+    so the lcms that clear them vary too.  Factors may have c = 0 or phi = 0.
+    """
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 3))
+    sizes = [
+        m for m in range(r, r + 3)
+        if coordinate_index_count(CurveContext(r, m - r, genus=0, npoints=n)) <= 2000
+    ]
+    m = draw(st.sampled_from(sizes))
+    ctx = CurveContext(r, m - r, genus=0, npoints=n)
+    dens = draw(st.permutations([2, 3, 4, 7]))
+
+    def over(x, d):
+        return F(x, draw(st.sampled_from([1, d])))
+
+    factors = []
+    for k in range(n):
+        d_y, d_c, d_phi = dens[k], dens[k + 1], dens[k + 2]
+        y = [[over(x, d_y) for x in row] for row in _sparse_y(draw, r, m)]
+        phi = [[over(draw(_SPARSE), d_phi) for _ in range(r)] for _ in range(r)]
+        kind = draw(st.sampled_from(["both", "c=0", "phi=0"]))
+        c = 0 if kind == "c=0" else over(draw(st.sampled_from([1, -1, 2, 3])), d_c)
+        if kind == "phi=0":
+            phi = [[0] * r for _ in range(r)]
+        elif not any(map(any, phi)):
+            phi[0][0] = F(1, d_phi)
+        factors.append(Factor(y, c, phi))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=1))) if m > 1 else []
+    blocks = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+    types = enumerate_hn_types(ctx, ctx.degree + r, min_slope_exclusive=-1)
+    beta = beta_of_type(draw(st.sampled_from(types)), ctx)
+    return ModelPoint(tuple(factors)), FlagShape(tuple(blocks)), beta, ctx
+
+
+class TestRationalEntries:
+    """Int tables from cleared denominators against the raw Fraction route."""
+
+    @given(_rational_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_coordinates_match_fraction_tables(self, case):
+        p, _, _, ctx = case
+        raw = _table(
+            enumerate_coordinate_indices(ctx),
+            [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors],
+        )
+        table = _or_degenerate(coordinates, p, ctx)
+        if table == "degenerate":
+            assert not any(raw.values())
+            return
+        assert table.values == raw
+        assert all(type(v) is F for v in table.values.values())
+
+    @given(_rational_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_stabilizer_matches_dense_oracle(self, case):
+        p, flag, _, ctx = case
+        assert _or_degenerate(unipotent_stabilizer_dim, p, flag, ctx) == _or_degenerate(
+            unipotent_stabilizer_dim_dense_oracle, p, flag, ctx
+        )
+
+    @given(_rational_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_step1_weights_match_pairings(self, case):
+        p, _, beta, ctx = case
+        report = _or_degenerate(verify_step1, p, beta, ctx)
+        if report == "degenerate":
+            assert _or_degenerate(coordinates, p, ctx) == "degenerate"
+            return
+        support = coordinates(p, ctx).support()
+        weights = {idx: pairing(beta, alpha_of_index(idx, ctx)) for idx in support}
+        assert report.min_support_weight == min(weights.values())
+        assert type(report.min_support_weight) is F
+        for idx, w in report.violations:
+            assert w == weights[idx] < beta.norm_sq and type(w) is F
 
 
 class TestNilpotentCommutant:
