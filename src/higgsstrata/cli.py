@@ -13,7 +13,8 @@ default cap in the same rows); for ``point-coords`` the C(m,r)^N (1 + r^(2N))
 coordinate indices.  Type enumeration stops past 200,000 types, and
 ``point-check --step2`` refuses a ``--lambda-bound`` whose
 prod_{g<s}(2 bound m_g + 1) block-trace heads (the traces of all blocks but
-the last) exceed 200,000.
+the last) exceed 200,000.  JSON nested too deeply to parse is a domain
+error, ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .hn_types import (
     compare_polygon,
     enumerate_hn_types,
 )
-from .linalg import frac, mat
+from .linalg import frac
 from .minnorm import PointCloud, index_set_B, min_norm_point
 from .point_model import (
     ModelPoint,
@@ -86,10 +87,6 @@ def _load_json_arg(inline: str | None, path: str | None, what: str):
         return json.loads(inline)
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _points_from_json(data) -> PointCloud:
-    return PointCloud.from_points([[frac(x) for x in row] for row in data])
 
 
 def _rat_str(x: Fraction) -> str:
@@ -168,7 +165,7 @@ def _cmd_compat(args) -> None:
 
 
 def _cmd_minnorm(args) -> None:
-    cloud = _points_from_json(_load_json_arg(args.points, args.points_file, "points"))
+    cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
     v = min_norm_point(cloud)
     payload = {
         "schema": "higgsstrata.minnorm/1",
@@ -178,7 +175,7 @@ def _cmd_minnorm(args) -> None:
 
 
 def _cmd_index_set(args) -> None:
-    cloud = _points_from_json(_load_json_arg(args.points, args.points_file, "points"))
+    cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
     reps = index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
     payload = {
         "schema": "higgsstrata.index_set/1",
@@ -271,8 +268,7 @@ def _cmd_point_check(args) -> None:
 def _cmd_stabdim(args) -> None:
     flag = FlagShape(tuple(_parse_int_list(args.blocks)))
     if args.phis is not None or args.phis_file is not None:
-        data = _load_json_arg(args.phis, args.phis_file, "phis")
-        phis = [mat([[frac(x) for x in row] for row in phi]) for phi in data]
+        phis = _load_json_arg(args.phis, args.phis_file, "phis")
         dim = nilpotent_commutant_dim(flag, phis)
         payload = {
             "schema": "higgsstrata.stabdim/1",
@@ -480,7 +476,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args.func(args)
-    except (HiggsStrataError, ValueError, TypeError, OSError, KeyError, OverflowError) as exc:
+    except (
+        HiggsStrataError, ValueError, TypeError, OSError, KeyError, OverflowError, RecursionError,
+    ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -2,15 +2,22 @@
 
 Matrices are tuples of tuples of ``Fraction``; vectors are tuples.  Everything
 here is exact: no floating point, no tolerances.  Rows of Python ints are
-accepted too, and elimination turns them into ``Fraction`` rows.  The
-determinant works over any commutative ring whose elements support ``+``,
-``-``, ``*`` and truthiness at zero; dual numbers serve only the dense
-stabiliser oracle in ``point_model``, which differentiates the full
-coordinate table.
+accepted too, and elimination turns them into ``Fraction`` rows.  There is
+one Gaussian elimination, ``EchelonAccumulator.add``, which keeps each
+independent row of a stream: ``rank`` reads its rank, and ``rref``,
+``nullspace``, ``solve_unique`` and ``inverse`` read the reduced row echelon
+form that ``_echelon`` gets from its kept rows by back-substitution.  The
+determinant is a Laplace expansion, apart from the elimination, and works
+over any commutative ring whose elements support ``+``, ``-``, ``*`` and
+truthiness at zero; dual numbers serve only the dense stabiliser oracle in
+``point_model``, which differentiates the full coordinate table.
 """
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +27,9 @@ Mat = tuple[tuple[Fraction, ...], ...]
 
 # Pivots are inverted as _ONE / pivot: 1 / pivot is a float for an int pivot.
 _ONE = Fraction(1)
+
+# The exponent of a decimal string such as "1.5e-3", in Fraction's syntax.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def integer(x) -> int:
@@ -33,17 +43,29 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' and {'num','den'} dicts of ints to Fraction.
 
     Floats and bools are refused, also as a dict's num or den, not rounded.
+    A string whose exponent exceeds ``sys.get_int_max_str_digits()`` in
+    magnitude is refused too: Fraction would build 10 to that power, which
+    the digit limit never sees and which can take unbounded time.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"{type(x).__name__} input {x!r} is not accepted; pass a rational")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(x, str) and limit and (m := _EXPONENT.search(x)) and int(m[1]) > limit:
+        raise ValueError(f"rational {x[:40]!r} has an exponent beyond {limit} in magnitude")
     try:
         if isinstance(x, dict):
             return Fraction(integer(x["num"]), integer(x["den"]))
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"rational {x!r} has a zero denominator") from None
+
+
+def clear_denominators(xs) -> tuple[tuple[int, ...], int]:
+    """The rationals ``xs`` times D, the lcm of their denominators, as ints; and D."""
+    D = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (D // x.denominator) for x in xs), D
 
 
 def vec(entries) -> Vec:
@@ -55,13 +77,6 @@ def mat(rows) -> Mat:
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def transpose(a: Mat) -> Mat:
@@ -141,39 +156,42 @@ def adjugate(a) -> tuple:
     )
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _accumulated(rows) -> "EchelonAccumulator":
+    """An accumulator of the rows' width, fed every row."""
+    acc = EchelonAccumulator(len(rows[0]) if rows else 0)
+    for row in rows:
+        acc.add(row)
+    return acc
+
+
+def _echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: (nonzero rows in pivot order, pivot columns).
+
+    The rows go through ``EchelonAccumulator.add``, the one forward
+    elimination; each kept row's pivot is then cleared from the rows kept
+    before it.  The reduced form is unique, so this is the same ``Fraction``
+    matrix whichever elimination order produced it.
+    """
+    acc = _accumulated(rows)
+    kept, pivots = acc._rows, acc._pivots
+    for i, (row, p) in enumerate(zip(kept, pivots)):
+        for j in range(i):
+            f = kept[j][p]
+            if f:
+                kept[j] = [x - f * y for x, y in zip(kept[j], row)]
+    order = sorted(range(len(kept)), key=pivots.__getitem__)
+    return [kept[i] for i in order], [pivots[i] for i in order]
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows = [list(row) for row in a]
-    rows, pivots = _echelon(rows)
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    """Reduced row echelon form with a's row count (zero rows last) and its pivots."""
+    red, pivots = _echelon(a)
+    zero = (Fraction(0),) * (len(a[0]) if a else 0)
+    return tuple(map(tuple, red)) + (zero,) * (len(a) - len(red)), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return _accumulated(a).rank
 
 
 def nullspace(a: Mat) -> list[Vec]:
@@ -181,7 +199,7 @@ def nullspace(a: Mat) -> list[Vec]:
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = rref(a)
+    red, pivots = _echelon(a)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -197,8 +215,6 @@ def nullspace(a: Mat) -> list[Vec]:
 def solve_unique(a: Mat, b: Sequence[Fraction]) -> Vec | None:
     """Solve a square system; None when the matrix is singular."""
     n = len(a)
-    if n == 0:
-        return ()
     aug = [list(row) + [frac(x)] for row, x in zip(a, b)]
     red, pivots = _echelon(aug)
     if len(pivots) != n or n in pivots:
@@ -207,19 +223,22 @@ def solve_unique(a: Mat, b: Sequence[Fraction]) -> Vec | None:
 
 
 def inverse(a: Mat) -> Mat | None:
+    """The inverse of a square matrix; None when it is singular."""
     n = len(a)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
+    aug = [[*row, *(_ONE if i == j else 0 for j in range(n))] for i, row in enumerate(a)]
     red, pivots = _echelon(aug)
-    if list(pivots) != list(range(n)):
+    if pivots != list(range(n)):
         return None
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(row[n:]) for row in red)
 
 
 class EchelonAccumulator:
-    """Incremental row-space tracker for streaming rank computations.
+    """Incremental row-space tracker: the package's one forward elimination.
 
     Rows are fed one at a time; only independent rows are kept, so the memory
-    footprint is bounded by the width, not by the stream length.
+    footprint is bounded by the width, not by the stream length.  A kept row
+    is scaled to a leading one at its pivot and is zero at every earlier kept
+    row's pivot.
     """
 
     def __init__(self, width: int):
@@ -228,6 +247,7 @@ class EchelonAccumulator:
         self._pivots: list[int] = []
 
     def add(self, row: Sequence[Fraction]) -> bool:
+        """Keep the row if it is independent of the kept rows; say whether it was."""
         work = list(row)
         for r, p in zip(self._rows, self._pivots):
             if work[p] != 0:

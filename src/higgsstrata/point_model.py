@@ -14,9 +14,10 @@ also where the minor vanishes, and no matrix is inverted.  Note the
 transpose: phi is stored in the presentation's convention, i.e. as the
 transpose of the endomorphism of the quotient fibre.  Consequently a Higgs
 field preserving the subspace flag appears here as a block *lower* triangular
-matrix, and the basis-change rule conjugates by the inverse transpose:
+matrix, and the basis-change rule (``_gauged``), which writes a factor in a
+basis g of the quotient fibre, conjugates by the transpose:
 
-    <alpha y, [c / det(alpha) : alpha^-T phi alpha^T / det(alpha)]> = <y, [c : phi]>,
+    <g^-1 y, [c det(g) : det(g) g^T phi g^-T]> = <y, [c : phi]>,
 
 which leaves every coordinate literally unchanged.  Membership in the
 instability loci, the coordinate-zeroing retraction, the two verification
@@ -57,6 +58,7 @@ from .linalg import (
     Mat,
     Vec,
     adapted_flag_basis,
+    clear_denominators,
     det,
     dot,
     frac,
@@ -74,7 +76,6 @@ from .weight_lattice import (
     CoordinateIndex,
     beta_of_type,
     enumerate_coordinate_indices,
-    rational_from_json,
     rational_to_json,
     step2_trace_identity,
 )
@@ -102,11 +103,7 @@ class Factor:
 
     @classmethod
     def from_json(cls, data: dict) -> "Factor":
-        return cls(
-            mat([[rational_from_json(x) for x in row] for row in data["y"]]),
-            rational_from_json(data["c"]),
-            mat([[rational_from_json(x) for x in row] for row in data["phi"]]),
-        )
+        return cls(data["y"], data["c"], data["phi"])
 
 
 @dataclass(frozen=True)
@@ -160,10 +157,8 @@ class ModelPoint:
 
     @cached_property
     def _scale(self) -> int:
-        """The product of the factors' scales L^r M (see ``_denominator_lcms``)."""
-        return math.prod(
-            L ** self.r * M for L, M in (_denominator_lcms(f.y, f.c, f.phi) for f in self.factors)
-        )
+        """The product of the factors' scales L^r M (see ``_integer_factor``)."""
+        return math.prod(_integer_factor(f.y, f.c, f.phi)[1] for f in self.factors)
 
     @cached_property
     def _support(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -183,9 +178,13 @@ class ModelPoint:
         return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:])
 
     def gauge_factor(self, k: int, alpha) -> "ModelPoint":
-        """Basis change of the quotient fibre of factor k by alpha in GL(r)
-        (see ``_gauged``); every projective coordinate is unchanged by this move."""
-        gauged = _gauged(self.factors[k], mat(alpha))
+        """Basis change y -> alpha y of the quotient fibre of factor k, alpha in
+        GL(r): factor k written in the basis alpha^-1 (see ``_gauged``).  Every
+        projective coordinate is unchanged by this move."""
+        alpha_inv = inverse(mat(alpha))
+        if alpha_inv is None:
+            raise ValueError("gauge matrix must be invertible")
+        gauged = _gauged(self.factors[k], alpha_inv)
         return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:
@@ -273,31 +272,29 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     return dets, ends, (v_y, v_z)
 
 
-def _denominator_lcms(y, c, phi) -> tuple[int, int]:
-    """L and M: the lcm of the denominators of y's entries, and of c's and phi's."""
+def _integer_factor(y, c, phi) -> tuple[tuple, int]:
+    """(L y, M c, M phi) over int, L and M clearing y's and (c, phi)'s denominators, and L^r M."""
+    y_ints, L = clear_denominators([x for row in y for x in row])
+    c_phi, M = clear_denominators([c, *(x for row in phi for x in row)])
+    w, r = len(y[0]) if y else 0, len(phi)
     return (
-        math.lcm(*(x.denominator for row in y for x in row)),
-        math.lcm(c.denominator, *(x.denominator for row in phi for x in row)),
-    )
+        tuple(y_ints[i * w:(i + 1) * w] for i in range(len(y))),
+        c_phi[0],
+        tuple(c_phi[1 + i * r:1 + (i + 1) * r] for i in range(r)),
+    ), L ** len(y) * M
 
 
 def _integer_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     """``_factor_values`` of the integer factor (L y, M c, M phi).
 
-    L and M clear the denominators (``_denominator_lcms``).  A det or end
+    L and M clear the denominators (``_integer_factor``).  A det or end
     value is of degree r in y and 1 in (c, phi), so each is the exact value
     times the factor's scale s = L^r M; V_y entries scale by L^r and V_z
     entries by L^r M.  One nonzero constant per factor (and per table) leaves
     the support, hence every weight, and the row space of each stabiliser
     table unchanged.
     """
-    L, M = _denominator_lcms(y, c, phi)
-    return _factor_values(
-        tuple(tuple(x.numerator * (L // x.denominator) for x in row) for row in y),
-        c.numerator * (M // c.denominator),
-        tuple(tuple(x.numerator * (M // x.denominator) for x in row) for row in phi),
-        m,
-    )
+    return _factor_values(*_integer_factor(y, c, phi)[0], m)
 
 
 def _factor_support(values: tuple[dict, dict, tuple]) -> tuple[tuple, tuple]:
@@ -355,8 +352,7 @@ def _integer_beta(beta: BetaVector, p: ModelPoint) -> tuple[tuple[int, ...], int
     """beta's entries times D, the lcm of their denominators, and D."""
     if beta.m != p.m:
         raise ValueError("instability vector length does not match the point")
-    D = math.lcm(*(e.denominator for e in beta.entries))
-    return tuple(e.numerator * (D // e.denominator) for e in beta.entries), D
+    return clear_denominators(beta.entries)
 
 
 def _factor_weight_supports(p: ModelPoint, beta: BetaVector):
@@ -522,21 +518,19 @@ def _block_filter(matrix: Mat, row_cuts, col_cuts) -> Mat:
     )
 
 
-def _gauged(f: Factor, alpha: Mat) -> Factor:
-    """The basis change y -> alpha y, c -> c / det(alpha),
-    phi -> alpha^-T phi alpha^T / det(alpha) of one factor."""
-    d = det(alpha)
-    if d == 0:
-        raise ValueError("gauge matrix must be invertible")
-    alpha_t = transpose(alpha)
-    phi = mat_mul(mat_mul(inverse(alpha_t), f.phi), alpha_t)
-    return Factor(mat_mul(alpha, f.y), f.c / d, tuple(tuple(x / d for x in row) for row in phi))
+def _gauged(f: Factor, g: Mat) -> Factor:
+    """The factor written in the basis g, an invertible r x r matrix:
+    y -> g^-1 y, c -> c det(g), phi -> det(g) g^T phi g^-T."""
+    g_inv = inverse(g)
+    d = det(g)
+    phi = mat_mul(mat_mul(transpose(g), f.phi), transpose(g_inv))
+    return Factor(mat_mul(g_inv, f.y), f.c * d, tuple(tuple(x * d for x in row) for row in phi))
 
 
 def _adapted_factor(f: Factor, cuts) -> tuple[Factor, tuple[int, ...]]:
-    """Gauge a factor by g^-1, g the basis adapted to the image flag of the cuts."""
+    """A factor written in the basis g adapted to the image flag of the cuts."""
     g, dims = adapted_flag_basis(_columns(f.y), cuts)
-    return _gauged(f, inverse(g)), dims
+    return _gauged(f, g), dims
 
 
 def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
@@ -661,14 +655,6 @@ class Step2Report:
     trace_identity_ok: bool
 
 
-def _integer_direction(v: Vec) -> tuple[int, ...]:
-    lcm = 1
-    for x in v:
-        d = frac(x).denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    return tuple(int(x * lcm) for x in v)
-
-
 def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> set[Vec]:
     """Distinct supported weights of one graded block across all factors."""
     per_factor: list[set[Vec]] = []
@@ -740,7 +726,7 @@ def verify_step2(
         translated = [tuple(a - b for a, b in zip(w, chi)) for w in weights]
         v = min_norm_point(PointCloud.from_points(translated))
         ss = all(x == 0 for x in v)
-        witness = None if ss else _integer_direction(v)
+        witness = None if ss else clear_denominators(v)[0]
         all_ok = all_ok and ss
         blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, witness))
     return Step2Report(

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import CapExceeded, NonPositiveBlockDimension
 from .hn_types import DEFAULT_INDEX_CAP, CurveContext, FlagShape, HNType
-from .linalg import Vec, dot, frac, integer
+from .linalg import Vec, clear_denominators, dot, frac, integer
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,8 @@ def grading_one_parameter_subgroup(beta: BetaVector) -> tuple[int, ...] | None:
     """
     if beta.is_zero:
         return None
-    entries = beta.entries
-    denom_lcm = 1
-    for e in entries:
-        denom_lcm = denom_lcm * e.denominator // math.gcd(denom_lcm, e.denominator)
-    scaled = [int(e * denom_lcm) for e in entries]
-    g = 0
-    for x in scaled:
-        g = math.gcd(g, x)
+    scaled, _ = clear_denominators(beta.entries)
+    g = math.gcd(*scaled)
     return tuple(x // g for x in scaled)
 
 

@@ -527,6 +527,31 @@ class TestMalformedInput:
         small = run_json(capsys, *common, "--max-slope", "5", "--out-prefix", str(tmp_path / "b"))
         assert huge["records"] == small["records"]
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        nested = "[" * 100000
+        path = tmp_path / "nested.json"
+        path.write_text(nested)
+        for argv in (
+            ["minnorm", "--points", nested],
+            ["point-coords", "--point-file", str(path), "--rank", "2", "--degree", "1"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and not out
+            assert re.fullmatch(r"RecursionError: .*\n", err), err
+
+    @pytest.mark.parametrize("exponent", ["999999999", "-999999999"])
+    def test_huge_exponent_is_refused_quickly(self, capsys, exponent):
+        point = json.dumps({"factors": [{"y": [[1, 0, 0], [0, 1, f"1e{exponent}"]], "c": 1, "phi": [[0, 0], [0, 0]]}]})
+        for argv in (
+            ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", f"1e{exponent}"],
+            ["point-coords", "--point", point, "--rank", "2", "--degree", "1"],
+        ):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert time.monotonic() - start < 10
+            assert code == 1 and not out
+            assert re.fullmatch(r"ValueError: .*exponent.*\n", err), err
+
     def test_non_integer_cap_env_var(self, capsys, monkeypatch, point_file):
         monkeypatch.setenv("HIGGSSTRATA_CAP", "abc")
         assert run(capsys, "beta", "--tau", "5,3", "--genus", "2")[0] == 0

@@ -1,13 +1,28 @@
-"""Exact elimination on Python int input: pivots are inverted as fractions."""
+"""Exact elimination: int input, and properties checked without elimination."""
 
 from __future__ import annotations
 
+import itertools
+import sys
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsstrata.linalg import EchelonAccumulator, inverse, nullspace, rank, rref, solve_unique
+from higgsstrata.linalg import (
+    EchelonAccumulator,
+    clear_denominators,
+    det,
+    dot,
+    frac,
+    inverse,
+    mat_mul,
+    nullspace,
+    rank,
+    rref,
+    solve_unique,
+)
 
 BIG = 10**17 + 1  # 1 / BIG * (3 * BIG) rounds away from 3 in floating point
 
@@ -52,3 +67,90 @@ class TestIntInput:
         for row in ints:
             acc.add(row)
         assert acc.rank == rank(fracs)
+
+
+_INTS = st.integers(-5, 5)
+_FRACTIONS = st.fractions(-5, 5, max_denominator=7)
+
+
+@st.composite
+def _matrices(draw, square: bool = False):
+    """Int or Fraction matrices of at most 5 x 4, some rows zero or repeated."""
+    entries = draw(st.sampled_from([_INTS, _FRACTIONS]))
+    ncols = draw(st.integers(1, 4))
+    nrows = ncols if square else draw(st.integers(0, 5))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "repeat"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "repeat" and i:
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    return tuple(tuple(row) for row in rows)
+
+
+def _minor_rank(a) -> int:
+    """The largest k with a nonzero k x k minor, each by Laplace expansion."""
+    ncols = len(a[0]) if a else 0
+    for k in range(min(len(a), ncols), 0, -1):
+        for rows in itertools.combinations(a, k):
+            for cols in itertools.combinations(range(ncols), k):
+                if det(tuple(tuple(row[c] for c in cols) for row in rows)):
+                    return k
+    return 0
+
+
+class TestAgainstLaplace:
+    """Elimination results checked by products and Laplace determinants only."""
+
+    @given(_matrices(square=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_and_solve(self, a, data):
+        n = len(a)
+        inv = inverse(a)
+        b = data.draw(st.lists(_FRACTIONS, min_size=n, max_size=n))
+        x = solve_unique(a, b)
+        if det(a) != 0:
+            assert mat_mul(a, inv) == tuple(tuple(F(i == j) for j in range(n)) for i in range(n))
+            assert tuple(dot(row, x) for row in a) == tuple(b)
+        else:
+            assert inv is None and x is None
+
+    @given(_matrices(square=True))
+    @settings(max_examples=200, deadline=None)
+    def test_full_rank_exactly_when_det_nonzero(self, a):
+        assert (rank(a) == len(a)) == (det(a) != 0)
+
+    @given(_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_and_nullspace(self, a):
+        ncols = len(a[0]) if a else 0
+        r = rank(a)
+        assert r == _minor_rank(a) == len(rref(a)[1])
+        basis = nullspace(a)
+        if a:
+            assert len(basis) == ncols - r
+        assert all(dot(row, v) == 0 for v in basis for row in a)
+        # independent: the Gram matrix of the basis is nonsingular
+        assert det(tuple(tuple(dot(u, v) for v in basis) for u in basis)) != 0
+
+
+class TestClearDenominators:
+    def test_scales_by_the_lcm(self):
+        assert clear_denominators((F(1, 2), F(-2, 3), 4)) == ((3, -4, 24), 6)
+        assert clear_denominators(()) == ((), 1)
+
+
+class TestExponentLimit:
+    @pytest.mark.parametrize("text", ["1e400", "1e9", "1e-400", "0.5", "-2.5E+3", "3/4", " 7 "])
+    def test_accepted(self, text):
+        assert frac(text) == F(text)
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_exponent_past_the_digit_limit(self, sign):
+        limit = sys.get_int_max_str_digits()
+        assert frac(f"1e{sign}{limit}") == F(f"1e{sign}{limit}")
+        with pytest.raises(ValueError, match="exponent"):
+            frac(f"1e{sign}{limit + 1}")
+        with pytest.raises(ValueError, match="exponent"):
+            frac(f"2.5E{sign}999999999")

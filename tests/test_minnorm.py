@@ -146,6 +146,17 @@ class TestMinNorm:
     def test_degenerate_clouds_match_faces_oracle(self, pts):
         assert min_norm_point(pts) == min_norm_point_by_faces(pts)
 
+    @given(degenerate_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_certified_without_the_affine_minimizer(self, pts):
+        # Wolfe and the faces oracle both solve through linalg's elimination;
+        # the phase-1 simplex keeps its own tableau.  x in conv(P) and the KKT
+        # condition make x the min-norm point of conv(P).
+        x = min_norm_point(pts)
+        assert hull_contains_origin([[a - b for a, b in zip(p, x)] for p in pts])
+        xx = dot(x, x)
+        assert all(dot(p, x) >= xx for p in pts)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_kkt_certificate_property(self, seed):

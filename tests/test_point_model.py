@@ -405,6 +405,21 @@ class TestScalingInvariance:
                 self.p, self.flag, CTX73
             )
 
+    def test_gauge_round_trip_is_exact(self):
+        # alpha^-1 from the adjugate, apart from the elimination behind gauge_factor
+        rng = random.Random(14)
+        for _, _, p in itertools.islice(_flagged_corpus(), 0, 108, 9):
+            for k in range(p.npoints):
+                alpha = tuple(
+                    tuple(x * F(rng.randint(1, 4), rng.randint(1, 4)) for x in row)
+                    for row in random_block(rng, p.r, p.r)
+                )
+                d = det(alpha)
+                alpha_inv = tuple(tuple(x / d for x in row) for row in adjugate(alpha))
+                assert p.gauge_factor(k, alpha).gauge_factor(k, alpha_inv) == p
+        with pytest.raises(ValueError, match="invertible"):
+            self.p.gauge_factor(0, [[1, 2], [2, 4]])
+
     def test_two_factor_coordinates_are_products(self):
         ctx = CurveContext(2, 1, genus=0, npoints=2)  # m = 3
         f1 = Factor([[1, 2, 0], [0, 1, 3]], 1, [[1, 0], [2, 1]])
