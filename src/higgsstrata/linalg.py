@@ -84,6 +84,9 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    width = next((len(row) for row in a if len(row) != len(b)), None)
+    if width is not None:
+        raise ValueError(f"inner dimension mismatch: {width} columns vs {len(b)} rows")
     bt = transpose(b)
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -225,6 +228,8 @@ def solve_unique(a: Mat, b: Sequence[Fraction]) -> Vec | None:
 def inverse(a: Mat) -> Mat | None:
     """The inverse of a square matrix; None when it is singular."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse of a non-square matrix")
     aug = [[*row, *(_ONE if i == j else 0 for j in range(n))] for i, row in enumerate(a)]
     red, pivots = _echelon(aug)
     if pivots != list(range(n)):

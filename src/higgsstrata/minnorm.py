@@ -5,9 +5,15 @@ which terminates finitely and returns the exact minimiser together with an
 exact KKT certificate.  A brute-force oracle projects the origin onto the
 affine hull of every subset and keeps the feasible minimum; it exists so the
 two routes can be compared with zero tolerance.  Index sets walk the affinely
-independent weight subsets depth-first, extending each by one weight with an
-exact Gram-Schmidt step and pruning every extension by an affinely dependent
-weight.  No floating point is used anywhere.
+independent weight subsets depth-first over Python ints: the weights'
+denominators are cleared once, and each node carries its projection as
+integers (X, L, delta), the point X / (delta D) with barycentric weights
+L / delta.  Each extension by one weight is a fraction-free Gram-Schmidt
+step followed by one gcd reduction, and every extension by an affinely
+dependent weight is pruned.  The KKT certificate <p, x> >= <x, x> at
+x = X / (delta D) is the integer inequality delta <P, X> >= <X, X>, and
+``Fraction`` is built only for the emitted points.  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapExceeded, HiggsStrataError
 from .hn_types import DEFAULT_INDEX_CAP
-from .linalg import Vec, dot, rank, solve_unique, vec
+from .linalg import Vec, clear_denominators, dot, rank, solve_unique, vec
 
 
 @dataclass(frozen=True)
@@ -169,9 +176,28 @@ def min_norm_point(cloud) -> Vec:
 
 
 def kkt_certificate(points, x: Vec) -> bool:
-    """Exact optimality certificate: <p, x> >= <x, x> for every point p."""
+    """Exact optimality certificate: <p, x> >= <x, x> for every point p.
+
+    All-``int`` input (x and points of x's length) is paired as it is; any
+    other input is coerced to ``Fraction`` through ``PointCloud``.
+    Scaling the points and x by one positive factor multiplies both sides by
+    its square, so ``index_set_B`` certifies its integer form with the same
+    verdict.
+    """
+    if isinstance(points, PointCloud):
+        points = points.points
+    else:
+        points = list(points)
+        if (
+            points
+            and all(len(p) == len(x) for p in points)
+            and all(type(a) is int for a in itertools.chain(x, *points))
+        ):
+            xx = sum(map(mul, x, x))
+            return all(sum(map(mul, p, x)) >= xx for p in points)
+        points = _as_points(points)
     xx = dot(x, x)
-    return all(dot(p, x) >= xx for p in _as_points(points))
+    return all(dot(p, x) >= xx for p in points)
 
 
 def hull_contains_origin(points) -> bool:
@@ -257,17 +283,29 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
 
     The subsets are walked depth-first over the sorted weights, a child
     adding one later weight: Wolfe's affine-minimiser step taken one point at
-    a time by exact Gram-Schmidt, O(k + dim) per subset instead of a
-    (k + 1) x (k + 1) solve.  A node S = {q0, ...} carries the projection x
-    of the origin onto aff(S) with its barycentric weights, and for each
-    later weight p the component d of p - q0 orthogonal to aff(S) - q0, with
-    its coefficients over S (p itself has coefficient 1).  Adding p moves x
-    to x - (<x, d>/<d, d>) d and the weights by the same multiple of d's
-    coefficients, and takes d's component out of every later residual.  A
-    zero residual means p lies in aff(S), hence in the affine hull of every
-    extension of S, so p is dropped from the whole subtree.  A sorted subset
-    is affinely dependent exactly when some prefix step adds such a point, so
-    the walk visits exactly the affinely independent subsets.
+    a time by fraction-free Gram-Schmidt (integral LLL's, Cohen 1993,
+    section 2.6.3), O(k + dim) integer operations per subset.  The weights'
+    denominators are cleared once, P = D p.  A node S carries its projection
+    as integers (X, L, delta): x = X / (delta D), barycentric weights
+    L / delta, delta > 0 and X = sum_i L_i P_i.  Each later weight q carries
+    the component d of P_q - P_q0 orthogonal to aff(S) - q0, up to a positive
+    scale, as integer coefficients: d = sigma P_q + sum_i e_i P_i with
+    sigma > 0.  Adding the weight with residual u takes
+    X' = <u,u> X - <X,u> u, L' = <u,u> L - <X,u> coeffs(u), delta' = delta <u,u>
+    and, for each later residual, d' = <u,u> d - <d,u> u with its coefficients
+    updated alike; each new vector is divided by the gcd of its coefficients,
+    which divides the vector too.  This is the rational step
+    x' = x - (<x,u>/<u,u>) u scaled by delta <u,u>, so the sign test (L > 0)
+    and the dependence test (d' = 0) are exact.  A zero residual means q lies
+    in aff(S), hence in the affine hull of every extension of S, so q is
+    dropped from the whole subtree.  A sorted subset is affinely dependent
+    exactly when some prefix step adds such a point, so the walk visits
+    exactly the affinely independent subsets.
+
+    The certificate <p, x> >= <x, x> for p in S reads, at x = X / (delta D),
+    delta <P, X> >= <X, X>: ``kkt_certificate`` gets the members scaled by
+    delta together with X, all integers.  ``Fraction`` is built only for the
+    emitted points, once per distinct (X, delta) in lowest terms.
 
     Results are deduplicated and, with ``restrict_to_chamber``, replaced by
     their weakly decreasing rearrangement, dropping those whose largest
@@ -275,41 +313,59 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     positive one).  Sorted.
     """
     pts = sorted(set(_as_points(weights)))
-    affine_dim = rank(tuple(tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]))
+    flat, D = clear_denominators([x for p in pts for x in p])
+    dim = len(pts[0])
+    P = [flat[i * dim:(i + 1) * dim] for i in range(len(pts))]
+    affine_dim = rank(tuple(tuple(a - b for a, b in zip(p, P[0])) for p in P[1:]))
     count = sum(math.comb(len(pts), s) for s in range(1, affine_dim + 2))
     if count > cap:
         raise CapExceeded(count, cap)
-    found: set[Vec] = set()
+    found: set[tuple[tuple[int, ...], int]] = set()
 
-    def visit(members: list[Vec], x: Vec, lam: list[Fraction], later: list) -> None:
-        # later: (weight, residual, its coefficients over members) per later weight
+    def visit(members: list, X: list, lam: list, delta: int, later: list) -> None:
+        # later: per later weight, (its scaled point, its residual d, d's
+        # coefficients over members, d's coefficient on the weight itself)
         if min(lam) > 0:
-            if not kkt_certificate(members, x):
+            if not kkt_certificate([tuple(delta * a for a in p) for p in members], X):
                 raise HiggsStrataError("exact KKT certificate failed")
-            found.add(x)
-        for pos, (p, u, coeffs) in enumerate(later):
-            uu = dot(u, u)
-            s = dot(x, u) / uu
+            g = math.gcd(delta, *X)
+            found.add((tuple(a // g for a in X), delta // g))
+        for pos, (p, u, coeffs, sigma) in enumerate(later):
+            uu = sum(map(mul, u, u))
+            xu = sum(map(mul, X, u))
             child = []
-            for q, d, e in later[pos + 1:]:
-                t = dot(d, u) / uu
+            for q, d, e, tau in later[pos + 1:]:
+                t = sum(map(mul, d, u))
                 if t:
-                    d = tuple(a - t * b for a, b in zip(d, u))
+                    d = [uu * a - t * b for a, b in zip(d, u)]
                     if not any(d):
                         continue
-                    e = [a - t * b for a, b in zip(e, coeffs)]
-                child.append((q, d, e + [-t]))
-            visit(
-                members + [p],
-                tuple(a - s * b for a, b in zip(x, u)),
-                [a - s * b for a, b in zip(lam, coeffs)] + [-s],
-                child,
-            )
+                    e = [uu * a - t * b for a, b in zip(e, coeffs)]
+                    e.append(-t * sigma)
+                    tau *= uu
+                    g = math.gcd(tau, *e)
+                    if g > 1:
+                        d = [a // g for a in d]
+                        e = [a // g for a in e]
+                        tau //= g
+                else:
+                    e = e + [0]
+                child.append((q, d, e, tau))
+            lam2 = [uu * a - xu * b for a, b in zip(lam, coeffs)]
+            lam2.append(-xu * sigma)
+            X2 = [uu * a - xu * b for a, b in zip(X, u)]
+            delta2 = delta * uu
+            g = math.gcd(*lam2)
+            if g > 1:
+                lam2 = [a // g for a in lam2]
+                X2 = [a // g for a in X2]
+                delta2 //= g
+            visit(members + [p], X2, lam2, delta2, child)
 
-    for i, q0 in enumerate(pts):
-        later = [(p, tuple(a - b for a, b in zip(p, q0)), [Fraction(-1)]) for p in pts[i + 1:]]
-        visit([q0], q0, [Fraction(1)], later)
+    for i, q0 in enumerate(P):
+        later = [(p, [a - b for a, b in zip(p, q0)], [-1], 1) for p in P[i + 1:]]
+        visit([q0], list(q0), [1], 1, later)
     if restrict_to_chamber:
-        chamber = (tuple(sorted(v, reverse=True)) for v in found)
-        found = {v for v in chamber if not (v and v[0] < 0)}
-    return sorted(found)
+        chamber = ((tuple(sorted(X, reverse=True)), delta) for X, delta in found)
+        found = {(X, delta) for X, delta in chamber if not (X and X[0] < 0)}
+    return sorted(tuple(Fraction(a, delta * D) for a in X) for X, delta in found)

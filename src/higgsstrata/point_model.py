@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     CapExceeded,
@@ -60,7 +61,6 @@ from .linalg import (
     adapted_flag_basis,
     clear_denominators,
     det,
-    dot,
     frac,
     inverse,
     mat,
@@ -181,7 +181,11 @@ class ModelPoint:
         """Basis change y -> alpha y of the quotient fibre of factor k, alpha in
         GL(r): factor k written in the basis alpha^-1 (see ``_gauged``).  Every
         projective coordinate is unchanged by this move."""
-        alpha_inv = inverse(mat(alpha))
+        alpha = mat(alpha)
+        r = len(self.factors[k].y)
+        if len(alpha) != r or any(len(row) != r for row in alpha):
+            raise ValueError(f"gauge matrix must be {r} x {r}")
+        alpha_inv = inverse(alpha)
         if alpha_inv is None:
             raise ValueError("gauge matrix must be invertible")
         gauged = _gauged(self.factors[k], alpha_inv)
@@ -260,8 +264,8 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     for K in itertools.combinations(range(1, m + 1), r - 1):
         y_k = tuple(tuple(row[l - 1] for l in K) for row in y)
         f = [(-1) ** (r - 1 - i) * det(y_k[:i] + y_k[i + 1:]) for i in range(r)]
-        v_y[K] = [dot(f, col) for col in y_cols]
-        v_z[K] = [dot(f, col) for col in z_cols]
+        v_y[K] = [sum(map(mul, f, col)) for col in y_cols]
+        v_z[K] = [sum(map(mul, f, col)) for col in z_cols]
     subsets = list(itertools.combinations(range(1, m + 1), r))
     dets = {s: c * v_y[s[:-1]][s[-1] - 1] for s in subsets}
     ends = {}

@@ -19,10 +19,30 @@ from higgsstrata import (
     HiggsDatum,
     HNType,
     ModelPoint,
+    alpha_of_index,
     beta_of_type,
+    enumerate_coordinate_indices,
     from_higgs_data,
 )
 from higgsstrata.linalg import rank
+
+
+# (r, d, npoints) of a full genus-0 weight lattice and whether the index set
+# is restricted to the chamber -> the length of index_set_B's answer and the
+# sha256 of the JSON of [[str(x) for x in v] for v in it], recorded from the
+# one-solve-per-subset route
+INDEX_SET_LATTICE_GOLDEN = {
+    ((2, 2, 1), True): (7, "a51233729ef88bd4cfcdece3212336caabb965802c9f4e8061603eea735163b0"),
+    ((2, 2, 1), False): (43, "0622148602e7379474eb43a08a8accdadceac579fd59f5fb4f859e4535274d2c"),
+    ((2, 1, 2), True): (13, "4575e5bccfb029c8682c0e58cffcbef2131ad700ae6a6df1200b153f64c243a1"),
+    ((2, 1, 2), False): (58, "afbc96331f2f2ac47bddc8da2944225e10fc6e761ed4f7ee295730c1c3243af4"),
+}
+
+
+def genus0_lattice_weights(r: int, d: int, npoints: int) -> list:
+    """The distinct weights of every coordinate of the genus-0 context, sorted."""
+    ctx = CurveContext(r, d, genus=0, npoints=npoints)
+    return sorted({alpha_of_index(idx, ctx) for idx in enumerate_coordinate_indices(ctx)})
 
 
 def rank_prefixes(tau: HNType) -> list[int]:

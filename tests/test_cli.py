@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_flagged_point
+from conftest import INDEX_SET_LATTICE_GOLDEN, build_flagged_point, genus0_lattice_weights
 from higgsstrata import CapExceeded, CurveContext, Factor, HNType, ModelPoint, index_set_B
 from higgsstrata.cli import main
 from higgsstrata.hn_types import DEFAULT_INDEX_CAP
@@ -345,6 +345,22 @@ class TestIndexSetDefaultCap:
         code, out, err = run(capsys, "index-set", "--points", json.dumps(points))
         assert code == 1 and not out
         assert err == f"CapExceeded: enumeration of size 262143 exceeds cap {DEFAULT_INDEX_CAP}\n"
+
+
+class TestIndexSetLattices:
+    @pytest.mark.parametrize(
+        "lattice,chamber",
+        list(INDEX_SET_LATTICE_GOLDEN),
+        ids=[f"{''.join(map(str, lat))}-{'chamber' if c else 'raw'}" for lat, c in INDEX_SET_LATTICE_GOLDEN],
+    )
+    def test_json_matches_the_library_golden(self, capsys, lattice, chamber):
+        points = json.dumps([[str(x) for x in w] for w in genus0_lattice_weights(*lattice)])
+        extra = [] if chamber else ["--no-chamber"]
+        vectors = run_json(capsys, "index-set", "--points", points, *extra)["vectors"]
+        fracs = [[F(x["num"], x["den"]) for x in v] for v in vectors]
+        assert vectors == [[{"num": x.numerator, "den": x.denominator} for x in v] for v in fracs]
+        text = json.dumps([[str(x) for x in v] for v in fracs], separators=(",", ":"))
+        assert (len(vectors), hashlib.sha256(text.encode()).hexdigest()) == INDEX_SET_LATTICE_GOLDEN[lattice, chamber]
 
 
 class TestExitCodes:

@@ -135,6 +135,23 @@ class TestAgainstLaplace:
         assert det(tuple(tuple(dot(u, v) for v in basis) for u in basis)) != 0
 
 
+class TestShapes:
+    """Shape errors are refused, not truncated."""
+
+    @pytest.mark.parametrize("a", [((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 1)), ((1, 0), (1,))])
+    def test_inverse_of_a_non_square_matrix(self, a):
+        with pytest.raises(ValueError, match="non-square"):
+            inverse(a)
+
+    def test_mat_mul_inner_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="inner dimension"):
+            mat_mul(((1, 2),), ((1, 2), (3, 4), (5, 6)))
+        with pytest.raises(ValueError, match="inner dimension"):
+            mat_mul(((1, 2), (3,)), ((1,), (2,)))
+        assert mat_mul(((1, 2),), ((3,), (4,))) == ((11,),)
+        assert mat_mul((), ((1, 2),)) == ()
+
+
 class TestClearDenominators:
     def test_scales_by_the_lcm(self):
         assert clear_denominators((F(1, 2), F(-2, 3), 4)) == ((3, -4, 24), 6)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import higgsstrata
+from conftest import INDEX_SET_LATTICE_GOLDEN
 from higgsstrata import (
     CapExceeded,
     CurveContext,
@@ -30,7 +32,7 @@ from higgsstrata import (
     min_norm_point,
     min_norm_point_by_faces,
 )
-from higgsstrata.linalg import dot
+from higgsstrata.linalg import clear_denominators, dot
 
 
 def random_cloud(rng: random.Random, dim=None, npts=None) -> PointCloud:
@@ -44,12 +46,18 @@ def random_cloud(rng: random.Random, dim=None, npts=None) -> PointCloud:
 
 
 @st.composite
-def degenerate_clouds(draw):
-    """At most 7 points in dimension 1-4, with repeated points and collinear and coplanar runs."""
+def degenerate_clouds(
+    draw,
+    entries=st.fractions(-4, 4, max_denominator=3),
+    steps=st.fractions(-2, 2, max_denominator=3),
+    extra=st.integers(1, 6),
+):
+    """Points in dimension 1-4, one plus ``extra`` of them, with repeated points
+    and collinear and coplanar runs (``steps`` along the runs)."""
     dim = draw(st.integers(1, 4))
-    point = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=dim, max_size=dim)
+    point = st.lists(entries, min_size=dim, max_size=dim)
     pts = [draw(point)]
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(extra)):
         kind = draw(st.sampled_from(["new", "repeat", "collinear", "coplanar"]))
         if kind == "new":
             pts.append(draw(point))
@@ -57,13 +65,36 @@ def degenerate_clouds(draw):
             pts.append(draw(st.sampled_from(pts)))
         elif kind == "collinear":
             p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
-            t = draw(st.fractions(-2, 2, max_denominator=3))
+            t = draw(steps)
             pts.append([a + t * (b - a) for a, b in zip(p, q)])
         else:
             p, q, r = (draw(st.sampled_from(pts)) for _ in range(3))
-            t, u = (draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(2))
+            t, u = (draw(steps) for _ in range(2))
             pts.append([a + t * (b - a) + u * (c - a) for a, b, c in zip(p, q, r)])
     return draw(st.permutations(pts))
+
+
+# 4-7 points with denominators 2-97 and numerators up to 10^12 in magnitude
+wide_rational_clouds = degenerate_clouds(
+    entries=st.builds(F, st.integers(-10**12, 10**12), st.integers(2, 97)),
+    steps=st.builds(F, st.integers(-97, 97), st.integers(2, 97)),
+    extra=st.integers(3, 6),
+)
+
+
+def closest_points_by_wolfe(weights, chamber: bool) -> list:
+    """index_set_B's answer from one Wolfe solve per support."""
+    pts = sorted({tuple(F(x) for x in w) for w in weights})
+    expected = set()
+    for size in range(1, len(pts) + 1):
+        for support in itertools.combinations(pts, size):
+            v = min_norm_point(support)
+            if chamber:
+                v = tuple(sorted(v, reverse=True))
+                if v[0] < 0:
+                    continue
+            expected.add(v)
+    return sorted(expected)
 
 
 def _run_under_optimize(
@@ -164,6 +195,47 @@ class TestMinNorm:
         assert kkt_certificate(cloud, min_norm_point(cloud))
 
 
+def _integer_form(points, x) -> tuple[list, list]:
+    """(delta P, X) with P = D p, D clearing the points' denominators, and
+    X = delta D x, delta the least positive int making it integral."""
+    _, D = clear_denominators([F(a) for p in points for a in p])
+    delta = math.lcm(*(F(a * D).denominator for a in x))
+    return [[int(a * D * delta) for a in p] for p in points], [int(a * D * delta) for a in x]
+
+
+class TestKktIntegerForm:
+    """<p, x> >= <x, x> for p = P/D and x = X/(delta D) is delta <P, X> >= <X, X>."""
+
+    @given(wide_rational_clouds, st.integers(-1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict(self, pts, pick):
+        # the min-norm point passes; a member of the cloud usually fails
+        x = min_norm_point(pts) if pick < 0 else tuple(F(a) for a in pts[pick % len(pts)])
+        scaled, X = _integer_form(pts, x)
+        assert all(type(a) is int for a in [*X, *(a for p in scaled for a in p)])
+        assert kkt_certificate(scaled, X) == kkt_certificate(pts, x)
+
+    @pytest.mark.parametrize(
+        "points,x,verdict",
+        [
+            ([[1, 0], [0, 1]], (F(1, 2), F(1, 2)), True),
+            ([[1, 0], [0, 1]], (F(1), F(0)), False),
+            ([[1, 0], [0, 1], [0, 0]], (F(1, 2), F(1, 2)), False),
+            ([[F(1, 3), F(2, 5)], [F(-1, 7), F(1, 2)]], (F(1, 3), F(2, 5)), False),
+        ],
+    )
+    def test_known_verdicts(self, points, x, verdict):
+        scaled, X = _integer_form(points, x)
+        assert kkt_certificate(points, x) is verdict
+        assert kkt_certificate(scaled, X) is verdict
+
+    def test_empty_and_ragged_input_still_refused(self):
+        with pytest.raises(ValueError):
+            kkt_certificate([], (0,))
+        with pytest.raises(ValueError):
+            kkt_certificate([[1, 2], [1]], (1, 2))
+
+
 class TestHullMembership:
     def test_both_directions_agree(self):
         rng = random.Random(23)
@@ -222,14 +294,7 @@ class TestIndexSet:
         )
         assert done.stdout.strip() == "raised", done.stderr
 
-    # sha256 of the JSON of [[str(x) for x in v] for v in index_set_B(...)] and
-    # its length, recorded from the one-solve-per-subset route
-    LATTICE_GOLDEN = {
-        ((2, 2, 1), True): (7, "a51233729ef88bd4cfcdece3212336caabb965802c9f4e8061603eea735163b0"),
-        ((2, 2, 1), False): (43, "0622148602e7379474eb43a08a8accdadceac579fd59f5fb4f859e4535274d2c"),
-        ((2, 1, 2), True): (13, "4575e5bccfb029c8682c0e58cffcbef2131ad700ae6a6df1200b153f64c243a1"),
-        ((2, 1, 2), False): (58, "afbc96331f2f2ac47bddc8da2944225e10fc6e761ed4f7ee295730c1c3243af4"),
-    }
+    LATTICE_GOLDEN = INDEX_SET_LATTICE_GOLDEN
 
     @pytest.mark.parametrize(
         "lattice,chamber",
@@ -253,17 +318,46 @@ class TestIndexSet:
     @example([[-1, 2], [0, 10], [1, -5]], True)
     @settings(max_examples=40, deadline=None)
     def test_matches_wolfe_over_every_support(self, weights, chamber):
-        pts = sorted({tuple(w) for w in weights})
-        expected = set()
-        for size in range(1, len(pts) + 1):
-            for support in itertools.combinations(pts, size):
-                v = min_norm_point(support)
-                if chamber:
-                    v = tuple(sorted(v, reverse=True))
-                    if v[0] < 0:
-                        continue
-                expected.add(v)
-        assert index_set_B(weights, restrict_to_chamber=chamber) == sorted(expected)
+        assert index_set_B(weights, restrict_to_chamber=chamber) == closest_points_by_wolfe(weights, chamber)
+
+    @given(wide_rational_clouds, st.booleans())
+    # a residual's own coefficient sigma is not 1 here when its weight joins
+    @example(
+        [
+            [F(1, 29), F(1, 42), -10], [2, F(7, 2), 8], [5, -4, F(-2, 77)],
+            [6, F(9, 53), F(-1, 22)], [F(2, 43), 6, 6], [4, 0, F(-8, 3)],
+        ],
+        False,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_wide_rationals_match_wolfe_over_every_support(self, weights, chamber):
+        # the integer walk clears one common denominator up to 97^(4 * 7) and
+        # carries numerators far past 10^12
+        assert index_set_B(weights, restrict_to_chamber=chamber) == closest_points_by_wolfe(weights, chamber)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_clouds_match_wolfe_over_every_support(self, seed):
+        # general position in dimension 3-4 reaches depth 4 and 5 of the walk
+        rng = random.Random(seed)
+        for _ in range(5):
+            dim, big = rng.randint(3, 4), rng.choice([10, 10**12])
+            weights = [
+                [F(rng.randint(-big, big), rng.choice([1, 3, rng.randint(2, 97)])) for _ in range(dim)]
+                for _ in range(rng.randint(4, 6))
+            ]
+            for chamber in (True, False):
+                assert index_set_B(weights, restrict_to_chamber=chamber) == closest_points_by_wolfe(weights, chamber)
+
+    def test_certificate_checked_on_integers(self, monkeypatch):
+        seen = []
+
+        def recording(points, x):
+            seen.append(all(type(a) is int for a in [*x, *(a for p in points for a in p)]))
+            return kkt_certificate(points, x)
+
+        monkeypatch.setattr(higgsstrata.minnorm, "kkt_certificate", recording)
+        assert index_set_B([[F(1, 2), 0], [0, F(1, 3)], [F(-1, 5), F(2, 7)]], restrict_to_chamber=False)
+        assert seen and all(seen)
 
     def test_zero_included_iff_origin_in_some_hull(self):
         got = index_set_B([[1, 0], [0, 1]])

@@ -420,6 +420,11 @@ class TestScalingInvariance:
         with pytest.raises(ValueError, match="invertible"):
             self.p.gauge_factor(0, [[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("alpha", [[[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]]])
+    def test_gauge_of_the_wrong_shape_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="2 x 2"):
+            self.p.gauge_factor(0, alpha)
+
     def test_two_factor_coordinates_are_products(self):
         ctx = CurveContext(2, 1, genus=0, npoints=2)  # m = 3
         f1 = Factor([[1, 2, 0], [0, 1, 3]], 1, [[1, 0], [2, 1]])
