@@ -48,6 +48,7 @@ from .minnorm import (
     kkt_certificate,
     min_norm_point,
     min_norm_point_by_faces,
+    min_norm_point_of_sum,
     wolfe_min_norm,
 )
 from .point_model import (

@@ -68,12 +68,23 @@ def clear_denominators(xs) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (D // x.denominator) for x in xs), D
 
 
+def listlike(x, what: str):
+    """``x`` itself, unless it is a string or a dict, which iterate as characters
+    or keys: those are refused with a TypeError naming the expected ``what``."""
+    if isinstance(x, (str, dict)):
+        raise TypeError(f"expected {what}, got {type(x).__name__} {x!r:.40}")
+    return x
+
+
 def vec(entries) -> Vec:
-    return tuple(frac(e) for e in entries)
+    return tuple(frac(e) for e in listlike(entries, "a vector (a list of rationals)"))
 
 
 def mat(rows) -> Mat:
-    m = tuple(tuple(frac(e) for e in row) for row in rows)
+    m = tuple(
+        tuple(frac(e) for e in listlike(row, "a matrix row (a list of rationals)"))
+        for row in listlike(rows, "a matrix (a list of rows)")
+    )
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m

@@ -1,19 +1,22 @@
 """Exact minimum-norm point in a convex hull, and closest-point index sets.
 
-The primary solver is Wolfe's method run entirely in rational arithmetic,
-which terminates finitely and returns the exact minimiser together with an
-exact KKT certificate.  A brute-force oracle projects the origin onto the
-affine hull of every subset and keeps the feasible minimum; it exists so the
-two routes can be compared with zero tolerance.  Index sets walk the affinely
-independent weight subsets depth-first over Python ints: the weights'
-denominators are cleared once, and each node carries its projection as
-integers (X, L, delta), the point X / (delta D) with barycentric weights
-L / delta.  Each extension by one weight is a fraction-free Gram-Schmidt
-step followed by one gcd reduction, and every extension by an affinely
-dependent weight is pruned.  The KKT certificate <p, x> >= <x, x> at
-x = X / (delta D) is the integer inequality delta <P, X> >= <X, X>, and
-``Fraction`` is built only for the emitted points.  No floating point is
-used anywhere.
+Everything runs over Python ints, with no floating point anywhere.  The one
+exact projection of the origin onto an affine hull is a fraction-free
+Gram-Schmidt step (``_extend``): a point set carries its projection as
+integers (X, L, delta), the point X / delta with barycentric weights
+L / delta, and each added point costs one integral-LLL style update and one
+gcd reduction.  Wolfe's method (``_wolfe``) runs on a Minkowski sum of
+integer point sets through its linear-minimisation oracle, the sum of the
+per-set argmins, so the sum is never built; its minor cycles project each
+corral through ``_affine_minimizer`` and keep integer weight numerators.  A
+point cloud is the one-set case: its denominators are cleared once, and
+``Fraction`` is built only for the answer.  The KKT certificate
+<p, x> >= <x, x> is a raise, not an assert.  Index sets walk the affinely
+independent weight subsets depth-first, one ``_extend`` per added weight,
+and prune every extension by an affinely dependent weight.  A brute-force
+oracle projects the origin onto the affine hull of every subset by its own
+bordered-Gram ``Fraction`` solve and keeps the feasible minimum; it and the
+phase-1 simplex exist so the routes can be compared with zero tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import mul
 
 from .errors import CapExceeded, HiggsStrataError
 from .hn_types import DEFAULT_INDEX_CAP
-from .linalg import Vec, clear_denominators, dot, rank, solve_unique, vec
+from .linalg import Vec, clear_denominators, dot, listlike, rank, solve_unique, vec
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class PointCloud:
 
     @classmethod
     def from_points(cls, points) -> "PointCloud":
-        pts = tuple(vec(p) for p in points)
+        pts = tuple(vec(p) for p in listlike(points, "a list of points"))
         return cls(len(pts[0]) if pts else 0, pts)
 
 
@@ -56,104 +59,173 @@ def _as_points(cloud) -> tuple[Vec, ...]:
     return PointCloud.from_points(cloud).points
 
 
-def _affine_minimizer(points: list[Vec]) -> tuple[list[Fraction], Vec] | None:
-    """Min-norm point of the affine hull, as barycentric weights and the point.
+def _extend(X: list, lam: list, delta: int, u: list, coeffs: list, sigma: int, rest: list):
+    """One fraction-free Gram-Schmidt step: the node (X, lam, delta) extended
+    by the point whose residual is u, with u's coefficients ``coeffs`` over the
+    node's points and ``sigma`` on the point itself.
 
-    None when the points are affinely dependent (the bordered Gram system is
-    then singular and a smaller subset spans the same hull).
+    Returns the child's (X, lam, delta) and ``rest``, the later residuals
+    (payload, d, e, tau), each made orthogonal to u; a residual that becomes
+    zero lies in the child's affine hull and is dropped.  Each new vector is
+    divided by the gcd of its coefficients, which divides the vector too.
     """
-    k = len(points)
-    gram = [[dot(p, q) for q in points] for p in points]
-    rows = [tuple(gram[i] + [Fraction(1)]) for i in range(k)]
-    rows.append(tuple([Fraction(1)] * k + [Fraction(0)]))
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    sol = solve_unique(tuple(rows), rhs)
-    if sol is None:
-        return None
-    lam = list(sol[:k])
-    y = tuple(
-        sum((l * p[i] for l, p in zip(lam, points)), Fraction(0))
-        for i in range(len(points[0]))
-    )
-    return lam, y
+    uu = sum(map(mul, u, u))
+    xu = sum(map(mul, X, u))
+    child = []
+    for q, d, e, tau in rest:
+        t = sum(map(mul, d, u))
+        if t:
+            d = [uu * a - t * b for a, b in zip(d, u)]
+            if not any(d):
+                continue
+            e = [uu * a - t * b for a, b in zip(e, coeffs)]
+            e.append(-t * sigma)
+            tau *= uu
+            g = math.gcd(tau, *e)
+            if g > 1:
+                d = [a // g for a in d]
+                e = [a // g for a in e]
+                tau //= g
+        else:
+            e = e + [0]
+        child.append((q, d, e, tau))
+    lam2 = [uu * a - xu * b for a, b in zip(lam, coeffs)]
+    lam2.append(-xu * sigma)
+    X2 = [uu * a - xu * b for a, b in zip(X, u)]
+    delta2 = delta * uu
+    g = math.gcd(*lam2)
+    if g > 1:
+        lam2 = [a // g for a in lam2]
+        X2 = [a // g for a in X2]
+        delta2 //= g
+    return X2, lam2, delta2, child
+
+
+def _affine_minimizer(points: list) -> tuple[list[int], list[int], int] | None:
+    """Projection of the origin onto the affine hull of integer points.
+
+    Returns (L, X, delta): barycentric weights L / delta, one per point in
+    order, and the projection X / delta = sum_i (L_i / delta) points_i, built
+    one point at a time by ``_extend``.  None when the points are affinely
+    dependent (some residual vanishes, and a smaller subset spans the same
+    hull).
+    """
+    q0 = points[0]
+    X, lam, delta = list(q0), [1], 1
+    later = [(None, [a - b for a, b in zip(p, q0)], [-1], 1) for p in points[1:]]
+    while later:
+        _, u, coeffs, sigma = later[0]
+        if not any(u):
+            return None
+        X, lam, delta, rest = _extend(X, lam, delta, u, coeffs, sigma, later[1:])
+        if len(rest) < len(later) - 1:
+            return None
+        later = rest
+    return lam, X, delta
+
+
+def _wolfe(sets: list) -> tuple[tuple[int, ...], int]:
+    """Wolfe's minimum-norm-point method on a Minkowski sum of integer point sets.
+
+    Returns (X, delta), the minimiser X / delta of conv(T_1 + ... + T_n),
+    without building the sum: the linear-minimisation oracle argmin <X, p>
+    over the sum is the sum of the per-set argmins.  The corral holds points
+    of the sum with positive weights W / sum(W); each major cycle adds the
+    oracle's point and strictly decreases the norm, so the run visits each
+    corral at most once and terminates with the exact minimiser.  Corrals
+    stay affinely independent (Wolfe 1976): x minimises the norm over the
+    corral's affine hull, on which <x, q> = <x, x>, the entering point has
+    <x, p> < <x, x>, and minor cycles only drop points.  A minor cycle that
+    walks from x toward the affine minimiser (L, Y, delta) of the corral
+    stops where the first weight W_j hits zero, at the integer weights
+    W_j L - L_j W.  A singular corral raises HiggsStrataError.
+    """
+    X = [0] * len(sets[0][0])
+    for T in sets:
+        X = [a + b for a, b in zip(X, min(T, key=lambda p: sum(map(mul, p, p))))]
+    corral, W, delta = [tuple(X)], [1], 1
+    while True:
+        q, low = [0] * len(X), 0
+        for T in sets:
+            vals = [sum(map(mul, p, X)) for p in T]
+            best = min(vals)
+            low += best
+            q = [a + b for a, b in zip(q, T[vals.index(best)])]
+        if delta * low >= sum(map(mul, X, X)):
+            return tuple(X), delta
+        corral.append(tuple(q))
+        W.append(0)
+        while True:
+            solved = _affine_minimizer(corral)
+            if solved is None:
+                raise HiggsStrataError("Wolfe corral became affinely dependent")
+            lam, Y, lam_sum = solved
+            if min(lam) >= 0:
+                corral = [p for p, a in zip(corral, lam) if a > 0]
+                W = [a for a in lam if a > 0]
+                X, delta = Y, lam_sum
+                break
+            j = None
+            for i, a in enumerate(lam):
+                if a < 0 and (j is None or W[i] * -lam[j] < W[j] * -a):
+                    j = i
+            W = [W[j] * a - lam[j] * w for w, a in zip(W, lam)]
+            g = math.gcd(*W)
+            W = [w // g for w in W]
+            drop = W.index(0)
+            corral.pop(drop)
+            W.pop(drop)
 
 
 def wolfe_min_norm(points) -> Vec:
-    """Wolfe's minimum-norm-point method over the rationals.
+    """Wolfe's minimum-norm-point method over the rationals: ``_wolfe`` on
+    the one set P = D p, D clearing the points' denominators once."""
+    pts = _as_points(points)
+    dim = len(pts[0])
+    flat, D = clear_denominators([a for p in pts for a in p])
+    X, delta = _wolfe([[flat[i * dim:(i + 1) * dim] for i in range(len(pts))]])
+    return tuple(Fraction(a, delta * D) for a in X)
 
-    Maintains a corral with positive barycentric weights; each major cycle
-    strictly decreases the norm, so the run visits each corral at most once
-    and terminates with the exact minimiser.  Corrals stay affinely
-    independent (Wolfe 1976): x minimises the norm over the corral's affine
-    hull, on which <x, q> = <x, x>, the entering point has <x, p> < <x, x>,
-    and minor cycles only drop points.  A singular corral raises
-    HiggsStrataError.
+
+def min_norm_point_of_sum(sets) -> tuple[tuple[int, ...], int]:
+    """Certified closest point to the origin of conv(T_1 + ... + T_n), for
+    nonempty sets T_k of integer points: (X, delta) with x = X / delta.
+
+    The certificate is delta sum_k min_{p in T_k} <p, X> >= <X, X>, i.e.
+    <p, x> >= <x, x> for every p of the sum, checked over ints.
     """
-    pts = list(_as_points(points))
-    x = min(pts, key=lambda p: dot(p, p))
-    corral = [pts.index(x)]
-    weights = [Fraction(1)]
-    while True:
-        xx = dot(x, x)
-        best_val, best_idx = None, None
-        for idx, p in enumerate(pts):
-            val = dot(x, p)
-            if best_val is None or val < best_val:
-                best_val, best_idx = val, idx
-        if best_val >= xx:
-            return x
-        corral.append(best_idx)
-        weights.append(Fraction(0))
-        while True:
-            sub = [pts[i] for i in corral]
-            solved = _affine_minimizer(sub)
-            if solved is None:
-                raise HiggsStrataError("Wolfe corral became affinely dependent")
-            alpha, y = solved
-            if all(a >= 0 for a in alpha):
-                x = y
-                pairs = [
-                    (c, a) for c, a in zip(corral, alpha) if a > 0
-                ]
-                corral = [c for c, _ in pairs]
-                weights = [a for _, a in pairs]
-                break
-            # Walk from x toward y until a weight hits zero, then drop it.
-            theta = min(
-                weights[i] / (weights[i] - alpha[i])
-                for i in range(len(alpha))
-                if alpha[i] < 0
-            )
-            weights = [
-                (1 - theta) * w + theta * a for w, a in zip(weights, alpha)
-            ]
-            x = tuple(
-                sum((w * p[i] for w, p in zip(weights, sub)), Fraction(0))
-                for i in range(len(x))
-            )
-            drop = next(i for i, w in enumerate(weights) if w == 0)
-            corral.pop(drop)
-            weights.pop(drop)
+    sets = [list(T) for T in sets]
+    X, delta = _wolfe(sets)
+    low = sum(min(sum(map(mul, p, X)) for p in T) for T in sets)
+    if delta * low < sum(map(mul, X, X)):
+        raise HiggsStrataError("exact KKT certificate failed")
+    return X, delta
 
 
 def min_norm_point_by_faces(points) -> Vec:
     """Brute-force oracle: project the origin onto every affine face.
 
     For each nonempty subset, the origin is projected onto the subset's
-    affine hull; projections with nonnegative barycentric weights are convex
-    combinations, and the best of those is the answer.  Exponential in the
-    number of points; intended as an independent check.
+    affine hull by solving the bordered Gram system over ``Fraction``, a
+    route independent of Wolfe's integer projection; a singular system means
+    an affinely dependent subset, whose hull a smaller subset spans.
+    Projections with nonnegative barycentric weights are convex combinations,
+    and the best of those is the answer.  Exponential in the number of
+    points; intended as an independent check.
     """
     pts = list(_as_points(points))
     best = None
     for size in range(1, len(pts) + 1):
         for subset in itertools.combinations(pts, size):
-            solved = _affine_minimizer(list(subset))
-            if solved is None:
+            rows = [(*(dot(p, q) for q in subset), 1) for p in subset]
+            rows.append((*[1] * size, 0))
+            sol = solve_unique(tuple(rows), [0] * size + [1])
+            if sol is None:
                 continue
-            lam, y = solved
+            lam = sol[:size]
             if any(l < 0 for l in lam):
                 continue
+            y = tuple(sum(l * p[i] for l, p in zip(lam, subset)) for i in range(len(pts[0])))
             if best is None or dot(y, y) < dot(best, best):
                 best = y
     return best
@@ -290,7 +362,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     L / delta, delta > 0 and X = sum_i L_i P_i.  Each later weight q carries
     the component d of P_q - P_q0 orthogonal to aff(S) - q0, up to a positive
     scale, as integer coefficients: d = sigma P_q + sum_i e_i P_i with
-    sigma > 0.  Adding the weight with residual u takes
+    sigma > 0.  Adding the weight with residual u (``_extend``) takes
     X' = <u,u> X - <X,u> u, L' = <u,u> L - <X,u> coeffs(u), delta' = delta <u,u>
     and, for each later residual, d' = <u,u> d - <d,u> u with its coefficients
     updated alike; each new vector is divided by the gcd of its coefficients,
@@ -331,36 +403,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
             g = math.gcd(delta, *X)
             found.add((tuple(a // g for a in X), delta // g))
         for pos, (p, u, coeffs, sigma) in enumerate(later):
-            uu = sum(map(mul, u, u))
-            xu = sum(map(mul, X, u))
-            child = []
-            for q, d, e, tau in later[pos + 1:]:
-                t = sum(map(mul, d, u))
-                if t:
-                    d = [uu * a - t * b for a, b in zip(d, u)]
-                    if not any(d):
-                        continue
-                    e = [uu * a - t * b for a, b in zip(e, coeffs)]
-                    e.append(-t * sigma)
-                    tau *= uu
-                    g = math.gcd(tau, *e)
-                    if g > 1:
-                        d = [a // g for a in d]
-                        e = [a // g for a in e]
-                        tau //= g
-                else:
-                    e = e + [0]
-                child.append((q, d, e, tau))
-            lam2 = [uu * a - xu * b for a, b in zip(lam, coeffs)]
-            lam2.append(-xu * sigma)
-            X2 = [uu * a - xu * b for a, b in zip(X, u)]
-            delta2 = delta * uu
-            g = math.gcd(*lam2)
-            if g > 1:
-                lam2 = [a // g for a in lam2]
-                X2 = [a // g for a in X2]
-                delta2 //= g
-            visit(members + [p], X2, lam2, delta2, child)
+            visit(members + [p], *_extend(X, lam, delta, u, coeffs, sigma, later[pos + 1:]))
 
     for i, q0 in enumerate(P):
         later = [(p, [a - b for a, b in zip(p, q0)], [-1], 1) for p in P[i + 1:]]

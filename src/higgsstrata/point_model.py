@@ -63,13 +63,14 @@ from .linalg import (
     det,
     frac,
     inverse,
+    listlike,
     mat,
     mat_mul,
     nullspace,
     rank,
     transpose,
 )
-from .minnorm import PointCloud, min_norm_point
+from .minnorm import min_norm_point_of_sum
 from .weight_lattice import (
     DEFAULT_INDEX_CAP,
     BetaVector,
@@ -659,15 +660,20 @@ class Step2Report:
     trace_identity_ok: bool
 
 
-def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> set[Vec]:
-    """Distinct supported weights of one graded block across all factors."""
-    per_factor: list[set[Vec]] = []
+def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[int, ...]]]:
+    """Each factor's distinct supported weights in one graded block, as int
+    tuples; an empty list when some factor has none (a vacuous block).
+
+    The block's weights are the Minkowski sum of these sets, which step 2
+    never builds.
+    """
+    per_factor: list[set[tuple[int, ...]]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
         det_keys, end_keys = _factor_support(_integer_values(y_b, c, phi_b, m_g))
+        if not det_keys and not end_keys:
+            return []
         base = {
-            s: tuple(
-                Fraction(0) if l in s else Fraction(1) for l in range(1, m_g + 1)
-            )
+            s: tuple(0 if l in s else 1 for l in range(1, m_g + 1))
             for s in itertools.combinations(range(1, m_g + 1), len(y_b))
         }
         weights = {base[s] for s in det_keys}
@@ -677,14 +683,7 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> set[Vec]:
             w[s[i - 1] - 1] -= 1
             weights.add(tuple(w))
         per_factor.append(weights)
-    if any(not w for w in per_factor):
-        return set()
-    sums = per_factor[0]
-    for nxt in per_factor[1:]:
-        sums = {
-            tuple(a + b for a, b in zip(w1, w2)) for w1 in sums for w2 in nxt
-        }
-    return sums
+    return per_factor
 
 
 def verify_step2(
@@ -699,6 +698,11 @@ def verify_step2(
     multiple of the all-ones vector fixed by the trace bookkeeping) in the
     convex hull of its supported weights; failures return the exact
     separating direction found by the minimum-norm computation.  The
+    block's weights are the Minkowski sum over factors of each factor's
+    weights w, and the character is the sum of chi_k = (m_g - r_k) / m_g
+    times the all-ones vector, so factor k's set is scaled to the integer
+    points m_g w - (m_g - r_k) and ``min_norm_point_of_sum`` runs Wolfe on
+    the sum without building it: the min-norm point is X / (delta m_g).  The
     blockwise grading/trace identity is checked exactly over all integer
     trace-zero diagonal subgroups with entries up to ``lambda_bound``, first,
     so its cap (see ``step2_trace_identity``) holds before any other work.
@@ -725,12 +729,11 @@ def verify_step2(
                 BlockReport(gamma, max(r_bs), m_g, True, None, vacuous=True)
             )
             continue
-        chi_scale = sum(Fraction(m_g - r_b, m_g) for r_b in r_bs)
-        chi = tuple(chi_scale for _ in range(m_g))
-        translated = [tuple(a - b for a, b in zip(w, chi)) for w in weights]
-        v = min_norm_point(PointCloud.from_points(translated))
-        ss = all(x == 0 for x in v)
-        witness = None if ss else clear_denominators(v)[0]
+        X, delta = min_norm_point_of_sum(
+            [tuple(m_g * a - m_g + r_b for a in w) for w in ws] for ws, r_b in zip(weights, r_bs)
+        )
+        ss = not any(X)
+        witness = None if ss else clear_denominators([Fraction(a, delta * m_g) for a in X])[0]
         all_ok = all_ok and ss
         blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, witness))
     return Step2Report(
@@ -889,7 +892,7 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
     step i-1 and is strictly upper block triangular.  Exact nullity of the
     commutator system.
     """
-    mats = [mat(phi) for phi in phis]
+    mats = [mat(phi) for phi in listlike(phis, "a list of matrices")]
     r = flag.total
     for phi in mats:
         if len(phi) != r or (phi and len(phi[0]) != r):

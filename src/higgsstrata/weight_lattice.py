@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator
 
 from .errors import CapExceeded, NonPositiveBlockDimension
@@ -312,14 +313,17 @@ def step2_trace_identity(
     """
     if bound < 0:
         raise ValueError(f"the trace bound must be >= 0, got {bound}")
-    n = beta.npoints
-    r_blocks = beta.rank_blocks
     m_blocks = beta.m_blocks
-    values = beta.block_values
     s = len(m_blocks)
     heads = math.prod(2 * bound * m_g + 1 for m_g in m_blocks[:-1])
     if heads > DEFAULT_INDEX_CAP:
         raise CapExceeded(heads, DEFAULT_INDEX_CAP)
+    # lhs - rhs is sum_g c_g t_g, c_g = -N r_g/m_g - v_g, checked as
+    # sum_g C_g t_g = 0 with C = D c over ints
+    coeffs, _ = clear_denominators([
+        -Fraction(beta.npoints * r_g, m_g) - v
+        for r_g, m_g, v in zip(beta.rank_blocks, m_blocks, beta.block_values)
+    ])
     ranges = [range(-bound * m_g, bound * m_g + 1) for m_g in m_blocks[:-1]]
     last_lo, last_hi = -bound * m_blocks[-1], bound * m_blocks[-1]
     checked = 0
@@ -329,11 +333,6 @@ def step2_trace_identity(
             continue
         traces = head + (t_last,)
         checked += 1
-        lhs = sum(
-            (-Fraction(n * r_g, m_g) * t for r_g, m_g, t in zip(r_blocks, m_blocks, traces)),
-            Fraction(0),
-        )
-        rhs = sum((v * t for v, t in zip(values, traces)), Fraction(0))
-        if lhs != rhs:
+        if sum(map(mul, coeffs, traces)):
             return checked, False, traces
     return checked, True, None

@@ -22,6 +22,7 @@ from higgsstrata import (
     HNType,
     Membership,
     ModelPoint,
+    NotInY,
     assemble,
     beta_of_type,
     bb_weights,
@@ -39,6 +40,7 @@ from higgsstrata import (
     step2_trace_identity,
     u_tau_candidates,
     verify_step1,
+    verify_step2,
 )
 from higgsstrata.hn_types import Rank3Kind
 from higgsstrata.minnorm import PointCloud
@@ -390,3 +392,76 @@ def test_ac11_index_set_sanity():
     ok = ok and fast == sorted(brute)
     _report(11, "index set sanity", ok, time.monotonic() - start, 30.0,
             f"{len(weights)} distinct weights, {len(fast)} representatives")
+
+
+# Per (r, d, genus, N) and supported type: the step-2 verdict of each graded
+# block for four points drawn in turn from random.Random(12) (generic, graded,
+# generic with c_1 = 0, generic with every y's first column zeroed): "ss",
+# "vacuous" or the failing block's witness, or "NotInY" for a point outside
+# the inequality locus.  Recorded with the route that built each block's
+# Minkowski sum explicitly and ran Wolfe over ``Fraction``; that route took
+# about 14 s here, 12 s of it on the three points of type ((3, 10),) that
+# keep every factor's weights.
+STEP2_N3_GOLDEN = {
+    (3, 10, 2, 3): {
+        ((3, 10),): (("ss",), ("ss",), ("ss",), ((18, -3, -3, -3, -3, -3, -3),)),
+        ((2, 7), (1, 3)): (("ss", "ss"), ("ss", "ss"), ("ss", "ss"), ((12, -3, -3, -3, -3), "ss")),
+        ((1, 4), (2, 6)): (("ss", "ss"), ("ss", "ss"), ("ss", "ss"), ((1, 0, -1), "ss")),
+        ((2, 8), (1, 2)): (("ss", "ss"), ("ss", "ss"), ("ss", "vacuous"), ((5, -1, -1, -1, -1, -1), "ss")),
+        ((1, 5), (2, 5)): (("ss", "ss"), ("ss", "ss"), ("vacuous", "ss"), ((3, -1, -1, -1), "ss")),
+        ((1, 5), (1, 3), (1, 2)): (
+            ("ss", "ss", "ss"), ("ss", "ss", "ss"), ("ss", "ss", "ss"), ((3, -1, -1, -1), "ss", "ss"),
+        ),
+        ((1, 6), (2, 4)): (("ss", "ss"), ("ss", "ss"), ("ss", "ss"), ((12, -3, -3, -3, -3), "ss")),
+    },
+    (2, 7, 2, 3): {
+        ((2, 7),): (("ss",), ("ss",), ("ss",), ((12, -3, -3, -3, -3),)),
+        ((1, 4), (1, 3)): (("ss", "ss"), ("ss", "ss"), "NotInY", ((2, -1, -1), "ss")),
+        ((1, 5), (1, 2)): (("ss", "ss"), ("ss", "ss"), ("ss", "ss"), ((3, -1, -1, -1), "ss")),
+    },
+}
+
+
+def _step2_n3_variants(tau, ctx, rng):
+    """The four points of ``STEP2_N3_GOLDEN``'s corpus for one type, in order."""
+    for variant in ("generic", "graded", "c_zero", "column_zero"):
+        point = build_flagged_point(tau, ctx, rng, graded=variant == "graded")
+        if variant == "c_zero":
+            f = point.factors[0]
+            point = ModelPoint((Factor(f.y, 0, f.phi),) + point.factors[1:])
+        elif variant == "column_zero":
+            point = ModelPoint(tuple(
+                Factor(tuple((0,) + row[1:] for row in f.y), f.c, f.phi) for f in point.factors
+            ))
+        yield point
+
+
+def test_ac12_step2_at_three_points():
+    start = time.monotonic()
+    ok = True
+    points = failing = 0
+    for (r, d, g, n), per_type in STEP2_N3_GOLDEN.items():
+        ctx = CurveContext(r, d, genus=g, npoints=n)
+        rng = random.Random(12)
+        taus = [
+            t for t in enumerate_hn_types(ctx, d + r, min_slope_exclusive=g - 1) if model_supported(t, ctx)
+        ]
+        ok = ok and [t.blocks for t in taus] == list(per_type)
+        for tau in taus:
+            beta = beta_of_type(tau, ctx)
+            got = []
+            for point in _step2_n3_variants(tau, ctx, rng):
+                try:
+                    report = verify_step2(point, beta, ctx)
+                except NotInY:
+                    got.append("NotInY")
+                    continue
+                got.append(tuple(
+                    "vacuous" if b.vacuous else "ss" if b.semistable else b.witness for b in report.blocks
+                ))
+                ok = ok and report.passed == all(b.semistable for b in report.blocks)
+                failing += sum(not b.semistable for b in report.blocks)
+            points += len(got)
+            ok = ok and tuple(got) == per_type[tau.blocks]
+    _report(12, "step 2 at N = 3", ok, time.monotonic() - start, 5.0,
+            f"{points} points at (3,10,2,3) and (2,7,2,3), {failing} failing blocks")

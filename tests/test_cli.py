@@ -493,6 +493,42 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert re.fullmatch(r"TypeError: .*\n", err), err
 
+    VECTOR = "a vector (a list of rationals)"
+    ROW = "a matrix row (a list of rationals)"
+    MATRIX = "a matrix (a list of rows)"
+    TEXT_ROW_POINT = json.dumps({"factors": [{"y": ["110", "001"], "c": 1, "phi": [[0, 0], [0, 0]]}]})
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["minnorm", "--points", '["12","34"]'], VECTOR),
+            (["minnorm", "--points", '"12"'], "a list of points"),
+            (["minnorm", "--points", '{"1": [2], "3": [4]}'], "a list of points"),
+            (["minnorm", "--points", '[{"num": 1, "den": 2}]'], VECTOR),
+            (["index-set", "--points", '["12","34"]'], VECTOR),
+            (["index-set", "--points", '"1234"'], "a list of points"),
+            (["point-check", "--tau", "2,1", "--ranks", "1,1", "--point", TEXT_ROW_POINT], ROW),
+            (["point-check", "--tau", "2,1", "--ranks", "1,1", "--point",
+              json.dumps({"factors": [{"y": "110001", "c": 1, "phi": [[0, 0], [0, 0]]}]})], MATRIX),
+            (["stabdim", "--blocks", "1,1", "--phis", '["0010"]'], MATRIX),
+            (["stabdim", "--blocks", "1,1", "--phis", '[["00","10"]]'], ROW),
+            (["stabdim", "--blocks", "1,1", "--phis", '"0010"'], "a list of matrices"),
+            (["stabdim", "--blocks", "1,1", "--phis", '{"phi": [[0, 0], [1, 0]]}'], "a list of matrices"),
+        ],
+        ids=[
+            "minnorm-string-points", "minnorm-string-cloud", "minnorm-dict-cloud", "minnorm-dict-point",
+            "index-set-string-points", "index-set-string-cloud", "point-check-string-row",
+            "point-check-string-y", "stabdim-string-matrix", "stabdim-string-rows",
+            "stabdim-string-list", "stabdim-dict-list",
+        ],
+    )
+    def test_text_or_mapping_for_a_sequence(self, capsys, argv, expected):
+        # a string iterates as its characters and a dict as its keys: neither
+        # is read as a vector, a row or a list
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert re.fullmatch(rf"TypeError: expected {re.escape(expected)}, got (str|dict) .*\n", err), err
+
     def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(

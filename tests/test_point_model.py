@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -31,6 +32,7 @@ from higgsstrata import (
     coordinates,
     enumerate_hn_types,
     from_higgs_data,
+    min_norm_point_by_faces,
     membership,
     nilpotent_commutant_dim,
     nilpotent_commutant_dim_dense_oracle,
@@ -39,10 +41,18 @@ from higgsstrata import (
     unipotent_stabilizer_dim,
     unipotent_stabilizer_dim_dense_oracle,
     verify_step1,
+    step2_trace_identity,
     verify_step2,
 )
-from higgsstrata.linalg import adjugate, det, inverse, mat, mat_mul, rank, transpose
-from higgsstrata.point_model import _factor_values, _table
+from higgsstrata.linalg import adjugate, clear_denominators, det, inverse, mat, mat_mul, rank, transpose
+from higgsstrata.point_model import (
+    BlockReport,
+    Step2Report,
+    _adapted_factors,
+    _block_weight_set,
+    _factor_values,
+    _table,
+)
 from higgsstrata.weight_lattice import enumerate_coordinate_indices
 
 
@@ -359,13 +369,104 @@ class TestStep2:
         assert report.trace_classes_checked == 13 and report.trace_identity_ok
 
     def test_rank_zero_block_weights(self):
-        # a rank-0 block has the det coordinate () iff c != 0, and no end coordinate
-        from higgsstrata.point_model import _block_weight_set
-
+        # a rank-0 block has the det coordinate () iff c != 0, and no end
+        # coordinate; the block's weights are the Minkowski sum of the
+        # per-factor sets
         ones = (F(1),) * 3
-        assert _block_weight_set([(), ()], [1, 2], [(), ()], 3) == {(F(2),) * 3}
-        assert _block_weight_set([()], [5], [()], 3) == {ones}
-        assert _block_weight_set([(), ()], [1, 0], [(), ()], 3) == set()
+        assert minkowski_sum(_block_weight_set([(), ()], [1, 2], [(), ()], 3)) == {(F(2),) * 3}
+        assert minkowski_sum(_block_weight_set([()], [5], [()], 3)) == {ones}
+        assert minkowski_sum(_block_weight_set([(), ()], [1, 0], [(), ()], 3)) == set()
+
+
+def minkowski_sum(sets) -> set:
+    """The explicit Minkowski sum of finite sets of int tuples; empty for no sets."""
+    if not sets:
+        return set()
+    total = {(0,) * len(next(iter(sets[0])))}
+    for pts in sets:
+        total = {tuple(a + b for a, b in zip(t, w)) for t in total for w in pts}
+    return total
+
+
+def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
+    """``verify_step2`` by the explicit route: each graded block's weights
+    summed over factors point by point, translated by the twisted character
+    over ``Fraction``, and the faces oracle's min-norm point."""
+    checked, identity_ok, _ = step2_trace_identity(beta)
+    cuts = (0,) + beta.flag.cuts
+    blocks = []
+    for gamma, m_g in enumerate(beta.m_blocks, start=1):
+        graded = []
+        for f, dims in _adapted_factors(p, beta, ctx):
+            r_lo, r_hi = ((0,) + dims)[gamma - 1], dims[gamma - 1]
+            graded.append((
+                tuple(row[cuts[gamma - 1]:cuts[gamma]] for row in f.y[r_lo:r_hi]), f.c,
+                tuple(row[r_lo:r_hi] for row in f.phi[r_lo:r_hi]), r_hi - r_lo,
+            ))
+        y_bs, c_vals, phi_bs, r_bs = zip(*graded)
+        weights = minkowski_sum(_block_weight_set(y_bs, c_vals, phi_bs, m_g))
+        if not weights:
+            blocks.append(BlockReport(gamma, max(r_bs), m_g, True, None, vacuous=True))
+            continue
+        chi = sum(F(m_g - r_b, m_g) for r_b in r_bs)
+        v = min_norm_point_by_faces(sorted(tuple(a - chi for a in w) for w in weights))
+        ss = not any(v)
+        blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, None if ss else clear_denominators(v)[0]))
+    return Step2Report(identity_ok and all(b.semistable for b in blocks), tuple(blocks), checked, identity_ok)
+
+
+def _sparsified(p: ModelPoint, rng: random.Random) -> ModelPoint:
+    """The point with random entries of y and phi zeroed (y keeping full row
+    rank) and c zeroed on some factors whose phi is nonzero."""
+    factors = []
+    for f in p.factors:
+        while True:
+            y = tuple(tuple(x if rng.random() < 0.6 else 0 for x in row) for row in f.y)
+            if rank(y) == len(y):
+                break
+        phi = tuple(tuple(x if rng.random() < 0.5 else 0 for x in row) for row in f.phi)
+        c = 0 if rng.random() < 0.2 and any(x for row in phi for x in row) else f.c
+        factors.append(Factor(y, c, phi))
+    return ModelPoint(tuple(factors))
+
+
+class TestStep2Reference:
+    # (r, d, genus) contexts at N = 1-3; a type enters at N when each graded
+    # block's summed weights stay within the exponential faces oracle's reach:
+    # rank-1 blocks with at most 10 multisets of N of the m_g weights, and
+    # rank-2 blocks with m_g = 2
+    CONTEXTS = [(1, 1, 0), (1, 2, 0), (2, 0, 0), (2, 1, 0), (3, 1, 0), (2, 7, 2), (2, 8, 2)]
+
+    @staticmethod
+    def _in_reach(tau: HNType, beta, n: int) -> bool:
+        return all(
+            (r_g == 1 and math.comb(m_g + n - 1, n) <= 10) or r_g == m_g == 2
+            for r_g, m_g in zip(tau.composition, beta.m_blocks)
+        )
+
+    def test_matches_the_faces_reference(self):
+        rng = random.Random(13)
+        compared = failing = vacuous = refused = 0
+        for (r, d, g), n in itertools.product(self.CONTEXTS, (1, 2, 3)):
+            ctx = CurveContext(r, d, genus=g, npoints=n)
+            for tau in enumerate_hn_types(ctx, d + r, min_slope_exclusive=g - 1):
+                beta = beta_of_type(tau, ctx)
+                if not model_supported(tau, ctx) or not self._in_reach(tau, beta, n):
+                    continue
+                for graded in (False, True) * 3:
+                    p = _sparsified(build_flagged_point(tau, ctx, rng, graded=graded), rng)
+                    try:
+                        want = step2_by_faces(p, beta, ctx)
+                    except (NotInY, DegeneratePoint) as exc:
+                        with pytest.raises(type(exc)):
+                            verify_step2(p, beta, ctx)
+                        refused += 1
+                        continue
+                    assert verify_step2(p, beta, ctx) == want
+                    compared += 1
+                    failing += sum(not b.semistable for b in want.blocks)
+                    vacuous += sum(b.vacuous for b in want.blocks)
+        assert compared >= 120 and failing >= 60 and vacuous >= 10 and refused > 0
 
 
 class TestScalingInvariance:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -231,7 +233,45 @@ class TestGrading:
         assert grading_one_parameter_subgroup(beta_of_type(HNType(((2, 8),)), ctx)) is None
 
 
+def trace_identity_by_fractions(beta, bound: int):
+    """``step2_trace_identity``'s answer from two ``Fraction`` sums per class."""
+    m_blocks = beta.m_blocks
+    checked = 0
+    for head in itertools.product(*(range(-bound * m_g, bound * m_g + 1) for m_g in m_blocks[:-1])):
+        traces = head + (-sum(head),)
+        if abs(traces[-1]) > bound * m_blocks[-1]:
+            continue
+        checked += 1
+        lhs = sum(-F(beta.npoints * r_g, m_g) * t for r_g, m_g, t in zip(beta.rank_blocks, m_blocks, traces))
+        if lhs != sum(v * t for v, t in zip(beta.block_values, traces)):
+            return checked, False, traces
+    return checked, True, None
+
+
 class TestTraceIdentity:
+    @pytest.mark.parametrize("npoints", [1, 2, 3])
+    def test_matches_the_fraction_sums(self, npoints):
+        # every type of ranks 1-3 at genus 0 and 2, as computed and with beta
+        # tampered: one block moved fails at the first class it changes, every
+        # block moved alike still passes (the traces sum to zero)
+        verdicts = set()
+        for r, g in itertools.product((1, 2, 3), (0, 2)):
+            ctx = CurveContext(r, r * (2 * g - 1) + 4, genus=g, npoints=npoints)
+            for tau in enumerate_hn_types(ctx, ctx.degree + r, min_slope_exclusive=g - 1):
+                beta = beta_of_type(tau, ctx)
+                values = beta.block_values
+                for tampered in (
+                    values,
+                    (values[0] + F(1, 7),) + values[1:],
+                    tuple(v - F(2, 3) for v in values),
+                ):
+                    b = dataclasses.replace(beta, block_values=tampered)
+                    got = step2_trace_identity(b, 2)
+                    assert got == trace_identity_by_fractions(b, 2)
+                    verdicts.add((len(values) > 1, tampered == values, got[1]))
+        assert (True, False, False) in verdicts and (True, False, True) in verdicts
+        assert not any(ok is False for _, untampered, ok in verdicts if untampered)
+
     def test_exact_over_classes(self):
         ctx = CurveContext(2, 7, genus=2)
         beta = beta_of_type(HNType(((1, 4), (1, 3))), ctx)
