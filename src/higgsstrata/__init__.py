@@ -49,7 +49,6 @@ from .minnorm import (
     min_norm_point,
     min_norm_point_by_faces,
     min_norm_point_of_sum,
-    wolfe_min_norm,
 )
 from .point_model import (
     CoordinateTable,

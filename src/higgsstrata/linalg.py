@@ -68,6 +68,17 @@ def clear_denominators(xs) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (D // x.denominator) for x in xs), D
 
 
+def integer_rows(rows) -> tuple[list[tuple[int, ...]], int]:
+    """The rational rows (of any lengths) times D, the lcm of all their
+    denominators, as int rows; and D.  One ``clear_denominators`` pass."""
+    flat, D = clear_denominators([x for row in rows for x in row])
+    out, start = [], 0
+    for row in rows:
+        out.append(flat[start:start + len(row)])
+        start += len(row)
+    return out, D
+
+
 def listlike(x, what: str):
     """``x`` itself, unless it is a string or a dict, which iterate as characters
     or keys: those are refused with a TypeError naming the expected ``what``."""

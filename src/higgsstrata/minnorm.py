@@ -8,15 +8,17 @@ L / delta, and each added point costs one integral-LLL style update and one
 gcd reduction.  Wolfe's method (``_wolfe``) runs on a Minkowski sum of
 integer point sets through its linear-minimisation oracle, the sum of the
 per-set argmins, so the sum is never built; its minor cycles project each
-corral through ``_affine_minimizer`` and keep integer weight numerators.  A
-point cloud is the one-set case: its denominators are cleared once, and
-``Fraction`` is built only for the answer.  The KKT certificate
-<p, x> >= <x, x> is a raise, not an assert.  Index sets walk the affinely
-independent weight subsets depth-first, one ``_extend`` per added weight,
-and prune every extension by an affinely dependent weight.  A brute-force
-oracle projects the origin onto the affine hull of every subset by its own
-bordered-Gram ``Fraction`` solve and keeps the feasible minimum; it and the
-phase-1 simplex exist so the routes can be compared with zero tolerance.
+corral through ``_affine_minimizer`` and keep integer weight numerators,
+and a major cycle that fails to decrease the norm raises.  A point cloud is
+the one-set case: its denominators are cleared once, and ``Fraction`` is
+built only for the answer.  Every answer passes one exact KKT certificate
+(``_certified``), <p, x> >= <x, x> over ints, as a raise, not an assert.
+Index sets walk the affinely independent weight subsets depth-first, one
+``_extend`` per added weight, and prune every extension by an affinely
+dependent weight.  A brute-force oracle projects the origin onto the affine
+hull of every subset by its own bordered-Gram ``Fraction`` solve and keeps
+the feasible minimum; it and the phase-1 simplex exist so the routes can be
+compared with zero tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import mul
 
 from .errors import CapExceeded, HiggsStrataError
 from .hn_types import DEFAULT_INDEX_CAP
-from .linalg import Vec, clear_denominators, dot, listlike, rank, solve_unique, vec
+from .linalg import Vec, dot, integer_rows, listlike, rank, solve_unique, vec
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,10 @@ def _wolfe(sets: list) -> tuple[tuple[int, ...], int]:
     <x, p> < <x, x>, and minor cycles only drop points.  A minor cycle that
     walks from x toward the affine minimiser (L, Y, delta) of the corral
     stops where the first weight W_j hits zero, at the integer weights
-    W_j L - L_j W.  A singular corral raises HiggsStrataError.
+    W_j L - L_j W.  A singular corral, or a major cycle whose new point
+    Y / delta' is not strictly shorter than X / delta (<Y, Y> delta^2 <
+    <X, X> delta'^2, Wolfe's strict decrease), raises HiggsStrataError, so a
+    defect shows as a failure rather than a cycle.
     """
     X = [0] * len(sets[0][0])
     for T in sets:
@@ -161,6 +166,8 @@ def _wolfe(sets: list) -> tuple[tuple[int, ...], int]:
                 raise HiggsStrataError("Wolfe corral became affinely dependent")
             lam, Y, lam_sum = solved
             if min(lam) >= 0:
+                if sum(map(mul, Y, Y)) * delta**2 >= sum(map(mul, X, X)) * lam_sum**2:
+                    raise HiggsStrataError("Wolfe major cycle did not decrease the norm")
                 corral = [p for p, a in zip(corral, lam) if a > 0]
                 W = [a for a in lam if a > 0]
                 X, delta = Y, lam_sum
@@ -177,27 +184,25 @@ def _wolfe(sets: list) -> tuple[tuple[int, ...], int]:
             W.pop(drop)
 
 
-def wolfe_min_norm(points) -> Vec:
-    """Wolfe's minimum-norm-point method over the rationals: ``_wolfe`` on
-    the one set P = D p, D clearing the points' denominators once."""
-    pts = _as_points(points)
-    dim = len(pts[0])
-    flat, D = clear_denominators([a for p in pts for a in p])
-    X, delta = _wolfe([[flat[i * dim:(i + 1) * dim] for i in range(len(pts))]])
-    return tuple(Fraction(a, delta * D) for a in X)
+def _certified(sets, X, delta: int) -> bool:
+    """The exact KKT certificate of x = X / delta as the closest point of
+    conv(T_1 + ... + T_n) to the origin, over ints:
+    delta sum_k min_{p in T_k} <p, X> >= <X, X>, i.e. <p, x> >= <x, x> for
+    every p of the sum.  Scaling the points and X by one positive factor
+    multiplies both sides by its square, so the verdict is that of the
+    rational points they clear."""
+    low = sum(min(sum(map(mul, p, X)) for p in T) for T in sets)
+    return delta * low >= sum(map(mul, X, X))
 
 
 def min_norm_point_of_sum(sets) -> tuple[tuple[int, ...], int]:
     """Certified closest point to the origin of conv(T_1 + ... + T_n), for
-    nonempty sets T_k of integer points: (X, delta) with x = X / delta.
-
-    The certificate is delta sum_k min_{p in T_k} <p, X> >= <X, X>, i.e.
-    <p, x> >= <x, x> for every p of the sum, checked over ints.
+    nonempty sets T_k of integer points: (X, delta) with x = X / delta,
+    Wolfe's answer passed through ``_certified``.
     """
     sets = [list(T) for T in sets]
     X, delta = _wolfe(sets)
-    low = sum(min(sum(map(mul, p, X)) for p in T) for T in sets)
-    if delta * low < sum(map(mul, X, X)):
+    if not _certified(sets, X, delta):
         raise HiggsStrataError("exact KKT certificate failed")
     return X, delta
 
@@ -234,42 +239,27 @@ def min_norm_point_by_faces(points) -> Vec:
 def min_norm_point(cloud) -> Vec:
     """Exact closest point to the origin of the convex hull of the cloud.
 
-    Computed by Wolfe's method and certified: every point pairs with it at
-    least as much as its squared norm.  ``min_norm_point_by_faces`` is the
-    independent oracle.
+    The one-set case of ``min_norm_point_of_sum``, on P = D p with D clearing
+    the cloud's denominators once; the answer is X / (delta D).
+    ``min_norm_point_by_faces`` is the independent oracle.
     """
-    pts = _as_points(cloud)
-    if len(pts) == 1:
-        return pts[0]
-    x = wolfe_min_norm(pts)
-    if not kkt_certificate(pts, x):
-        raise HiggsStrataError("exact KKT certificate failed")
-    return x
+    P, D = integer_rows(_as_points(cloud))
+    X, delta = min_norm_point_of_sum([P])
+    return tuple(Fraction(a, delta * D) for a in X)
 
 
 def kkt_certificate(points, x: Vec) -> bool:
     """Exact optimality certificate: <p, x> >= <x, x> for every point p.
 
-    All-``int`` input (x and points of x's length) is paired as it is; any
-    other input is coerced to ``Fraction`` through ``PointCloud``.
-    Scaling the points and x by one positive factor multiplies both sides by
-    its square, so ``index_set_B`` certifies its integer form with the same
-    verdict.
+    The points and x are cleared by one common denominator and decided by
+    ``_certified`` on the one set they form.
     """
-    if isinstance(points, PointCloud):
-        points = points.points
-    else:
-        points = list(points)
-        if (
-            points
-            and all(len(p) == len(x) for p in points)
-            and all(type(a) is int for a in itertools.chain(x, *points))
-        ):
-            xx = sum(map(mul, x, x))
-            return all(sum(map(mul, p, x)) >= xx for p in points)
-        points = _as_points(points)
-    xx = dot(x, x)
-    return all(dot(p, x) >= xx for p in points)
+    pts = _as_points(points)
+    x = vec(x)
+    if len(x) != len(pts[0]):
+        raise ValueError(f"length mismatch: {len(pts[0])} vs {len(x)}")
+    (X, *P), _ = integer_rows([x, *pts])
+    return _certified([P], X, 1)
 
 
 def hull_contains_origin(points) -> bool:
@@ -375,9 +365,9 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     exactly the affinely independent subsets.
 
     The certificate <p, x> >= <x, x> for p in S reads, at x = X / (delta D),
-    delta <P, X> >= <X, X>: ``kkt_certificate`` gets the members scaled by
-    delta together with X, all integers.  ``Fraction`` is built only for the
-    emitted points, once per distinct (X, delta) in lowest terms.
+    delta <P, X> >= <X, X>: ``_certified`` on the one set S, all integers.
+    ``Fraction`` is built only for the emitted points, once per distinct
+    (X, delta) in lowest terms.
 
     Results are deduplicated and, with ``restrict_to_chamber``, replaced by
     their weakly decreasing rearrangement, dropping those whose largest
@@ -385,9 +375,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     positive one).  Sorted.
     """
     pts = sorted(set(_as_points(weights)))
-    flat, D = clear_denominators([x for p in pts for x in p])
-    dim = len(pts[0])
-    P = [flat[i * dim:(i + 1) * dim] for i in range(len(pts))]
+    P, D = integer_rows(pts)
     affine_dim = rank(tuple(tuple(a - b for a, b in zip(p, P[0])) for p in P[1:]))
     count = sum(math.comb(len(pts), s) for s in range(1, affine_dim + 2))
     if count > cap:
@@ -398,7 +386,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
         # later: per later weight, (its scaled point, its residual d, d's
         # coefficients over members, d's coefficient on the weight itself)
         if min(lam) > 0:
-            if not kkt_certificate([tuple(delta * a for a in p) for p in members], X):
+            if not _certified([members], X, delta):
                 raise HiggsStrataError("exact KKT certificate failed")
             g = math.gcd(delta, *X)
             found.add((tuple(a // g for a in X), delta // g))

@@ -62,6 +62,7 @@ from .linalg import (
     clear_denominators,
     det,
     frac,
+    integer_rows,
     inverse,
     listlike,
     mat,
@@ -146,20 +147,25 @@ class ModelPoint:
         return len(self.factors)
 
     @cached_property
+    def _integer_factors(self) -> tuple[tuple[tuple, int], ...]:
+        """Per factor: its integer form and scale (``_integer_factor``), once."""
+        return tuple(_integer_factor(f.y, f.c, f.phi) for f in self.factors)
+
+    @cached_property
     def _values(self) -> tuple[tuple[dict, dict, tuple[dict, dict]], ...]:
-        """Per factor: its det values, end values and cofactor tables over int
-        (``_integer_values``), evaluated once.
+        """Per factor: its det values, end values and cofactor tables over int,
+        ``_factor_values`` of its integer form, evaluated once.
 
         They are the exact values times the factor's scale.  The full table is
         their tensor product (see ``_table``) divided by ``_scale``; the
         stabiliser reads the cofactor tables.
         """
-        return tuple(_integer_values(f.y, f.c, f.phi, self.m) for f in self.factors)
+        return tuple(_factor_values(*factor, self.m) for factor, _ in self._integer_factors)
 
     @cached_property
     def _scale(self) -> int:
         """The product of the factors' scales L^r M (see ``_integer_factor``)."""
-        return math.prod(_integer_factor(f.y, f.c, f.phi)[1] for f in self.factors)
+        return math.prod(scale for _, scale in self._integer_factors)
 
     @cached_property
     def _support(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -254,7 +260,7 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
     det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
     Works over any commutative ring: the point's own tables are built over
-    int (``_integer_values``), the dense stabiliser oracle's over ``Fraction``
+    int (``_integer_factor``), the dense stabiliser oracle's over ``Fraction``
     and dual numbers.
     """
     r = len(y)
@@ -278,28 +284,18 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
 
 
 def _integer_factor(y, c, phi) -> tuple[tuple, int]:
-    """(L y, M c, M phi) over int, L and M clearing y's and (c, phi)'s denominators, and L^r M."""
-    y_ints, L = clear_denominators([x for row in y for x in row])
-    c_phi, M = clear_denominators([c, *(x for row in phi for x in row)])
-    w, r = len(y[0]) if y else 0, len(phi)
-    return (
-        tuple(y_ints[i * w:(i + 1) * w] for i in range(len(y))),
-        c_phi[0],
-        tuple(c_phi[1 + i * r:1 + (i + 1) * r] for i in range(r)),
-    ), L ** len(y) * M
+    """The integer factor (L y, M c, M phi), L and M clearing y's and
+    (c, phi)'s denominators, and its scale s = L^r M.
 
-
-def _integer_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
-    """``_factor_values`` of the integer factor (L y, M c, M phi).
-
-    L and M clear the denominators (``_integer_factor``).  A det or end
-    value is of degree r in y and 1 in (c, phi), so each is the exact value
-    times the factor's scale s = L^r M; V_y entries scale by L^r and V_z
-    entries by L^r M.  One nonzero constant per factor (and per table) leaves
-    the support, hence every weight, and the row space of each stabiliser
-    table unchanged.
+    A det or end value (``_factor_values``) is of degree r in y and 1 in
+    (c, phi), so each value of the integer factor is the exact value times s;
+    V_y entries scale by L^r and V_z entries by L^r M.  One nonzero constant
+    per factor (and per table) leaves the support, hence every weight, and
+    the row space of each stabiliser table unchanged.
     """
-    return _factor_values(*_integer_factor(y, c, phi)[0], m)
+    y_ints, L = integer_rows(y)
+    ((c_int,), *phi_ints), M = integer_rows(((c,), *phi))
+    return (tuple(y_ints), c_int, tuple(phi_ints)), L ** len(y) * M
 
 
 def _factor_support(values: tuple[dict, dict, tuple]) -> tuple[tuple, tuple]:
@@ -340,7 +336,7 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     ``_factor_values``, so vanishing minors are handled without any matrix
     inversion.  The tables are built over int from each factor's entries
     with denominators cleared, which scales every value of factor k by s_k =
-    L_k^r M_k (see ``_integer_values``); each product is divided back by the
+    L_k^r M_k (see ``_integer_factor``); each product is divided back by the
     product of the s_k, so the values are the exact ``Fraction``s.  Raises
     CapExceeded when the index count exceeds the cap, and DegeneratePoint if
     every coordinate vanishes.
@@ -669,7 +665,8 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
     """
     per_factor: list[set[tuple[int, ...]]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
-        det_keys, end_keys = _factor_support(_integer_values(y_b, c, phi_b, m_g))
+        factor, _ = _integer_factor(y_b, c, phi_b)
+        det_keys, end_keys = _factor_support(_factor_values(*factor, m_g))
         if not det_keys and not end_keys:
             return []
         base = {
@@ -786,7 +783,7 @@ def unipotent_stabilizer_dim(
     So the unknowns are xi_p, one per upper position p, with one row
     [d_p V(K, x)]_p per value of each factor in each surviving family, read
     off the cached tables; the nullity is the stabiliser dimension.  The
-    tables are over int (``_integer_values``): a row reads one (factor,
+    tables are over int (``_integer_factor``): a row reads one (factor,
     table) pair only, whose entries all carry the same nonzero scale (L^r
     for V_y, L^r M for V_z), so each row is a nonzero multiple of the exact
     one and the row space, hence the nullity, is unchanged.  A det

@@ -33,7 +33,6 @@ from .point_model import (
     verify_step2,
 )
 from .weight_lattice import BetaVector, beta_of_type, rational_to_json
-from .errors import NonPositiveBlockDimension
 
 
 @dataclass(frozen=True)
@@ -67,20 +66,17 @@ def default_beta_candidates(
 
     The zero vector enters through the single-block type.  The default bound
     is the general first-slope bound of the semistable type, which covers
-    everything the finiteness results allow.
+    everything the finiteness results allow.  Every slope is enumerated above
+    g - 1, so every block has d_g > r_g (g - 1), i.e. m_g > 0, and
+    ``beta_of_type`` cannot raise NonPositiveBlockDimension.
     """
     if max_first_slope is None:
         mu0 = HNType.semistable(ctx.rank, ctx.degree)
         max_first_slope = general_first_slope_bound(mu0, ctx)
-    out = []
-    for tau in enumerate_hn_types(
-        ctx, max_first_slope, min_slope_exclusive=ctx.genus - 1
-    ):
-        try:
-            out.append(beta_of_type(tau, ctx))
-        except NonPositiveBlockDimension:
-            continue
-    return out
+    return [
+        beta_of_type(tau, ctx)
+        for tau in enumerate_hn_types(ctx, max_first_slope, min_slope_exclusive=ctx.genus - 1)
+    ]
 
 
 def assemble(

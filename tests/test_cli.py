@@ -382,6 +382,11 @@ class TestExitCodes:
         assert code == 1, reason
         assert err.strip(), reason  # error name on the diagnostic stream
 
+    def test_order_types_of_another_rank(self, capsys):
+        code, out, err = run(capsys, "order", "--a", "1,0", "--b", "2,-1", "--rank", "3")
+        assert (code, out) == (1, "")
+        assert err == "ValueError: types do not match the ambient rank\n"
+
     def test_usage_errors_exit_two(self, capsys):
         assert run(capsys, "bogus-verb")[0] == 2
         assert run(capsys, "beta")[0] == 2  # missing required --tau

@@ -155,17 +155,28 @@ class TestMinNorm:
             assert min_norm_point(PointCloud.from_points(active)) == x
 
     def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(higgsstrata.minnorm, "wolfe_min_norm", lambda pts: (F(1), F(1)))
+        monkeypatch.setattr(higgsstrata.minnorm, "_wolfe", lambda sets: ((1, 1), 1))
         with pytest.raises(HiggsStrataError, match="KKT"):
             min_norm_point([[1, 0], [0, 1]])
 
     def test_failed_certificate_raises_under_optimize(self):
-        done = _run_under_optimize("mn.wolfe_min_norm = lambda pts: (1, 1)")
+        done = _run_under_optimize("mn._wolfe = lambda sets: ((1, 1), 1)")
         assert done.stdout.strip() == "raised", done.stderr
 
     def test_dependent_corral_raises(self, monkeypatch):
         monkeypatch.setattr(higgsstrata.minnorm, "_affine_minimizer", lambda pts: None)
         with pytest.raises(HiggsStrataError, match="affinely dependent"):
+            min_norm_point([[1, 0], [0, 1]])
+
+    def test_major_cycle_without_decrease_raises(self, monkeypatch):
+        # minor cycles that keep only the first corral point return the same
+        # x every major cycle: Wolfe's strict decrease fails, and the run
+        # raises instead of cycling forever
+        affine_minimizer = higgsstrata.minnorm._affine_minimizer
+        monkeypatch.setattr(
+            higgsstrata.minnorm, "_affine_minimizer", lambda pts: affine_minimizer(pts[:1])
+        )
+        with pytest.raises(HiggsStrataError, match="did not decrease"):
             min_norm_point([[1, 0], [0, 1]])
 
     def test_dependent_corral_raises_under_optimize(self):
@@ -284,13 +295,13 @@ class TestIndexSet:
         assert got == [(F(1), F(0)), (F(1), F(1))] + [(F(i), F(1)) for i in range(2, 12)]
 
     def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(higgsstrata.minnorm, "kkt_certificate", lambda pts, x: False)
+        monkeypatch.setattr(higgsstrata.minnorm, "_certified", lambda sets, X, delta: False)
         with pytest.raises(HiggsStrataError, match="KKT"):
             index_set_B([[1, 0], [0, 1]])
 
     def test_failed_certificate_raises_under_optimize(self):
         done = _run_under_optimize(
-            "mn.kkt_certificate = lambda pts, x: False", "mn.index_set_B([[1, 0], [0, 1]])"
+            "mn._certified = lambda sets, X, delta: False", "mn.index_set_B([[1, 0], [0, 1]])"
         )
         assert done.stdout.strip() == "raised", done.stderr
 
@@ -351,11 +362,13 @@ class TestIndexSet:
     def test_certificate_checked_on_integers(self, monkeypatch):
         seen = []
 
-        def recording(points, x):
-            seen.append(all(type(a) is int for a in [*x, *(a for p in points for a in p)]))
-            return kkt_certificate(points, x)
+        def recording(sets, X, delta):
+            entries = [delta, *X, *(a for T in sets for p in T for a in p)]
+            seen.append(all(type(a) is int for a in entries))
+            return certified(sets, X, delta)
 
-        monkeypatch.setattr(higgsstrata.minnorm, "kkt_certificate", recording)
+        certified = higgsstrata.minnorm._certified
+        monkeypatch.setattr(higgsstrata.minnorm, "_certified", recording)
         assert index_set_B([[F(1, 2), 0], [0, F(1, 3)], [F(-1, 5), F(2, 7)]], restrict_to_chamber=False)
         assert seen and all(seen)
 

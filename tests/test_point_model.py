@@ -305,6 +305,47 @@ class TestHiggsData:
         assert exc.value.block_index == 1
 
 
+class TestInputChecks:
+    Y = [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]]
+    PHI = [[2, 0], [5, 3]]
+
+    def test_higgs_datum_wrong_factor_count(self):
+        h = HiggsDatum(TAU43, CTX73_N2, (Factor(self.Y, 1, self.PHI),))
+        with pytest.raises(ValueError, match="^factor count does not match the context$"):
+            from_higgs_data(h)
+
+    def test_higgs_datum_wrong_y_shape(self):
+        h = HiggsDatum(TAU43, CTX73, (Factor([row[:4] for row in self.Y], 1, self.PHI),))
+        with pytest.raises(ValueError, match="^factor 1: y must be 2x5$"):
+            from_higgs_data(h)
+
+    def test_higgs_datum_rank_deficient_y(self):
+        h = HiggsDatum(TAU43, CTX73, (Factor([self.Y[0], self.Y[0]], 1, self.PHI),))
+        with pytest.raises(InvariantViolation, match="factor 1: y does not have full row rank$"):
+            from_higgs_data(h)
+
+    def test_point_context_mismatch(self):
+        p = flagged_point(3, self.PHI)
+        message = r"^point shape \(2x5, 1 factors\) does not match context \(2x5, 2 factors\)$"
+        with pytest.raises(ValueError, match=message):
+            membership(p, beta_of_type(TAU43, CTX73_N2), CTX73_N2)
+        with pytest.raises(ValueError, match=message):
+            coordinates(p, CTX73_N2)
+
+    def test_model_point_wrong_y_row_length(self):
+        narrow = Factor([row[:4] for row in self.Y], 1, self.PHI)
+        with pytest.raises(ValueError, match="^factor 2: y must be 2x5$"):
+            ModelPoint((Factor(self.Y, 1, self.PHI), narrow))
+
+    def test_model_point_wrong_phi_shape(self):
+        with pytest.raises(ValueError, match="^factor 1: phi must be 2x2$"):
+            ModelPoint((Factor(self.Y, 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),))
+
+    def test_stabilizer_flag_total_mismatch(self):
+        with pytest.raises(ValueError, match="^flag total must equal the section count$"):
+            unipotent_stabilizer_dim(flagged_point(3, self.PHI), FLAG11, CTX73)
+
+
 class TestStep1:
     def test_wrong_beta_fails_with_explicit_index(self):
         p = flagged_point(3, [[2, 0], [5, 3]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,8 @@ from higgsstrata import (
     compare_polygon,
     compat_cross_table,
     default_beta_candidates,
+    enumerate_hn_types,
+    general_first_slope_bound,
     membership,
     u_tau_candidates,
     unipotent_stabilizer_dim,
@@ -187,3 +190,17 @@ class TestDefaultCandidates:
         assert any(c.is_zero for c in cands)
         taus = {c.tau for c in cands}
         assert TAU43 in taus and TAU52 in taus
+
+    def test_floor_keeps_exactly_the_types_with_positive_blocks(self):
+        # slopes above g - 1 are the types whose every block has m_g > 0, so
+        # beta_of_type raises for none of the candidates
+        for r, d, g, degl in itertools.product(range(1, 4), range(-3, 13), range(4), range(3)):
+            ctx = CurveContext(r, d, genus=g, deg_line=degl)
+            bound = general_first_slope_bound(HNType.semistable(r, d), ctx)
+            floored = enumerate_hn_types(ctx, bound, min_slope_exclusive=g - 1)
+            positive = [
+                tau for tau in enumerate_hn_types(ctx, bound)
+                if all(d_g + r_g * (1 - g) > 0 for r_g, d_g in tau.blocks)
+            ]
+            assert floored == positive
+            assert [beta.tau for beta in default_beta_candidates(ctx)] == floored
