@@ -158,12 +158,16 @@ def det(a) -> object:
 
 
 def adjugate(a) -> tuple:
-    """Adjugate matrix: adj(a) @ a = det(a) * I, valid also when det(a) = 0."""
+    """Adjugate matrix: adj(a) @ a = det(a) * I, valid also when det(a) = 0.
+
+    Cofactors are ``det`` of minors, with no division, so int input gives
+    int output.
+    """
     n = len(a)
     if n == 0:
         return ()
     if n == 1:
-        return ((Fraction(1),),)
+        return ((1,),)
     rows = range(n)
 
     def strike(i: int, j: int):

@@ -31,7 +31,7 @@ from operator import mul
 
 from .errors import CapExceeded, HiggsStrataError
 from .hn_types import DEFAULT_INDEX_CAP
-from .linalg import Vec, dot, integer_rows, listlike, rank, solve_unique, vec
+from .linalg import Vec, dot, integer, integer_rows, listlike, rank, solve_unique, vec
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,20 @@ def min_norm_point_of_sum(sets) -> tuple[tuple[int, ...], int]:
     """Certified closest point to the origin of conv(T_1 + ... + T_n), for
     nonempty sets T_k of integer points: (X, delta) with x = X / delta,
     Wolfe's answer passed through ``_certified``.
+
+    Raises ValueError for no sets, an empty set or points of different
+    lengths, and TypeError for an entry that is not an int, before any work.
     """
     sets = [list(T) for T in sets]
+    if not sets or not all(sets):
+        raise ValueError("the Minkowski sum needs at least one set, and no empty set")
+    dim = len(sets[0][0])
+    for T in sets:
+        for p in T:
+            if len(p) != dim:
+                raise ValueError(f"points of lengths {dim} and {len(p)} in one sum")
+            for x in p:
+                integer(x)
     X, delta = _wolfe(sets)
     if not _certified(sets, X, delta):
         raise HiggsStrataError("exact KKT certificate failed")

@@ -19,7 +19,8 @@ basis g of the quotient fibre, conjugates by the transpose:
 
     <g^-1 y, [c det(g) : det(g) g^T phi g^-T]> = <y, [c : phi]>,
 
-which leaves every coordinate literally unchanged.  Membership in the
+which leaves every coordinate literally unchanged; ``_gauged`` returns it in
+adjugate form, y times det(g), which divides nowhere.  Membership in the
 instability loci, the coordinate-zeroing retraction, the two verification
 predicates for the instability correspondence, and the first-order unipotent
 stabiliser dimensions are all computed exactly.
@@ -29,7 +30,8 @@ The hot path runs over Python int.  Each factor's tables are built from
 the values are polynomials of degree r in y and 1 in (c, phi), so every
 value of factor k is its exact value times one nonzero constant s_k = L^r M.
 That leaves the support, hence every weight, and each stabiliser table's row
-space unchanged; ``coordinates`` divides by the product of the s_k.  Weights
+space unchanged; ``coordinates`` divides by the product of the s_k.  Step 2
+and the retraction gauge this integer form (``_adapted_factors``).  Weights
 are pairings with D beta, D the lcm of beta's denominators, and
 ``verify_step1`` divides by D.  ``Fraction`` appears only where a value
 leaves the module.
@@ -57,8 +59,8 @@ from .linalg import (
     Dual,
     EchelonAccumulator,
     Mat,
-    Vec,
     adapted_flag_basis,
+    adjugate,
     clear_denominators,
     det,
     frac,
@@ -195,7 +197,8 @@ class ModelPoint:
         alpha_inv = inverse(alpha)
         if alpha_inv is None:
             raise ValueError("gauge matrix must be invertible")
-        gauged = _gauged(self.factors[k], alpha_inv)
+        f = self.factors[k]
+        gauged = Factor(mat_mul(alpha, f.y), *_gauged(f.y, f.c, f.phi, alpha_inv)[1:])
         return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:
@@ -246,10 +249,6 @@ class CoordinateTable:
         return scalar is not None
 
 
-def _columns(y: Mat) -> list[Vec]:
-    return [tuple(row[l] for row in y) for l in range(len(y[0]))]
-
-
 def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     """One factor's det values, end values and cofactor tables (V_y, V_z).
 
@@ -266,7 +265,7 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     r = len(y)
     if r == 0:
         return {(): c}, {}, ({}, {})
-    y_cols, z_cols = _columns(y), _columns(mat_mul(transpose(phi), y))
+    y_cols, z_cols = transpose(y), transpose(mat_mul(transpose(phi), y))
     v_y, v_z = {}, {}
     for K in itertools.combinations(range(1, m + 1), r - 1):
         y_k = tuple(tuple(row[l - 1] for l in K) for row in y)
@@ -508,42 +507,44 @@ def verify_step1(
     return Step1Report(verdict, beta.norm_sq, Fraction(lo, D), tuple(violations), witness)
 
 
-def _block_filter(matrix: Mat, row_cuts, col_cuts) -> Mat:
-    """Zero out every entry outside the aligned diagonal blocks."""
+def _block_divided(matrix, row_cuts, col_cuts, d: int) -> Mat:
+    """The aligned diagonal blocks divided by d, every other entry zero."""
     return tuple(
         tuple(
-            x if bisect_right(row_cuts, a) == bisect_right(col_cuts, b) else Fraction(0)
+            Fraction(x, d) if bisect_right(row_cuts, a) == bisect_right(col_cuts, b) else 0
             for b, x in enumerate(row)
         )
         for a, row in enumerate(matrix)
     )
 
 
-def _gauged(f: Factor, g: Mat) -> Factor:
-    """The factor written in the basis g, an invertible r x r matrix:
-    y -> g^-1 y, c -> c det(g), phi -> det(g) g^T phi g^-T."""
-    g_inv = inverse(g)
-    d = det(g)
-    phi = mat_mul(mat_mul(transpose(g), f.phi), transpose(g_inv))
-    return Factor(mat_mul(g_inv, f.y), f.c * d, tuple(tuple(x * d for x in row) for row in phi))
-
-
-def _adapted_factor(f: Factor, cuts) -> tuple[Factor, tuple[int, ...]]:
-    """A factor written in the basis g adapted to the image flag of the cuts."""
-    g, dims = adapted_flag_basis(_columns(f.y), cuts)
-    return _gauged(f, g), dims
+def _gauged(y, c, phi, g) -> tuple:
+    """The factor written in the basis g, g invertible, in adjugate form
+    (adj(g) y, c det(g), g^T phi adj(g)^T): int input gives int output."""
+    adj = adjugate(g)
+    return mat_mul(adj, y), c * det(g), mat_mul(mat_mul(transpose(g), phi), transpose(adj))
 
 
 def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
-    """Every factor gauged into its adapted basis, with its image-block cuts.
+    """Per factor ((y', c', phi'), dims, det g, s), all int: its integer form
+    (Y, C, Phi) = (L y, M c, M phi) gauged into the basis g adapted to its
+    image flag, the image-block cuts, and its scale s = L^r M.
 
-    In that basis y and phi are block triangular, and their aligned diagonal
-    blocks are the graded point.  Raises NotInY for points outside the
-    inequality locus, where the retraction is not defined.
+    Block triangular in that basis, y' and phi' have the graded point as
+    aligned diagonal blocks.  g is L times y's adapted basis g_0, so
+    y' = adj(g) Y = det(g) g_0^-1 y and (c', phi') = s (c det g_0,
+    det(g_0) g_0^T phi g_0^-T): each block's values are the exact ones times
+    one nonzero constant, which leaves its support and weights unchanged, as
+    in ``_integer_factor``.  Raises NotInY outside the inequality locus,
+    where the retraction is not defined.
     """
     if membership(p, beta, ctx) is Membership.OUTSIDE:
         raise NotInY("the retraction is defined only on the inequality locus")
-    return [_adapted_factor(f, beta.flag.cuts) for f in p.factors]
+    adapted = []
+    for (y, c, phi), s in p._integer_factors:
+        g, dims = adapted_flag_basis(transpose(y), beta.flag.cuts)
+        adapted.append((_gauged(y, c, phi, g), dims, det(g), s))
+    return adapted
 
 
 def _check_flag_adapted(phi: Mat, dims, k: int, tau: HNType) -> None:
@@ -566,7 +567,8 @@ def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelP
     """Coordinate-zeroing retraction onto the equality locus of beta.
 
     Matrix-level: each factor is gauged into a basis adapted to the image
-    flag, then both y and phi are cut down to their aligned diagonal blocks.
+    flag (``_adapted_factors``), then both y and phi are cut down to their
+    aligned diagonal blocks, divided back by det g and s to exact values.
     The resulting table equals the input table with every coordinate pairing
     strictly above the squared norm set to zero.  Raises NotInY for points
     outside the inequality locus, and InvariantViolation, as
@@ -577,11 +579,11 @@ def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelP
     """
     cuts = beta.flag.cuts
     adapted = _adapted_factors(p, beta, ctx)
-    for k, (f, dims) in enumerate(adapted, start=1):
-        _check_flag_adapted(f.phi, dims, k, beta.tau)
+    for k, ((_, _, phi), dims, _, _) in enumerate(adapted, start=1):
+        _check_flag_adapted(phi, dims, k, beta.tau)
     return ModelPoint(tuple(
-        Factor(_block_filter(f.y, dims, cuts), f.c, _block_filter(f.phi, dims, dims))
-        for f, dims in adapted
+        Factor(_block_divided(y, dims, cuts, d), Fraction(c, s), _block_divided(phi, dims, dims, s))
+        for (y, c, phi), dims, d, s in adapted
     ))
 
 
@@ -625,12 +627,12 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
     for k, f in enumerate(h.factors, start=1):
         if len(f.y) != r or len(f.y[0]) != beta.m:
             raise ValueError(f"factor {k}: y must be {r}x{beta.m}")
+        (y, c, phi), _ = _integer_factor(f.y, f.c, f.phi)
         try:
-            g, dims = adapted_flag_basis(_columns(f.y), cuts)
+            g, dims = adapted_flag_basis(transpose(y), cuts)
         except ValueError:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-        g_t = transpose(g)
-        _check_flag_adapted(mat_mul(mat_mul(g_t, f.phi), inverse(g_t)), dims, k, h.tau)
+        _check_flag_adapted(_gauged(y, c, phi, g)[2], dims, k, h.tau)
     return ModelPoint(h.factors)
 
 
@@ -665,8 +667,7 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
     """
     per_factor: list[set[tuple[int, ...]]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
-        factor, _ = _integer_factor(y_b, c, phi_b)
-        det_keys, end_keys = _factor_support(_factor_values(*factor, m_g))
+        det_keys, end_keys = _factor_support(_factor_values(y_b, c, phi_b, m_g))
         if not det_keys and not end_keys:
             return []
         base = {
@@ -699,10 +700,13 @@ def verify_step2(
     weights w, and the character is the sum of chi_k = (m_g - r_k) / m_g
     times the all-ones vector, so factor k's set is scaled to the integer
     points m_g w - (m_g - r_k) and ``min_norm_point_of_sum`` runs Wolfe on
-    the sum without building it: the min-norm point is X / (delta m_g).  The
-    blockwise grading/trace identity is checked exactly over all integer
-    trace-zero diagonal subgroups with entries up to ``lambda_bound``, first,
-    so its cap (see ``step2_trace_identity``) holds before any other work.
+    the sum without building it: the min-norm point is X / (delta m_g), and
+    the witness X / gcd(delta m_g, X) its numerators over their least common
+    denominator.  The blocks are sliced from the int factors of
+    ``_adapted_factors``, so no ``Fraction`` is built.  The blockwise
+    grading/trace identity is checked exactly over all integer trace-zero
+    diagonal subgroups with entries up to ``lambda_bound``, first, so its
+    cap (see ``step2_trace_identity``) holds before any other work.
     This is a necessary condition for full semistability, not a decision of it.
     """
     checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
@@ -714,11 +718,11 @@ def verify_step2(
         m_g = beta.m_blocks[gamma - 1]
         c_lo, c_hi = cuts[gamma - 1], cuts[gamma]
         y_blocks, c_vals, phi_blocks, r_bs = [], [], [], []
-        for f, dims in adapted:
+        for (y, c, phi), dims, _, _ in adapted:
             r_lo, r_hi = ((0,) + dims)[gamma - 1], dims[gamma - 1]
-            y_blocks.append(tuple(row[c_lo:c_hi] for row in f.y[r_lo:r_hi]))
-            phi_blocks.append(tuple(row[r_lo:r_hi] for row in f.phi[r_lo:r_hi]))
-            c_vals.append(f.c)
+            y_blocks.append(tuple(row[c_lo:c_hi] for row in y[r_lo:r_hi]))
+            phi_blocks.append(tuple(row[r_lo:r_hi] for row in phi[r_lo:r_hi]))
+            c_vals.append(c)
             r_bs.append(r_hi - r_lo)
         weights = _block_weight_set(y_blocks, c_vals, phi_blocks, m_g)
         if not weights:
@@ -729,8 +733,8 @@ def verify_step2(
         X, delta = min_norm_point_of_sum(
             [tuple(m_g * a - m_g + r_b for a in w) for w in ws] for ws, r_b in zip(weights, r_bs)
         )
-        ss = not any(X)
-        witness = None if ss else clear_denominators([Fraction(a, delta * m_g) for a in X])[0]
+        ss, G = not any(X), math.gcd(delta * m_g, *X)
+        witness = None if ss else tuple(a // G for a in X)
         all_ok = all_ok and ss
         blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, witness))
     return Step2Report(

@@ -7,11 +7,12 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from higgsstrata.linalg import (
     EchelonAccumulator,
+    adjugate,
     clear_denominators,
     det,
     dot,
@@ -116,6 +117,18 @@ class TestAgainstLaplace:
             assert tuple(dot(row, x) for row in a) == tuple(b)
         else:
             assert inv is None and x is None
+
+    @given(st.one_of(st.just(()), _matrices(square=True)))
+    @example(((3,),))
+    @settings(max_examples=200, deadline=None)
+    def test_adjugate(self, a):
+        # adj(a) a = a adj(a) = det(a) I, singular a included; no division,
+        # so int input stays int
+        n, adj = len(a), adjugate(a)
+        scalar = tuple(tuple(det(a) if i == j else 0 for j in range(n)) for i in range(n))
+        assert mat_mul(adj, a) == mat_mul(a, adj) == scalar
+        if all(type(x) is int for row in a for x in row):
+            assert all(type(x) is int for row in adj for x in row)
 
     @given(_matrices(square=True))
     @settings(max_examples=200, deadline=None)

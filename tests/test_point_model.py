@@ -44,7 +44,9 @@ from higgsstrata import (
     step2_trace_identity,
     verify_step2,
 )
-from higgsstrata.linalg import adjugate, clear_denominators, det, inverse, mat, mat_mul, rank, transpose
+from higgsstrata.linalg import (
+    adapted_flag_basis, adjugate, clear_denominators, det, inverse, mat, mat_mul, rank, transpose,
+)
 from higgsstrata.point_model import (
     BlockReport,
     Step2Report,
@@ -430,19 +432,29 @@ def minkowski_sum(sets) -> set:
 
 
 def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
-    """``verify_step2`` by the explicit route: each graded block's weights
-    summed over factors point by point, translated by the twisted character
-    over ``Fraction``, and the faces oracle's min-norm point."""
+    """``verify_step2`` by the explicit route: each factor written in its
+    adapted basis g by the exact rule <g^-1 y, [c det g : det(g) g^T phi g^-T]>
+    over ``Fraction``, each graded block's weights summed over factors point
+    by point, translated by the twisted character, and the faces oracle's
+    min-norm point."""
     checked, identity_ok, _ = step2_trace_identity(beta)
+    if membership(p, beta, ctx) is Membership.OUTSIDE:
+        raise NotInY("outside the inequality locus")
+    adapted = []
+    for f in p.factors:
+        g, dims = adapted_flag_basis(transpose(f.y), beta.flag.cuts)
+        g_inv, d = inverse(g), det(g)
+        phi = mat_mul(mat_mul(transpose(g), f.phi), transpose(g_inv))
+        adapted.append((mat_mul(g_inv, f.y), f.c * d, tuple(tuple(d * x for x in row) for row in phi), dims))
     cuts = (0,) + beta.flag.cuts
     blocks = []
     for gamma, m_g in enumerate(beta.m_blocks, start=1):
         graded = []
-        for f, dims in _adapted_factors(p, beta, ctx):
+        for y, c, phi, dims in adapted:
             r_lo, r_hi = ((0,) + dims)[gamma - 1], dims[gamma - 1]
             graded.append((
-                tuple(row[cuts[gamma - 1]:cuts[gamma]] for row in f.y[r_lo:r_hi]), f.c,
-                tuple(row[r_lo:r_hi] for row in f.phi[r_lo:r_hi]), r_hi - r_lo,
+                tuple(row[cuts[gamma - 1]:cuts[gamma]] for row in y[r_lo:r_hi]), c,
+                tuple(row[r_lo:r_hi] for row in phi[r_lo:r_hi]), r_hi - r_lo,
             ))
         y_bs, c_vals, phi_bs, r_bs = zip(*graded)
         weights = minkowski_sum(_block_weight_set(y_bs, c_vals, phi_bs, m_g))
@@ -508,6 +520,25 @@ class TestStep2Reference:
                     failing += sum(not b.semistable for b in want.blocks)
                     vacuous += sum(b.vacuous for b in want.blocks)
         assert compared >= 120 and failing >= 60 and vacuous >= 10 and refused > 0
+
+    @pytest.mark.parametrize("r, d, genus", [(1, 3, 0), (2, 7, 2), (3, 4, 0)])
+    def test_adapted_factors_are_int(self, r, d, genus):
+        # rational entries, cleared once by the point and gauged without division
+        rng = random.Random(31)
+        ctx = CurveContext(r, d, genus=genus, npoints=2)
+        checked = 0
+        for tau in enumerate_hn_types(ctx, d + r, min_slope_exclusive=genus - 1):
+            if not model_supported(tau, ctx):
+                continue
+            p = build_flagged_point(tau, ctx, rng)
+            for k in range(p.npoints):
+                alpha = tuple(tuple(x / t for x in row) for row, t in zip(random_block(rng, r, r), (2, 3, 5)))
+                p = p.gauge_factor(k, alpha).rescale_factor(k, F(rng.randint(1, 5), rng.randint(2, 5)))
+            for (y, c, phi), dims, d_g, s in _adapted_factors(p, beta_of_type(tau, ctx), ctx):
+                entries = [*(x for row in y + phi for x in row), c, *dims, d_g, s]
+                assert all(type(x) is int for x in entries)
+                checked += 1
+        assert checked >= 2
 
 
 class TestScalingInvariance:

@@ -85,6 +85,25 @@ class TestMinkowskiWolfe:
         with pytest.raises(HiggsStrataError, match="affinely dependent"):
             min_norm_point_of_sum([[(1, 0), (0, 1)], [(0, 0)]])
 
+    @pytest.mark.parametrize(
+        "sets, error, match",
+        [
+            ([], ValueError, "at least one set"),
+            ([[(1, 2)], []], ValueError, "no empty set"),
+            ([[(1, 2)], [(3,)]], ValueError, "lengths 2 and 1"),
+            ([[(1, 2), (2,)]], ValueError, "lengths 2 and 1"),
+            ([[(1, 2)], [(F(3, 2), 2)]], TypeError, "integer"),
+            ([[(1, 2)], [(1.5, 2)]], TypeError, "integer"),
+            ([[(True, 2)]], TypeError, "integer"),
+        ],
+        ids=["no-sets", "empty-set", "short-point-in-later-set", "short-point-in-one-set",
+             "fraction", "float", "bool"],
+    )
+    def test_malformed_input_is_refused(self, monkeypatch, sets, error, match):
+        monkeypatch.setattr(higgsstrata.minnorm, "_wolfe", None)  # refused before any work
+        with pytest.raises(error, match=match):
+            min_norm_point_of_sum(sets)
+
 
 class TestAffineMinimizer:
     @pytest.mark.parametrize(
