@@ -6,11 +6,12 @@ accepted too, and elimination turns them into ``Fraction`` rows.  There is
 one Gaussian elimination, ``EchelonAccumulator.add``, which keeps each
 independent row of a stream: ``rank`` reads its rank, and ``rref``,
 ``nullspace``, ``solve_unique`` and ``inverse`` read the reduced row echelon
-form that ``_echelon`` gets from its kept rows by back-substitution.  The
-determinant is a Laplace expansion, apart from the elimination, and works
-over any commutative ring whose elements support ``+``, ``-``, ``*`` and
-truthiness at zero; dual numbers serve only the dense stabiliser oracle in
-``point_model``, which differentiates the full coordinate table.
+form that ``_echelon`` gets from its kept rows by back-substitution.  There
+is one Laplace expansion, ``minors``, behind ``det``, ``adjugate`` and the
+cofactor tables of ``point_model``; it works over any commutative ring
+whose elements support ``+``, ``-``, ``*`` and truthiness at zero.  Dual
+numbers serve only the dense stabiliser oracle in ``point_model``, which
+differentiates the full coordinate table.
 """
 
 from __future__ import annotations
@@ -121,68 +122,56 @@ def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
-def det(a) -> object:
-    """Determinant by Laplace expansion with memoised minors.
+def minors(a):
+    """``minor(rows, cols)``: the determinant of ``a`` on the increasing index
+    tuples rows x cols, of equal length; the empty minor is 1.
 
-    Works over any commutative ring; the empty matrix has determinant one.
-    Intended for the small (<= 6 x 6) matrices this package manipulates.
+    The package's one Laplace expansion, along the first row, skipping zero
+    entries, with one memo keyed by (rows, cols) across calls.  It never
+    divides, so it works over any commutative ring: int input stays int.
     """
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    memo: dict[tuple[int, ...], object] = {}
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
 
-    def minor(cols: tuple[int, ...]):
-        if len(cols) == 1:
-            return a[n - 1][cols[0]]
-        got = memo.get(cols)
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]):
+        if len(rows) <= 1:
+            return a[rows[0]][cols[0]] if rows else 1
+        got = memo.get((rows, cols))
         if got is not None:
             return got
-        row = n - len(cols)
-        total = None
+        row, rest = a[rows[0]], rows[1:]
+        total = row[cols[0]] - row[cols[0]]  # ring zero
         for pos, c in enumerate(cols):
-            entry = a[row][c]
-            if not entry:
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            term = entry * sub if pos % 2 == 0 else -(entry * sub)
-            total = term if total is None else total + term
-        if total is None:
-            total = a[0][0] - a[0][0]  # ring zero
-        memo[cols] = total
+            if row[c]:
+                entry = row[c] if pos % 2 == 0 else -row[c]
+                total += entry * minor(rest, cols[:pos] + cols[pos + 1:])
+        memo[rows, cols] = total
         return total
 
-    return minor(tuple(range(n)))
+    return minor
+
+
+def det(a) -> object:
+    """Determinant: the full minor of ``minors``, so the empty matrix gives 1."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    full = tuple(range(n))
+    return minors(a)(full, full)
 
 
 def adjugate(a) -> tuple:
     """Adjugate matrix: adj(a) @ a = det(a) * I, valid also when det(a) = 0.
 
-    Cofactors are ``det`` of minors, with no division, so int input gives
-    int output.
+    Every cofactor is read from one ``minors`` memo, with no division, so
+    int input gives int output.
     """
     n = len(a)
-    if n == 0:
-        return ()
-    if n == 1:
-        return ((1,),)
-    rows = range(n)
-
-    def strike(i: int, j: int):
-        return tuple(
-            tuple(a[r][c] for c in rows if c != j) for r in rows if r != i
-        )
-
+    if any(len(row) != n for row in a):
+        raise ValueError("adjugate of a non-square matrix")
+    minor, full = minors(a), tuple(range(n))
+    struck = [full[:i] + full[i + 1:] for i in full]
     # adj[i][j] is the (j, i) cofactor.
-    return tuple(
-        tuple(
-            det(strike(j, i)) if (i + j) % 2 == 0 else -det(strike(j, i))
-            for j in rows
-        )
-        for i in rows
-    )
+    return tuple(tuple((-1) ** (i + j) * minor(struck[j], struck[i]) for j in full) for i in full)
 
 
 def _accumulated(rows) -> "EchelonAccumulator":

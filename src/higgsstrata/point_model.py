@@ -8,9 +8,10 @@ Its projective coordinates are
     end family:  prod_k  det(y_k|I_k) * tr(y_k|I_k . sigma_ij . y_k|I_k^(-1) . phi_k^T)
 
 where sigma_ij has a single one in position (i, j).  Both are read off one
-table of Laplace cofactors per factor (``_factor_values``): the end value is
-the Cramer form det(y_I with column j replaced by phi^T y_{s_i}), polynomial
-also where the minor vanishes, and no matrix is inverted.  Note the
+table of cofactors per factor (``_factor_values``), whose minors of y come
+from one ``linalg.minors`` memo: the end value is the Cramer form
+det(y_I with column j replaced by phi^T y_{s_i}), polynomial also where the
+minor vanishes, and no matrix is inverted or struck out.  Note the
 transpose: phi is stored in the presentation's convention, i.e. as the
 transpose of the endomorphism of the quotient fibre.  Consequently a Higgs
 field preserving the subspace flag appears here as a block *lower* triangular
@@ -62,13 +63,14 @@ from .linalg import (
     adapted_flag_basis,
     adjugate,
     clear_denominators,
-    det,
+    dot,
     frac,
     integer_rows,
     inverse,
     listlike,
     mat,
     mat_mul,
+    minors,
     nullspace,
     rank,
     transpose,
@@ -198,7 +200,7 @@ class ModelPoint:
         if alpha_inv is None:
             raise ValueError("gauge matrix must be invertible")
         f = self.factors[k]
-        gauged = Factor(mat_mul(alpha, f.y), *_gauged(f.y, f.c, f.phi, alpha_inv)[1:])
+        gauged = Factor(mat_mul(alpha, f.y), *_gauged(f.y, f.c, f.phi, alpha_inv)[0][1:])
         return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:
@@ -253,7 +255,9 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     """One factor's det values, end values and cofactor tables (V_y, V_z).
 
     For each (r-1)-subset K, f_K is the Laplace cofactor vector of [y_K | w]
-    along its last column, so det[y_K | w] = f_K . w.  The tables hold
+    along its last column, so det[y_K | w] = f_K . w: f_K[i] is
+    (-1)^(r-1-i) times the minor of y on the rows other than i and the
+    columns K, all read from one ``minors`` memo per factor.  The tables hold
     V_y[K][x-1] = f_K . y_x and V_z[K][x-1] = f_K . z_x, z = phi^T y.  The det
     value at I is c V_y(I minus s_r, s_r); by Cramer's rule on
     B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
@@ -266,10 +270,12 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     if r == 0:
         return {(): c}, {}, ({}, {})
     y_cols, z_cols = transpose(y), transpose(mat_mul(transpose(phi), y))
+    minor, rows = minors(y), tuple(range(r))
+    struck = [rows[:i] + rows[i + 1:] for i in rows]
     v_y, v_z = {}, {}
-    for K in itertools.combinations(range(1, m + 1), r - 1):
-        y_k = tuple(tuple(row[l - 1] for l in K) for row in y)
-        f = [(-1) ** (r - 1 - i) * det(y_k[:i] + y_k[i + 1:]) for i in range(r)]
+    for cols in itertools.combinations(range(m), r - 1):
+        f = [(-1) ** (r - 1 - i) * minor(struck[i], cols) for i in rows]
+        K = tuple(l + 1 for l in cols)
         v_y[K] = [sum(map(mul, f, col)) for col in y_cols]
         v_z[K] = [sum(map(mul, f, col)) for col in z_cols]
     subsets = list(itertools.combinations(range(1, m + 1), r))
@@ -520,9 +526,11 @@ def _block_divided(matrix, row_cuts, col_cuts, d: int) -> Mat:
 
 def _gauged(y, c, phi, g) -> tuple:
     """The factor written in the basis g, g invertible, in adjugate form
-    (adj(g) y, c det(g), g^T phi adj(g)^T): int input gives int output."""
-    adj = adjugate(g)
-    return mat_mul(adj, y), c * det(g), mat_mul(mat_mul(transpose(g), phi), transpose(adj))
+    (adj(g) y, c det(g), g^T phi adj(g)^T), and det(g), expanded along g's
+    first column with the same cofactors: int input gives int output."""
+    adj, g_t = adjugate(g), transpose(g)
+    d = dot(adj[0], g_t[0])
+    return (mat_mul(adj, y), c * d, mat_mul(mat_mul(g_t, phi), transpose(adj))), d
 
 
 def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
@@ -543,7 +551,8 @@ def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     adapted = []
     for (y, c, phi), s in p._integer_factors:
         g, dims = adapted_flag_basis(transpose(y), beta.flag.cuts)
-        adapted.append((_gauged(y, c, phi, g), dims, det(g), s))
+        factor, d = _gauged(y, c, phi, g)
+        adapted.append((factor, dims, d, s))
     return adapted
 
 
@@ -632,7 +641,7 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
             g, dims = adapted_flag_basis(transpose(y), cuts)
         except ValueError:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-        _check_flag_adapted(_gauged(y, c, phi, g)[2], dims, k, h.tau)
+        _check_flag_adapted(_gauged(y, c, phi, g)[0][2], dims, k, h.tau)
     return ModelPoint(h.factors)
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from higgsstrata.linalg import (
+    Dual,
     EchelonAccumulator,
     adjugate,
     clear_denominators,
@@ -20,6 +21,7 @@ from higgsstrata.linalg import (
     integer_rows,
     inverse,
     mat_mul,
+    minors,
     nullspace,
     rank,
     rref,
@@ -149,13 +151,62 @@ class TestAgainstLaplace:
         assert det(tuple(tuple(dot(u, v) for v in basis) for u in basis)) != 0
 
 
+def _leibniz(a, rows, cols):
+    """The minor of ``a`` on rows x cols as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, p in enumerate(perm):
+            term = term * a[rows[i]][cols[p]]
+        total = total + term
+    return total
+
+
+@st.composite
+def _rectangular(draw):
+    """Int, Fraction or dual-number matrices of at most 4 x 6, many entries zero."""
+    kind = draw(st.sampled_from(["int", "fraction", "dual"]))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), _INTS) if kind == "int" else st.one_of(st.just(F(0)), _FRACTIONS)
+    if kind == "dual":
+        entries = st.builds(Dual, entries, st.one_of(st.just(F(0)), _FRACTIONS))
+    return tuple(tuple(draw(entries) for _ in range(ncols)) for _ in range(nrows))
+
+
+class TestAgainstLeibniz:
+    """The Laplace kernel against permutation sums, which share none of its code."""
+
+    @given(_rectangular())
+    @example(())
+    @example(((1, 2, 0), (3, 4, 5), (0, 6, 7)))
+    @settings(max_examples=150, deadline=None)
+    def test_minors_det_and_adjugate(self, a):
+        minor, ncols = minors(a), len(a[0]) if a else 0
+        ints = all(type(x) is int for row in a for x in row)
+        for k in range(min(len(a), ncols) + 1):
+            for rows in itertools.combinations(range(len(a)), k):
+                for cols in itertools.combinations(range(ncols), k):
+                    want, got = _leibniz(a, rows, cols), minor(rows, cols)
+                    assert got == want and (type(got) is int or not ints)
+                    b = tuple(tuple(a[i][j] for j in cols) for i in rows)
+                    assert det(b) == want
+                    full = range(k)
+                    struck = [tuple(x for x in full if x != i) for i in full]
+                    assert adjugate(b) == tuple(
+                        tuple((-1) ** (i + j) * _leibniz(b, struck[j], struck[i]) for j in full)
+                        for i in full
+                    )
+
+
 class TestShapes:
     """Shape errors are refused, not truncated."""
 
     @pytest.mark.parametrize("a", [((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 1)), ((1, 0), (1,))])
     def test_inverse_of_a_non_square_matrix(self, a):
-        with pytest.raises(ValueError, match="non-square"):
-            inverse(a)
+        for square_only in (inverse, det, adjugate):
+            with pytest.raises(ValueError, match="non-square"):
+                square_only(a)
 
     def test_mat_mul_inner_dimension_mismatch(self):
         with pytest.raises(ValueError, match="inner dimension"):

@@ -534,9 +534,13 @@ class TestStep2Reference:
             for k in range(p.npoints):
                 alpha = tuple(tuple(x / t for x in row) for row, t in zip(random_block(rng, r, r), (2, 3, 5)))
                 p = p.gauge_factor(k, alpha).rescale_factor(k, F(rng.randint(1, 5), rng.randint(2, 5)))
-            for (y, c, phi), dims, d_g, s in _adapted_factors(p, beta_of_type(tau, ctx), ctx):
+            beta = beta_of_type(tau, ctx)
+            adapted = _adapted_factors(p, beta, ctx)
+            for ((y, c, phi), dims, d_g, s), ((y_int, _, _), _) in zip(adapted, p._integer_factors):
                 entries = [*(x for row in y + phi for x in row), c, *dims, d_g, s]
                 assert all(type(x) is int for x in entries)
+                # the det(g) read off _gauged's cofactors is det of the adapted basis
+                assert d_g == det(adapted_flag_basis(transpose(y_int), beta.flag.cuts)[0])
                 checked += 1
         assert checked >= 2
 
