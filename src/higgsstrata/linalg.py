@@ -2,11 +2,11 @@
 
 Matrices are tuples of tuples of ``Fraction``; vectors are tuples.  Everything
 here is exact: no floating point, no tolerances.  Rows of Python ints are
-accepted too, and elimination turns them into ``Fraction`` rows.  There is
-one Gaussian elimination, ``EchelonAccumulator.add``, which keeps each
-independent row of a stream: ``rank`` reads its rank, and ``rref``,
-``nullspace``, ``solve_unique`` and ``inverse`` read the reduced row echelon
-form that ``_echelon`` gets from its kept rows by back-substitution.  There
+accepted too.  There is one Gaussian elimination, ``EchelonAccumulator.add``,
+fraction-free over int, which keeps each independent row of a stream:
+``rank`` reads its rank, and ``rref``, ``nullspace``, ``solve_unique`` and
+``inverse`` read the reduced row echelon form, over ``Fraction``, that
+``_echelon`` gets from its kept rows by back-substitution.  There
 is one Laplace expansion, ``minors``, behind ``det``, ``adjugate`` and the
 cofactor tables of ``point_model``; it works over any commutative ring
 whose elements support ``+``, ``-``, ``*`` and truthiness at zero.  Dual
@@ -25,9 +25,6 @@ from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
-
-# Pivots are inverted as _ONE / pivot: 1 / pivot is a float for an int pivot.
-_ONE = Fraction(1)
 
 # The exponent of a decimal string such as "1.5e-3", in Fraction's syntax.
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -186,12 +183,14 @@ def _echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form: (nonzero rows in pivot order, pivot columns).
 
     The rows go through ``EchelonAccumulator.add``, the one forward
-    elimination; each kept row's pivot is then cleared from the rows kept
-    before it.  The reduced form is unique, so this is the same ``Fraction``
-    matrix whichever elimination order produced it.
+    elimination; each kept int row is divided by its pivot entry, the only
+    division, and its pivot is then cleared from the rows kept before it.
+    The reduced form is unique, so this is the same ``Fraction`` matrix
+    whichever elimination order produced it.
     """
     acc = _accumulated(rows)
-    kept, pivots = acc._rows, acc._pivots
+    pivots = acc._pivots
+    kept = [[Fraction(x, row[p]) for x in row] for row, p in zip(acc._rows, pivots)]
     for i, (row, p) in enumerate(zip(kept, pivots)):
         for j in range(i):
             f = kept[j][p]
@@ -245,7 +244,7 @@ def inverse(a: Mat) -> Mat | None:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
-    aug = [[*row, *(_ONE if i == j else 0 for j in range(n))] for i, row in enumerate(a)]
+    aug = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(a)]
     red, pivots = _echelon(aug)
     if pivots != list(range(n)):
         return None
@@ -256,29 +255,34 @@ class EchelonAccumulator:
     """Incremental row-space tracker: the package's one forward elimination.
 
     Rows are fed one at a time; only independent rows are kept, so the memory
-    footprint is bounded by the width, not by the stream length.  A kept row
-    is scaled to a leading one at its pivot and is zero at every earlier kept
-    row's pivot.
+    footprint is bounded by the width, not by the stream length.  It is
+    fraction-free (Bareiss 1968): a row w is cleared of denominators once,
+    and each kept row r with pivot p turns it into r[p] w - w[p] r divided
+    by its gcd.  A kept row is a primitive int row, zero at every earlier
+    kept row's pivot.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
 
     def add(self, row: Sequence[Fraction]) -> bool:
         """Keep the row if it is independent of the kept rows; say whether it was."""
-        work = list(row)
+        work = clear_denominators(row)[0]
         for r, p in zip(self._rows, self._pivots):
-            if work[p] != 0:
-                f = work[p]
-                work = [x - f * y for x, y in zip(work, r)]
-        pivot = next((c for c in range(self.width) if work[c] != 0), None)
+            f = work[p]
+            if f:
+                a = r[p]
+                work = [a * x - f * y for x, y in zip(work, r)]
+                g = math.gcd(*work)
+                if g > 1:
+                    work = [x // g for x in work]
+        pivot = next((c for c, x in enumerate(work) if x), None)
         if pivot is None:
             return False
-        inv = _ONE / work[pivot]
-        work = [x * inv for x in work]
-        self._rows.append(work)
+        g = math.gcd(*work)
+        self._rows.append([x // g for x in work])
         self._pivots.append(pivot)
         return True
 

@@ -128,12 +128,13 @@ class ModelPoint:
         if not factors[0].y:
             raise ValueError("factor 1: y must have at least one row")
         r, m = self.r, self.m
-        for k, f in enumerate(factors, start=1):
+        integer_ys = (y for (y, _, _), _ in self._integer_factors)
+        for k, (f, y) in enumerate(zip(factors, integer_ys), start=1):
             if len(f.y) != r or len(f.y[0]) != m:
                 raise ValueError(f"factor {k}: y must be {r}x{m}")
             if len(f.phi) != r or (f.phi and len(f.phi[0]) != r):
                 raise ValueError(f"factor {k}: phi must be {r}x{r}")
-            if rank(f.y) != r:
+            if rank(y) != r:
                 raise ValueError(f"factor {k}: y does not have full row rank")
             if f.c == 0 and all(not x for row in f.phi for x in row):
                 raise ValueError(f"factor {k}: (c, phi) must not be (0, 0)")
@@ -200,7 +201,9 @@ class ModelPoint:
         if alpha_inv is None:
             raise ValueError("gauge matrix must be invertible")
         f = self.factors[k]
-        gauged = Factor(mat_mul(alpha, f.y), *_gauged(f.y, f.c, f.phi, alpha_inv)[0][1:])
+        # adj(alpha^-1) = det(alpha^-1) alpha, so adj(alpha^-1) y / d is alpha y
+        (y, c, phi), d = _gauged(f.y, f.c, f.phi, alpha_inv)
+        gauged = Factor(tuple(tuple(x / d for x in row) for row in y), c, phi)
         return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:

@@ -483,6 +483,19 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert re.fullmatch(name + r": .*\n", err), err
 
+    def test_rank_deficient_y(self, capsys):
+        # factor 2's rows are proportional, with different denominators
+        point = {"factors": [
+            {"y": [[1, 0, 0], [0, 1, 0]], "c": 1, "phi": [[0, 0], [1, 0]]},
+            {"y": [["1/2", "1/3", 1], ["3/4", "1/2", "3/2"]], "c": 1, "phi": [[0, 0], [1, 0]]},
+        ]}
+        code, out, err = run(
+            capsys, "point-coords", "--point", json.dumps(point),
+            "--rank", "2", "--degree", "1", "--npoints", "2",
+        )
+        assert code == 1 and not out
+        assert err == "ValueError: factor 2: y does not have full row rank\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,8 +1,10 @@
-"""Exact elimination: int input, and properties checked without elimination."""
+"""Exact elimination: int input, a textbook oracle, and properties checked
+without elimination."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction as F
 
@@ -149,6 +151,97 @@ class TestAgainstLaplace:
         assert all(dot(row, v) == 0 for v in basis for row in a)
         # independent: the Gram matrix of the basis is nonsingular
         assert det(tuple(tuple(dot(u, v) for v in basis) for u in basis)) != 0
+
+
+def _gauss_jordan(a):
+    """Textbook Gauss-Jordan over Fraction, row by row with a leading one:
+    (the reduced rows, zero rows last, and the pivot columns)."""
+    rows = [[F(x) for x in row] for row in a]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[k] = rows[k], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[top])]
+        pivots.append(c)
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+_BIG_ENTRIES = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def _big_matrices(draw):
+    """Int or Fraction matrices of at most 8 x 5 with entries up to 10^20,
+    some rows zero, a multiple of an earlier row or the sum of two."""
+    ncols, nrows = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "multiple", "sum"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "multiple" and i:
+            t = draw(_BIG_ENTRIES)
+            rows.append([t * x for x in rows[draw(st.integers(0, i - 1))]])
+        elif kind == "sum" and i:
+            u, v = rows[draw(st.integers(0, i - 1))], rows[draw(st.integers(0, i - 1))]
+            rows.append([x + y for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(_BIG_ENTRIES, min_size=ncols, max_size=ncols)))
+    return tuple(tuple(row) for row in rows)
+
+
+class TestAgainstGaussJordan:
+    """The fraction-free elimination against a textbook Fraction elimination."""
+
+    def _check(self, a, data):
+        red, pivots = _gauss_jordan(a)
+        assert rref(a) == (red, pivots) and rank(a) == len(pivots)
+        ncols = len(a[0]) if a else 0
+        basis = []
+        for f in (c for c in range(ncols) if c not in pivots):
+            v = [F(c == f) for c in range(ncols)]
+            for r, p in enumerate(pivots):
+                v[p] = -red[r][f]
+            basis.append(tuple(v))
+        assert nullspace(a) == basis
+        # the kept rows: primitive int rows, zero at every earlier pivot
+        acc = EchelonAccumulator(ncols)
+        for row in a:
+            acc.add(row)
+        for i, (row, p) in enumerate(zip(acc._rows, acc._pivots)):
+            assert all(type(x) is int for x in row) and math.gcd(*row) == 1
+            assert not any(row[:p]) and row[p]
+            assert all(row[q] == 0 for q in acc._pivots[:i])
+        # square systems: the leading square block, solved and inverted
+        n = min(len(a), ncols)
+        sq = tuple(row[:n] for row in a[:n])
+        b = data.draw(st.lists(_BIG_ENTRIES, min_size=n, max_size=n))
+        aug, aug_pivots = _gauss_jordan([[*row, x] for row, x in zip(sq, b)])
+        solved = aug_pivots == tuple(range(n))
+        assert solve_unique(sq, b) == (tuple(row[n] for row in aug) if solved else None)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        aug, aug_pivots = _gauss_jordan([[*row, *e] for row, e in zip(sq, eye)])
+        inv = tuple(row[n:] for row in aug) if aug_pivots == tuple(range(n)) else None
+        assert inverse(sq) == inv
+
+    @given(_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_small_int_and_fraction_matrices(self, a, data):
+        self._check(a, data)
+
+    @given(_big_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_large_entries_up_to_8_by_5(self, a, data):
+        self._check(a, data)
 
 
 def _leibniz(a, rows, cols):

@@ -343,6 +343,14 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^factor 1: phi must be 2x2$"):
             ModelPoint((Factor(self.Y, 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),))
 
+    def test_model_point_rank_deficient_y_with_unlike_denominators(self):
+        # proportional rows whose entries have different denominators; the
+        # factor's integer form is [[6, 4, 12], [9, 6, 18]], still of rank 1
+        y = [[F(1, 2), F(1, 3), 1], [F(3, 4), F(1, 2), F(3, 2)]]
+        first = Factor([[1, 0, 0], [0, 1, 0]], 1, [[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="^factor 2: y does not have full row rank$"):
+            ModelPoint((first, Factor(y, 1, [[0, 0], [1, 0]])))
+
     def test_stabilizer_flag_total_mismatch(self):
         with pytest.raises(ValueError, match="^flag total must equal the section count$"):
             unipotent_stabilizer_dim(flagged_point(3, self.PHI), FLAG11, CTX73)
