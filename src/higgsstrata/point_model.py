@@ -7,11 +7,13 @@ Its projective coordinates are
     det family:  prod_k  c_k * det(y_k restricted to columns J_k)
     end family:  prod_k  det(y_k|I_k) * tr(y_k|I_k . sigma_ij . y_k|I_k^(-1) . phi_k^T)
 
-where sigma_ij has a single one in position (i, j).  Both are read off one
-table of cofactors per factor (``_factor_values``), whose minors of y come
-from one ``linalg.minors`` memo: the end value is the Cramer form
-det(y_I with column j replaced by phi^T y_{s_i}), polynomial also where the
-minor vanishes, and no matrix is inverted or struck out.  Note the
+where sigma_ij has a single one in position (i, j).  Each is a product over
+factors of one entry V(K, x) = det[y_K | w_x] of the factor's two cofactor
+tables (``_factor_values``), w = y for det values and, by Cramer's rule,
+w = phi^T y for end values, times c or a sign (``_entry_keys``); the entry
+(K, x) has the torus character 1 off K minus e_x in both families.  The
+minors come from one ``linalg.minors`` memo, so values are polynomial also
+where a minor vanishes, and no matrix is inverted or struck out.  Note the
 transpose: phi is stored in the presentation's convention, i.e. as the
 transpose of the endomorphism of the quotient fibre.  Consequently a Higgs
 field preserving the subspace flag appears here as a block *lower* triangular
@@ -32,8 +34,8 @@ the values are polynomials of degree r in y and 1 in (c, phi), so every
 value of factor k is its exact value times one nonzero constant s_k = L^r M.
 That leaves the support, hence every weight, and each stabiliser table's row
 space unchanged; ``coordinates`` divides by the product of the s_k.  Step 2
-and the retraction gauge this integer form (``_adapted_factors``).  Weights
-are pairings with D beta, D the lcm of beta's denominators, and
+and the retraction gauge this integer form (``_adapted_factors``).  Step 1's
+weights are pairings with D beta, D the lcm of beta's denominators, and
 ``verify_step1`` divides by D.  ``Fraction`` appears only where a value
 leaves the module.
 """
@@ -46,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from operator import mul
 
 from .errors import (
@@ -157,14 +159,10 @@ class ModelPoint:
         return tuple(_integer_factor(f.y, f.c, f.phi) for f in self.factors)
 
     @cached_property
-    def _values(self) -> tuple[tuple[dict, dict, tuple[dict, dict]], ...]:
-        """Per factor: its det values, end values and cofactor tables over int,
-        ``_factor_values`` of its integer form, evaluated once.
-
-        They are the exact values times the factor's scale.  The full table is
-        their tensor product (see ``_table``) divided by ``_scale``; the
-        stabiliser reads the cofactor tables.
-        """
+    def _values(self) -> tuple[tuple[int, dict, dict], ...]:
+        """Per factor: (c, V_y, V_z) over int, ``_factor_values`` of its
+        integer form, evaluated once; each value of the factor is an entry
+        times c or a sign, and its exact value times the factor's scale."""
         return tuple(_factor_values(*factor, self.m) for factor, _ in self._integer_factors)
 
     @cached_property
@@ -173,12 +171,13 @@ class ModelPoint:
         return math.prod(scale for _, scale in self._integer_factors)
 
     @cached_property
-    def _support(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Per factor: its nonzero det subsets and nonzero end keys (s, i, j).
+    def _support(self) -> tuple[tuple[dict, dict], ...]:
+        """Per factor and family: {(K, x): first key in table order that reads
+        it} over the nonzero entries (``_factor_support``).
 
         Independent of any instability vector, so every predicate shares it.
         """
-        return tuple(_factor_support(values) for values in self._values)
+        return tuple(_factor_support(values, self.r, self.m) for values in self._values)
 
     def rescale_factor(self, k: int, t) -> "ModelPoint":
         """Projective rescaling (c, phi) -> (t c, t phi) of factor k (0-based)."""
@@ -254,8 +253,9 @@ class CoordinateTable:
         return scalar is not None
 
 
-def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
-    """One factor's det values, end values and cofactor tables (V_y, V_z).
+def _factor_values(y, c, phi, m: int) -> tuple:
+    """One factor's (c, V_y, V_z): c and its two cofactor tables, of which
+    every det and end value of the factor is one entry (``_entry_keys``).
 
     For each (r-1)-subset K, f_K is the Laplace cofactor vector of [y_K | w]
     along its last column, so det[y_K | w] = f_K . w: f_K[i] is
@@ -265,13 +265,12 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
     value at I is c V_y(I minus s_r, s_r); by Cramer's rule on
     B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
     det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
+    Either way the entry (K, x) has the torus character 1 off K minus e_x.
     Works over any commutative ring: the point's own tables are built over
     int (``_integer_factor``), the dense stabiliser oracle's over ``Fraction``
-    and dual numbers.
+    and dual numbers.  y has at least one row.
     """
     r = len(y)
-    if r == 0:
-        return {(): c}, {}, ({}, {})
     y_cols, z_cols = transpose(y), transpose(mat_mul(transpose(phi), y))
     minor, rows = minors(y), tuple(range(r))
     struck = [rows[:i] + rows[i + 1:] for i in rows]
@@ -281,14 +280,20 @@ def _factor_values(y, c, phi, m: int) -> tuple[dict, dict, tuple[dict, dict]]:
         K = tuple(l + 1 for l in cols)
         v_y[K] = [sum(map(mul, f, col)) for col in y_cols]
         v_z[K] = [sum(map(mul, f, col)) for col in z_cols]
+    return c, v_y, v_z
+
+
+@cache
+def _entry_keys(r: int, m: int) -> dict:
+    """The key -> entry rule (see ``_factor_values``): each det key s and end
+    key (s, i, j) of a factor, in table order, mapped to (family, K, x, sign):
+    it reads V_y(K, x) times c (family 0) or V_z(K, x) times sign (family 1)."""
     subsets = list(itertools.combinations(range(1, m + 1), r))
-    dets = {s: c * v_y[s[:-1]][s[-1] - 1] for s in subsets}
-    ends = {}
+    reads = {s: (0, s[:-1], s[-1], 1) for s in subsets}
     for s in subsets:
         for i, j in itertools.product(range(1, r + 1), repeat=2):
-            v = v_z[s[:j - 1] + s[j:]][s[i - 1] - 1]
-            ends[(s, i, j)] = v if (r - j) % 2 == 0 else -v
-    return dets, ends, (v_y, v_z)
+            reads[(s, i, j)] = (1, s[:j - 1] + s[j:], s[i - 1], (-1) ** (r - j))
+    return reads
 
 
 def _integer_factor(y, c, phi) -> tuple[tuple, int]:
@@ -306,25 +311,30 @@ def _integer_factor(y, c, phi) -> tuple[tuple, int]:
     return (tuple(y_ints), c_int, tuple(phi_ints)), L ** len(y) * M
 
 
-def _factor_support(values: tuple[dict, dict, tuple]) -> tuple[tuple, tuple]:
-    """Nonzero det subsets and nonzero end keys of one factor, in table order."""
-    dets, ends, _ = values
-    return tuple(s for s, v in dets.items() if v), tuple(k for k, v in ends.items() if v)
+def _factor_support(values: tuple, r: int, m: int) -> tuple[dict, dict]:
+    """Per family, {(K, x): first key in table order that reads it} over
+    one factor's nonzero det and end values (``_entry_keys``)."""
+    c, *tables = values
+    support = ({}, {})
+    for key, (fam, K, x, _) in _entry_keys(r, m).items():
+        if (fam or c) and tables[fam][K][x - 1]:
+            support[fam].setdefault((K, x), key)
+    return support
 
 
 def _table(indices, parts) -> dict[CoordinateIndex, object]:
-    """Coordinate values in index order, each the product of per-factor
-    ``_factor_values`` entries, over any base ring."""
+    """Coordinate values in index order, each the product over factors of the
+    entry its key reads (``_entry_keys``), over any base ring."""
+    K, row = next(iter(parts[0][1].items()))  # V_y is C(m, r-1) x m
+    reads = _entry_keys(len(K) + 1, len(row))
     table: dict[CoordinateIndex, object] = {}
     for idx in indices:
-        if idx.kind == "det":
-            vals = [part[0][s] for part, s in zip(parts, idx.subsets)]
-        else:
-            vals = [part[1][(s, i, j)] for part, s, (i, j) in zip(parts, idx.subsets, idx.ij)]
-        val = vals[0]
-        for v in vals[1:]:
-            val = val * v
-        table[idx] = val
+        keys = idx.subsets if idx.kind == "det" else zip(idx.subsets, *zip(*idx.ij))
+        vals = []
+        for (c, *tables), key in zip(parts, keys):
+            fam, K, x, sign = reads[key]
+            vals.append((sign if fam else c) * tables[fam][K][x - 1])
+        table[idx] = reduce(mul, vals)
     return table
 
 
@@ -357,51 +367,36 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     )
 
 
-def _integer_beta(beta: BetaVector, p: ModelPoint) -> tuple[tuple[int, ...], int]:
-    """beta's entries times D, the lcm of their denominators, and D."""
-    if beta.m != p.m:
-        raise ValueError("instability vector length does not match the point")
-    return clear_denominators(beta.entries)
-
-
-def _factor_weight_supports(p: ModelPoint, beta: BetaVector):
-    """Per factor: achievable weights with a witness key, for both families.
-
-    Returns (det_list, end_list, D) where each entry is a dict
-    {weight: witness key} over the factor's nonzero coordinates; the witness
-    is the first key of that weight in table order.  Weights are the int
-    pairings with D beta (``_integer_beta``), i.e. D times the exact ones.
-    """
-    entries, D = _integer_beta(beta, p)
-    det_weights = {
-        s: -sum(entries[l - 1] for l in s)
-        for s in itertools.combinations(range(1, p.m + 1), p.r)
-    }
-    det_list, end_list = [], []
-    for det_keys, end_keys in p._support:
-        dets, ends = {}, {}
-        for s in det_keys:
-            dets.setdefault(det_weights[s], s)
-        for s, i, j in end_keys:
-            w = det_weights[s] + entries[s[j - 1] - 1] - entries[s[i - 1] - 1]
-            ends.setdefault(w, (s, i, j))
-        det_list.append(dets)
-        end_list.append(ends)
-    return det_list, end_list, D
-
-
 def _family_min_max(p: ModelPoint, beta: BetaVector):
     """Families supported at every factor, their least weight and the verdict.
 
-    Returns ([(per-factor weight dicts, index builder)], D, lo, membership),
-    with weights and lo in units of 1/D (see ``_factor_weight_supports``).
+    Returns ([(per-factor {weight: witness key} dicts, index builder)], D, lo,
+    membership).  The entry (K, x) pairs with D beta (trace zero, D the lcm of
+    its denominators) to -sum_{l in K} D beta_l - D beta_x; the witness is the
+    first key in table order of that weight.  Raises ValueError unless beta
+    was built for the point's rank, section count and number of points.
     """
-    det_list, end_list, D = _factor_weight_supports(p, beta)
-    families = [
-        (fam, make_index)
-        for fam, make_index in ((det_list, _det_index), (end_list, _end_index))
-        if all(fam)
-    ]
+    if (beta.m, beta.npoints, beta.tau.rank) != (p.m, p.npoints, p.r):
+        raise ValueError(
+            f"instability vector shape ({beta.tau.rank}x{beta.m}, {beta.npoints} factors) "
+            f"does not match point ({p.r}x{p.m}, {p.npoints} factors)"
+        )
+    entries, D = clear_denominators(beta.entries)
+    off = {
+        K: -sum(entries[l - 1] for l in K)
+        for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
+    }
+    families = []
+    for fam, make_index in ((0, _det_index), (1, _end_index)):
+        if not all(support[fam] for support in p._support):
+            continue
+        per_factor = []
+        for support in p._support:
+            weights = {}
+            for (K, x), key in support[fam].items():
+                weights.setdefault(off[K] - entries[x - 1], key)
+            per_factor.append(weights)
+        families.append((per_factor, make_index))
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     lo = min(sum(min(d) for d in fam) for fam, _ in families)
@@ -674,24 +669,23 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
     """Each factor's distinct supported weights in one graded block, as int
     tuples; an empty list when some factor has none (a vacuous block).
 
-    The block's weights are the Minkowski sum of these sets, which step 2
-    never builds.
+    A factor's weights are the characters 1 off K minus e_x of its block's
+    nonzero entries (K, x) (``_factor_support``); a rank-0 block has the one
+    det coordinate (), of value c and character 1 everywhere.  The block's
+    weights are the Minkowski sum of these sets, which step 2 never builds.
     """
     per_factor: list[set[tuple[int, ...]]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
-        det_keys, end_keys = _factor_support(_factor_values(y_b, c, phi_b, m_g))
-        if not det_keys and not end_keys:
+        if not y_b:
+            weights = {(1,) * m_g} if c else set()
+        else:
+            support = _factor_support(_factor_values(y_b, c, phi_b, m_g), len(y_b), m_g)
+            weights = {
+                tuple(int(l not in K) - (l == x) for l in range(1, m_g + 1))
+                for family in support for K, x in family
+            }
+        if not weights:
             return []
-        base = {
-            s: tuple(0 if l in s else 1 for l in range(1, m_g + 1))
-            for s in itertools.combinations(range(1, m_g + 1), len(y_b))
-        }
-        weights = {base[s] for s in det_keys}
-        for s, i, j in end_keys:
-            w = list(base[s])
-            w[s[j - 1] - 1] += 1
-            w[s[i - 1] - 1] -= 1
-            weights.add(tuple(w))
         per_factor.append(weights)
     return per_factor
 
@@ -829,7 +823,7 @@ def unipotent_stabilizer_dim(
         for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
     }
     acc = EchelonAccumulator(len(positions))
-    for _, _, tables in p._values:
+    for _, *tables in p._values:
         for fam in families:
             table = tables[fam]
             for K, values in table.items():

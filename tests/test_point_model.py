@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -334,6 +335,20 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             coordinates(p, CTX73_N2)
 
+    def test_beta_for_another_point_count_or_rank(self):
+        # a beta built for N = 1 at an N = 2 point of the same shape, and one
+        # of a rank-3 type with as many sections at a rank-2 point
+        p = ModelPoint(flagged_point(3, self.PHI).factors * 2)
+        rank3 = beta_of_type(HNType(((1, 2), (2, 0))), CurveContext(3, 2))  # m = 5
+        for beta, message in (
+            (beta_of_type(TAU43, CTX73), r"^instability vector shape \(2x5, 1 factors\) does not match point \(2x5, 2 factors\)$"),
+            (rank3, r"^instability vector shape \(3x5, 1 factors\) does not match point \(2x5, 2 factors\)$"),
+        ):
+            for route in (membership, verify_step1, verify_step2, retract_p_beta):
+                with pytest.raises(ValueError, match=message):
+                    route(p, beta, CTX73_N2)
+        assert membership(p, beta_of_type(TAU43, CTX73_N2), CTX73_N2) is Membership.IN_Y_NOT_Z
+
     def test_model_point_wrong_y_row_length(self):
         narrow = Factor([row[:4] for row in self.Y], 1, self.PHI)
         with pytest.raises(ValueError, match="^factor 2: y must be 2x5$"):
@@ -439,15 +454,10 @@ def minkowski_sum(sets) -> set:
     return total
 
 
-def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
-    """``verify_step2`` by the explicit route: each factor written in its
-    adapted basis g by the exact rule <g^-1 y, [c det g : det(g) g^T phi g^-T]>
-    over ``Fraction``, each graded block's weights summed over factors point
-    by point, translated by the twisted character, and the faces oracle's
-    min-norm point."""
-    checked, identity_ok, _ = step2_trace_identity(beta)
-    if membership(p, beta, ctx) is Membership.OUTSIDE:
-        raise NotInY("outside the inequality locus")
+def graded_blocks(p: ModelPoint, beta):
+    """Per graded block, (m_g, y blocks, c values, phi blocks, block ranks) over
+    factors, each factor written in its adapted basis g by the exact rule
+    <g^-1 y, [c det g : det(g) g^T phi g^-T]> over ``Fraction``."""
     adapted = []
     for f in p.factors:
         g, dims = adapted_flag_basis(transpose(f.y), beta.flag.cuts)
@@ -455,7 +465,6 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
         phi = mat_mul(mat_mul(transpose(g), f.phi), transpose(g_inv))
         adapted.append((mat_mul(g_inv, f.y), f.c * d, tuple(tuple(d * x for x in row) for row in phi), dims))
     cuts = (0,) + beta.flag.cuts
-    blocks = []
     for gamma, m_g in enumerate(beta.m_blocks, start=1):
         graded = []
         for y, c, phi, dims in adapted:
@@ -464,7 +473,19 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
                 tuple(row[cuts[gamma - 1]:cuts[gamma]] for row in y[r_lo:r_hi]), c,
                 tuple(row[r_lo:r_hi] for row in phi[r_lo:r_hi]), r_hi - r_lo,
             ))
-        y_bs, c_vals, phi_bs, r_bs = zip(*graded)
+        yield (m_g, *zip(*graded))
+
+
+def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
+    """``verify_step2`` by the explicit route: each graded block of
+    ``graded_blocks``, its weights summed over factors point by point,
+    translated by the twisted character, and the faces oracle's min-norm
+    point."""
+    checked, identity_ok, _ = step2_trace_identity(beta)
+    if membership(p, beta, ctx) is Membership.OUTSIDE:
+        raise NotInY("outside the inequality locus")
+    blocks = []
+    for gamma, (m_g, y_bs, c_vals, phi_bs, r_bs) in enumerate(graded_blocks(p, beta), start=1):
         weights = minkowski_sum(_block_weight_set(y_bs, c_vals, phi_bs, m_g))
         if not weights:
             blocks.append(BlockReport(gamma, max(r_bs), m_g, True, None, vacuous=True))
@@ -474,6 +495,27 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
         ss = not any(v)
         blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, None if ss else clear_denominators(v)[0]))
     return Step2Report(identity_ok and all(b.semistable for b in blocks), tuple(blocks), checked, identity_ok)
+
+
+def cramer_block_weights(y_b, c, phi_b, m_g: int) -> set[tuple[int, ...]]:
+    """One factor's supported weights in a graded block of positive rank r_b,
+    by the definitions: a det value c det(y_s) from ``det`` of the block's
+    columns s, an end value (s, i, j) in Cramer form, det(y_s with column j
+    replaced by column s_i of phi^T y), and each weight from
+    ``alpha_of_index`` in the one-point context with m_g sections."""
+    r_b = len(y_b)
+    ctx_b = CurveContext(r_b, m_g - r_b)
+    z = mat_mul(transpose(phi_b), y_b)
+    weights = set()
+    for s in itertools.combinations(range(1, m_g + 1), r_b):
+        y_s = tuple(tuple(row[l - 1] for l in s) for row in y_b)
+        if c * det(y_s):
+            weights.add(alpha_of_index(CoordinateIndex("det", (s,)), ctx_b))
+        for i, j in itertools.product(range(1, r_b + 1), repeat=2):
+            replaced = tuple(row[:j - 1] + (z_row[s[i - 1] - 1],) + row[j:] for row, z_row in zip(y_s, z))
+            if det(replaced):
+                weights.add(alpha_of_index(CoordinateIndex("end", (s,), ((i, j),)), ctx_b))
+    return {tuple(int(a) for a in w) for w in weights}
 
 
 def _sparsified(p: ModelPoint, rng: random.Random) -> ModelPoint:
@@ -528,6 +570,29 @@ class TestStep2Reference:
                     failing += sum(not b.semistable for b in want.blocks)
                     vacuous += sum(b.vacuous for b in want.blocks)
         assert compared >= 120 and failing >= 60 and vacuous >= 10 and refused > 0
+
+    def test_block_weight_sets_match_cramer_oracle(self):
+        # the cases of test_matches_the_faces_reference; rank-0 blocks are
+        # covered by test_rank_zero_block_weights
+        rng = random.Random(13)
+        compared = vacuous = 0
+        for (r, d, g), n in itertools.product(self.CONTEXTS, (1, 2, 3)):
+            ctx = CurveContext(r, d, genus=g, npoints=n)
+            for tau in enumerate_hn_types(ctx, d + r, min_slope_exclusive=g - 1):
+                beta = beta_of_type(tau, ctx)
+                if not model_supported(tau, ctx) or not self._in_reach(tau, beta, n):
+                    continue
+                for graded in (False, True) * 3:
+                    p = _sparsified(build_flagged_point(tau, ctx, rng, graded=graded), rng)
+                    for m_g, y_bs, c_vals, phi_bs, r_bs in graded_blocks(p, beta):
+                        if not all(r_bs):
+                            continue
+                        want = [cramer_block_weights(*args, m_g) for args in zip(y_bs, c_vals, phi_bs)]
+                        want = want if all(want) else []
+                        assert _block_weight_set(y_bs, c_vals, phi_bs, m_g) == want
+                        compared += 1
+                        vacuous += not want
+        assert compared >= 200 and vacuous >= 10
 
     @pytest.mark.parametrize("r, d, genus", [(1, 3, 0), (2, 7, 2), (3, 4, 0)])
     def test_adapted_factors_are_int(self, r, d, genus):
@@ -1047,6 +1112,72 @@ class TestDirectDefinitionCrossChecks:
                 for cut, r_pref in zip(cuts, rank_prefix)
             )
             assert (w == beta.norm_sq) == counting
+
+    @staticmethod
+    def _step1_by_definition(p, beta, ctx, max_violations):
+        """``verify_step1``'s violations and equality witness from the
+        definition, or None when no family is supported at every factor: each
+        factor's nonzero keys in table order from ``coordinates`` of that
+        factor alone, weighted by ``alpha_of_index``, the first key of each
+        weight kept, and the tuples walked in lexicographic weight order,
+        det family first."""
+        one = dataclasses.replace(ctx, npoints=1)
+        firsts = {"det": [], "end": []}
+        for f in p.factors:
+            support = coordinates(ModelPoint((f,)), one).support()
+            for kind, per_factor in firsts.items():
+                kept = {}
+                for idx in support:
+                    if idx.kind == kind:
+                        kept.setdefault(pairing(alpha_of_index(idx, one), beta), idx)
+                per_factor.append(sorted(kept.items()))
+        violations, witness, supported = [], None, False
+        for kind, per_factor in firsts.items():
+            if not all(per_factor):
+                continue
+            supported = True
+            for combo in itertools.product(*per_factor):
+                w = sum(weight for weight, _ in combo)
+                ij = None if kind == "det" else tuple(idx.ij[0] for _, idx in combo)
+                idx = CoordinateIndex(kind, tuple(idx.subsets[0] for _, idx in combo), ij)
+                if w < beta.norm_sq:
+                    violations.append((idx, w))
+                elif w == beta.norm_sq and witness is None:
+                    witness = idx
+        return (tuple(violations[:max_violations]), witness) if supported else None
+
+    def test_step1_report_matches_definition(self):
+        rng = random.Random(37)
+        r3 = CurveContext(3, 10, genus=2, npoints=1)  # m = 7
+        r3_n2 = CurveContext(3, 10, genus=2, npoints=2)
+        tau3 = HNType(((1, 5), (2, 5)))
+        c_zero = flagged_point(3, [[0, 0], [1, 0]], c=0)
+        phi_zero = flagged_point(4, [[0, 0], [0, 0]])
+        extra = {
+            CTX73: [c_zero, phi_zero] + [_sparsified(build_flagged_point(TAU43, CTX73, rng), rng) for _ in range(4)],
+            CTX73_N2: [
+                ModelPoint(phi_zero.factors + flagged_point(3, [[2, 0], [5, 3]]).factors),
+                ModelPoint(phi_zero.factors + c_zero.factors),
+            ] + [_sparsified(build_flagged_point(TAU43, CTX73_N2, rng), rng) for _ in range(4)],
+        }
+        cases = [(ctx, points + extra[ctx], betas) for ctx, points, betas in self._cases()]
+        for ctx in (r3, r3_n2):
+            points = [build_flagged_point(tau3, ctx, rng), _sparsified(build_flagged_point(tau3, ctx, rng), rng)]
+            cases.append((ctx, points, [beta_of_type(tau, ctx) for tau in (tau3, HNType(((1, 6), (2, 4))))]))
+        compared = cut = degenerate = 0
+        for ctx, points, betas in cases:
+            for p, beta, limit in itertools.product(points, betas, (0, 1, 3, 16)):
+                want = self._step1_by_definition(p, beta, ctx, limit)
+                if want is None:
+                    with pytest.raises(DegeneratePoint):
+                        verify_step1(p, beta, ctx, max_violations=limit)
+                    degenerate += 1
+                    continue
+                report = verify_step1(p, beta, ctx, max_violations=limit)
+                assert (report.violations, report.equality_witness) == want
+                compared += 1
+                cut += len(want[0]) == limit > 0
+        assert compared >= 200 and cut >= 20 and degenerate > 0
 
 
 class TestCoordinateTableType:
