@@ -45,17 +45,21 @@ def frac(x) -> Fraction:
     magnitude is refused too: Fraction would build 10 to that power, which
     the digit limit never sees and which can take unbounded time.
     """
-    if isinstance(x, Fraction):
+    # A dict, the JSON form of every point entry, is tested first: it is none
+    # of the other types, and the Fraction test is an abstract-class check.
+    if isinstance(x, dict):
+        num, den = integer(x["num"]), integer(x["den"])
+    elif isinstance(x, Fraction):
         return x
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"{type(x).__name__} input {x!r} is not accepted; pass a rational")
-    limit = sys.get_int_max_str_digits()
-    if isinstance(x, str) and limit and (m := _EXPONENT.search(x)) and int(m[1]) > limit:
-        raise ValueError(f"rational {x[:40]!r} has an exponent beyond {limit} in magnitude")
+    else:
+        if isinstance(x, (float, bool)):
+            raise TypeError(f"{type(x).__name__} input {x!r} is not accepted; pass a rational")
+        limit = sys.get_int_max_str_digits()
+        if isinstance(x, str) and limit and (m := _EXPONENT.search(x)) and int(m[1]) > limit:
+            raise ValueError(f"rational {x[:40]!r} has an exponent beyond {limit} in magnitude")
+        num, den = x, None  # Fraction(x, None) is Fraction(x)
     try:
-        if isinstance(x, dict):
-            return Fraction(integer(x["num"]), integer(x["den"]))
-        return Fraction(x)
+        return Fraction(num, den)
     except ZeroDivisionError:
         raise ValueError(f"rational {x!r} has a zero denominator") from None
 
@@ -124,12 +128,16 @@ def minors(a):
     tuples rows x cols, of equal length; the empty minor is 1.
 
     The package's one Laplace expansion, along the first row, skipping zero
-    entries, with one memo keyed by (rows, cols) across calls.  It never
+    entries, with one memo keyed by (rows, cols) across calls.  A 2 x 2
+    minor is its closed form ad - bc, cheaper than a memo entry.  It never
     divides, so it works over any commutative ring: int input stays int.
     """
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
 
     def minor(rows: tuple[int, ...], cols: tuple[int, ...]):
+        if len(rows) == 2:
+            (i, j), (k, l) = rows, cols
+            return a[i][k] * a[j][l] - a[i][l] * a[j][k]
         if len(rows) <= 1:
             return a[rows[0]][cols[0]] if rows else 1
         got = memo.get((rows, cols))

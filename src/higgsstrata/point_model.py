@@ -261,7 +261,10 @@ def _factor_values(y, c, phi, m: int) -> tuple:
     along its last column, so det[y_K | w] = f_K . w: f_K[i] is
     (-1)^(r-1-i) times the minor of y on the rows other than i and the
     columns K, all read from one ``minors`` memo per factor.  The tables hold
-    V_y[K][x-1] = f_K . y_x and V_z[K][x-1] = f_K . z_x, z = phi^T y.  The det
+    V_y[K][x-1] = f_K . y_x and V_z[K][x-1] = f_K . z_x, z = phi^T y, built
+    together as the one row combination sum_i f_K[i] (y_i | z_i) of the rows
+    of [y | z], which skips zero cofactors and starts from the ring's zero
+    row, so every entry is in the ring of the input.  The det
     value at I is c V_y(I minus s_r, s_r); by Cramer's rule on
     B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
     det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
@@ -271,15 +274,23 @@ def _factor_values(y, c, phi, m: int) -> tuple:
     and dual numbers.  y has at least one row.
     """
     r = len(y)
-    y_cols, z_cols = transpose(y), transpose(mat_mul(transpose(phi), y))
+    # Row i of [y | z], times the sign (-1)^(r-1-i) of its cofactor.
+    signed = [
+        [-x for x in (*y_i, *z_i)] if (r - 1 - i) % 2 else (*y_i, *z_i)
+        for i, (y_i, z_i) in enumerate(zip(y, mat_mul(transpose(phi), y)))
+    ]
+    zero = [x - x for x in signed[0]]
     minor, rows = minors(y), tuple(range(r))
     struck = [rows[:i] + rows[i + 1:] for i in rows]
     v_y, v_z = {}, {}
     for cols in itertools.combinations(range(m), r - 1):
-        f = [(-1) ** (r - 1 - i) * minor(struck[i], cols) for i in rows]
+        row = zero
+        for i in rows:
+            f = minor(struck[i], cols)
+            if f:
+                row = [a + f * b for a, b in zip(row, signed[i])]
         K = tuple(l + 1 for l in cols)
-        v_y[K] = [sum(map(mul, f, col)) for col in y_cols]
-        v_z[K] = [sum(map(mul, f, col)) for col in z_cols]
+        v_y[K], v_z[K] = row[:m], row[m:]
     return c, v_y, v_z
 
 
@@ -311,15 +322,24 @@ def _integer_factor(y, c, phi) -> tuple[tuple, int]:
     return (tuple(y_ints), c_int, tuple(phi_ints)), L ** len(y) * M
 
 
+@cache
+def _first_reads(r: int, m: int) -> tuple[tuple, tuple]:
+    """Per family, the ((K, x), first key in table order that reads it)
+    pairs of ``_entry_keys``, in the order of those first keys."""
+    first = ({}, {})
+    for key, (fam, K, x, _) in _entry_keys(r, m).items():
+        first[fam].setdefault((K, x), key)
+    return tuple(tuple(reads.items()) for reads in first)
+
+
 def _factor_support(values: tuple, r: int, m: int) -> tuple[dict, dict]:
     """Per family, {(K, x): first key in table order that reads it} over
-    one factor's nonzero det and end values (``_entry_keys``)."""
+    one factor's nonzero det and end values (``_first_reads``)."""
     c, *tables = values
-    support = ({}, {})
-    for key, (fam, K, x, _) in _entry_keys(r, m).items():
-        if (fam or c) and tables[fam][K][x - 1]:
-            support[fam].setdefault((K, x), key)
-    return support
+    return tuple(
+        {Kx: key for Kx, key in reads if table[Kx[0]][Kx[1] - 1]} if fam or c else {}
+        for fam, (table, reads) in enumerate(zip(tables, _first_reads(r, m)))
+    )
 
 
 def _table(indices, parts) -> dict[CoordinateIndex, object]:
@@ -796,10 +816,10 @@ def unipotent_stabilizer_dim(
     tables are over int (``_integer_factor``): a row reads one (factor,
     table) pair only, whose entries all carry the same nonzero scale (L^r
     for V_y, L^r M for V_z), so each row is a nonzero multiple of the exact
-    one and the row space, hence the nullity, is unchanged.  A det
-    value is V_y(I minus max I, max I), so V_y rows are taken for x > max K
-    only: the others vanish (x in K) or repeat such a row up to sign.  Every
-    V_z entry is an end value.
+    one and the row space, hence the nullity, is unchanged.  The V_y rows
+    are those of the entries det values read, the det half of
+    ``_first_reads``; every other V_y entry vanishes or repeats such a row
+    up to sign.  Every V_z entry is an end value.
     ``cap`` bounds N C(m,r) (1 + r^2), the number of values, and is checked
     before any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
     full-table route, which keeps s as an unknown, as a test oracle.
@@ -822,20 +842,23 @@ def unipotent_stabilizer_dim(
         ]
         for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
     }
+    entries = (
+        [Kx for Kx, _ in _first_reads(p.r, p.m)[0]],
+        [(K, x) for K in moves for x in range(1, p.m + 1)],
+    )
     acc = EchelonAccumulator(len(positions))
     for _, *tables in p._values:
         for fam in families:
             table = tables[fam]
-            for K, values in table.items():
-                first = K[-1] + 1 if fam == 0 and K else 1
-                for x in range(first, p.m + 1):
-                    row = [
-                        (values[a - 1] if x == l else 0)
-                        + (move[1] * table[move[0]][x - 1] if move else 0)
-                        for (a, l), move in zip(positions, moves[K])
-                    ]
-                    if any(row):
-                        acc.add(row)
+            for K, x in entries[fam]:
+                values = table[K]
+                row = [
+                    (values[a - 1] if x == l else 0)
+                    + (move[1] * table[move[0]][x - 1] if move else 0)
+                    for (a, l), move in zip(positions, moves[K])
+                ]
+                if any(row):
+                    acc.add(row)
     return acc.nullity
 
 

@@ -46,13 +46,15 @@ from higgsstrata import (
     verify_step2,
 )
 from higgsstrata.linalg import (
-    adapted_flag_basis, adjugate, clear_denominators, det, inverse, mat, mat_mul, rank, transpose,
+    Dual, adapted_flag_basis, adjugate, clear_denominators, det, inverse, mat, mat_mul, rank, transpose,
 )
 from higgsstrata.point_model import (
     BlockReport,
     Step2Report,
     _adapted_factors,
     _block_weight_set,
+    _entry_keys,
+    _factor_support,
     _factor_values,
     _table,
 )
@@ -828,6 +830,64 @@ class TestFactorValuesReference:
                     )
                     conj = mat_mul(mat_mul(mat_mul(y_s, sigma), y_inv), transpose(f.phi))
                     assert v == d * sum(conj[a][a] for a in range(r))
+
+
+@st.composite
+def _ring_factors(draw):
+    """(y, c, phi) over int, Fraction or dual numbers: r 1-4, m <= 5, sparse
+    entries, zero rows (hence whole zero cofactor vectors), c = 0 and phi = 0."""
+    kind = draw(st.sampled_from(["int", "fraction", "dual"]))
+    r, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+
+    def entry():
+        x = draw(_SPARSE)
+        return {"int": x, "fraction": F(x, 3), "dual": Dual(F(x), F(draw(_SPARSE)))}[kind]
+
+    zero_row = st.sampled_from([False, False, True])
+    y = [[entry() for _ in range(m)] for _ in range(r)]
+    y = [[x - x for x in row] if draw(zero_row) else row for row in y]
+    c = entry()
+    phi = [[entry() for _ in range(r)] for _ in range(r)]
+    if draw(st.booleans()):
+        phi = [[x - x for x in row] for row in phi]
+    return y, c, phi
+
+
+class TestFactorTablesByDefinition:
+    """Every entry of the cofactor tables, and the support pass over them,
+    against their definitions, in the ring of the input."""
+
+    @given(_ring_factors())
+    @settings(max_examples=150, deadline=None)
+    def test_every_entry_is_its_determinant(self, case):
+        y, c, phi = case
+        r, m = len(y), len(y[0])
+        ring = type(y[0][0]) if m else None
+        z = mat_mul(transpose(phi), y)
+        got_c, v_y, v_z = _factor_values(y, c, phi, m)
+        assert got_c == c
+        subsets = list(itertools.combinations(range(1, m + 1), r - 1))
+        assert list(v_y) == list(v_z) == subsets
+        for K in subsets:
+            assert len(v_y[K]) == len(v_z[K]) == m
+            for x in range(1, m + 1):
+                for table, w in ((v_y, y), (v_z, z)):
+                    want = det(tuple((*(row[l - 1] for l in K), w_row[x - 1]) for row, w_row in zip(y, w)))
+                    got = table[K][x - 1]
+                    assert got == want and type(got) is ring
+
+    @given(_ring_factors())
+    @settings(max_examples=150, deadline=None)
+    def test_support_is_the_first_key_walk(self, case):
+        y, c, phi = case
+        r, m = len(y), len(y[0])
+        values = _factor_values(y, c, phi, m)
+        want = ({}, {})
+        for key, (fam, K, x, _) in _entry_keys(r, m).items():
+            if (fam or c) and values[1 + fam][K][x - 1]:
+                want[fam].setdefault((K, x), key)
+        got = _factor_support(values, r, m)
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
 
 def _or_degenerate(route, *args):
