@@ -93,11 +93,16 @@ def _rat_str(x: Fraction) -> str:
     return str(frac(x))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _vec_str(v) -> str:
+    return "(" + ", ".join(_rat_str(x) for x in v) + ")"
+
+
+def _emit(args, payload: dict, text_lines) -> None:
+    """Print the payload under --json, else each line ``text_lines()`` makes."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -123,7 +128,7 @@ def _cmd_enumerate(args) -> None:
         "schema": "higgsstrata.enumerate/1",
         "types": [t.to_json() for t in types],
     }
-    _emit(args, payload, [repr(t) for t in types])
+    _emit(args, payload, lambda: [repr(t) for t in types])
 
 
 def _cmd_order(args) -> None:
@@ -133,19 +138,23 @@ def _cmd_order(args) -> None:
         raise ValueError("types do not match the ambient rank")
     order = compare_polygon(a, b)
     payload = {"schema": "higgsstrata.order/1", "order": order.value}
-    _emit(args, payload, [order.value])
+    _emit(args, payload, lambda: [order.value])
+
+
+def _type_beta(args):
+    """The context of the --tau/--ranks type and that type's instability vector."""
+    tau = _parse_type(args.tau, args.ranks)
+    ctx = CurveContext(tau.rank, tau.degree, args.genus, args.degl, args.npoints)
+    return ctx, beta_of_type(tau, ctx)
 
 
 def _cmd_beta(args) -> None:
-    tau = _parse_type(args.tau, args.ranks)
-    ctx = CurveContext(tau.rank, tau.degree, args.genus, args.degl, args.npoints)
-    beta = beta_of_type(tau, ctx)
+    _, beta = _type_beta(args)
     payload = {"schema": "higgsstrata.beta/1", "beta": beta.to_json()}
-    entries = ", ".join(_rat_str(v) for v in beta.entries)
     _emit(
         args,
         payload,
-        [f"beta = ({entries})", f"norm_sq = {_rat_str(beta.norm_sq)}"],
+        lambda: [f"beta = {_vec_str(beta.entries)}", f"norm_sq = {_rat_str(beta.norm_sq)}"],
     )
 
 
@@ -158,9 +167,12 @@ def _cmd_compat(args) -> None:
         range(args.degl_min, args.degl_max + 1),
     )
     payload = {"schema": "higgsstrata.compat/1", **report.to_json()}
-    lines = [f"checked {report.checked} pairs, {len(report.violations)} violations"]
-    for v in report.violations:
-        lines.append(f"violation: r={v.rank} d={v.degree} degL={v.deg_line} {v.tau} {v.mu}")
+
+    def lines():
+        yield f"checked {report.checked} pairs, {len(report.violations)} violations"
+        for v in report.violations:
+            yield f"violation: r={v.rank} d={v.degree} degL={v.deg_line} {v.tau} {v.mu}"
+
     _emit(args, payload, lines)
 
 
@@ -171,7 +183,7 @@ def _cmd_minnorm(args) -> None:
         "schema": "higgsstrata.minnorm/1",
         "point": [rational_to_json(x) for x in v],
     }
-    _emit(args, payload, ["(" + ", ".join(_rat_str(x) for x in v) + ")"])
+    _emit(args, payload, lambda: [_vec_str(v)])
 
 
 def _cmd_index_set(args) -> None:
@@ -181,11 +193,7 @@ def _cmd_index_set(args) -> None:
         "schema": "higgsstrata.index_set/1",
         "vectors": [[rational_to_json(x) for x in v] for v in reps],
     }
-    _emit(
-        args,
-        payload,
-        ["(" + ", ".join(_rat_str(x) for x in v) + ")" for v in reps],
-    )
+    _emit(args, payload, lambda: [_vec_str(v) for v in reps])
 
 
 def _load_point(args) -> ModelPoint:
@@ -207,18 +215,17 @@ def _cmd_point_coords(args) -> None:
         ],
         "total_indices": len(table.values),
     }
-    lines = [f"{len(support)} nonzero of {len(table.values)} coordinates"]
-    lines.extend(
-        f"{json.dumps(idx.to_json(), sort_keys=True)} = {_rat_str(table[idx])}"
-        for idx in support
-    )
+
+    def lines():
+        yield f"{len(support)} nonzero of {len(table.values)} coordinates"
+        for idx in support:
+            yield f"{json.dumps(idx.to_json(), sort_keys=True)} = {_rat_str(table[idx])}"
+
     _emit(args, payload, lines)
 
 
 def _cmd_point_check(args) -> None:
-    tau = _parse_type(args.tau, args.ranks)
-    ctx = CurveContext(tau.rank, tau.degree, args.genus, args.degl, args.npoints)
-    beta = beta_of_type(tau, ctx)
+    ctx, beta = _type_beta(args)
     point = _load_point(args)
     report = verify_step1(point, beta, ctx)
     got = report.membership
@@ -240,12 +247,6 @@ def _cmd_point_check(args) -> None:
             ),
         },
     }
-    lines = [
-        f"membership: {got.value}",
-        f"step1: {'pass' if report.passed else 'fail'} "
-        f"(min support weight {_rat_str(report.min_support_weight)}, "
-        f"norm_sq {_rat_str(report.norm_sq)})",
-    ]
     if args.step2:
         s2 = verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound)
         payload["step2"] = {
@@ -261,31 +262,31 @@ def _cmd_point_check(args) -> None:
                 for b in s2.blocks
             ],
         }
-        lines.append(f"step2: {'pass' if s2.passed else 'fail'}")
+
+    def lines():
+        yield f"membership: {got.value}"
+        yield (
+            f"step1: {'pass' if report.passed else 'fail'} "
+            f"(min support weight {_rat_str(report.min_support_weight)}, "
+            f"norm_sq {_rat_str(report.norm_sq)})"
+        )
+        if args.step2:
+            yield f"step2: {'pass' if s2.passed else 'fail'}"
+
     _emit(args, payload, lines)
 
 
 def _cmd_stabdim(args) -> None:
     flag = FlagShape(tuple(_parse_int_list(args.blocks)))
     if args.phis is not None or args.phis_file is not None:
-        phis = _load_json_arg(args.phis, args.phis_file, "phis")
-        dim = nilpotent_commutant_dim(flag, phis)
-        payload = {
-            "schema": "higgsstrata.stabdim/1",
-            "kind": "nilpotent_commutant",
-            "dim": dim,
-        }
-        _emit(args, payload, [str(dim)])
-        return
-    ctx = _ctx_from(args)
-    point = _load_point(args)
-    dim = unipotent_stabilizer_dim(point, flag, ctx, cap=_cap(args))
-    payload = {
-        "schema": "higgsstrata.stabdim/1",
-        "kind": "unipotent_stabilizer",
-        "dim": dim,
-    }
-    _emit(args, payload, [str(dim)])
+        kind = "nilpotent_commutant"
+        dim = nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
+    else:
+        kind = "unipotent_stabilizer"
+        ctx = _ctx_from(args)
+        dim = unipotent_stabilizer_dim(_load_point(args), flag, ctx, cap=_cap(args))
+    payload = {"schema": "higgsstrata.stabdim/1", "kind": kind, "dim": dim}
+    _emit(args, payload, lambda: [str(dim)])
 
 
 def _cmd_classify(args) -> None:
@@ -300,7 +301,7 @@ def _cmd_classify(args) -> None:
     line = verdict.kind.value
     if verdict.constraint:
         line += f" ({verdict.constraint})"
-    _emit(args, payload, [line])
+    _emit(args, payload, lambda: [line])
 
 
 def _cmd_polygons(args) -> None:
@@ -312,7 +313,7 @@ def _cmd_polygons(args) -> None:
         "path": args.out,
         "bytes": len(doc.encode("utf-8")),
     }
-    _emit(args, payload, [f"wrote {args.out} ({len(doc)} chars)"])
+    _emit(args, payload, lambda: [f"wrote {args.out} ({len(doc)} chars)"])
 
 
 def _cmd_report(args) -> None:
@@ -344,19 +345,15 @@ def _cmd_report(args) -> None:
         writer.writerows(closure.to_csv_rows())
     written = [json_path, csv_path]
     if args.svg:
-        taus = []
-        for row in closure.rows:
-            if row.tau not in taus:
-                taus.append(row.tau)
         svg_path = args.out_prefix + ".svg"
-        svg_mod.emit_polygon_svg(taus, svg_path)
+        svg_mod.emit_polygon_svg(list(closure.types), svg_path)
         written.append(svg_path)
     payload = dict(report_json)
     payload["written"] = written
     _emit(
         args,
         payload,
-        [f"{len(records)} records over {sum(len(r.member_ids) for r in records)} points"]
+        lambda: [f"{len(records)} records over {sum(len(r.member_ids) for r in records)} points"]
         + [f"wrote {p}" for p in written],
     )
 

@@ -13,10 +13,12 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import AmbientMismatch, CapExceeded
 from .linalg import Mat, frac, integer, mat
@@ -196,18 +198,14 @@ class FlagShape:
     @cached_property
     def cuts(self) -> tuple[int, ...]:
         """Cumulative dimensions B_1 < B_2 < ... < B_s."""
-        out, acc = [], 0
-        for b in self.block_sizes:
-            acc += b
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.block_sizes))
 
     def block_of(self, position: int) -> int:
-        """1-based block index of a 1-based coordinate position."""
-        for gamma, cut in enumerate(self.cuts, start=1):
-            if position <= cut:
-                return gamma
-        raise ValueError(f"position {position} outside flag of total {self.total}")
+        """1-based block index of a 1-based position (block 1 for any <= 0)."""
+        gamma = bisect_right(self.cuts, position - 1)
+        if gamma == self.length:
+            raise ValueError(f"position {position} outside flag of total {self.total}")
+        return gamma + 1
 
 
 def _check_ambient(a: HNType, b: HNType) -> None:

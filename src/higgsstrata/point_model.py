@@ -114,6 +114,18 @@ class Factor:
         return cls(data["y"], data["c"], data["phi"])
 
 
+def _as_factors(factors) -> tuple[Factor, ...]:
+    return tuple(f if isinstance(f, Factor) else Factor(*f) for f in factors)
+
+
+def _check_factor_shape(f: Factor, k: int, r: int, m: int) -> None:
+    """Raise ValueError naming factor k unless y is r x m and phi is r x r."""
+    if len(f.y) != r or len(f.y[0]) != m:
+        raise ValueError(f"factor {k}: y must be {r}x{m}")
+    if len(f.phi) != r or (f.phi and len(f.phi[0]) != r):
+        raise ValueError(f"factor {k}: phi must be {r}x{r}")
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     """A point of the product of extended Grassmannians, one factor per point."""
@@ -121,9 +133,7 @@ class ModelPoint:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        factors = tuple(
-            f if isinstance(f, Factor) else Factor(*f) for f in self.factors
-        )
+        factors = _as_factors(self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a model point needs at least one factor")
@@ -132,10 +142,7 @@ class ModelPoint:
         r, m = self.r, self.m
         integer_ys = (y for (y, _, _), _ in self._integer_factors)
         for k, (f, y) in enumerate(zip(factors, integer_ys), start=1):
-            if len(f.y) != r or len(f.y[0]) != m:
-                raise ValueError(f"factor {k}: y must be {r}x{m}")
-            if len(f.phi) != r or (f.phi and len(f.phi[0]) != r):
-                raise ValueError(f"factor {k}: phi must be {r}x{r}")
+            _check_factor_shape(f, k, r, m)
             if rank(y) != r:
                 raise ValueError(f"factor {k}: y does not have full row rank")
             if f.c == 0 and all(not x for row in f.phi for x in row):
@@ -358,13 +365,15 @@ def _table(indices, parts) -> dict[CoordinateIndex, object]:
     return table
 
 
-def _check_shapes(p: ModelPoint, ctx: CurveContext) -> None:
+def _check_shapes(p: ModelPoint, ctx: CurveContext, flag: FlagShape | None = None) -> None:
     m = ctx.require_positive_sections()
     if p.m != m or p.r != ctx.rank or p.npoints != ctx.npoints:
         raise ValueError(
             f"point shape ({p.r}x{p.m}, {p.npoints} factors) does not match "
             f"context ({ctx.rank}x{m}, {ctx.npoints} factors)"
         )
+    if flag is not None and flag.total != p.m:
+        raise ValueError("flag total must equal the section count")
 
 
 def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) -> CoordinateTable:
@@ -551,10 +560,18 @@ def _gauged(y, c, phi, g) -> tuple:
     return (mat_mul(adj, y), c * d, mat_mul(mat_mul(g_t, phi), transpose(adj))), d
 
 
+def _adapted(y, c, phi, cuts) -> tuple:
+    """((y', c', phi'), dims, det g): the factor gauged into the basis g adapted
+    to y's image flag, and that flag's dimensions; ValueError unless y has full rank."""
+    g, dims = adapted_flag_basis(transpose(y), cuts)
+    factor, d = _gauged(y, c, phi, g)
+    return factor, dims, d
+
+
 def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     """Per factor ((y', c', phi'), dims, det g, s), all int: its integer form
     (Y, C, Phi) = (L y, M c, M phi) gauged into the basis g adapted to its
-    image flag, the image-block cuts, and its scale s = L^r M.
+    image flag (``_adapted``), the image-block cuts, and its scale s = L^r M.
 
     Block triangular in that basis, y' and phi' have the graded point as
     aligned diagonal blocks.  g is L times y's adapted basis g_0, so
@@ -566,21 +583,14 @@ def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     """
     if membership(p, beta, ctx) is Membership.OUTSIDE:
         raise NotInY("the retraction is defined only on the inequality locus")
-    adapted = []
-    for (y, c, phi), s in p._integer_factors:
-        g, dims = adapted_flag_basis(transpose(y), beta.flag.cuts)
-        factor, d = _gauged(y, c, phi, g)
-        adapted.append((factor, dims, d, s))
-    return adapted
+    return [(*_adapted(*factor, beta.flag.cuts), s) for factor, s in p._integer_factors]
 
 
 def _check_flag_adapted(phi: Mat, dims, k: int, tau: HNType) -> None:
     """Raise InvariantViolation naming (block, factor k) unless the image flag
     has dimensions r_1, r_1 + r_2, ... and ``phi``, written in a basis adapted
     to that flag (``dims`` its step dimensions), preserves it."""
-    want = 0
-    for gamma, ((r_g, _), dim) in enumerate(zip(tau.blocks, dims), start=1):
-        want += r_g
+    for gamma, (want, dim) in enumerate(zip(FlagShape(tau.composition).cuts, dims), start=1):
         if dim != want:
             raise InvariantViolation(gamma, k, f"image flag has dimension {dim}, expected {want}")
     for a, row in enumerate(phi):
@@ -630,11 +640,7 @@ class HiggsDatum:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "factors",
-            tuple(f if isinstance(f, Factor) else Factor(*f) for f in self.factors),
-        )
+        object.__setattr__(self, "factors", _as_factors(self.factors))
 
 
 def from_higgs_data(h: HiggsDatum) -> ModelPoint:
@@ -648,18 +654,16 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
     """
     beta = beta_of_type(h.tau, h.ctx)
     cuts = beta.flag.cuts
-    r = h.ctx.rank
     if len(h.factors) != h.ctx.npoints:
         raise ValueError("factor count does not match the context")
     for k, f in enumerate(h.factors, start=1):
-        if len(f.y) != r or len(f.y[0]) != beta.m:
-            raise ValueError(f"factor {k}: y must be {r}x{beta.m}")
-        (y, c, phi), _ = _integer_factor(f.y, f.c, f.phi)
+        _check_factor_shape(f, k, h.ctx.rank, beta.m)
+        factor, _ = _integer_factor(f.y, f.c, f.phi)
         try:
-            g, dims = adapted_flag_basis(transpose(y), cuts)
-        except ValueError:
+            (_, _, phi), dims, _ = _adapted(*factor, cuts)
+        except ValueError:  # the shape check above leaves only the rank failure
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-        _check_flag_adapted(_gauged(y, c, phi, g)[0][2], dims, k, h.tau)
+        _check_flag_adapted(phi, dims, k, h.tau)
     return ModelPoint(h.factors)
 
 
@@ -770,12 +774,9 @@ def verify_step2(
 
 def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:
     """0-based (row, col) positions of the strictly upper block triangle."""
-    return [
-        (a, b)
-        for a in range(flag.total)
-        for b in range(flag.total)
-        if flag.block_of(a + 1) < flag.block_of(b + 1)
-    ]
+    blocks = [flag.block_of(a) for a in range(1, flag.total + 1)]
+    pairs = itertools.product(enumerate(blocks), repeat=2)
+    return [(a, b) for (a, ga), (b, gb) in pairs if ga < gb]
 
 
 def unipotent_stabilizer_dim(
@@ -824,9 +825,7 @@ def unipotent_stabilizer_dim(
     before any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
     full-table route, which keeps s as an unknown, as a test oracle.
     """
-    _check_shapes(p, ctx)
-    if flag.total != p.m:
-        raise ValueError("flag total must equal the section count")
+    _check_shapes(p, ctx, flag)
     rows = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
     if rows > cap:
         raise CapExceeded(rows, cap)
@@ -884,9 +883,7 @@ def unipotent_stabilizer_dim_dense_oracle(
     ``cap`` counts those coordinate indices.  A test oracle for
     ``unipotent_stabilizer_dim``.
     """
-    _check_shapes(p, ctx)
-    if flag.total != p.m:
-        raise ValueError("flag total must equal the section count")
+    _check_shapes(p, ctx, flag)
     order = list(enumerate_coordinate_indices(ctx, cap))
     positions = _lie_upper_positions(flag)
     base = _table(order, [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors])

@@ -11,6 +11,7 @@ are reported, never asserted: they are invisible to finitely many points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,6 +169,11 @@ class ClosureReport:
     rows: tuple[ClosureReportRow, ...]
     pairs: tuple[tuple[HNType, HNType, PolygonOrder, str], ...]
 
+    @property
+    def types(self) -> tuple[HNType, ...]:
+        """The distinct source types, in row order (the order of ``pairs``)."""
+        return tuple(_first_rows(self.rows))
+
     def to_json(self) -> dict:
         return {
             "rows": [
@@ -206,6 +212,14 @@ class ClosureReport:
         return out
 
 
+def _first_rows(rows) -> dict[HNType, ClosureReportRow]:
+    """The first row of each distinct type, keyed in row order."""
+    first = {}
+    for row in rows:
+        first.setdefault(row.tau, row)
+    return first
+
+
 def closure_order_report(records) -> ClosureReport:
     """Records sorted by norm, with the pairwise polygon/norm comparison table."""
     rows = tuple(
@@ -214,23 +228,15 @@ def closure_order_report(records) -> ClosureReport:
         )
         for rec in sorted(records, key=lambda r: (r.norm_sq, r.beta.tau.slope_vector))
     )
-    seen: list[HNType] = []
-    for row in rows:
-        if row.tau not in seen:
-            seen.append(row.tau)
     pairs = []
-    for i, a in enumerate(seen):
-        for b in seen[i + 1:]:
-            order = compare_polygon(a, b)
-            rec_a = next(r for r in rows if r.tau == a)
-            rec_b = next(r for r in rows if r.tau == b)
-            if rec_a.norm_sq < rec_b.norm_sq:
-                norm_order = "Less"
-            elif rec_a.norm_sq > rec_b.norm_sq:
-                norm_order = "Greater"
-            else:
-                norm_order = "Equal"
-            pairs.append((a, b, order, norm_order))
+    for (a, rec_a), (b, rec_b) in itertools.combinations(_first_rows(rows).items(), 2):
+        if rec_a.norm_sq < rec_b.norm_sq:
+            norm_order = "Less"
+        elif rec_a.norm_sq > rec_b.norm_sq:
+            norm_order = "Greater"
+        else:
+            norm_order = "Equal"
+        pairs.append((a, b, compare_polygon(a, b), norm_order))
     return ClosureReport(rows, tuple(pairs))
 
 

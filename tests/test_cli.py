@@ -22,6 +22,7 @@ from conftest import INDEX_SET_LATTICE_GOLDEN, build_flagged_point, genus0_latti
 from higgsstrata import CapExceeded, CurveContext, Factor, HNType, ModelPoint, index_set_B
 from higgsstrata.cli import main
 from higgsstrata.hn_types import DEFAULT_INDEX_CAP
+from higgsstrata.svg import polygon_svg
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -163,6 +164,33 @@ class TestJsonRoundTrips:
         on_disk = json.loads((tmp_path / "rep.json").read_text())
         assert on_disk["schema"] == "higgsstrata.report/1"
         assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.svg").exists()
+
+    def test_report_svg_draws_the_distinct_types_in_row_order(self, capsys, tmp_path):
+        def flagged(m1, phi):
+            y = [[1] * m1 + [0] * (5 - m1), [0] * m1 + [1] * (5 - m1)]
+            return ModelPoint((Factor(y, 1, phi),)).to_json()
+
+        semistable = ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),))
+        entries = [
+            ("g43", flagged(3, [[2, 0], [0, 3]]), [3, 2]),
+            ("f43", flagged(3, [[2, 0], [5, 3]]), [3, 2]),
+            ("f52", flagged(4, [[2, 0], [5, 3]]), [4, 1]),
+            ("ss", semistable.to_json(), [5]),
+        ]
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps(
+            {"points": [{"id": i, "point": p, "flag": f} for i, p, f in entries]}
+        ))
+        data = run_json(
+            capsys,
+            "report", "--rank", "2", "--degree", "7", "--genus", "2",
+            "--corpus-file", str(corpus_path), "--max-slope", "5",
+            "--out-prefix", str(tmp_path / "rep"), "--svg",
+        )
+        taus = [HNType.from_json(row["tau"]) for row in data["closure"]["rows"]]
+        distinct = list(dict.fromkeys(taus))
+        assert len(taus) > len(distinct) >= 3  # several records of one type
+        assert (tmp_path / "rep.svg").read_text(encoding="utf-8") == polygon_svg(distinct)
 
     def test_every_json_payload_carries_schema(self, capsys, point_file):
         invocations = [

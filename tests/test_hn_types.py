@@ -26,6 +26,7 @@ from higgsstrata import (
     u_tau_candidates,
 )
 from higgsstrata.hn_types import pair_weight
+from higgsstrata.point_model import _lie_upper_positions
 
 
 def blocks(*pairs):
@@ -328,6 +329,38 @@ class TestPhiBlocks:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compute_phi_blocks(FlagShape((1, 1)), [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def _first_cut_block(flag: FlagShape, position: int) -> int:
+    """The block rule by definition: the first gamma with position <= B_gamma."""
+    return next(g for g, cut in enumerate(flag.cuts, start=1) if position <= cut)
+
+
+_BLOCK_RULE_FLAGS = [(1,), (5,), (3, 2), (4, 1), (1, 1, 1), (1, 2, 2, 2), (2, 3, 1, 4)]
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("sizes", _BLOCK_RULE_FLAGS)
+    def test_block_of_is_the_first_cut_at_or_past_the_position(self, sizes):
+        flag = FlagShape(sizes)
+        for position in range(-2, flag.total + 1):
+            assert flag.block_of(position) == _first_cut_block(flag, position)
+        assert flag.block_of(0) == flag.block_of(-1) == 1
+        for position in (flag.total + 1, flag.total + 4):
+            message = rf"^position {position} outside flag of total {flag.total}$"
+            with pytest.raises(ValueError, match=message):
+                flag.block_of(position)
+
+    @pytest.mark.parametrize("sizes", _BLOCK_RULE_FLAGS)
+    def test_lie_upper_positions_are_the_pairs_of_increasing_block(self, sizes):
+        flag = FlagShape(sizes)
+        want = [
+            (a, b)
+            for a in range(flag.total)
+            for b in range(flag.total)
+            if _first_cut_block(flag, a + 1) < _first_cut_block(flag, b + 1)
+        ]
+        assert _lie_upper_positions(flag) == want
 
 
 def _qualifying_pairs(flag: FlagShape, phi) -> list[tuple[int, int]]:

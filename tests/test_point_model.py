@@ -324,6 +324,13 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^factor 1: y must be 2x5$"):
             from_higgs_data(h)
 
+    @pytest.mark.parametrize("phi", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]]])
+    def test_higgs_datum_wrong_phi_shape(self, phi):
+        # the same shape check as ModelPoint's, before any basis change
+        h = HiggsDatum(TAU43, CTX73, (Factor(self.Y, 1, phi),))
+        with pytest.raises(ValueError, match=r"^factor 1: phi must be 2x2$"):
+            from_higgs_data(h)
+
     def test_higgs_datum_rank_deficient_y(self):
         h = HiggsDatum(TAU43, CTX73, (Factor([self.Y[0], self.Y[0]], 1, self.PHI),))
         with pytest.raises(InvariantViolation, match="factor 1: y does not have full row rank$"):

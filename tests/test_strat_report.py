@@ -147,6 +147,16 @@ class TestClosureReport:
             (PolygonOrder.GREATER, "Greater"),
         }
 
+    def test_pairs_follow_the_distinct_types_in_row_order(self):
+        report = closure_order_report(assemble(mixed_corpus(), CTX, max_first_slope=5))
+        types = []
+        for row in report.rows:
+            if row.tau not in types:
+                types.append(row.tau)
+        assert len(report.rows) > len(types) >= 3  # several records of one type
+        assert report.types == tuple(types)
+        assert [(a, b) for a, b, _, _ in report.pairs] == list(itertools.combinations(types, 2))
+
     def test_serialisation(self):
         report = closure_order_report(assemble(mixed_corpus(), CTX, max_first_slope=5))
         data = report.to_json()
