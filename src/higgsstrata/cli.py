@@ -97,10 +97,11 @@ def _vec_str(v) -> str:
     return "(" + ", ".join(_rat_str(x) for x in v) + ")"
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    """Print the payload under --json, else each line ``text_lines()`` makes."""
+def _emit(args, payload, text_lines) -> None:
+    """Print the dict ``payload()`` makes under --json, else each line
+    ``text_lines()`` makes: each mode builds only its own output."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
         for line in text_lines():
             print(line)
@@ -124,10 +125,7 @@ def _add_ctx_flags(sub, with_rank=True):
 def _cmd_enumerate(args) -> None:
     ctx = _ctx_from(args)
     types = enumerate_hn_types(ctx, frac(args.max_slope))
-    payload = {
-        "schema": "higgsstrata.enumerate/1",
-        "types": [t.to_json() for t in types],
-    }
+    payload = lambda: {"schema": "higgsstrata.enumerate/1", "types": [t.to_json() for t in types]}
     _emit(args, payload, lambda: [repr(t) for t in types])
 
 
@@ -137,8 +135,7 @@ def _cmd_order(args) -> None:
     if a.rank != args.rank or b.rank != args.rank:
         raise ValueError("types do not match the ambient rank")
     order = compare_polygon(a, b)
-    payload = {"schema": "higgsstrata.order/1", "order": order.value}
-    _emit(args, payload, lambda: [order.value])
+    _emit(args, lambda: {"schema": "higgsstrata.order/1", "order": order.value}, lambda: [order.value])
 
 
 def _type_beta(args):
@@ -150,10 +147,9 @@ def _type_beta(args):
 
 def _cmd_beta(args) -> None:
     _, beta = _type_beta(args)
-    payload = {"schema": "higgsstrata.beta/1", "beta": beta.to_json()}
     _emit(
         args,
-        payload,
+        lambda: {"schema": "higgsstrata.beta/1", "beta": beta.to_json()},
         lambda: [f"beta = {_vec_str(beta.entries)}", f"norm_sq = {_rat_str(beta.norm_sq)}"],
     )
 
@@ -166,30 +162,26 @@ def _cmd_compat(args) -> None:
         range(args.d_min, args.d_max + 1),
         range(args.degl_min, args.degl_max + 1),
     )
-    payload = {"schema": "higgsstrata.compat/1", **report.to_json()}
 
     def lines():
         yield f"checked {report.checked} pairs, {len(report.violations)} violations"
         for v in report.violations:
             yield f"violation: r={v.rank} d={v.degree} degL={v.deg_line} {v.tau} {v.mu}"
 
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"schema": "higgsstrata.compat/1", **report.to_json()}, lines)
 
 
 def _cmd_minnorm(args) -> None:
     cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
     v = min_norm_point(cloud)
-    payload = {
-        "schema": "higgsstrata.minnorm/1",
-        "point": [rational_to_json(x) for x in v],
-    }
+    payload = lambda: {"schema": "higgsstrata.minnorm/1", "point": [rational_to_json(x) for x in v]}
     _emit(args, payload, lambda: [_vec_str(v)])
 
 
 def _cmd_index_set(args) -> None:
     cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
     reps = index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
-    payload = {
+    payload = lambda: {
         "schema": "higgsstrata.index_set/1",
         "vectors": [[rational_to_json(x) for x in v] for v in reps],
     }
@@ -207,7 +199,7 @@ def _cmd_point_coords(args) -> None:
     point = _load_point(args)
     table = coordinates(point, ctx, cap=_cap(args))
     support = table.support()
-    payload = {
+    payload = lambda: {
         "schema": "higgsstrata.point_coords/1",
         "support": [
             {"index": idx.to_json(), "value": rational_to_json(table[idx])}
@@ -229,39 +221,38 @@ def _cmd_point_check(args) -> None:
     point = _load_point(args)
     report = verify_step1(point, beta, ctx)
     got = report.membership
-    payload = {
-        "schema": "higgsstrata.point_check/1",
-        "membership": got.value,
-        "step1": {
-            "passed": report.passed,
-            "norm_sq": rational_to_json(report.norm_sq),
-            "min_support_weight": rational_to_json(report.min_support_weight),
-            "violations": [
-                {"index": idx.to_json(), "weight": rational_to_json(w)}
-                for idx, w in report.violations
-            ],
-            "equality_witness": (
-                report.equality_witness.to_json()
-                if report.equality_witness
-                else None
-            ),
-        },
-    }
-    if args.step2:
-        s2 = verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound)
-        payload["step2"] = {
-            "passed": s2.passed,
-            "trace_identity_ok": s2.trace_identity_ok,
-            "trace_classes_checked": s2.trace_classes_checked,
-            "blocks": [
-                {
-                    "index": b.index,
-                    "semistable": b.semistable,
-                    "witness": list(b.witness) if b.witness else None,
-                }
-                for b in s2.blocks
-            ],
+    s2 = verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound) if args.step2 else None
+
+    def payload():
+        out = {
+            "schema": "higgsstrata.point_check/1",
+            "membership": got.value,
+            "step1": {
+                "passed": report.passed,
+                "norm_sq": rational_to_json(report.norm_sq),
+                "min_support_weight": rational_to_json(report.min_support_weight),
+                "violations": [
+                    {"index": idx.to_json(), "weight": rational_to_json(w)}
+                    for idx, w in report.violations
+                ],
+                "equality_witness": report.equality_witness.to_json() if report.equality_witness else None,
+            },
         }
+        if s2:
+            out["step2"] = {
+                "passed": s2.passed,
+                "trace_identity_ok": s2.trace_identity_ok,
+                "trace_classes_checked": s2.trace_classes_checked,
+                "blocks": [
+                    {
+                        "index": b.index,
+                        "semistable": b.semistable,
+                        "witness": list(b.witness) if b.witness else None,
+                    }
+                    for b in s2.blocks
+                ],
+            }
+        return out
 
     def lines():
         yield f"membership: {got.value}"
@@ -270,7 +261,7 @@ def _cmd_point_check(args) -> None:
             f"(min support weight {_rat_str(report.min_support_weight)}, "
             f"norm_sq {_rat_str(report.norm_sq)})"
         )
-        if args.step2:
+        if s2:
             yield f"step2: {'pass' if s2.passed else 'fail'}"
 
     _emit(args, payload, lines)
@@ -285,15 +276,14 @@ def _cmd_stabdim(args) -> None:
         kind = "unipotent_stabilizer"
         ctx = _ctx_from(args)
         dim = unipotent_stabilizer_dim(_load_point(args), flag, ctx, cap=_cap(args))
-    payload = {"schema": "higgsstrata.stabdim/1", "kind": kind, "dim": dim}
-    _emit(args, payload, lambda: [str(dim)])
+    _emit(args, lambda: {"schema": "higgsstrata.stabdim/1", "kind": kind, "dim": dim}, lambda: [str(dim)])
 
 
 def _cmd_classify(args) -> None:
     verdict = classify_rank3(
         _parse_int_list(args.tau_type), _parse_int_list(args.mu_type)
     )
-    payload = {
+    payload = lambda: {
         "schema": "higgsstrata.classify/1",
         "kind": verdict.kind.value,
         "constraint": verdict.constraint,
@@ -308,7 +298,7 @@ def _cmd_polygons(args) -> None:
     data = _load_json_arg(args.types, args.types_file, "types")
     types = [HNType(tuple(blocks)) for blocks in data]
     doc = svg_mod.emit_polygon_svg(types, args.out)
-    payload = {
+    payload = lambda: {
         "schema": "higgsstrata.polygons/1",
         "path": args.out,
         "bytes": len(doc.encode("utf-8")),
@@ -348,11 +338,9 @@ def _cmd_report(args) -> None:
         svg_path = args.out_prefix + ".svg"
         svg_mod.emit_polygon_svg(list(closure.types), svg_path)
         written.append(svg_path)
-    payload = dict(report_json)
-    payload["written"] = written
     _emit(
         args,
-        payload,
+        lambda: {**report_json, "written": written},
         lambda: [f"{len(records)} records over {sum(len(r.member_ids) for r in records)} points"]
         + [f"wrote {p}" for p in written],
     )

@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals (and over dual numbers).
 
-Matrices are tuples of tuples of ``Fraction``; vectors are tuples.  Everything
-here is exact: no floating point, no tolerances.  Rows of Python ints are
-accepted too.  There is one Gaussian elimination, ``EchelonAccumulator.add``,
-fraction-free over int, which keeps each independent row of a stream:
-``rank`` reads its rank, and ``rref``, ``nullspace``, ``solve_unique`` and
-``inverse`` read the reduced row echelon form, over ``Fraction``, that
-``_echelon`` gets from its kept rows by back-substitution.  There
-is one Laplace expansion, ``minors``, behind ``det``, ``adjugate`` and the
-cofactor tables of ``point_model``; it works over any commutative ring
-whose elements support ``+``, ``-``, ``*`` and truthiness at zero.  Dual
-numbers serve only the dense stabiliser oracle in ``point_model``, which
-differentiates the full coordinate table.
+Every rational input is read by one reader, ``ratio``, into (num, den) in
+lowest terms with den > 0; ``frac`` is its ``Fraction``, and ``cleared``
+takes rows of such pairs straight to int rows over the lcm of their dens.
+Matrices are tuples of tuples of ``Fraction`` or int; everything is exact,
+with no floating point and no tolerances.  There is one Gaussian
+elimination, ``EchelonAccumulator.add``, fraction-free over int: ``rank``
+reads its rank, and ``rref``, ``nullspace``, ``solve_unique`` and
+``inverse`` the reduced row echelon form that ``_echelon`` gets from its
+kept rows by back-substitution.  There is one Laplace expansion,
+``minors``, behind ``det``, ``adjugate``, ``full_row_rank`` and the cofactor
+tables of ``point_model``, over any commutative ring with ``+``, ``-``, ``*``
+and truthiness at zero; dual numbers serve the dense stabiliser oracle.
 """
 
 from __future__ import annotations
@@ -32,36 +32,48 @@ _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 def integer(x) -> int:
     """``x`` itself if it is an int; floats, bools, strings and fractions are refused."""
-    if isinstance(x, bool) or not isinstance(x, int):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
         raise TypeError(f"expected an integer, got {x!r}")
     return x
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and {'num','den'} dicts of ints to Fraction.
+def ratio(x) -> tuple[int, int]:
+    """The one reader of a rational: ``x`` as (num, den) in lowest terms, den > 0.
 
-    Floats and bools are refused, also as a dict's num or den, not rounded.
-    A string whose exponent exceeds ``sys.get_int_max_str_digits()`` in
-    magnitude is refused too: Fraction would build 10 to that power, which
-    the digit limit never sees and which can take unbounded time.
+    Reads ints, strings in ``Fraction``'s syntax ('3/4', '-2.5E+3'), Fractions
+    and {'num','den'} dicts of ints, reduced with no ``Fraction``.  Floats and
+    bools are refused, also as a dict's num or den, not rounded, and so is a
+    string whose exponent exceeds ``sys.get_int_max_str_digits()`` in magnitude:
+    Fraction would build 10 to that power, which the digit limit never sees.
     """
     # A dict, the JSON form of every point entry, is tested first: it is none
     # of the other types, and the Fraction test is an abstract-class check.
     if isinstance(x, dict):
         num, den = integer(x["num"]), integer(x["den"])
+        if den:
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            return num // g, den // g
+    elif type(x) is int:
+        return x, 1
     elif isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     else:
         if isinstance(x, (float, bool)):
             raise TypeError(f"{type(x).__name__} input {x!r} is not accepted; pass a rational")
         limit = sys.get_int_max_str_digits()
         if isinstance(x, str) and limit and (m := _EXPONENT.search(x)) and int(m[1]) > limit:
             raise ValueError(f"rational {x[:40]!r} has an exponent beyond {limit} in magnitude")
-        num, den = x, None  # Fraction(x, None) is Fraction(x)
-    try:
-        return Fraction(num, den)
-    except ZeroDivisionError:
-        raise ValueError(f"rational {x!r} has a zero denominator") from None
+        try:
+            q = Fraction(x)
+            return q.numerator, q.denominator
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"rational {x!r} has a zero denominator")
+
+
+def frac(x) -> Fraction:
+    """``ratio(x)`` as a Fraction; a Fraction is returned as it is."""
+    return x if isinstance(x, Fraction) else Fraction(*ratio(x))
 
 
 def clear_denominators(xs) -> tuple[tuple[int, ...], int]:
@@ -70,15 +82,23 @@ def clear_denominators(xs) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (D // x.denominator) for x in xs), D
 
 
+def cleared(pairs) -> tuple[list[tuple[int, ...]], int]:
+    """Rows (of any lengths) of (num, den) pairs in lowest terms times D, the
+    lcm of all their dens, as int rows; and D."""
+    D = math.lcm(*(d for row in pairs for _, d in row))
+    return [tuple(n * (D // d) for n, d in row) for row in pairs], D
+
+
+def lowest_terms(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Int rows over a nonzero int den, both divided by g = gcd(den, entries) signed
+    so that den / g > 0, which is then the lcm of the entries' reduced denominators."""
+    g = math.gcd(den, *(x for row in rows for x in row)) * (1 if den > 0 else -1)
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
 def integer_rows(rows) -> tuple[list[tuple[int, ...]], int]:
-    """The rational rows (of any lengths) times D, the lcm of all their
-    denominators, as int rows; and D.  One ``clear_denominators`` pass."""
-    flat, D = clear_denominators([x for row in rows for x in row])
-    out, start = [], 0
-    for row in rows:
-        out.append(flat[start:start + len(row)])
-        start += len(row)
-    return out, D
+    """The rational rows (of any lengths) as ``cleared`` int rows; and D."""
+    return cleared([[(x.numerator, x.denominator) for x in row] for row in rows])
 
 
 def listlike(x, what: str):
@@ -93,9 +113,11 @@ def vec(entries) -> Vec:
     return tuple(frac(e) for e in listlike(entries, "a vector (a list of rationals)"))
 
 
-def mat(rows) -> Mat:
+def mat(rows, read=frac) -> Mat:
+    """The rows with every entry read by ``read``: ``frac``, or ``ratio`` for
+    (num, den) pairs.  Ragged rows are refused once every entry is read."""
     m = tuple(
-        tuple(frac(e) for e in listlike(row, "a matrix row (a list of rationals)"))
+        tuple(map(read, listlike(row, "a matrix row (a list of rationals)")))
         for row in listlike(rows, "a matrix (a list of rows)")
     )
     if m and any(len(row) != len(m[0]) for row in m):
@@ -153,6 +175,22 @@ def minors(a):
         return total
 
     return minor
+
+
+def full_row_rank(a) -> bool:
+    """Whether ``a`` has a nonzero r x r minor, grown one column per row up from its
+    last row: a nonzero minor on the rows below extends to the row above exactly when
+    those rows have full rank (matroid augmentation); one ``minors`` memo serves all."""
+    minor, cols = minors(a), ()
+    for top in reversed(range(len(a))):
+        rows = tuple(range(top, len(a)))
+        for c in range(len(a[0])):
+            if c not in cols and minor(rows, s := tuple(sorted((*cols, c)))):
+                cols = s
+                break
+        else:
+            return False
+    return True
 
 
 def det(a) -> object:
@@ -357,7 +395,3 @@ class Dual:
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
-
-    @staticmethod
-    def lift(x: Fraction) -> "Dual":
-        return Dual(frac(x), Fraction(0))

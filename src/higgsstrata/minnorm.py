@@ -36,9 +36,10 @@ from .linalg import Vec, dot, integer, integer_rows, listlike, rank, solve_uniqu
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finitely many rational points of a common dimension."""
+    """Finitely many rational points of a common dimension; each entry is read
+    once, here, and a dim of None is the first point's."""
 
-    dim: int
+    dim: int | None
     points: tuple[Vec, ...]
 
     def __post_init__(self):
@@ -46,13 +47,13 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("a point cloud needs at least one point")
+        object.__setattr__(self, "dim", len(pts[0]) if self.dim is None else self.dim)
         if any(len(p) != self.dim for p in pts):
             raise ValueError("all points must share the cloud dimension")
 
     @classmethod
     def from_points(cls, points) -> "PointCloud":
-        pts = tuple(vec(p) for p in listlike(points, "a list of points"))
-        return cls(len(pts[0]) if pts else 0, pts)
+        return cls(None, listlike(points, "a list of points"))
 
 
 def _as_points(cloud) -> tuple[Vec, ...]:
@@ -359,7 +360,8 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     adding one later weight: Wolfe's affine-minimiser step taken one point at
     a time by fraction-free Gram-Schmidt (integral LLL's, Cohen 1993,
     section 2.6.3), O(k + dim) integer operations per subset.  The weights'
-    denominators are cleared once, P = D p.  A node S carries its projection
+    denominators are cleared once, P = D p, before the distinct P are sorted,
+    in the weights' order since D > 0.  A node S carries its projection
     as integers (X, L, delta): x = X / (delta D), barycentric weights
     L / delta, delta > 0 and X = sum_i L_i P_i.  Each later weight q carries
     the component d of P_q - P_q0 orthogonal to aff(S) - q0, up to a positive
@@ -386,10 +388,10 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     coordinate is negative (a nonzero trace-free closest point has a
     positive one).  Sorted.
     """
-    pts = sorted(set(_as_points(weights)))
-    P, D = integer_rows(pts)
+    P, D = integer_rows(_as_points(weights))
+    P = sorted(set(P))
     affine_dim = rank(tuple(tuple(a - b for a, b in zip(p, P[0])) for p in P[1:]))
-    count = sum(math.comb(len(pts), s) for s in range(1, affine_dim + 2))
+    count = sum(math.comb(len(P), s) for s in range(1, affine_dim + 2))
     if count > cap:
         raise CapExceeded(count, cap)
     found: set[tuple[tuple[int, ...], int]] = set()

@@ -28,16 +28,18 @@ instability loci, the coordinate-zeroing retraction, the two verification
 predicates for the instability correspondence, and the first-order unipotent
 stabiliser dimensions are all computed exactly.
 
-The hot path runs over Python int.  Each factor's tables are built from
-(L y, M c, M phi), L and M the lcms of the denominators of y and of (c, phi);
-the values are polynomials of degree r in y and 1 in (c, phi), so every
-value of factor k is its exact value times one nonzero constant s_k = L^r M.
-That leaves the support, hence every weight, and each stabiliser table's row
-space unchanged; ``coordinates`` divides by the product of the s_k.  Step 2
-and the retraction gauge this integer form (``_adapted_factors``).  Step 1's
-weights are pairings with D beta, D the lcm of beta's denominators, and
-``verify_step1`` divides by D.  ``Fraction`` appears only where a value
-leaves the module.
+The whole path runs over Python int.  A ``Factor`` holds (L y, M c, M phi),
+L and M the lcms of the denominators of y and of (c, phi), each input entry
+read once as (num, den); y's full row rank is checked by finding one nonzero
+r x r minor (``linalg.full_row_rank``).  The values are polynomials of degree r in
+y and 1 in (c, phi), so every value of factor k is its exact value times one
+nonzero constant s_k = L^r M.  That leaves the support, hence every weight,
+and each stabiliser table's row space unchanged; ``coordinates`` divides by
+the product of the s_k.  Step 2 and the retraction gauge this integer form
+(``_adapted_factors``).  Step 1's weights are pairings with D beta, D the lcm
+of beta's denominators, and ``verify_step1`` divides by D.  ``Fraction``
+appears only where a value leaves the module, as in a factor's ``y``, ``c``
+and ``phi``, which the dense oracles read.
 """
 
 from __future__ import annotations
@@ -65,16 +67,17 @@ from .linalg import (
     adapted_flag_basis,
     adjugate,
     clear_denominators,
+    cleared,
     dot,
-    frac,
-    integer_rows,
-    inverse,
+    full_row_rank,
     listlike,
+    lowest_terms,
     mat,
     mat_mul,
     minors,
     nullspace,
     rank,
+    ratio,
     transpose,
 )
 from .minnorm import min_norm_point_of_sum
@@ -89,25 +92,44 @@ from .weight_lattice import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Factor:
-    """One evaluation-point factor <y, [c : phi]>."""
+    """One evaluation-point factor <y, [c : phi]>, held in its integer form.
 
-    y: Mat
-    c: Fraction
-    phi: Mat
+    Each entry is read once, by ``linalg.ratio``, into (Y, L) = (L y, L) and
+    (C, Phi, M) = (M c, M phi, M), L and M the lcms of the reduced
+    denominators of y and of (c, phi).  The form is canonical, so equality
+    and hash are those of (y, c, phi); ``y``, ``c`` and ``phi`` are built as
+    ``Fraction`` only when read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", mat(self.y))
-        object.__setattr__(self, "c", frac(self.c))
-        object.__setattr__(self, "phi", mat(self.phi))
+    Y: tuple[tuple[int, ...], ...]
+    L: int
+    C: int
+    Phi: tuple[tuple[int, ...], ...]
+    M: int
+
+    def __init__(self, y, c, phi):
+        y, c, phi = mat(y, ratio), ratio(c), mat(phi, ratio)
+        (Y, L), (((C,), *Phi), M) = cleared(y), cleared(((c,), *phi))
+        self.__dict__.update(Y=tuple(Y), L=L, C=C, Phi=tuple(Phi), M=M)
+
+    @classmethod
+    def _over(cls, Y, y_den: int, C: int, Phi, den: int) -> "Factor":
+        """The factor (Y / y_den, C / den, Phi / den) of int rows over nonzero
+        int denominators, with no entry read twice."""
+        f = object.__new__(cls)
+        (Y, L), (((C,), *Phi), M) = lowest_terms(Y, y_den), lowest_terms(((C,), *Phi), den)
+        f.__dict__.update(Y=Y, L=L, C=C, Phi=tuple(Phi), M=M)
+        return f
+
+    y = property(lambda f: tuple(tuple(Fraction(x, f.L) for x in row) for row in f.Y))
+    c = property(lambda f: Fraction(f.C, f.M))
+    phi = property(lambda f: tuple(tuple(Fraction(x, f.M) for x in row) for row in f.Phi))
 
     def to_json(self) -> dict:
-        return {
-            "y": [[rational_to_json(x) for x in row] for row in self.y],
-            "c": rational_to_json(self.c),
-            "phi": [[rational_to_json(x) for x in row] for row in self.phi],
-        }
+        rows = lambda m: [[rational_to_json(x) for x in row] for row in m]
+        return {"y": rows(self.y), "c": rational_to_json(self.c), "phi": rows(self.phi)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Factor":
@@ -120,9 +142,9 @@ def _as_factors(factors) -> tuple[Factor, ...]:
 
 def _check_factor_shape(f: Factor, k: int, r: int, m: int) -> None:
     """Raise ValueError naming factor k unless y is r x m and phi is r x r."""
-    if len(f.y) != r or len(f.y[0]) != m:
+    if len(f.Y) != r or len(f.Y[0]) != m:
         raise ValueError(f"factor {k}: y must be {r}x{m}")
-    if len(f.phi) != r or (f.phi and len(f.phi[0]) != r):
+    if len(f.Phi) != r or (f.Phi and len(f.Phi[0]) != r):
         raise ValueError(f"factor {k}: phi must be {r}x{r}")
 
 
@@ -137,33 +159,33 @@ class ModelPoint:
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a model point needs at least one factor")
-        if not factors[0].y:
+        if not factors[0].Y:
             raise ValueError("factor 1: y must have at least one row")
         r, m = self.r, self.m
-        integer_ys = (y for (y, _, _), _ in self._integer_factors)
-        for k, (f, y) in enumerate(zip(factors, integer_ys), start=1):
+        for k, f in enumerate(factors, start=1):
             _check_factor_shape(f, k, r, m)
-            if rank(y) != r:
+            if not full_row_rank(f.Y):
                 raise ValueError(f"factor {k}: y does not have full row rank")
-            if f.c == 0 and all(not x for row in f.phi for x in row):
+            if not f.C and not any(map(any, f.Phi)):
                 raise ValueError(f"factor {k}: (c, phi) must not be (0, 0)")
 
     @property
     def r(self) -> int:
-        return len(self.factors[0].y)
+        return len(self.factors[0].Y)
 
     @property
     def m(self) -> int:
-        return len(self.factors[0].y[0])
+        return len(self.factors[0].Y[0])
 
     @property
     def npoints(self) -> int:
         return len(self.factors)
 
-    @cached_property
+    @property
     def _integer_factors(self) -> tuple[tuple[tuple, int], ...]:
-        """Per factor: its integer form and scale (``_integer_factor``), once."""
-        return tuple(_integer_factor(f.y, f.c, f.phi) for f in self.factors)
+        """Per factor: its integer form (Y, C, Phi) and its scale s = L^r M; V_y
+        entries scale by L^r, and V_z entries and every value by s."""
+        return tuple(((f.Y, f.C, f.Phi), f.L ** len(f.Y) * f.M) for f in self.factors)
 
     @cached_property
     def _values(self) -> tuple[tuple[int, dict, dict], ...]:
@@ -174,7 +196,7 @@ class ModelPoint:
 
     @cached_property
     def _scale(self) -> int:
-        """The product of the factors' scales L^r M (see ``_integer_factor``)."""
+        """The product of the factors' scales L^r M."""
         return math.prod(scale for _, scale in self._integer_factors)
 
     @cached_property
@@ -188,28 +210,32 @@ class ModelPoint:
 
     def rescale_factor(self, k: int, t) -> "ModelPoint":
         """Projective rescaling (c, phi) -> (t c, t phi) of factor k (0-based)."""
-        t = frac(t)
-        if t == 0:
+        num, den = ratio(t)
+        if not num:
             raise ValueError("rescaling must be by a nonzero scalar")
         f = self.factors[k]
-        scaled = Factor(f.y, t * f.c, tuple(tuple(t * x for x in row) for row in f.phi))
+        scaled = Factor._over(f.Y, f.L, num * f.C, [[num * x for x in row] for row in f.Phi], den * f.M)
         return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:])
 
     def gauge_factor(self, k: int, alpha) -> "ModelPoint":
         """Basis change y -> alpha y of the quotient fibre of factor k, alpha in
         GL(r): factor k written in the basis alpha^-1 (see ``_gauged``).  Every
         projective coordinate is unchanged by this move."""
-        alpha = mat(alpha)
-        r = len(self.factors[k].y)
-        if len(alpha) != r or any(len(row) != r for row in alpha):
+        A, D = cleared(mat(alpha, ratio))  # alpha = A / D
+        r = len(self.factors[k].Y)
+        if len(A) != r or any(len(row) != r for row in A):
             raise ValueError(f"gauge matrix must be {r} x {r}")
-        alpha_inv = inverse(alpha)
-        if alpha_inv is None:
+        adj = adjugate(A)
+        a = dot(A[0], transpose(adj)[0])  # det A
+        if not a:
             raise ValueError("gauge matrix must be invertible")
         f = self.factors[k]
-        # adj(alpha^-1) = det(alpha^-1) alpha, so adj(alpha^-1) y / d is alpha y
-        (y, c, phi), d = _gauged(f.y, f.c, f.phi, alpha_inv)
-        gauged = Factor(tuple(tuple(x / d for x in row) for row in y), c, phi)
+        # alpha^-1 = D adj(A) / a.  In the basis adj(A), of determinant d = a^(r-1),
+        # alpha y = a y' / (d D), and (c, phi) in the basis alpha^-1 is (c', phi') D^r / (a d).
+        (y, c, phi), d = _gauged(f.Y, f.C, f.Phi, adj)
+        D_r = D ** r
+        gauged = Factor._over([[a * x for x in row] for row in y], d * D * f.L,
+                              c * D_r, [[D_r * x for x in row] for row in phi], a * d * f.M)
         return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:
@@ -246,18 +272,10 @@ class CoordinateTable:
         """Equality as projective coordinate vectors (one global scalar)."""
         if set(self.values) != set(other.values):
             return False
-        scalar = None
-        for idx, v in self.values.items():
-            w = other.values[idx]
-            if (v == 0) != (w == 0):
-                return False
-            if v != 0:
-                ratio = w / v
-                if scalar is None:
-                    scalar = ratio
-                elif ratio != scalar:
-                    return False
-        return scalar is not None
+        pairs = [(v, other.values[idx]) for idx, v in self.values.items()]
+        if any((v == 0) != (w == 0) for v, w in pairs):
+            return False
+        return len({w / v for v, w in pairs if v}) == 1
 
 
 def _factor_values(y, c, phi, m: int) -> tuple:
@@ -277,7 +295,7 @@ def _factor_values(y, c, phi, m: int) -> tuple:
     det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
     Either way the entry (K, x) has the torus character 1 off K minus e_x.
     Works over any commutative ring: the point's own tables are built over
-    int (``_integer_factor``), the dense stabiliser oracle's over ``Fraction``
+    int (``Factor``'s integer form), the dense stabiliser oracle's over ``Fraction``
     and dual numbers.  y has at least one row.
     """
     r = len(y)
@@ -312,21 +330,6 @@ def _entry_keys(r: int, m: int) -> dict:
         for i, j in itertools.product(range(1, r + 1), repeat=2):
             reads[(s, i, j)] = (1, s[:j - 1] + s[j:], s[i - 1], (-1) ** (r - j))
     return reads
-
-
-def _integer_factor(y, c, phi) -> tuple[tuple, int]:
-    """The integer factor (L y, M c, M phi), L and M clearing y's and
-    (c, phi)'s denominators, and its scale s = L^r M.
-
-    A det or end value (``_factor_values``) is of degree r in y and 1 in
-    (c, phi), so each value of the integer factor is the exact value times s;
-    V_y entries scale by L^r and V_z entries by L^r M.  One nonzero constant
-    per factor (and per table) leaves the support, hence every weight, and
-    the row space of each stabiliser table unchanged.
-    """
-    y_ints, L = integer_rows(y)
-    ((c_int,), *phi_ints), M = integer_rows(((c,), *phi))
-    return (tuple(y_ints), c_int, tuple(phi_ints)), L ** len(y) * M
 
 
 @cache
@@ -383,7 +386,7 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     ``_factor_values``, so vanishing minors are handled without any matrix
     inversion.  The tables are built over int from each factor's entries
     with denominators cleared, which scales every value of factor k by s_k =
-    L_k^r M_k (see ``_integer_factor``); each product is divided back by the
+    L_k^r M_k (see ``ModelPoint._integer_factors``); each product is divided back by the
     product of the s_k, so the values are the exact ``Fraction``s.  Raises
     CapExceeded when the index count exceeds the cap, and DegeneratePoint if
     every coordinate vanishes.
@@ -540,13 +543,10 @@ def verify_step1(
     return Step1Report(verdict, beta.norm_sq, Fraction(lo, D), tuple(violations), witness)
 
 
-def _block_divided(matrix, row_cuts, col_cuts, d: int) -> Mat:
-    """The aligned diagonal blocks divided by d, every other entry zero."""
+def _block_cut(matrix, row_cuts, col_cuts) -> tuple:
+    """The aligned diagonal blocks, every other entry zero."""
     return tuple(
-        tuple(
-            Fraction(x, d) if bisect_right(row_cuts, a) == bisect_right(col_cuts, b) else 0
-            for b, x in enumerate(row)
-        )
+        tuple(x if bisect_right(row_cuts, a) == bisect_right(col_cuts, b) else 0 for b, x in enumerate(row))
         for a, row in enumerate(matrix)
     )
 
@@ -578,7 +578,7 @@ def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     y' = adj(g) Y = det(g) g_0^-1 y and (c', phi') = s (c det g_0,
     det(g_0) g_0^T phi g_0^-T): each block's values are the exact ones times
     one nonzero constant, which leaves its support and weights unchanged, as
-    in ``_integer_factor``.  Raises NotInY outside the inequality locus,
+    in ``ModelPoint._integer_factors``.  Raises NotInY outside the inequality locus,
     where the retraction is not defined.
     """
     if membership(p, beta, ctx) is Membership.OUTSIDE:
@@ -619,7 +619,7 @@ def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelP
     for k, ((_, _, phi), dims, _, _) in enumerate(adapted, start=1):
         _check_flag_adapted(phi, dims, k, beta.tau)
     return ModelPoint(tuple(
-        Factor(_block_divided(y, dims, cuts, d), Fraction(c, s), _block_divided(phi, dims, dims, s))
+        Factor._over(_block_cut(y, dims, cuts), d, c, _block_cut(phi, dims, dims), s)
         for (y, c, phi), dims, d, s in adapted
     ))
 
@@ -658,9 +658,8 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
         raise ValueError("factor count does not match the context")
     for k, f in enumerate(h.factors, start=1):
         _check_factor_shape(f, k, h.ctx.rank, beta.m)
-        factor, _ = _integer_factor(f.y, f.c, f.phi)
         try:
-            (_, _, phi), dims, _ = _adapted(*factor, cuts)
+            (_, _, phi), dims, _ = _adapted(f.Y, f.C, f.Phi, cuts)
         except ValueError:  # the shape check above leaves only the rank failure
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
         _check_flag_adapted(phi, dims, k, h.tau)
@@ -814,7 +813,7 @@ def unipotent_stabilizer_dim(
     So the unknowns are xi_p, one per upper position p, with one row
     [d_p V(K, x)]_p per value of each factor in each surviving family, read
     off the cached tables; the nullity is the stabiliser dimension.  The
-    tables are over int (``_integer_factor``): a row reads one (factor,
+    tables are over int (``ModelPoint._integer_factors``): a row reads one (factor,
     table) pair only, whose entries all carry the same nonzero scale (L^r
     for V_y, L^r M for V_z), so each row is a nonzero multiple of the exact
     one and the row space, hence the nullity, is unchanged.  The V_y rows
@@ -863,10 +862,7 @@ def unipotent_stabilizer_dim(
 
 def _sheared(y: Mat, a: int, l: int) -> tuple:
     """y over dual numbers, moved along the direction column l += eps * column a."""
-    return tuple(
-        tuple(Dual(x, row[a] if col == l else Fraction(0)) for col, x in enumerate(row))
-        for row in y
-    )
+    return tuple(tuple(Dual(x, row[a] if col == l else 0) for col, x in enumerate(row)) for row in y)
 
 
 def unipotent_stabilizer_dim_dense_oracle(
@@ -892,12 +888,7 @@ def unipotent_stabilizer_dim_dense_oracle(
     eps_columns = []
     for (a, l) in positions:
         dual_parts = [
-            _factor_values(
-                _sheared(f.y, a, l),
-                Dual.lift(f.c),
-                tuple(tuple(Dual.lift(x) for x in row) for row in f.phi),
-                p.m,
-            )
+            _factor_values(_sheared(f.y, a, l), Dual(f.c, 0), [[Dual(x, 0) for x in v] for v in f.phi], p.m)
             for f in p.factors
         ]
         dual_table = _table(order, dual_parts)
@@ -927,20 +918,11 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
     positions = _lie_upper_positions(flag)
     if not positions:
         return 0
-    rows = []
-    for phi in mats:
-        for i in range(r):
-            for j in range(r):
-                row = []
-                for (a, b) in positions:
-                    coeff = Fraction(0)
-                    if i == a:
-                        coeff += phi[b][j]
-                    if j == b:
-                        coeff -= phi[i][a]
-                    row.append(coeff)
-                rows.append(tuple(row))
-    return len(positions) - rank(tuple(rows))
+    rows = tuple(
+        tuple((phi[b][j] if i == a else 0) - (phi[i][a] if j == b else 0) for a, b in positions)
+        for phi in mats for i in range(r) for j in range(r)
+    )
+    return len(positions) - rank(rows)
 
 
 def nilpotent_commutant_dim_dense_oracle(flag: FlagShape, phis) -> int:
@@ -957,17 +939,11 @@ def nilpotent_commutant_dim_dense_oracle(flag: FlagShape, phis) -> int:
                 for a in range(r):
                     row[a * r + j] -= phi[i][a]
                 rows.append(tuple(row))
-    commutant = nullspace(tuple(rows)) if rows else [
-        tuple(Fraction(1) if t == s else Fraction(0) for t in range(r * r))
-        for s in range(r * r)
-    ]
-    lowering = []
-    for (a, b) in _lie_upper_positions(flag):
-        v = [Fraction(0)] * (r * r)
-        v[a * r + b] = Fraction(1)
-        lowering.append(tuple(v))
+    def unit(s: int) -> tuple:
+        return tuple(Fraction(int(t == s)) for t in range(r * r))
+
+    commutant = nullspace(tuple(rows)) if rows else [unit(s) for s in range(r * r)]
+    lowering = [unit(a * r + b) for a, b in _lie_upper_positions(flag)]
     if not lowering or not commutant:
         return 0
-    stacked = tuple(commutant) + tuple(lowering)
-    dim_sum_space = rank(stacked)
-    return len(commutant) + len(lowering) - dim_sum_space
+    return len(commutant) + len(lowering) - rank(tuple(commutant) + tuple(lowering))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from higgsstrata import (
@@ -25,6 +26,27 @@ from higgsstrata import (
     from_higgs_data,
 )
 from higgsstrata.linalg import rank
+
+
+def count_calls(run, *functions) -> list[int]:
+    """How often each of the plain Python ``functions`` is entered while
+    ``run()`` runs.  Calls are matched on the code object through
+    ``sys.setprofile``, so calls through another name or a default argument
+    count too."""
+    codes = [f.__code__ for f in functions]
+    counts = [0] * len(codes)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes.index(frame.f_code)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
 
 
 # (r, d, npoints) of a full genus-0 weight lattice and whether the index set

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import INDEX_SET_LATTICE_GOLDEN, build_flagged_point, genus0_lattice_weights
 from higgsstrata import CapExceeded, CurveContext, Factor, HNType, ModelPoint, index_set_B
+from higgsstrata import cli
 from higgsstrata.cli import main
 from higgsstrata.hn_types import DEFAULT_INDEX_CAP
 from higgsstrata.svg import polygon_svg
@@ -389,6 +390,20 @@ class TestIndexSetLattices:
         assert vectors == [[{"num": x.numerator, "den": x.denominator} for x in v] for v in fracs]
         text = json.dumps([[str(x) for x in v] for v in fracs], separators=(",", ":"))
         assert (len(vectors), hashlib.sha256(text.encode()).hexdigest()) == INDEX_SET_LATTICE_GOLDEN[lattice, chamber]
+
+
+class TestTextMode:
+    def test_text_mode_builds_no_json_payload(self, capsys, monkeypatch):
+        # 43 vectors of the (2,2,1) lattice: text mode converts none of them to JSON
+        calls, convert = [], cli.rational_to_json
+        monkeypatch.setattr(cli, "rational_to_json", lambda x: calls.append(x) or convert(x))
+        points = json.dumps([[str(x) for x in w] for w in genus0_lattice_weights(2, 2, 1)])
+        code, text, err = run(capsys, "index-set", "--points", points, "--no-chamber")
+        assert code == 0 and not err and calls == []
+        vectors = run_json(capsys, "index-set", "--points", points, "--no-chamber")["vectors"]
+        assert len(vectors) == 43 and len(calls) == sum(map(len, vectors))
+        lines = ["(" + ", ".join(str(F(x["num"], x["den"])) for x in v) + ")" for v in vectors]
+        assert text == "".join(line + "\n" for line in lines)
 
 
 class TestExitCodes:

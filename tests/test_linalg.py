@@ -17,15 +17,19 @@ from higgsstrata.linalg import (
     EchelonAccumulator,
     adjugate,
     clear_denominators,
+    cleared,
     det,
     dot,
     frac,
+    full_row_rank,
     integer_rows,
     inverse,
+    lowest_terms,
     mat_mul,
     minors,
     nullspace,
     rank,
+    ratio,
     rref,
     solve_unique,
 )
@@ -334,3 +338,106 @@ class TestExponentLimit:
             frac(f"1e{sign}{limit + 1}")
         with pytest.raises(ValueError, match="exponent"):
             frac(f"2.5E{sign}999999999")
+
+
+_DIGITS = st.from_regex(r"[0-9]{1,6}(_[0-9]{1,3}){0,2}", fullmatch=True)
+
+
+@st.composite
+def _fraction_syntax(draw) -> str:
+    """Strings in and around ``Fraction``'s syntax: signs, surrounding
+    whitespace, "p/q" (also spaced), underscores, decimals and exponents."""
+    space, sign = st.sampled_from(["", " ", "  ", "\t"]), st.sampled_from(["", "+", "-"])
+    num, other = draw(_DIGITS), draw(_DIGITS)
+    exponent = draw(st.sampled_from("eE")) + draw(sign) + str(draw(st.integers(0, 40)))
+    body = draw(st.sampled_from([
+        num, f"{num}/{other}", f"{num} / {other}", f"{num}.{other}", f".{other}",
+        f"{num}{exponent}", f"{num}.{other}{exponent}", f"{num}/-{other}",
+    ]))
+    return draw(space) + draw(sign) + body + draw(space)
+
+
+# The refusals of the reader, each with its type and exact message.
+_LIMIT = sys.get_int_max_str_digits()
+REFUSALS = [
+    (1.5, TypeError, "float input 1.5 is not accepted; pass a rational"),
+    (True, TypeError, "bool input True is not accepted; pass a rational"),
+    (False, TypeError, "bool input False is not accepted; pass a rational"),
+    ({"num": True, "den": 1}, TypeError, "expected an integer, got True"),
+    ({"num": 1, "den": 2.0}, TypeError, "expected an integer, got 2.0"),
+    ({"num": 1.5}, TypeError, "expected an integer, got 1.5"),  # num is read before den
+    ({"num": 1, "den": 0}, ValueError, "rational {'num': 1, 'den': 0} has a zero denominator"),
+    ({"den": 1}, KeyError, "'num'"),
+    ({"num": 1}, KeyError, "'den'"),
+    ("1/0", ValueError, "rational '1/0' has a zero denominator"),
+    (f"1e{_LIMIT + 1}", ValueError, f"rational '1e{_LIMIT + 1}' has an exponent beyond {_LIMIT} in magnitude"),
+    (
+        "1" * (_LIMIT + 1), ValueError,
+        f"Exceeds the limit ({_LIMIT} digits) for integer string conversion: value has {_LIMIT + 1} digits; "
+        "use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    ("3 / 4", ValueError, "Invalid literal for Fraction: '3 / 4'"),
+    (None, TypeError, "argument should be a string or a Rational instance"),
+]
+
+
+class TestReader:
+    """``ratio`` against ``Fraction``: (num, den) in lowest terms, den > 0."""
+
+    @given(st.integers())
+    def test_ints(self, n):
+        assert ratio(n) == (n, 1) and frac(n) == F(n)
+
+    @given(st.integers(), st.integers().filter(bool), st.integers(1, 50))
+    @example(0, -7, 3)
+    @example(-1, -2, 1)
+    def test_dicts_unreduced_or_with_a_negative_den(self, num, den, k):
+        want = F(num, den)
+        for entry in ({"num": num, "den": den}, {"num": num * k, "den": den * k}):
+            assert ratio(entry) == (want.numerator, want.denominator)
+            assert frac(entry) == want
+
+    @given(_fraction_syntax())
+    @example("3 / 4")
+    @example("-1_000.5e-2 ")
+    @example("0/0")
+    def test_strings(self, text):
+        try:
+            want = F(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match=r"^rational .* has a zero denominator$"):
+                ratio(text)
+        except ValueError as refusal:
+            with pytest.raises(ValueError) as got:
+                ratio(text)
+            assert str(got.value) == str(refusal)
+        else:
+            assert ratio(text) == (want.numerator, want.denominator)
+            assert frac(text) == want
+
+    @given(st.fractions())
+    def test_fractions(self, q):
+        assert ratio(q) == (q.numerator, q.denominator) and frac(q) is q
+
+    @pytest.mark.parametrize("x,kind,message", REFUSALS, ids=[f"refusal-{i}" for i in range(len(REFUSALS))])
+    def test_refusals_keep_their_type_and_message(self, x, kind, message):
+        for read in (ratio, frac):
+            with pytest.raises(kind) as got:
+                read(x)
+            assert type(got.value) is kind and str(got.value) == message
+
+
+class TestIntegerForms:
+    def test_cleared_and_lowest_terms(self):
+        assert cleared([((1, 2), (-2, 3)), (), ((4, 1),)]) == ([(3, -4), (), (24,)], 6)
+        assert lowest_terms(((3, -4), (24,)), 6) == (((3, -4), (24,)), 6)
+        assert lowest_terms(((2, 4), (0,)), -6) == (((-1, -2), (0,)), 3)
+        assert lowest_terms(((0, 0),), 5) == (((0, 0),), 1)
+
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=4),
+           st.booleans())
+    def test_full_row_rank_agrees_with_elimination(self, rows, dependent):
+        rows = rows + [[2 * x for x in rows[0]]] * dependent
+        for width in range(5):
+            a = tuple(tuple(row[:width]) for row in rows)
+            assert full_row_rank(a) == (rank(a) == len(a))

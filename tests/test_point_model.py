@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_flagged_point, model_supported, mutate_break_flag, random_block
+from conftest import build_flagged_point, count_calls, model_supported, mutate_break_flag, random_block
 from higgsstrata import (
     CapExceeded,
     CoordinateIndex,
@@ -46,7 +46,8 @@ from higgsstrata import (
     verify_step2,
 )
 from higgsstrata.linalg import (
-    Dual, adapted_flag_basis, adjugate, clear_denominators, det, inverse, mat, mat_mul, rank, transpose,
+    Dual, EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, inverse, mat, mat_mul,
+    rank, transpose,
 )
 from higgsstrata.point_model import (
     BlockReport,
@@ -378,6 +379,89 @@ class TestInputChecks:
     def test_stabilizer_flag_total_mismatch(self):
         with pytest.raises(ValueError, match="^flag total must equal the section count$"):
             unipotent_stabilizer_dim(flagged_point(3, self.PHI), FLAG11, CTX73)
+
+
+class TestErrorOrder:
+    """Points with several defects give the first message, factor by factor:
+    every entry is read first, then per factor its shape, y's rank and
+    (c, phi) != (0, 0)."""
+
+    GOOD = ([[1, 0, 0], [0, 1, 0]], 1, [[0, 0], [0, 0]])
+    LOW_RANK = ([[1, 2, 3], [2, 4, 6]], 1, [[0, 0], [0, 0]])
+    ZERO = ([[1, 0, 0], [0, 1, 0]], 0, [[0, 0], [0, 0]])
+    CASES = [
+        ([([[1, 2, 3], [2, 4, 6]], 1, [[0, 0, 0], [0, 0, 0]])], ValueError, "factor 1: phi must be 2x2"),
+        ([GOOD, ([[1, 2], [2, 4]], 1, [[0, 0], [0, 0]])], ValueError, "factor 2: y must be 2x3"),
+        ([LOW_RANK, ZERO], ValueError, "factor 1: y does not have full row rank"),
+        ([ZERO, LOW_RANK], ValueError, "factor 1: (c, phi) must not be (0, 0)"),
+        ([([[1, 2, 3], [2, 4, 6]], 0, [[0, 0], [0, 0]])], ValueError, "factor 1: y does not have full row rank"),
+        ([LOW_RANK, ([[1, 0, 0], [0, 1, 0]], 1, [[0, 0, 0], [0, 0, 0]])], ValueError,
+         "factor 1: y does not have full row rank"),
+        ([([[1, 0, 0], [0, 1, 0]], 1, [[0, 0], [0]])], ValueError, "ragged matrix"),
+        ([LOW_RANK, ([[1, 0, 0], [0, 1, 0]], 1, [[0, 0], [0]])], ValueError, "ragged matrix"),
+        ([LOW_RANK, ([[1, 0, 0], [0, 1, 0]], 1.5, [[0, 0], [0, 0]])], TypeError,
+         "float input 1.5 is not accepted; pass a rational"),
+        ([([[1, 0, 0], [0, 1]], 1, [[0, 0], [0, 0]])], ValueError, "ragged matrix"),
+        ([([], 1, [])], ValueError, "factor 1: y must have at least one row"),
+        ([GOOD, ([], 1, [])], ValueError, "factor 2: y must be 2x3"),
+        ([], ValueError, "a model point needs at least one factor"),
+    ]
+
+    @pytest.mark.parametrize("factors,kind,message", CASES, ids=[f"case-{i}" for i in range(len(CASES))])
+    def test_first_message(self, factors, kind, message):
+        with pytest.raises(kind) as got:
+            ModelPoint(tuple(factors))
+        assert type(got.value) is kind and str(got.value) == message
+
+
+class TestIntegerForm:
+    """A factor holds (L y, L) and (M c, M phi, M), each entry read once."""
+
+    @staticmethod
+    def _point(half) -> ModelPoint:
+        return ModelPoint((Factor([[half, 1, 0], [0, 0, 1]], half, [[half, 0], [0, 1]]),))
+
+    def test_one_value_four_spellings(self):
+        points = [self._point(half) for half in ("1/2", {"num": 2, "den": 4}, {"num": -1, "den": -2}, F(1, 2))]
+        first = points[0]
+        assert first._integer_factors == (((((1, 2, 0), (0, 0, 2)), 1, ((1, 0), (0, 2))), 8),)
+        assert first.factors[0].y == ((F(1, 2), 1, 0), (0, 0, 1)) and first.factors[0].c == F(1, 2)
+        for p in points:
+            assert p.factors[0] == first.factors[0] and hash(p.factors[0]) == hash(first.factors[0])
+            assert p == first and hash(p) == hash(first)
+            assert p._integer_factors == first._integer_factors
+            assert p.to_json() == first.to_json()
+        assert self._point(F(1, 3)).factors[0] != first.factors[0]
+
+    def test_moves_read_no_entry_again(self):
+        half = F(1, 2)
+        p = ModelPoint((Factor([[half, half, half, 1, 0], [0, 0, 0, 1, 1]], F(1, 3), [[2, 0], [5, F(3, 7)]]),))
+        beta, alpha, t = beta_of_type(TAU43, CTX73), ((F(2, 3), 1), (0, F(-5, 2))), F(-3, 4)
+        for move in (
+            lambda: retract_p_beta(p, beta, CTX73),
+            lambda: p.gauge_factor(0, alpha),
+            lambda: p.rescale_factor(0, t),
+        ):
+            assert count_calls(move, frac) == [0]
+        assert count_calls(lambda: frac("1/2"), frac) == [1]  # the counter sees frac
+        f, g, s = p.factors[0], p.gauge_factor(0, alpha).factors[0], p.rescale_factor(0, t).factors[0]
+        a_inv = inverse(alpha)
+        d = det(a_inv)
+        assert g.y == mat_mul(alpha, f.y) and g.c == f.c * d
+        conjugated = mat_mul(mat_mul(transpose(a_inv), f.phi), transpose(alpha))
+        assert g.phi == tuple(tuple(d * x for x in row) for row in conjugated)
+        assert (s.y, s.c, s.phi) == (f.y, t * f.c, tuple(tuple(t * x for x in row) for row in f.phi))
+
+    def test_parse_builds_no_fraction_and_runs_no_elimination(self):
+        point = {"factors": [{
+            "y": [[{"num": 2, "den": 4}, 1, 0], [0, {"num": 3, "den": -1}, 1]],
+            "c": 1,
+            "phi": [[{"num": 0, "den": 5}, 0], [1, 0]],
+        }]}
+        watched = (F.__new__, EchelonAccumulator.add, rank)
+        assert count_calls(lambda: ModelPoint.from_json(point), *watched) == [0, 0, 0]
+        text = {"factors": [{"y": [["1/2", 1, 0], [0, "-3", 1]], "c": 1, "phi": [[0, 0], [1, 0]]}]}
+        assert count_calls(lambda: ModelPoint.from_json(text), F.__new__)[0] == 2  # the counter sees Fraction
 
 
 class TestStep1:
