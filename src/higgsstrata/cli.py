@@ -4,17 +4,19 @@ Every verb accepts ``--json`` and then writes exactly one JSON document to
 standard output, tagged with a versioned ``schema`` key.  Rational values are
 accepted as integers or "p/q" strings and always emitted in lowest terms.
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
-2 usage error.  The environment variable HIGGSSTRATA_CAP overrides the
-default enumeration cap: for ``index-set`` it counts the weight subsets of at
-most a + 1 distinct weights, a being their affine dimension; for ``stabdim``
-the rows of the per-factor stabiliser system, N C(m,r) (1 + r^2) for N
-points, rank r and m sections (``report`` holds its stabiliser calls to the
-default cap in the same rows); for ``point-coords`` the C(m,r)^N (1 + r^(2N))
-coordinate indices.  Type enumeration stops past 200,000 types, and
-``point-check --step2`` refuses a ``--lambda-bound`` whose
-prod_{g<s}(2 bound m_g + 1) block-trace heads (the traces of all blocks but
-the last) exceed 200,000.  JSON nested too deeply to parse is a domain
-error, ``RecursionError``.
+2 usage error.  A request is parsed once, by its verb's parser alone, so an
+unknown flag after a verb is reported with that verb's usage and prog:
+``higgsstrata beta: error: unrecognized arguments: --bogus``.  The environment
+variable HIGGSSTRATA_CAP overrides the default enumeration cap: for
+``index-set`` it counts the weight subsets of at most a + 1 distinct weights,
+a being their affine dimension; for ``stabdim`` the rows of the per-factor
+stabiliser system, N C(m,r) (1 + r^2) for N points, rank r and m sections
+(``report`` holds its stabiliser calls to the default cap in the same rows);
+for ``point-coords`` the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type
+enumeration stops past 200,000 types, and ``point-check --step2`` refuses a
+``--lambda-bound`` whose prod_{g<s}(2 bound m_g + 1) block-trace heads (the
+traces of all blocks but the last) exceed 200,000.  JSON nested too deeply to
+parse is a domain error, ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -347,11 +349,11 @@ def _cmd_report(args) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its verb -> parser map, built once per process.
 
-    Parsing reads only argv (HIGGSSTRATA_CAP is read when a verb runs), so one
-    parser serves every call of ``main``.
+    Parsing reads only argv (HIGGSSTRATA_CAP is read when a verb runs), so they
+    serve every call of ``main``, which parses with the verb's parser alone.
     """
     parser = argparse.ArgumentParser(
         prog="higgsstrata",
@@ -450,13 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub_action in subs.choices.values():
         sub_action.add_argument("--json", action="store_true")
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, verbs = build_parser()
+    verb = argv[0] if argv and argv[0] in verbs else None
     try:
-        args = parser.parse_args(argv)
+        args = verbs[verb].parse_args(argv[1:], argparse.Namespace(verb=verb)) if verb else parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -458,12 +458,8 @@ def u_tau_candidates(tau: HNType, ctx: CurveContext) -> CandidateSet:
             kept.append(mu)
         cands = kept
     # Reverse necessary condition: tau must lie under mu's own first-slope bound.
-    bound_ok = []
-    for mu in cands:
-        if tau.top_slope <= first_slope_bound(mu, ctx):
-            bound_ok.append(mu)
-    sharp = r <= 3
-    return CandidateSet(tuple(bound_ok), sharp=sharp)
+    bound_ok = tuple(mu for mu in cands if tau.top_slope <= first_slope_bound(mu, ctx))
+    return CandidateSet(bound_ok, sharp=r <= 3)
 
 
 @dataclass(frozen=True)

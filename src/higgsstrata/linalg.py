@@ -149,32 +149,39 @@ def minors(a):
     """``minor(rows, cols)``: the determinant of ``a`` on the increasing index
     tuples rows x cols, of equal length; the empty minor is 1.
 
-    The package's one Laplace expansion, along the first row, skipping zero
-    entries, with one memo keyed by (rows, cols) across calls.  A 2 x 2
-    minor is its closed form ad - bc, cheaper than a memo entry.  It never
+    The package's one Laplace expansion, ``_minor``, along the first row,
+    skipping zero entries, memo keyed by (rows, cols), 2 x 2 minors in closed
+    form ad - bc; the closure holds ``a`` and the memo, never itself.  It never
     divides, so it works over any commutative ring: int input stays int.
     """
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
 
     def minor(rows: tuple[int, ...], cols: tuple[int, ...]):
-        if len(rows) == 2:
+        if len(rows) == 2:  # the cofactor tables' minors at r <= 3 need no second call
             (i, j), (k, l) = rows, cols
             return a[i][k] * a[j][l] - a[i][l] * a[j][k]
         if len(rows) <= 1:
             return a[rows[0]][cols[0]] if rows else 1
-        got = memo.get((rows, cols))
-        if got is not None:
-            return got
-        row, rest = a[rows[0]], rows[1:]
-        total = row[cols[0]] - row[cols[0]]  # ring zero
-        for pos, c in enumerate(cols):
-            if row[c]:
-                entry = row[c] if pos % 2 == 0 else -row[c]
-                total += entry * minor(rest, cols[:pos] + cols[pos + 1:])
-        memo[rows, cols] = total
-        return total
+        return _minor(a, memo, rows, cols)
 
     return minor
+
+
+def _minor(a, memo: dict, rows: tuple[int, ...], cols: tuple[int, ...]):
+    if len(rows) == 2:  # entered with at least 3 rows, so never fewer than 2
+        (i, j), (k, l) = rows, cols
+        return a[i][k] * a[j][l] - a[i][l] * a[j][k]
+    got = memo.get((rows, cols))
+    if got is not None:
+        return got
+    row, rest = a[rows[0]], rows[1:]
+    total = row[cols[0]] - row[cols[0]]  # ring zero
+    for pos, c in enumerate(cols):
+        if row[c]:
+            entry = row[c] if pos % 2 == 0 else -row[c]
+            total += entry * _minor(a, memo, rest, cols[:pos] + cols[pos + 1:])
+    memo[rows, cols] = total
+    return total
 
 
 def full_row_rank(a) -> bool:

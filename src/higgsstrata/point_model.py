@@ -50,7 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import mul
 
 from .errors import (
@@ -778,6 +778,28 @@ def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:
     return [(a, b) for (a, ga), (b, gb) in pairs if ga < gb]
 
 
+@lru_cache(maxsize=16)
+def _stabilizer_plan(r: int, m: int, flag: FlagShape) -> tuple[int, tuple]:
+    """The shape-only half of ``unipotent_stabilizer_dim``: the slot count and,
+    per family in table order, the entries (K, x - 1, hits, moves) with a
+    nonzero slot.  Slot t is p = (a, l), column l += eps column a (a < l), and
+    d_p V(K, x) = [x = l] V(K, a) + [l in K, a not in K] (-1)^e V(K with l -> a, x),
+    e = #{k in K : a < k < l}: a hit (t, a - 1), a move (t, K with l -> a, (-1)^e).
+    Det entries are the det half of ``_first_reads`` (any other V_y row is 0 or
+    +- one of theirs)."""
+    slots = list(enumerate((a + 1, l + 1) for a, l in _lie_upper_positions(flag)))
+    hits = [tuple((t, a - 1) for t, (a, l) in slots if l == x) for x in range(m + 1)]
+    moves = {
+        K: tuple((t, tuple(sorted({*K} - {l} | {a})), (-1) ** sum(a < k < l for k in K))
+                 for t, (a, l) in slots if l in K and a not in K)
+        for K in itertools.combinations(range(1, m + 1), r - 1)
+    }
+    entries = [Kx for Kx, _ in _first_reads(r, m)[0]], [(K, x) for K in moves for x in range(1, m + 1)]
+    return len(slots), tuple(
+        tuple((K, x - 1, hits[x], moves[K]) for K, x in fam if hits[x] or moves[K]) for fam in entries
+    )
+
+
 def unipotent_stabilizer_dim(
     p: ModelPoint,
     flag: FlagShape,
@@ -797,32 +819,30 @@ def unipotent_stabilizer_dim(
     Here s = 0.  Every value is, up to sign and the factor c, an entry
     V(K, x) = det[y_K | w_x] of a cofactor table of ``_factor_values``
     (w = y for det values and, by Cramer's rule, w = z = phi^T y for end
-    values), and every entry is such a value.  The direction p = (a, l),
-    column l += eps column a (1-based, a < l), moves w_l along with y_l and
-    acts on the entries like gl_m on Plücker coordinates, replacing l by a:
-    d_p V(K, x) = [x = l] V(K, a) + [l in K, a not in K] (-1)^e V(K with l -> a, x),
-    e = #{k in K : a < k < l}.  So both families carry linear representations
-    of y's column operations, on which the strictly upper block triangle acts
-    nilpotently, as on their tensor products; D T = s T with T != 0 then
-    forces s = 0.  When every a_k is nonzero, contracting D A = 0 in every
-    slot but k with functionals f_j, f_j(a_j) = 1, leaves D a_k in the span
-    of a_k, hence D a_k = 0; likewise for B.  A family with a zero factor
-    (c_k = 0 or phi_k = 0) vanishes along every direction, since D moves only
-    y, and gives no condition; DegeneratePoint is raised when both vanish.
+    values), and every entry is such a value.  A direction p moves w_l along
+    with y_l and acts on the entries like gl_m on Plücker coordinates (the
+    rule d_p V(K, x) of ``_stabilizer_plan``).  So both families carry linear
+    representations of y's column operations, on which the strictly upper
+    block triangle acts nilpotently, as on their tensor products; D T = s T
+    with T != 0 then forces s = 0.  When every a_k is nonzero, contracting
+    D A = 0 in every slot but k with functionals f_j, f_j(a_j) = 1, leaves
+    D a_k in the span of a_k, hence D a_k = 0; likewise for B.  A family with
+    a zero factor (c_k = 0 or phi_k = 0) vanishes along every direction,
+    since D moves only y, and gives no condition; DegeneratePoint is raised
+    when both vanish.
 
     So the unknowns are xi_p, one per upper position p, with one row
-    [d_p V(K, x)]_p per value of each factor in each surviving family, read
-    off the cached tables; the nullity is the stabiliser dimension.  The
-    tables are over int (``ModelPoint._integer_factors``): a row reads one (factor,
-    table) pair only, whose entries all carry the same nonzero scale (L^r
-    for V_y, L^r M for V_z), so each row is a nonzero multiple of the exact
-    one and the row space, hence the nullity, is unchanged.  The V_y rows
-    are those of the entries det values read, the det half of
-    ``_first_reads``; every other V_y entry vanishes or repeats such a row
-    up to sign.  Every V_z entry is an end value.
-    ``cap`` bounds N C(m,r) (1 + r^2), the number of values, and is checked
-    before any evaluation; ``unipotent_stabilizer_dim_dense_oracle`` is the
-    full-table route, which keeps s as an unknown, as a test oracle.
+    [d_p V(K, x)]_p per value of each factor in each surviving family; the
+    nullity is the stabiliser dimension.  A row fills from the cached tables
+    only the slots its entry of ``_stabilizer_plan`` lists, one plan per
+    (r, m, flag), built after the cap and shape checks.  The tables are over
+    int (``ModelPoint._integer_factors``): a row reads one (factor, table)
+    pair only, whose entries all carry the same nonzero scale (L^r for V_y,
+    L^r M for V_z), so each row is a nonzero multiple of the exact one and
+    the row space, hence the nullity, is unchanged.  ``cap`` bounds
+    N C(m,r) (1 + r^2), the number of values, and is checked first;
+    ``unipotent_stabilizer_dim_dense_oracle`` is the full-table route, which
+    keeps s as an unknown, as a test oracle.
     """
     _check_shapes(p, ctx, flag)
     rows = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
@@ -831,30 +851,17 @@ def unipotent_stabilizer_dim(
     families = [fam for fam in (0, 1) if all(sup[fam] for sup in p._support)]
     if not families:
         raise DegeneratePoint("all coordinates vanish")
-    positions = [(a + 1, l + 1) for a, l in _lie_upper_positions(flag)]
-    moves = {
-        K: [
-            (tuple(sorted(set(K) - {l} | {a})), (-1) ** sum(a < k < l for k in K))
-            if l in K and a not in K else None
-            for a, l in positions
-        ]
-        for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
-    }
-    entries = (
-        [Kx for Kx, _ in _first_reads(p.r, p.m)[0]],
-        [(K, x) for K in moves for x in range(1, p.m + 1)],
-    )
-    acc = EchelonAccumulator(len(positions))
+    width, plan = _stabilizer_plan(p.r, p.m, flag)
+    acc = EchelonAccumulator(width)
     for _, *tables in p._values:
         for fam in families:
             table = tables[fam]
-            for K, x in entries[fam]:
-                values = table[K]
-                row = [
-                    (values[a - 1] if x == l else 0)
-                    + (move[1] * table[move[0]][x - 1] if move else 0)
-                    for (a, l), move in zip(positions, moves[K])
-                ]
+            for K, col, hits, moves in plan[fam]:
+                row, values = [0] * width, table[K]
+                for t, a in hits:
+                    row[t] = values[a]
+                for t, moved, sign in moves:
+                    row[t] += sign * table[moved][col]
                 if any(row):
                     acc.add(row)
     return acc.nullity

@@ -282,7 +282,11 @@ def compat_cross_table(
 
     For every underlying type tau in range and every Higgs candidate mu of
     tau, tau must reappear among mu's own underlying-type candidates; rows
-    record each check and violations collect the failures (expected empty).
+    record each check and violations collect the failures.  None can fail, by
+    the branches of ``u_tau_candidates``: for mu = tau (deg L = 0, or rank 2)
+    ``first_slope_bound`` is tau's top slope (d/r if semistable) plus a multiple
+    of deg L >= 0; at rank 2 the semistable mu is kept exactly when tau's top
+    slope d_1 <= (d + deg L)/2, its bound; otherwise the test is its last filter.
     """
     rows: list[CompatRow] = []
     violations: list[CompatRow] = []

@@ -487,6 +487,80 @@ class TestRepeatedCalls:
         assert len(json.loads(out)["vectors"]) == 2
 
 
+class TestDispatch:
+    """One parse per request: a verb's own parser reads everything after it,
+    and the top-level parser speaks only when the first argument is no verb."""
+
+    VERBS = (
+        "enumerate", "order", "beta", "compat", "minnorm", "index-set", "point-coords",
+        "point-check", "stabdim", "classify", "polygons", "report",
+    )
+    TOP_USAGE = "usage: higgsstrata [-h]\n"
+
+    def test_verb_map_lists_every_verb(self):
+        parser, verbs = cli.build_parser()
+        assert tuple(verbs) == self.VERBS
+        assert all(sub.prog == f"higgsstrata {verb}" for verb, sub in verbs.items())
+
+    def test_no_arguments(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(self.TOP_USAGE)
+        assert err.endswith("higgsstrata: error: the following arguments are required: verb\n")
+
+    def test_top_level_help(self, capsys):
+        code, out, err = run(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(self.TOP_USAGE) and "Exact instability-stratification combinatorics" in out
+        assert all(verb in out for verb in self.VERBS)
+
+    def test_unknown_verb(self, capsys):
+        code, out, err = run(capsys, "bogus-verb")
+        assert (code, out) == (2, "")
+        assert err.startswith(self.TOP_USAGE)
+        assert "higgsstrata: error: argument verb: invalid choice: 'bogus-verb' (choose from 'enumerate'," in err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_help(self, capsys, verb):
+        code, out, err = run(capsys, verb, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: higgsstrata {verb} [-h]")
+        assert "--json" in out
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_unknown_flag_names_the_verb(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: higgsstrata {verb} [-h]")
+        assert f"higgsstrata {verb}: error: " in err
+
+    def test_unknown_flag_after_complete_request(self, capsys):
+        code, out, err = run(capsys, "beta", "--tau", "3,1", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.endswith("higgsstrata beta: error: unrecognized arguments: --bogus\n")
+
+    def test_default_argv_is_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["higgsstrata", "beta", "--tau", "3,1", "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == "higgsstrata.beta/1"
+
+    def test_argv_untouched_and_verb_set(self, capsys, monkeypatch):
+        argv = ["classify", "--tau-type", "3", "--mu-type", "3", "--json"]
+        sub, seen = cli.build_parser()[1]["classify"], []
+
+        def parse_args(*a, **k):
+            seen.append(real(*a, **k))
+            return seen[-1]
+
+        real = sub.parse_args
+        monkeypatch.setattr(sub, "parse_args", parse_args)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["kind"]
+        assert argv == ["classify", "--tau-type", "3", "--mu-type", "3", "--json"]
+        (args,) = seen
+        assert (args.verb, args.tau_type, args.mu_type, args.json) == ("classify", "3", "3", True)
+
+
 class TestMalformedInput:
     """Bad input ends with one ``Name: message`` line on stderr, not a traceback."""
 

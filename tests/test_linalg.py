@@ -3,6 +3,7 @@ without elimination."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import sys
@@ -201,6 +202,29 @@ def _big_matrices(draw):
         else:
             rows.append(draw(st.lists(_BIG_ENTRIES, min_size=ncols, max_size=ncols)))
     return tuple(tuple(row) for row in rows)
+
+
+class TestMinorsLeaveNoCycle:
+    """A ``minors`` closure and its memo are freed by reference counting alone."""
+
+    @pytest.mark.parametrize(
+        "a, want",
+        [(((1, 2, 3), (4, 5, 6), (7, 8, 10)), -3), (((2, 0, 1, 3), (1, 1, 0, 2), (0, 3, 1, 1), (1, 0, 2, 1)), -1)],
+        ids=["3x3", "4x4"],
+    )
+    def test_collector_frees_nothing(self, a, want):
+        full = tuple(range(len(a)))
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            minor = minors(a)
+            assert minor(full, full) == want
+            del minor
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestAgainstGaussJordan:

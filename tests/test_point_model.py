@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -45,6 +48,7 @@ from higgsstrata import (
     step2_trace_identity,
     verify_step2,
 )
+from higgsstrata import cli
 from higgsstrata.linalg import (
     Dual, EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, inverse, mat, mat_mul,
     rank, transpose,
@@ -57,6 +61,7 @@ from higgsstrata.point_model import (
     _entry_keys,
     _factor_support,
     _factor_values,
+    _stabilizer_plan,
     _table,
 )
 from higgsstrata.weight_lattice import enumerate_coordinate_indices
@@ -1030,6 +1035,70 @@ class TestStabilizerDenseOracle:
         start = time.monotonic()
         unipotent_stabilizer_dim(p, FlagShape(beta.m_blocks), ctx)
         assert time.monotonic() - start < 5
+
+
+def _bench_workload(name: str, seed: int):
+    """A workload's request list, built by ``bench/workloads.py`` (read-only)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        return module.build(name, seed)
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestStabilizerPlan:
+    """The shape-only plan of ``unipotent_stabilizer_dim``, cached per (r, m, flag)."""
+
+    def test_refused_calls_build_no_plan(self):
+        _stabilizer_plan.cache_clear()
+        p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
+        flag = FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks)
+        with pytest.raises(CapExceeded):
+            unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=99)
+        with pytest.raises(ValueError, match="flag total"):
+            unipotent_stabilizer_dim(p, FlagShape((2, 2)), CTX73_N2)
+        assert _stabilizer_plan.cache_info().currsize == 0
+        unipotent_stabilizer_dim(p, flag, CTX73_N2)
+        assert _stabilizer_plan.cache_info().currsize == 1
+
+    def test_one_plan_serves_points_of_one_shape(self):
+        _stabilizer_plan.cache_clear()
+        flag = FlagShape(beta_of_type(TAU43, CTX73).m_blocks)
+        rng = random.Random(8)
+        for _ in range(2):
+            p = build_flagged_point(TAU43, CTX73, rng)
+            assert unipotent_stabilizer_dim(p, flag, CTX73) == unipotent_stabilizer_dim_dense_oracle(
+                p, flag, CTX73
+            )
+        info = _stabilizer_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_one_block_flag(self):
+        p = build_flagged_point(TAU43, CTX73, random.Random(9))
+        flag = FlagShape((p.m,))
+        assert _stabilizer_plan(p.r, p.m, flag) == (0, ((), ()))
+        assert unipotent_stabilizer_dim(p, flag, CTX73) == 0
+        assert unipotent_stabilizer_dim_dense_oracle(p, flag, CTX73) == 0
+
+    def test_rows_fed_on_the_stratify_stabdim_points(self, capsys, monkeypatch):
+        # recorded before the plan existed: 77 nonzero rows fed, 47 kept
+        requests = [req for req in _bench_workload("stratify", 1).requests if req.kind == "stabdim"]
+        assert len(requests) == 36
+        fed, real = [], EchelonAccumulator.add
+
+        def add(self, row):
+            fed.append(real(self, row))
+            return fed[-1]
+
+        monkeypatch.setattr(EchelonAccumulator, "add", add)
+        for req in requests:
+            assert cli.main(list(req.argv)) == 0
+        capsys.readouterr()
+        assert (len(fed), sum(fed)) == (77, 47)
 
 
 @st.composite
