@@ -6,7 +6,8 @@ vectors with their grading weights, exact minimum-norm points and closest-point
 index sets, explicit matrix models of embedded points with membership and
 retraction predicates, stabiliser-dimension refinements and stratification
 reports.  All arithmetic is exact; every theorem-level claim used here is
-backed by a brute-force oracle at desk scale in the test suite.
+checked at desk scale in the test suite against a brute-force route of
+``higgsstrata.oracles``, which no answer module imports.
 """
 
 from .errors import (
@@ -43,12 +44,16 @@ from .hn_types import (
 )
 from .minnorm import (
     PointCloud,
-    hull_contains_origin,
     index_set_B,
     kkt_certificate,
     min_norm_point,
-    min_norm_point_by_faces,
     min_norm_point_of_sum,
+)
+from .oracles import (
+    hull_contains_origin,
+    min_norm_point_by_faces,
+    nilpotent_commutant_dim_dense_oracle,
+    unipotent_stabilizer_dim_dense_oracle,
 )
 from .point_model import (
     CoordinateTable,
@@ -62,10 +67,8 @@ from .point_model import (
     from_higgs_data,
     membership,
     nilpotent_commutant_dim,
-    nilpotent_commutant_dim_dense_oracle,
     retract_p_beta,
     unipotent_stabilizer_dim,
-    unipotent_stabilizer_dim_dense_oracle,
     verify_step1,
     verify_step2,
 )

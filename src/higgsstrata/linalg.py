@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals (and over dual numbers).
+"""Exact linear algebra over the rationals.
 
 Every rational input is read by one reader, ``ratio``, into (num, den) in
 lowest terms with den > 0; ``frac`` is its ``Fraction``, and ``cleared``
@@ -6,12 +6,13 @@ takes rows of such pairs straight to int rows over the lcm of their dens.
 Matrices are tuples of tuples of ``Fraction`` or int; everything is exact,
 with no floating point and no tolerances.  There is one Gaussian
 elimination, ``EchelonAccumulator.add``, fraction-free over int: ``rank``
-reads its rank, and ``rref``, ``nullspace``, ``solve_unique`` and
-``inverse`` the reduced row echelon form that ``_echelon`` gets from its
-kept rows by back-substitution.  There is one Laplace expansion,
-``minors``, behind ``det``, ``adjugate``, ``full_row_rank`` and the cofactor
-tables of ``point_model``, over any commutative ring with ``+``, ``-``, ``*``
-and truthiness at zero; dual numbers serve the dense stabiliser oracle.
+reads its rank, and ``nullspace`` and ``solve_unique`` the reduced row
+echelon form that ``_echelon`` gets from its kept rows by back-substitution.
+Only the oracles (``higgsstrata.oracles``) call those two; they stay here
+because the benchmark traces them by these names.  There is one Laplace
+expansion, ``minors``, behind ``det``, ``adjugate``, ``full_row_rank`` and
+the cofactor tables of ``point_model``, over any commutative ring with
+``+``, ``-``, ``*`` and truthiness at zero.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -253,13 +253,6 @@ def _echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
     return [kept[i] for i in order], [pivots[i] for i in order]
 
 
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with a's row count (zero rows last) and its pivots."""
-    red, pivots = _echelon(a)
-    zero = (Fraction(0),) * (len(a[0]) if a else 0)
-    return tuple(map(tuple, red)) + (zero,) * (len(a) - len(red)), tuple(pivots)
-
-
 def rank(a: Mat) -> int:
     return _accumulated(a).rank
 
@@ -290,18 +283,6 @@ def solve_unique(a: Mat, b: Sequence[Fraction]) -> Vec | None:
     if len(pivots) != n or n in pivots:
         return None
     return tuple(red[i][n] for i in range(n))
-
-
-def inverse(a: Mat) -> Mat | None:
-    """The inverse of a square matrix; None when it is singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(a)]
-    red, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in red)
 
 
 class EchelonAccumulator:
@@ -371,34 +352,3 @@ def adapted_flag_basis(columns: Sequence[Vec], cuts: Sequence[int]) -> tuple[Mat
         raise ValueError("columns do not span the target space")
     g = transpose(tuple(basis))
     return g, tuple(dims)
-
-
-@dataclass(frozen=True)
-class Dual:
-    """Dual number a + b*eps with eps^2 = 0, over the rationals."""
-
-    a: Fraction
-    b: Fraction
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Dual") -> "Dual":
-        return Dual(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-        return Dual(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __radd__(self, other) -> "Dual":
-        # other is a plain scalar (sum() seeds with int 0)
-        return Dual(self.a + other, self.b)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.a, -self.b)
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)

@@ -15,15 +15,12 @@ built only for the answer.  Every answer passes one exact KKT certificate
 (``_certified``), <p, x> >= <x, x> over ints, as a raise, not an assert.
 Index sets walk the affinely independent weight subsets depth-first, one
 ``_extend`` per added weight, and prune every extension by an affinely
-dependent weight.  A brute-force oracle projects the origin onto the affine
-hull of every subset by its own bordered-Gram ``Fraction`` solve and keeps
-the feasible minimum; it and the phase-1 simplex exist so the routes can be
-compared with zero tolerance.
+dependent weight.  The brute-force routes that check these with zero
+tolerance live in ``higgsstrata.oracles``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +28,7 @@ from operator import mul
 
 from .errors import CapExceeded, HiggsStrataError
 from .hn_types import DEFAULT_INDEX_CAP
-from .linalg import Vec, dot, integer, integer_rows, listlike, rank, solve_unique, vec
+from .linalg import Vec, integer, integer_rows, listlike, rank, vec
 
 
 @dataclass(frozen=True)
@@ -220,41 +217,12 @@ def min_norm_point_of_sum(sets) -> tuple[tuple[int, ...], int]:
     return X, delta
 
 
-def min_norm_point_by_faces(points) -> Vec:
-    """Brute-force oracle: project the origin onto every affine face.
-
-    For each nonempty subset, the origin is projected onto the subset's
-    affine hull by solving the bordered Gram system over ``Fraction``, a
-    route independent of Wolfe's integer projection; a singular system means
-    an affinely dependent subset, whose hull a smaller subset spans.
-    Projections with nonnegative barycentric weights are convex combinations,
-    and the best of those is the answer.  Exponential in the number of
-    points; intended as an independent check.
-    """
-    pts = list(_as_points(points))
-    best = None
-    for size in range(1, len(pts) + 1):
-        for subset in itertools.combinations(pts, size):
-            rows = [(*(dot(p, q) for q in subset), 1) for p in subset]
-            rows.append((*[1] * size, 0))
-            sol = solve_unique(tuple(rows), [0] * size + [1])
-            if sol is None:
-                continue
-            lam = sol[:size]
-            if any(l < 0 for l in lam):
-                continue
-            y = tuple(sum(l * p[i] for l, p in zip(lam, subset)) for i in range(len(pts[0])))
-            if best is None or dot(y, y) < dot(best, best):
-                best = y
-    return best
-
-
 def min_norm_point(cloud) -> Vec:
     """Exact closest point to the origin of the convex hull of the cloud.
 
     The one-set case of ``min_norm_point_of_sum``, on P = D p with D clearing
     the cloud's denominators once; the answer is X / (delta D).
-    ``min_norm_point_by_faces`` is the independent oracle.
+    ``oracles.min_norm_point_by_faces`` is the independent oracle.
     """
     P, D = integer_rows(_as_points(cloud))
     X, delta = min_norm_point_of_sum([P])
@@ -273,73 +241,6 @@ def kkt_certificate(points, x: Vec) -> bool:
         raise ValueError(f"length mismatch: {len(pts[0])} vs {len(x)}")
     (X, *P), _ = integer_rows([x, *pts])
     return _certified([P], X, 1)
-
-
-def hull_contains_origin(points) -> bool:
-    """Whether the origin lies in the convex hull, by an exact phase-1 simplex.
-
-    Independent of ``min_norm_point``, which vanishes exactly in this case.
-    """
-    pts = _as_points(points)
-    columns = [tuple(p) + (Fraction(1),) for p in pts]
-    target = tuple([Fraction(0)] * len(pts[0])) + (Fraction(1),)
-    return nonneg_combination_exists(columns, target)
-
-
-def nonneg_combination_exists(columns, target) -> bool:
-    """Exact phase-1 simplex: does some x >= 0 solve (columns as matrix) x = b?
-
-    Columns and target are rational vectors of a common length.  Bland's rule
-    keeps the run finite; arithmetic is exact throughout.
-    """
-    cols = [vec(c) for c in columns]
-    b = vec(target)
-    nrows, ncols = len(b), len(cols)
-    # Flip rows so the right-hand side is nonnegative.
-    rows = []
-    rhs = []
-    for i in range(nrows):
-        sign = -1 if b[i] < 0 else 1
-        rows.append([sign * cols[j][i] for j in range(ncols)])
-        rhs.append(sign * b[i])
-    # Tableau with artificial basis; minimise the artificial sum.
-    tableau = [row + [Fraction(0)] * nrows + [rhs[i]] for i, row in enumerate(rows)]
-    for i in range(nrows):
-        tableau[i][ncols + i] = Fraction(1)
-    basis = [ncols + i for i in range(nrows)]
-    width = ncols + nrows
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(nrows):
-        for j in range(width + 1):
-            cost[j] += tableau[i][j]
-    while True:
-        enter = next(
-            (j for j in range(ncols) if cost[j] > 0), None
-        )
-        if enter is None:
-            break
-        ratios = [
-            (tableau[i][width] / tableau[i][enter], i)
-            for i in range(nrows)
-            if tableau[i][enter] > 0
-        ]
-        if not ratios:
-            # The artificial sum is bounded below by 0, so an improving
-            # column always has a positive entry.
-            raise HiggsStrataError("phase-1 simplex found no pivot row")
-        _, pivot_row = min(ratios, key=lambda t: (t[0], basis[t[1]]))
-        piv = tableau[pivot_row][enter]
-        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        for i in range(nrows):
-            if i != pivot_row and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [
-                    x - f * y for x, y in zip(tableau[i], tableau[pivot_row])
-                ]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tableau[pivot_row])]
-        basis[pivot_row] = enter
-    return cost[width] == 0
 
 
 def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_INDEX_CAP) -> list[Vec]:

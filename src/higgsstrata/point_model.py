@@ -39,7 +39,7 @@ the product of the s_k.  Step 2 and the retraction gauge this integer form
 (``_adapted_factors``).  Step 1's weights are pairings with D beta, D the lcm
 of beta's denominators, and ``verify_step1`` divides by D.  ``Fraction``
 appears only where a value leaves the module, as in a factor's ``y``, ``c``
-and ``phi``, which the dense oracles read.
+and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .errors import (
 )
 from .hn_types import CurveContext, FlagShape, HNType
 from .linalg import (
-    Dual,
     EchelonAccumulator,
     Mat,
     adapted_flag_basis,
@@ -75,7 +74,6 @@ from .linalg import (
     mat,
     mat_mul,
     minors,
-    nullspace,
     rank,
     ratio,
     transpose,
@@ -207,6 +205,13 @@ class ModelPoint:
         Independent of any instability vector, so every predicate shares it.
         """
         return tuple(_factor_support(values, self.r, self.m) for values in self._values)
+
+    @cached_property
+    def _live_families(self) -> tuple[int, ...]:
+        """The live families, 0 (det) and 1 (end): those with support at every
+        factor, since a family's values are products over the factors.  The
+        point is degenerate (every coordinate vanishes) when none is live."""
+        return tuple(fam for fam in (0, 1) if all(support[fam] for support in self._support))
 
     def rescale_factor(self, k: int, t) -> "ModelPoint":
         """Projective rescaling (c, phi) -> (t c, t phi) of factor k (0-based)."""
@@ -419,16 +424,14 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
         for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
     }
     families = []
-    for fam, make_index in ((0, _det_index), (1, _end_index)):
-        if not all(support[fam] for support in p._support):
-            continue
+    for fam in p._live_families:
         per_factor = []
         for support in p._support:
             weights = {}
             for (K, x), key in support[fam].items():
                 weights.setdefault(off[K] - entries[x - 1], key)
             per_factor.append(weights)
-        families.append((per_factor, make_index))
+        families.append((per_factor, (_det_index, _end_index)[fam]))
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     lo = min(sum(min(d) for d in fam) for fam, _ in families)
@@ -829,7 +832,7 @@ def unipotent_stabilizer_dim(
     D a_k in the span of a_k, hence D a_k = 0; likewise for B.  A family with
     a zero factor (c_k = 0 or phi_k = 0) vanishes along every direction,
     since D moves only y, and gives no condition; DegeneratePoint is raised
-    when both vanish.
+    when both vanish (no ``ModelPoint._live_families``).
 
     So the unknowns are xi_p, one per upper position p, with one row
     [d_p V(K, x)]_p per value of each factor in each surviving family; the
@@ -841,14 +844,14 @@ def unipotent_stabilizer_dim(
     L^r M for V_z), so each row is a nonzero multiple of the exact one and
     the row space, hence the nullity, is unchanged.  ``cap`` bounds
     N C(m,r) (1 + r^2), the number of values, and is checked first;
-    ``unipotent_stabilizer_dim_dense_oracle`` is the full-table route, which
-    keeps s as an unknown, as a test oracle.
+    ``oracles.unipotent_stabilizer_dim_dense_oracle`` is the full-table route,
+    which keeps s as an unknown, as a test oracle.
     """
     _check_shapes(p, ctx, flag)
     rows = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
     if rows > cap:
         raise CapExceeded(rows, cap)
-    families = [fam for fam in (0, 1) if all(sup[fam] for sup in p._support)]
+    families = p._live_families
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     width, plan = _stabilizer_plan(p.r, p.m, flag)
@@ -864,47 +867,6 @@ def unipotent_stabilizer_dim(
                     row[t] += sign * table[moved][col]
                 if any(row):
                     acc.add(row)
-    return acc.nullity
-
-
-def _sheared(y: Mat, a: int, l: int) -> tuple:
-    """y over dual numbers, moved along the direction column l += eps * column a."""
-    return tuple(tuple(Dual(x, row[a] if col == l else 0) for col, x in enumerate(row)) for row in y)
-
-
-def unipotent_stabilizer_dim_dense_oracle(
-    p: ModelPoint,
-    flag: FlagShape,
-    ctx: CurveContext,
-    cap: int = DEFAULT_INDEX_CAP,
-) -> int:
-    """Independent route: the direction's action on the full coordinate table.
-
-    Exact nullity of the linear system in (direction, scalar) asking the
-    first-order action to be a scalar multiple of the table, with all
-    C(m,r)^N (1 + r^(2N)) coordinates differentiated through dual numbers;
-    ``cap`` counts those coordinate indices.  A test oracle for
-    ``unipotent_stabilizer_dim``.
-    """
-    _check_shapes(p, ctx, flag)
-    order = list(enumerate_coordinate_indices(ctx, cap))
-    positions = _lie_upper_positions(flag)
-    base = _table(order, [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors])
-    if not any(base[idx] for idx in order):
-        raise DegeneratePoint("all coordinates vanish")
-    eps_columns = []
-    for (a, l) in positions:
-        dual_parts = [
-            _factor_values(_sheared(f.y, a, l), Dual(f.c, 0), [[Dual(x, 0) for x in v] for v in f.phi], p.m)
-            for f in p.factors
-        ]
-        dual_table = _table(order, dual_parts)
-        eps_columns.append([dual_table[idx].b for idx in order])
-    acc = EchelonAccumulator(len(positions) + 1)
-    for row_i, idx in enumerate(order):
-        row = [col[row_i] for col in eps_columns] + [-base[idx]]
-        if any(row):
-            acc.add(row)
     return acc.nullity
 
 
@@ -930,27 +892,3 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
         for phi in mats for i in range(r) for j in range(r)
     )
     return len(positions) - rank(rows)
-
-
-def nilpotent_commutant_dim_dense_oracle(flag: FlagShape, phis) -> int:
-    """Independent route: full-space commutant intersected with the lowering triangle."""
-    mats = [mat(phi) for phi in phis]
-    r = flag.total
-    rows = []
-    for phi in mats:
-        for i in range(r):
-            for j in range(r):
-                row = [Fraction(0)] * (r * r)
-                for b in range(r):
-                    row[i * r + b] += phi[b][j]
-                for a in range(r):
-                    row[a * r + j] -= phi[i][a]
-                rows.append(tuple(row))
-    def unit(s: int) -> tuple:
-        return tuple(Fraction(int(t == s)) for t in range(r * r))
-
-    commutant = nullspace(tuple(rows)) if rows else [unit(s) for s in range(r * r)]
-    lowering = [unit(a * r + b) for a, b in _lie_upper_positions(flag)]
-    if not lowering or not commutant:
-        return 0
-    return len(commutant) + len(lowering) - rank(tuple(commutant) + tuple(lowering))

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from higgsstrata.linalg import (
-    Dual,
     EchelonAccumulator,
     adjugate,
     clear_denominators,
@@ -24,16 +23,15 @@ from higgsstrata.linalg import (
     frac,
     full_row_rank,
     integer_rows,
-    inverse,
     lowest_terms,
     mat_mul,
     minors,
     nullspace,
     rank,
     ratio,
-    rref,
     solve_unique,
 )
+from higgsstrata.oracles import Dual, inverse
 
 BIG = 10**17 + 1  # 1 / BIG * (3 * BIG) rounds away from 3 in floating point
 
@@ -70,10 +68,8 @@ class TestIntInput:
     def test_int_rows_match_fraction_rows(self, rows):
         ints = tuple(tuple(row) for row in rows)
         fracs = tuple(tuple(F(x) for x in row) for row in rows)
-        assert rref(ints) == rref(fracs)
-        red, pivots = rref(ints)
-        assert all(_fractions_only(red[k]) for k in range(len(pivots)))
         assert nullspace(ints) == nullspace(fracs)
+        assert all(_fractions_only(v) for v in nullspace(ints))
         acc = EchelonAccumulator(3)
         for row in ints:
             acc.add(row)
@@ -149,7 +145,7 @@ class TestAgainstLaplace:
     def test_rank_and_nullspace(self, a):
         ncols = len(a[0]) if a else 0
         r = rank(a)
-        assert r == _minor_rank(a) == len(rref(a)[1])
+        assert r == _minor_rank(a)
         basis = nullspace(a)
         if a:
             assert len(basis) == ncols - r
@@ -232,7 +228,7 @@ class TestAgainstGaussJordan:
 
     def _check(self, a, data):
         red, pivots = _gauss_jordan(a)
-        assert rref(a) == (red, pivots) and rank(a) == len(pivots)
+        assert rank(a) == len(pivots)
         ncols = len(a[0]) if a else 0
         basis = []
         for f in (c for c in range(ncols) if c not in pivots):

@@ -50,9 +50,10 @@ from higgsstrata import (
 )
 from higgsstrata import cli
 from higgsstrata.linalg import (
-    Dual, EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, inverse, mat, mat_mul,
+    EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, mat, mat_mul,
     rank, transpose,
 )
+from higgsstrata.oracles import Dual, inverse
 from higgsstrata.point_model import (
     BlockReport,
     Step2Report,

@@ -169,7 +169,7 @@ class TestStep2Path:
             raise AssertionError("solve_unique called")
 
         monkeypatch.setattr(higgsstrata.minnorm, "_wolfe", recording)
-        monkeypatch.setattr(higgsstrata.minnorm, "solve_unique", refused)
+        monkeypatch.setattr(higgsstrata.oracles, "solve_unique", refused)
         monkeypatch.setattr(higgsstrata.linalg, "solve_unique", refused)
         ctx = higgsstrata.CurveContext(2, 7, genus=2, npoints=2)
         f = Factor(*STEP2_FACTOR)
