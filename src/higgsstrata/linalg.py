@@ -96,21 +96,20 @@ def lowest_terms(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-def integer_rows(rows) -> tuple[list[tuple[int, ...]], int]:
-    """The rational rows (of any lengths) as ``cleared`` int rows; and D."""
-    return cleared([[(x.numerator, x.denominator) for x in row] for row in rows])
-
-
 def listlike(x, what: str):
-    """``x`` itself, unless it is a string or a dict, which iterate as characters
-    or keys: those are refused with a TypeError naming the expected ``what``."""
-    if isinstance(x, (str, dict)):
+    """``x`` itself, unless it has no ``__iter__``, or is a string or a dict,
+    which iterate as characters or keys: those are refused with a TypeError
+    naming the expected ``what``."""
+    if isinstance(x, (str, dict)) or not hasattr(x, "__iter__"):
         raise TypeError(f"expected {what}, got {type(x).__name__} {x!r:.40}")
     return x
 
 
+VECTOR = "a vector (a list of rationals)"
+
+
 def vec(entries) -> Vec:
-    return tuple(frac(e) for e in listlike(entries, "a vector (a list of rationals)"))
+    return tuple(frac(e) for e in listlike(entries, VECTOR))
 
 
 def mat(rows, read=frac) -> Mat:

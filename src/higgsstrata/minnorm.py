@@ -10,13 +10,20 @@ integer point sets through its linear-minimisation oracle, the sum of the
 per-set argmins, so the sum is never built; its minor cycles project each
 corral through ``_affine_minimizer`` and keep integer weight numerators,
 and a major cycle that fails to decrease the norm raises.  A point cloud is
-the one-set case: its denominators are cleared once, and ``Fraction`` is
-built only for the answer.  Every answer passes one exact KKT certificate
-(``_certified``), <p, x> >= <x, x> over ints, as a raise, not an assert.
-Index sets walk the affinely independent weight subsets depth-first, one
-``_extend`` per added weight, and prune every extension by an affinely
-dependent weight.  The brute-force routes that check these with zero
-tolerance live in ``higgsstrata.oracles``.
+the one-set case: ``PointCloud`` reads each entry once into integer rows
+P = D p over one denominator D, and ``Fraction`` is built only for the
+answer.  Every answer passes one exact KKT certificate (``_certified``),
+<p, x> >= <x, x> over ints, as a raise, not an assert.
+
+Index sets walk the affinely independent weight subsets of at most a
+weights depth-first, a the weights' affine dimension, one ``_extend`` per
+added weight, and prune every extension by an affinely dependent weight.
+The full-dimensional level, a + 1 weights, needs no walk: each such subset
+spans aff(P) and so projects the origin to one point x_P, which that level
+can emit only when x_P lies in conv P, and then x_P is the certified Wolfe
+point w of conv P; w is in the index set in any case.  So one Wolfe call
+replaces that level (``index_set_B`` gives the proof).  The brute-force
+routes that check these with zero tolerance live in ``higgsstrata.oracles``.
 """
 
 from __future__ import annotations
@@ -28,35 +35,42 @@ from operator import mul
 
 from .errors import CapExceeded, HiggsStrataError
 from .hn_types import DEFAULT_INDEX_CAP
-from .linalg import Vec, integer, integer_rows, listlike, rank, vec
+from .linalg import VECTOR, Vec, cleared, integer, listlike, rank, ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointCloud:
-    """Finitely many rational points of a common dimension; each entry is read
-    once, here, and a dim of None is the first point's."""
+    """Finitely many rational points of a common dimension, held in integer form.
 
-    dim: int | None
-    points: tuple[Vec, ...]
+    Each entry is read once, by ``linalg.ratio``, into the rows P = D p, D
+    the lcm of the entries' reduced denominators; a dim of None is the first
+    point's.  The form is canonical, so equality and hash are those of the
+    points, and ``points`` is built as ``Fraction`` only when read.
+    """
 
-    def __post_init__(self):
-        pts = tuple(vec(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
+    dim: int
+    P: tuple[tuple[int, ...], ...]
+    D: int
+
+    def __init__(self, dim: int | None, points):
+        rows = [tuple(map(ratio, listlike(p, VECTOR))) for p in points]
+        if not rows:
             raise ValueError("a point cloud needs at least one point")
-        object.__setattr__(self, "dim", len(pts[0]) if self.dim is None else self.dim)
-        if any(len(p) != self.dim for p in pts):
+        dim = len(rows[0]) if dim is None else dim
+        if any(len(p) != dim for p in rows):
             raise ValueError("all points must share the cloud dimension")
+        P, D = cleared(rows)
+        self.__dict__.update(dim=dim, P=tuple(P), D=D)
+
+    points = property(lambda c: tuple(tuple(Fraction(x, c.D) for x in p) for p in c.P))
 
     @classmethod
     def from_points(cls, points) -> "PointCloud":
         return cls(None, listlike(points, "a list of points"))
 
 
-def _as_points(cloud) -> tuple[Vec, ...]:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return PointCloud.from_points(cloud).points
+def _as_cloud(cloud) -> PointCloud:
+    return cloud if isinstance(cloud, PointCloud) else PointCloud.from_points(cloud)
 
 
 def _extend(X: list, lam: list, delta: int, u: list, coeffs: list, sigma: int, rest: list):
@@ -220,27 +234,27 @@ def min_norm_point_of_sum(sets) -> tuple[tuple[int, ...], int]:
 def min_norm_point(cloud) -> Vec:
     """Exact closest point to the origin of the convex hull of the cloud.
 
-    The one-set case of ``min_norm_point_of_sum``, on P = D p with D clearing
-    the cloud's denominators once; the answer is X / (delta D).
+    The one-set case of ``min_norm_point_of_sum``, on the cloud's integer
+    rows P = D p; the answer is X / (delta D).
     ``oracles.min_norm_point_by_faces`` is the independent oracle.
     """
-    P, D = integer_rows(_as_points(cloud))
-    X, delta = min_norm_point_of_sum([P])
-    return tuple(Fraction(a, delta * D) for a in X)
+    cloud = _as_cloud(cloud)
+    X, delta = min_norm_point_of_sum([cloud.P])
+    return tuple(Fraction(a, delta * cloud.D) for a in X)
 
 
 def kkt_certificate(points, x: Vec) -> bool:
     """Exact optimality certificate: <p, x> >= <x, x> for every point p.
 
-    The points and x are cleared by one common denominator and decided by
-    ``_certified`` on the one set they form.
+    With the cloud's rows P = D p and x = X / E read by ``linalg.ratio``,
+    x = D X / (E D), so ``_certified`` decides it on P at (D X, E).
     """
-    pts = _as_points(points)
-    x = vec(x)
-    if len(x) != len(pts[0]):
-        raise ValueError(f"length mismatch: {len(pts[0])} vs {len(x)}")
-    (X, *P), _ = integer_rows([x, *pts])
-    return _certified([P], X, 1)
+    cloud = _as_cloud(points)
+    xs = [ratio(a) for a in listlike(x, VECTOR)]
+    if len(xs) != cloud.dim:
+        raise ValueError(f"length mismatch: {cloud.dim} vs {len(xs)}")
+    (X,), E = cleared([xs])
+    return _certified([cloud.P], [cloud.D * a for a in X], E)
 
 
 def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_INDEX_CAP) -> list[Vec]:
@@ -251,18 +265,32 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     the projection of the origin onto aff(S), with positive barycentric
     weights; conversely each such projection lies in conv(S), minimises the
     norm over aff(S) and so is the minimum-norm point of the support S.  So
-    every affinely independent subset S of the distinct weights (at most
-    a + 1 of them, a their affine dimension) is visited once and its
-    projection kept, KKT-certified, when all its weights are positive;
-    ``cap`` bounds the number of subsets of at most a + 1 weights and is
+    the answer B is the set of projections of the affinely independent
+    subsets S of the distinct weights P whose barycentric weights are all
+    positive.  Such an S has at most a + 1 members, a the affine dimension of
+    P; ``cap`` bounds the number of subsets of at most a + 1 weights and is
     checked before any work.
+
+    The subsets of at most a weights are walked, and each projection with
+    positive weights is kept, KKT-certified.  The a + 1 level is replaced by
+    one Wolfe call.  An affinely independent S of a + 1 weights spans aff(P),
+    so every such S projects the origin to the one point x_P, and that level
+    can keep only x_P, and only when x_P lies in conv(S), inside conv(P).
+    Let w be the minimum-norm point of conv(P), certified by
+    ``min_norm_point_of_sum([P])``.  When x_P lies in conv(P), x_P minimises
+    the norm over aff(P), which contains conv(P), so x_P = w.  And w is always
+    in B, since P is itself a support: by the argument above it is the
+    projection of some affinely independent S in P with positive weights.
+    So B is the walk's points together with w: the a + 1 level adds nothing
+    else, and w adds nothing outside B.  With a = 0 there is one distinct
+    weight, no walk, and w is that weight.
 
     The subsets are walked depth-first over the sorted weights, a child
     adding one later weight: Wolfe's affine-minimiser step taken one point at
     a time by fraction-free Gram-Schmidt (integral LLL's, Cohen 1993,
     section 2.6.3), O(k + dim) integer operations per subset.  The weights'
-    denominators are cleared once, P = D p, before the distinct P are sorted,
-    in the weights' order since D > 0.  A node S carries its projection
+    integer rows P = D p (``PointCloud``) are deduplicated and sorted, in the
+    weights' order since D > 0.  A node S carries its projection
     as integers (X, L, delta): x = X / (delta D), barycentric weights
     L / delta, delta > 0 and X = sum_i L_i P_i.  Each later weight q carries
     the component d of P_q - P_q0 orthogonal to aff(S) - q0, up to a positive
@@ -277,7 +305,8 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     in aff(S), hence in the affine hull of every extension of S, so q is
     dropped from the whole subtree.  A sorted subset is affinely dependent
     exactly when some prefix step adds such a point, so the walk visits
-    exactly the affinely independent subsets.
+    exactly the affinely independent subsets of at most a weights.  A node of
+    a weights has no children, so it is built with no later residuals.
 
     The certificate <p, x> >= <x, x> for p in S reads, at x = X / (delta D),
     delta <P, X> >= <X, X>: ``_certified`` on the one set S, all integers.
@@ -289,28 +318,36 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     coordinate is negative (a nonzero trace-free closest point has a
     positive one).  Sorted.
     """
-    P, D = integer_rows(_as_points(weights))
-    P = sorted(set(P))
+    cloud = _as_cloud(weights)
+    P, D = sorted(set(cloud.P)), cloud.D
     affine_dim = rank(tuple(tuple(a - b for a, b in zip(p, P[0])) for p in P[1:]))
     count = sum(math.comb(len(P), s) for s in range(1, affine_dim + 2))
     if count > cap:
         raise CapExceeded(count, cap)
     found: set[tuple[tuple[int, ...], int]] = set()
 
+    def keep(X, delta: int) -> None:
+        g = math.gcd(delta, *X)
+        found.add((tuple(a // g for a in X), delta // g))
+
     def visit(members: list, X: list, lam: list, delta: int, later: list) -> None:
         # later: per later weight, (its scaled point, its residual d, d's
-        # coefficients over members, d's coefficient on the weight itself)
+        # coefficients over members, d's coefficient on the weight itself);
+        # empty for a node of a members
         if min(lam) > 0:
             if not _certified([members], X, delta):
                 raise HiggsStrataError("exact KKT certificate failed")
-            g = math.gcd(delta, *X)
-            found.add((tuple(a // g for a in X), delta // g))
+            keep(X, delta)
+        inner = len(members) + 1 < affine_dim
         for pos, (p, u, coeffs, sigma) in enumerate(later):
-            visit(members + [p], *_extend(X, lam, delta, u, coeffs, sigma, later[pos + 1:]))
+            rest = later[pos + 1:] if inner else []
+            visit(members + [p], *_extend(X, lam, delta, u, coeffs, sigma, rest))
 
-    for i, q0 in enumerate(P):
-        later = [(p, [a - b for a, b in zip(p, q0)], [-1], 1) for p in P[i + 1:]]
-        visit([q0], list(q0), [1], 1, later)
+    if affine_dim:
+        for i, q0 in enumerate(P):
+            later = [(p, [a - b for a, b in zip(p, q0)], [-1], 1) for p in P[i + 1:]]
+            visit([q0], list(q0), [1], 1, later if affine_dim > 1 else [])
+    keep(*min_norm_point_of_sum([P]))
     if restrict_to_chamber:
         chamber = ((tuple(sorted(X, reverse=True)), delta) for X, delta in found)
         found = {(X, delta) for X, delta in chamber if not (X and X[0] < 0)}

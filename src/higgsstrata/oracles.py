@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import DegeneratePoint, HiggsStrataError
 from .hn_types import CurveContext, FlagShape
 from .linalg import EchelonAccumulator, Mat, Vec, _echelon, dot, mat, nullspace, rank, solve_unique, vec
-from .minnorm import _as_points
+from .minnorm import _as_cloud
 from .point_model import ModelPoint, _check_shapes, _factor_values, _lie_upper_positions, _table
 from .weight_lattice import DEFAULT_INDEX_CAP, enumerate_coordinate_indices
 
@@ -86,7 +86,7 @@ def min_norm_point_by_faces(points) -> Vec:
     and the best of those is the answer.  Exponential in the number of
     points; intended as an independent check.
     """
-    pts = list(_as_points(points))
+    pts = list(_as_cloud(points).points)
     best = None
     for size in range(1, len(pts) + 1):
         for subset in itertools.combinations(pts, size):
@@ -109,7 +109,7 @@ def hull_contains_origin(points) -> bool:
 
     Independent of ``min_norm_point``, which vanishes exactly in this case.
     """
-    pts = _as_points(points)
+    pts = _as_cloud(points).points
     columns = [tuple(p) + (Fraction(1),) for p in pts]
     target = tuple([Fraction(0)] * len(pts[0])) + (Fraction(1),)
     return nonneg_combination_exists(columns, target)

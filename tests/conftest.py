@@ -51,13 +51,19 @@ def count_calls(run, *functions) -> list[int]:
 
 # (r, d, npoints) of a full genus-0 weight lattice and whether the index set
 # is restricted to the chamber -> the length of index_set_B's answer and the
-# sha256 of the JSON of [[str(x) for x in v] for v in it], recorded from the
-# one-solve-per-subset route
+# sha256 of the JSON of [[str(x) for x in v] for v in it]; the (2,2,1) and
+# (2,1,2) entries were recorded from the one-solve-per-subset route, the
+# (2,3,1) and (2,2,2) entries from the walk over every affinely independent
+# subset, before it left the full-dimensional level to one Wolfe call
 INDEX_SET_LATTICE_GOLDEN = {
     ((2, 2, 1), True): (7, "a51233729ef88bd4cfcdece3212336caabb965802c9f4e8061603eea735163b0"),
     ((2, 2, 1), False): (43, "0622148602e7379474eb43a08a8accdadceac579fd59f5fb4f859e4535274d2c"),
     ((2, 1, 2), True): (13, "4575e5bccfb029c8682c0e58cffcbef2131ad700ae6a6df1200b153f64c243a1"),
     ((2, 1, 2), False): (58, "afbc96331f2f2ac47bddc8da2944225e10fc6e761ed4f7ee295730c1c3243af4"),
+    ((2, 3, 1), True): (12, "0375b60fc066bb9d6e09f0dbb1d21a78bb18274d4c4615da959aa30d3aa643a6"),
+    ((2, 3, 1), False): (206, "a1d6671c3058efa3685af4a89c1ee950afadb45ded076ee94f253dfbb84a3599"),
+    ((2, 2, 2), True): (70, "caed647f5c36b5606741134aaff96dc43510efc78b525f1990dedcd2e0716041"),
+    ((2, 2, 2), False): (1289, "1fa14a97448742f6922716b76a116d9780a257727340c9e07b68af208fa08f4e"),
 }
 
 

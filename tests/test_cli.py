@@ -664,6 +664,25 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert re.fullmatch(rf"TypeError: expected {re.escape(expected)}, got (str|dict) .*\n", err), err
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["index-set", "--points", "[1,2]"], f"{VECTOR}, got int 1"),
+            (["minnorm", "--points", "[[1],2]"], f"{VECTOR}, got int 2"),
+            (["point-check", "--tau", "2,1", "--ranks", "1,1", "--point",
+              json.dumps({"factors": [{"y": [1, 2], "c": 1, "phi": [[0, 0], [0, 0]]}]})], f"{ROW}, got int 1"),
+            (["stabdim", "--blocks", "1,1", "--rank", "2", "--degree", "1", "--point",
+              json.dumps({"factors": [{"y": [[1, 0], [0, 1]], "c": 1, "phi": 5}]})], f"{MATRIX}, got int 5"),
+        ],
+        ids=["index-set", "minnorm", "point-check", "stabdim"],
+    )
+    def test_scalar_for_a_sequence(self, capsys, argv, expected):
+        # a number where a list belongs is named, not left to Python's own
+        # "object is not iterable"
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == f"TypeError: expected {expected}\n"
+
     def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(

@@ -22,7 +22,6 @@ from higgsstrata.linalg import (
     dot,
     frac,
     full_row_rank,
-    integer_rows,
     lowest_terms,
     mat_mul,
     minors,
@@ -338,11 +337,6 @@ class TestClearDenominators:
     def test_scales_by_the_lcm(self):
         assert clear_denominators((F(1, 2), F(-2, 3), 4)) == ((3, -4, 24), 6)
         assert clear_denominators(()) == ((), 1)
-
-    def test_integer_rows_share_one_lcm_over_ragged_rows(self):
-        assert integer_rows([(F(1, 2),), (F(-2, 3), 4), ()]) == ([(3,), (-4, 24), ()], 6)
-        assert integer_rows([(1, 2), (3, 4)]) == ([(1, 2), (3, 4)], 1)
-        assert integer_rows([]) == ([], 1)
 
 
 class TestExponentLimit:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import higgsstrata
-from conftest import INDEX_SET_LATTICE_GOLDEN
+from conftest import INDEX_SET_LATTICE_GOLDEN, count_calls, genus0_lattice_weights
 from higgsstrata import (
     CapExceeded,
     CurveContext,
@@ -32,7 +32,7 @@ from higgsstrata import (
     min_norm_point,
     min_norm_point_by_faces,
 )
-from higgsstrata.linalg import clear_denominators, dot
+from higgsstrata.linalg import clear_denominators, dot, ratio
 
 
 def random_cloud(rng: random.Random, dim=None, npts=None) -> PointCloud:
@@ -116,6 +116,53 @@ def _run_under_optimize(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+class TestPointCloud:
+    def test_integer_form_and_fraction_view(self):
+        cloud = PointCloud.from_points([["1/2", F(2, 3)], [1, {"num": 2, "den": -4}]])
+        assert (cloud.dim, cloud.P, cloud.D) == (2, ((3, 4), (6, -3)), 6)
+        assert cloud.points == ((F(1, 2), F(2, 3)), (F(1), F(-1, 2)))
+
+    def test_equality_and_hash_are_those_of_the_points(self):
+        a, b = PointCloud.from_points([["1/2", 3]]), PointCloud.from_points([[F(2, 4), "6/2"]])
+        assert a == b and hash(a) == hash(b)
+        assert a != PointCloud.from_points([["1/2", 4]])
+
+    def test_each_entry_read_once_with_no_fraction(self):
+        points = [[1, {"num": 1, "den": 2}], [{"num": -3, "den": 4}, 5], [0, 7]]
+        assert count_calls(lambda: PointCloud.from_points(points), ratio, F.__new__) == [6, 0]
+
+    def test_answers_build_fractions_only_for_their_points(self):
+        cloud = PointCloud.from_points([[1, {"num": 1, "den": 2}], [{"num": -3, "den": 4}, 5], [0, 7]])
+        got = []
+        assert count_calls(lambda: got.append(min_norm_point(cloud)), F.__new__) == [2]
+        assert count_calls(lambda: got.append(index_set_B(cloud, restrict_to_chamber=False)), F.__new__) == [
+            2 * len(got[1])
+        ]
+
+    @pytest.mark.parametrize(
+        "points,error,message",
+        [
+            ([], ValueError, "a point cloud needs at least one point"),
+            ([[1, 2], [1]], ValueError, "all points must share the cloud dimension"),
+            ([[1.5, 2]], TypeError, "float input 1.5 is not accepted; pass a rational"),
+            ([[True, 2]], TypeError, "bool input True is not accepted; pass a rational"),
+            ({"1": [2]}, TypeError, "expected a list of points, got dict {'1': [2]}"),
+            ([{"num": 1, "den": 2}], TypeError, "expected a vector (a list of rationals), got dict {'num': 1, 'den': 2}"),
+            ([[1], 2], TypeError, "expected a vector (a list of rationals), got int 2"),
+        ],
+        ids=["empty", "ragged", "float", "bool", "dict-cloud", "dict-point", "int-point"],
+    )
+    def test_refusals(self, points, error, message):
+        with pytest.raises(error) as exc:
+            PointCloud.from_points(points)
+        assert str(exc.value) == message
+
+    def test_given_dimension_checked(self):
+        with pytest.raises(ValueError, match="cloud dimension"):
+            PointCloud(3, [[1, 2]])
+        assert PointCloud(2, [[1, 2]]) == PointCloud.from_points([[1, 2]])
 
 
 class TestMinNorm:
@@ -316,7 +363,7 @@ class TestIndexSet:
         r, d, n = lattice
         ctx = CurveContext(r, d, genus=0, npoints=n)
         weights = sorted({alpha_of_index(idx, ctx) for idx in enumerate_coordinate_indices(ctx)})
-        assert len(weights) == {(2, 2, 1): 10, (2, 1, 2): 15}[lattice]
+        assert len(weights) == {(2, 2, 1): 10, (2, 1, 2): 15, (2, 3, 1): 15, (2, 2, 2): 35}[lattice]
         got = index_set_B(weights, restrict_to_chamber=chamber)
         text = json.dumps([[str(x) for x in v] for v in got], separators=(",", ":"))
         assert (len(got), hashlib.sha256(text.encode()).hexdigest()) == self.LATTICE_GOLDEN[lattice, chamber]
@@ -371,6 +418,61 @@ class TestIndexSet:
         monkeypatch.setattr(higgsstrata.minnorm, "_certified", recording)
         assert index_set_B([[F(1, 2), 0], [0, F(1, 3)], [F(-1, 5), F(2, 7)]], restrict_to_chamber=False)
         assert seen and all(seen)
+
+    # a tetrahedron around the origin in Q^3: no face or edge of it holds 0
+    TETRAHEDRON = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+    # four weights in the plane z = 1 of Q^3 (a = 2 < 3), projecting the origin to
+    # x_P = (0, 0, 1), inside the first triangle and on none of the segments
+    PLANE = [[1, 0, 1], [-1, 1, 1], [-1, -1, 1], [3, 1, 1]]
+
+    def test_point_of_a_full_dimensional_simplex_only(self):
+        zero = (F(0),) * 3
+        assert not any(
+            hull_contains_origin(sub) for k in range(1, 4) for sub in itertools.combinations(self.TETRAHEDRON, k)
+        )
+        for chamber in (True, False):
+            got = index_set_B(self.TETRAHEDRON, restrict_to_chamber=chamber)
+            assert zero in got
+            assert got == closest_points_by_wolfe(self.TETRAHEDRON, chamber)
+
+    def test_planar_cloud_off_the_origin(self):
+        x_p = (F(0), F(0), F(1))
+        assert min_norm_point(self.PLANE) == x_p
+        assert min_norm_point(self.PLANE[:3]) == x_p
+        assert all(min_norm_point(pair) != x_p for pair in itertools.combinations(self.PLANE, 2))
+        for chamber in (True, False):
+            got = index_set_B(self.PLANE, restrict_to_chamber=chamber)
+            assert (tuple(sorted(x_p, reverse=True)) if chamber else x_p) in got
+            assert got == closest_points_by_wolfe(self.PLANE, chamber)
+
+    def test_projection_outside_the_hull(self):
+        # aff(P) is Q^2, so x_P = 0, outside conv P; Wolfe's point (1, 1) is a
+        # weight, which the walk emits too
+        weights = [[1, 1], [2, 1], [1, 2]]
+        assert min_norm_point(weights) == (F(1), F(1))
+        got = index_set_B(weights, restrict_to_chamber=False)
+        assert (F(0), F(0)) not in got and (F(1), F(1)) in got
+        assert got == closest_points_by_wolfe(weights, False)
+
+    def test_one_wolfe_call(self):
+        wolfe = higgsstrata.minnorm._wolfe
+        assert count_calls(lambda: index_set_B(self.PLANE), wolfe) == [1]
+        assert count_calls(lambda: index_set_B([[2, 3], [2, 3]]), wolfe) == [1]
+
+    def test_walk_builds_no_node_of_a_plus_one_members(self, monkeypatch):
+        # the (2,2,2) lattice: 35 weights in Q^4 of affine dimension 3
+        extend, built = higgsstrata.minnorm._extend, []
+
+        def recording(*args):
+            X, lam, delta, rest = extend(*args)
+            if sys._getframe(1).f_code.co_name == "visit":
+                built.append((len(lam), len(rest)))
+            return X, lam, delta, rest
+
+        monkeypatch.setattr(higgsstrata.minnorm, "_extend", recording)
+        assert len(index_set_B(genus0_lattice_weights(2, 2, 2), restrict_to_chamber=False)) == 1289
+        assert max(size for size, _ in built) == 3
+        assert all(not rest for size, rest in built if size == 3)
 
     def test_zero_included_iff_origin_in_some_hull(self):
         got = index_set_B([[1, 0], [0, 1]])
