@@ -9,10 +9,10 @@ unknown flag after a verb is reported with that verb's usage and prog:
 ``higgsstrata beta: error: unrecognized arguments: --bogus``.  The environment
 variable HIGGSSTRATA_CAP overrides the default enumeration cap: for
 ``index-set`` it counts the weight subsets of at most a + 1 distinct weights,
-a being their affine dimension; for ``stabdim`` the rows of the per-factor
-stabiliser system, N C(m,r) (1 + r^2) for N points, rank r and m sections
-(``report`` holds its stabiliser calls to the default cap in the same rows);
-for ``point-coords`` the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type
+a being their affine dimension; for ``stabdim`` N C(m,r) (1 + r^2) values,
+not rows, kept so CapExceeded counts stay the same (N points, rank r, m
+sections; ``report`` holds its stabiliser calls to the default cap in that
+unit); for ``point-coords`` the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type
 enumeration stops past 200,000 types, and ``point-check --step2`` refuses a
 ``--lambda-bound`` whose prod_{g<s}(2 bound m_g + 1) block-trace heads (the
 traces of all blocks but the last) exceed 200,000.  JSON nested too deeply to
@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import svg as svg_mod
-from .errors import HiggsStrataError
+from .errors import DEFAULT_INDEX_CAP, HiggsStrataError
 from .hn_types import (
     CurveContext,
     FlagShape,
@@ -50,11 +50,7 @@ from .point_model import (
     verify_step2,
 )
 from .strat_report import assemble, closure_order_report, compat_cross_table
-from .weight_lattice import (
-    DEFAULT_INDEX_CAP,
-    beta_of_type,
-    rational_to_json,
-)
+from .weight_lattice import beta_of_type, rational_to_json
 
 
 def _cap(args) -> int:

@@ -30,6 +30,9 @@ class NonPositiveBlockDimension(HiggsStrataError):
         )
 
 
+DEFAULT_INDEX_CAP = 200_000  # every enumeration's default cap
+
+
 class CapExceeded(HiggsStrataError):
     """An enumeration would exceed the caller-supplied cap.
 

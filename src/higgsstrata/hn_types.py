@@ -20,10 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import AmbientMismatch, CapExceeded
+from .errors import DEFAULT_INDEX_CAP, AmbientMismatch, CapExceeded
 from .linalg import Mat, frac, integer, mat
-
-DEFAULT_INDEX_CAP = 200_000
 
 
 class PolygonOrder(Enum):

@@ -21,6 +21,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -133,9 +134,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if width is not None:
         raise ValueError(f"inner dimension mismatch: {width} columns vs {len(b)} rows")
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -183,10 +182,10 @@ def _minor(a, memo: dict, rows: tuple[int, ...], cols: tuple[int, ...]):
     return total
 
 
-def full_row_rank(a) -> bool:
-    """Whether ``a`` has a nonzero r x r minor, grown one column per row up from its
-    last row: a nonzero minor on the rows below extends to the row above exactly when
-    those rows have full rank (matroid augmentation); one ``minors`` memo serves all."""
+def full_row_rank(a) -> tuple[int, ...] | None:
+    """The columns of a nonzero r x r minor of ``a`` (None if none), grown a column per
+    row up from its last row: a nonzero minor on the rows below extends to the row above
+    exactly when those rows have full rank (matroid augmentation); one memo serves all."""
     minor, cols = minors(a), ()
     for top in reversed(range(len(a))):
         rows = tuple(range(top, len(a)))
@@ -195,8 +194,8 @@ def full_row_rank(a) -> bool:
                 cols = s
                 break
         else:
-            return False
-    return True
+            return None
+    return cols
 
 
 def det(a) -> object:

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import CapExceeded, HiggsStrataError
-from .hn_types import DEFAULT_INDEX_CAP
+from .errors import DEFAULT_INDEX_CAP, CapExceeded, HiggsStrataError
 from .linalg import VECTOR, Vec, cleared, integer, listlike, rank, ratio
 
 

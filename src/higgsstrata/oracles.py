@@ -24,12 +24,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePoint, HiggsStrataError
+from .errors import DEFAULT_INDEX_CAP, DegeneratePoint, HiggsStrataError
 from .hn_types import CurveContext, FlagShape
 from .linalg import EchelonAccumulator, Mat, Vec, _echelon, dot, mat, nullspace, rank, solve_unique, vec
 from .minnorm import _as_cloud
 from .point_model import ModelPoint, _check_shapes, _factor_values, _lie_upper_positions, _table
-from .weight_lattice import DEFAULT_INDEX_CAP, enumerate_coordinate_indices
+from .weight_lattice import enumerate_coordinate_indices
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,21 @@ which leaves every coordinate literally unchanged; ``_gauged`` returns it in
 adjugate form, y times det(g), which divides nowhere.  Membership in the
 instability loci, the coordinate-zeroing retraction, the two verification
 predicates for the instability correspondence, and the first-order unipotent
-stabiliser dimensions are all computed exactly.
+stabiliser dimensions (read off each y's row space and phi, with no table)
+are all computed exactly.
 
 The whole path runs over Python int.  A ``Factor`` holds (L y, M c, M phi),
 L and M the lcms of the denominators of y and of (c, phi), each input entry
 read once as (num, den); y's full row rank is checked by finding one nonzero
-r x r minor (``linalg.full_row_rank``).  The values are polynomials of degree r in
-y and 1 in (c, phi), so every value of factor k is its exact value times one
-nonzero constant s_k = L^r M.  That leaves the support, hence every weight,
-and each stabiliser table's row space unchanged; ``coordinates`` divides by
-the product of the s_k.  Step 2 and the retraction gauge this integer form
-(``_adapted_factors``).  Step 1's weights are pairings with D beta, D the lcm
-of beta's denominators, and ``verify_step1`` divides by D.  ``Fraction``
-appears only where a value leaves the module, as in a factor's ``y``, ``c``
-and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
+r x r minor (``linalg.full_row_rank``), whose columns also give y's kernel.
+The values are polynomials of degree r in y and 1 in (c, phi), so every
+value of factor k is its exact value times one nonzero constant s_k = L^r M,
+which leaves the support, hence every weight, unchanged; ``coordinates``
+divides by the product of the s_k.  Step 2 and the retraction gauge this
+integer form (``_adapted_factors``).  Step 1's weights are pairings with
+D beta, D the lcm of beta's denominators, and ``verify_step1`` divides by D.
+``Fraction`` appears only where a value leaves the module, as in a factor's
+``y``, ``c`` and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cache, cached_property, reduce
 from operator import mul
 
 from .errors import (
+    DEFAULT_INDEX_CAP,
     CapExceeded,
     DegeneratePoint,
     InvariantViolation,
@@ -74,13 +76,11 @@ from .linalg import (
     mat,
     mat_mul,
     minors,
-    rank,
     ratio,
     transpose,
 )
 from .minnorm import min_norm_point_of_sum
 from .weight_lattice import (
-    DEFAULT_INDEX_CAP,
     BetaVector,
     CoordinateIndex,
     beta_of_type,
@@ -162,7 +162,7 @@ class ModelPoint:
         r, m = self.r, self.m
         for k, f in enumerate(factors, start=1):
             _check_factor_shape(f, k, r, m)
-            if not full_row_rank(f.Y):
+            if full_row_rank(f.Y) is None:
                 raise ValueError(f"factor {k}: y does not have full row rank")
             if not f.C and not any(map(any, f.Phi)):
                 raise ValueError(f"factor {k}: (c, phi) must not be (0, 0)")
@@ -200,24 +200,23 @@ class ModelPoint:
     @cached_property
     def _support(self) -> tuple[tuple[dict, dict], ...]:
         """Per factor and family: {(K, x): first key in table order that reads
-        it} over the nonzero entries (``_factor_support``).
-
-        Independent of any instability vector, so every predicate shares it.
-        """
+        it} over the nonzero entries (``_factor_support``), for any beta."""
         return tuple(_factor_support(values, self.r, self.m) for values in self._values)
 
     @cached_property
     def _live_families(self) -> tuple[int, ...]:
         """The live families, 0 (det) and 1 (end): those with support at every
-        factor, since a family's values are products over the factors.  The
-        point is degenerate (every coordinate vanishes) when none is live."""
-        return tuple(fam for fam in (0, 1) if all(support[fam] for support in self._support))
+        factor, as values are products over the factors, read off c and phi
+        (``unipotent_stabilizer_dim``); none for a degenerate point."""
+        live = all(f.C for f in self.factors), all(any(map(any, f.Phi)) for f in self.factors)
+        return tuple(fam for fam in (0, 1) if live[fam])
 
     def rescale_factor(self, k: int, t) -> "ModelPoint":
         """Projective rescaling (c, phi) -> (t c, t phi) of factor k (0-based)."""
         num, den = ratio(t)
         if not num:
             raise ValueError("rescaling must be by a nonzero scalar")
+        k = range(self.npoints)[k]  # IndexError past either end
         f = self.factors[k]
         scaled = Factor._over(f.Y, f.L, num * f.C, [[num * x for x in row] for row in f.Phi], den * f.M)
         return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:])
@@ -227,7 +226,7 @@ class ModelPoint:
         GL(r): factor k written in the basis alpha^-1 (see ``_gauged``).  Every
         projective coordinate is unchanged by this move."""
         A, D = cleared(mat(alpha, ratio))  # alpha = A / D
-        r = len(self.factors[k].Y)
+        k, r = range(self.npoints)[k], self.r  # IndexError past either end
         if len(A) != r or any(len(row) != r for row in A):
             raise ValueError(f"gauge matrix must be {r} x {r}")
         adj = adjugate(A)
@@ -339,8 +338,8 @@ def _entry_keys(r: int, m: int) -> dict:
 
 @cache
 def _first_reads(r: int, m: int) -> tuple[tuple, tuple]:
-    """Per family, the ((K, x), first key in table order that reads it)
-    pairs of ``_entry_keys``, in the order of those first keys."""
+    """Per family, the ((K, x), first key in table order that reads it) pairs
+    of ``_entry_keys`` in the order of those keys: the support pass's walk."""
     first = ({}, {})
     for key, (fam, K, x, _) in _entry_keys(r, m).items():
         first[fam].setdefault((K, x), key)
@@ -781,26 +780,37 @@ def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:
     return [(a, b) for (a, ga), (b, gb) in pairs if ga < gb]
 
 
-@lru_cache(maxsize=16)
-def _stabilizer_plan(r: int, m: int, flag: FlagShape) -> tuple[int, tuple]:
-    """The shape-only half of ``unipotent_stabilizer_dim``: the slot count and,
-    per family in table order, the entries (K, x - 1, hits, moves) with a
-    nonzero slot.  Slot t is p = (a, l), column l += eps column a (a < l), and
-    d_p V(K, x) = [x = l] V(K, a) + [l in K, a not in K] (-1)^e V(K with l -> a, x),
-    e = #{k in K : a < k < l}: a hit (t, a - 1), a move (t, K with l -> a, (-1)^e).
-    Det entries are the det half of ``_first_reads`` (any other V_y row is 0 or
-    +- one of theirs)."""
-    slots = list(enumerate((a + 1, l + 1) for a, l in _lie_upper_positions(flag)))
-    hits = [tuple((t, a - 1) for t, (a, l) in slots if l == x) for x in range(m + 1)]
-    moves = {
-        K: tuple((t, tuple(sorted({*K} - {l} | {a})), (-1) ** sum(a < k < l for k in K))
-                 for t, (a, l) in slots if l in K and a not in K)
-        for K in itertools.combinations(range(1, m + 1), r - 1)
-    }
-    entries = [Kx for Kx, _ in _first_reads(r, m)[0]], [(K, x) for K in moves for x in range(1, m + 1)]
-    return len(slots), tuple(
-        tuple((K, x - 1, hits[x], moves[K]) for K, x in fam if hits[x] or moves[K]) for fam in entries
-    )
+def _kernel(y) -> tuple:
+    """(B, adj(y_B), N), y_B a nonzero maximal minor of y (``full_row_rank``),
+    N the kernel basis n_x = d e_x - sum_b (adj(y_B) y_x)_b e_{B_b}, x not in
+    B, d = det y_B: y n_x = 0, nothing divided, and n_x alone is nonzero at x."""
+    B = full_row_rank(y)
+    adj = adjugate([[row[l] for l in B] for row in y])
+    G = {l: [sum(map(mul, adj_b, col)) for col in zip(*y)] for l, adj_b in zip(B, adj)}  # d e_b on B
+    d, cols = G[B[0]][B[0]], range(len(y[0]))
+    return B, adj, [[d * (l == x) - (G[l][x] if l in G else 0) for l in cols] for x in cols if x not in B]
+
+
+def _invariance_nullity(subspaces, positions) -> int:
+    """The nullity, in xi_p for D = sum_p xi_p E_p, p = (a, l) in ``positions``,
+    of W D in W (y D N = 0, N from ``_kernel``), W the row space of y, and of
+    [A^T, phi] = 0 unless phi is None, for every (y, phi): d A = (y D)_B adj(y_B)
+    gets y_a (x) adj(y_B)_b from E_p if l = B_b, so commutator row (i, j) holds
+    adj(y_B)_bi z_ja - (phi adj(y_B)^T)_ib y_ja at p, z = phi^T y; no division."""
+    acc = EchelonAccumulator(len(positions))
+    for y, phi in subspaces:
+        B, adj, kernel = _kernel(y)
+        rows = [[y_i[a] * n[l] for a, l in positions] for y_i in y for n in kernel]
+        if phi is not None:
+            z = [[sum(map(mul, phi_j, col)) for col in zip(*y)] for phi_j in zip(*phi)]
+            q = [[sum(map(mul, phi_i, adj_b)) for adj_b in adj] for phi_i in phi]
+            slots = [(a, B.index(l) if l in B else None) for a, l in positions]
+            rows += [[0 if b is None else adj[b][i] * z[j][a] - q[i][b] * y[j][a] for a, b in slots]
+                     for i in range(len(y)) for j in range(len(y))]
+        for row in rows:
+            if any(row):
+                acc.add(row)
+    return acc.nullity
 
 
 def unipotent_stabilizer_dim(
@@ -812,62 +822,57 @@ def unipotent_stabilizer_dim(
     """Dimension of the first-order unipotent stabiliser of the point.
 
     The unipotent algebra is the strictly upper block triangle of the flag
-    (blocks ordered by decreasing instability value); a direction D
-    stabilises the point when D T = s T for some scalar s, T being the full
-    coordinate table.  T is the sum of the families A = a_1 (x) ... (x) a_N
-    and B = b_1 (x) ... (x) b_N, where a_k holds factor k's det values and
-    b_k its end values, and D acts on each by the product rule:
-    D A = sum_k a_1 (x) .. D a_k .. (x) a_N.
+    (blocks ordered by decreasing instability value); a direction D moves
+    each y to y (1 + eps D) and stabilises the point when D T = s T for some
+    scalar s, T the sum of the families A = a_1 (x) ... (x) a_N and
+    B = b_1 (x) ... (x) b_N, D acting by the product rule.  With W the span
+    of y's rows y_i, p the Pluecker vector and z = phi^T y, a_k = c p(W) and
+    b_k = sum_i +-(wedge_{l != i} y_l) (x) z_i, whose entries det[y_K | z_x]
+    are the end values.  D acts nilpotently, so s = 0, and when every a_k is
+    nonzero, contracting D A = 0 in every slot but k with functionals f_j,
+    f_j(a_j) = 1, leaves D a_k in the span of a_k, hence D a_k = 0; likewise
+    for B.  A family with a zero factor gives no condition
+    (``ModelPoint._live_families``; DegeneratePoint when neither lives).
+    Per factor, with y D = A y when W D in W:
 
-    Here s = 0.  Every value is, up to sign and the factor c, an entry
-    V(K, x) = det[y_K | w_x] of a cofactor table of ``_factor_values``
-    (w = y for det values and, by Cramer's rule, w = z = phi^T y for end
-    values), and every entry is such a value.  A direction p moves w_l along
-    with y_l and acts on the entries like gl_m on Plücker coordinates (the
-    rule d_p V(K, x) of ``_stabilizer_plan``).  So both families carry linear
-    representations of y's column operations, on which the strictly upper
-    block triangle acts nilpotently, as on their tensor products; D T = s T
-    with T != 0 then forces s = 0.  When every a_k is nonzero, contracting
-    D A = 0 in every slot but k with functionals f_j, f_j(a_j) = 1, leaves
-    D a_k in the span of a_k, hence D a_k = 0; likewise for B.  A family with
-    a zero factor (c_k = 0 or phi_k = 0) vanishes along every direction,
-    since D moves only y, and gives no condition; DegeneratePoint is raised
-    when both vanish (no ``ModelPoint._live_families``).
+    - D p(W) = 0 iff W D in W: then p(W) moves by tr A = 0, A being D on W,
+      nilpotent; else D p(W) has the nonzero part D mod W in Hom(W, k^m/W),
+      the Grassmannian's tangent space (Harris 1992, Lecture 16).
+    - Given W D in W, D b = 0 iff [A^T, phi] = 0: the move is the basis
+      change g = 1 - eps A (``_gauged``), det g = 1, taking phi to
+      phi + eps [A^T, phi], and b is injective in phi.
+    - With h = D mod W, the part of D b in wedge^(r-2) W (x) k^m/W (x) W
+      gives phi_.i (x) h(y_s) = +-phi_.s (x) h(y_i) for i != s, so
+      rank phi >= 2 forces h = 0.  If phi = u v^T, b = p(W') (x) w for
+      W' = {a y : a . v = 0} and w = u^T y, and D b = D p(W') (x) w +
+      p(W') (x) w D is 0 iff both terms are (a nilpotent D keeps no line
+      through w with w D != 0), i.e. iff W' and <w> are D-invariant.
 
-    So the unknowns are xi_p, one per upper position p, with one row
-    [d_p V(K, x)]_p per value of each factor in each surviving family; the
-    nullity is the stabiliser dimension.  A row fills from the cached tables
-    only the slots its entry of ``_stabilizer_plan`` lists, one plan per
-    (r, m, flag), built after the cap and shape checks.  The tables are over
-    int (``ModelPoint._integer_factors``): a row reads one (factor, table)
-    pair only, whose entries all carry the same nonzero scale (L^r for V_y,
-    L^r M for V_z), so each row is a nonzero multiple of the exact one and
-    the row space, hence the nullity, is unchanged.  ``cap`` bounds
-    N C(m,r) (1 + r^2), the number of values, and is checked first;
-    ``oracles.unipotent_stabilizer_dim_dense_oracle`` is the full-table route,
-    which keeps s as an unknown, as a test oracle.
+    So each factor gives the rows of ``_invariance_nullity`` for W, with
+    [A^T, phi] when the end family lives, but for W' and <w> when it alone
+    lives and rank phi = 1; the integer form's scaling changes no kernel.
+    ``cap`` bounds N C(m,r) (1 + r^2), values and not rows, so that
+    CapExceeded counts stay the same, and is checked first.  The test oracle,
+    ``oracles.unipotent_stabilizer_dim_dense_oracle``, differentiates T.
     """
     _check_shapes(p, ctx, flag)
-    rows = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
-    if rows > cap:
-        raise CapExceeded(rows, cap)
-    families = p._live_families
-    if not families:
+    values = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
+    if values > cap:
+        raise CapExceeded(values, cap)
+    live = p._live_families
+    if not live:
         raise DegeneratePoint("all coordinates vanish")
-    width, plan = _stabilizer_plan(p.r, p.m, flag)
-    acc = EchelonAccumulator(width)
-    for _, *tables in p._values:
-        for fam in families:
-            table = tables[fam]
-            for K, col, hits, moves in plan[fam]:
-                row, values = [0] * width, table[K]
-                for t, a in hits:
-                    row[t] = values[a]
-                for t, moved, sign in moves:
-                    row[t] += sign * table[moved][col]
-                if any(row):
-                    acc.add(row)
-    return acc.nullity
+    subspaces = []
+    for f in p.factors:
+        if live == (1,):
+            v = next(row for row in f.Phi if any(row))
+            kernel = _kernel([v])[2]  # {a : a . v = 0}
+            if not any(dot(row, n) for row in f.Phi for n in kernel):  # phi = u v^T
+                w = next(row for row in mat_mul(transpose(f.Phi), f.Y) if any(row))
+                subspaces += [(s, None) for s in (mat_mul(kernel, f.Y), (w,)) if s]  # W' = 0 at r = 1
+                continue
+        subspaces.append((f.Y, f.Phi if 1 in live else None))
+    return _invariance_nullity(subspaces, _lie_upper_positions(flag))
 
 
 def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
@@ -877,7 +882,8 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
     bundle-side convention of the block procedure, not the transposed
     presentation of ``ModelPoint``): a lowering map sends flag step i into
     step i-1 and is strictly upper block triangular.  Exact nullity of the
-    commutator system.
+    commutator rows of ``_invariance_nullity`` at y = I, where A = X and
+    [X^T, phi^T] = 0 is [X, phi] = 0.
     """
     mats = [mat(phi) for phi in listlike(phis, "a list of matrices")]
     r = flag.total
@@ -887,8 +893,5 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
     positions = _lie_upper_positions(flag)
     if not positions:
         return 0
-    rows = tuple(
-        tuple((phi[b][j] if i == a else 0) - (phi[i][a] if j == b else 0) for a, b in positions)
-        for phi in mats for i in range(r) for j in range(r)
-    )
-    return len(positions) - rank(rows)
+    identity = [[int(i == j) for j in range(r)] for i in range(r)]
+    return _invariance_nullity([(identity, transpose(phi)) for phi in mats], positions)

@@ -18,8 +18,8 @@ from functools import cached_property
 from operator import mul
 from typing import Iterator
 
-from .errors import CapExceeded, NonPositiveBlockDimension
-from .hn_types import DEFAULT_INDEX_CAP, CurveContext, FlagShape, HNType
+from .errors import DEFAULT_INDEX_CAP, CapExceeded, NonPositiveBlockDimension
+from .hn_types import CurveContext, FlagShape, HNType
 from .linalg import Vec, clear_denominators, dot, frac, integer
 
 

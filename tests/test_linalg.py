@@ -454,4 +454,7 @@ class TestIntegerForms:
         rows = rows + [[2 * x for x in rows[0]]] * dependent
         for width in range(5):
             a = tuple(tuple(row[:width]) for row in rows)
-            assert full_row_rank(a) == (rank(a) == len(a))
+            cols = full_row_rank(a)
+            assert (cols is not None) == (rank(a) == len(a))
+            if cols is not None:  # the columns of a nonzero maximal minor
+                assert list(cols) == sorted(set(cols)) and det([[row[c] for c in cols] for row in a])

@@ -69,3 +69,37 @@ def test_exported_oracles_are_defined_in_the_oracles_module():
         if path.name not in ("oracles.py", "__init__.py"):
             tops = {node.name for node in _tree(path.name).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
             assert not tops & defined, f"{path.name} defines {sorted(tops & defined)}"
+
+
+# The tables the dense stabiliser oracle differentiates, and the rules that read them.
+TABLE_NAMES = {"_factor_values", "_table", "_values", "_support", "_first_reads", "_entry_keys"}
+
+
+def _name(node: ast.AST) -> str | None:
+    """The identifier a Name or an Attribute names, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _reached(tree: ast.Module, root: str) -> dict[str, ast.FunctionDef]:
+    """The functions and methods of a module that ``root`` reaches, root included,
+    following every name or attribute that names one of them."""
+    defs = {}
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        defs.update((f.name, f) for f in body if isinstance(f, ast.FunctionDef))
+    reached, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached[name] = defs[name]
+            todo += map(_name, ast.walk(defs[name]))
+    return reached
+
+
+def test_the_stabilizer_reads_no_cofactor_table():
+    # so that the dense oracle, which differentiates those tables, is a second route
+    reached = _reached(_tree("point_model.py"), "unipotent_stabilizer_dim")
+    offenders = sorted(
+        f"{name}: {_name(n)}" for name, fn in reached.items() for n in ast.walk(fn) if _name(n) in TABLE_NAMES
+    )
+    assert {"_live_families", "_invariance_nullity"} <= set(reached) and not offenders, offenders

@@ -62,7 +62,6 @@ from higgsstrata.point_model import (
     _entry_keys,
     _factor_support,
     _factor_values,
-    _stabilizer_plan,
     _table,
 )
 from higgsstrata.weight_lattice import enumerate_coordinate_indices
@@ -774,6 +773,15 @@ class TestScalingInvariance:
         with pytest.raises(ValueError, match="2 x 2"):
             self.p.gauge_factor(0, alpha)
 
+    def test_negative_factor_index_counts_from_the_end(self):
+        p = ModelPoint((*self.p.factors, Factor([[1, 0, 1, 0, 1], [0, 1, 0, 1, 1]], 2, [[1, 0], [0, 1]])))
+        for move, arg in ((ModelPoint.rescale_factor, 5), (ModelPoint.gauge_factor, [[2, 0], [1, 1]])):
+            last = move(p, -1, arg)
+            assert last.npoints == 2 and last == move(p, 1, arg) and last.factors[0] == p.factors[0]
+            for k in (2, -3):
+                with pytest.raises(IndexError):
+                    move(p, k, arg)
+
     def test_two_factor_coordinates_are_products(self):
         ctx = CurveContext(2, 1, genus=0, npoints=2)  # m = 3
         f1 = Factor([[1, 2, 0], [0, 1, 3]], 1, [[1, 0], [2, 1]])
@@ -859,12 +867,27 @@ def _sparse_y(draw, r: int, m: int):
     return y
 
 
+def _rank_one(draw, r: int):
+    """u v^T with u and v nonzero; u . v = 0 in about half the draws at r >= 2."""
+    v = [draw(_SPARSE) for _ in range(r)]
+    b = draw(st.integers(0, r - 1))
+    v[b] = draw(st.sampled_from([1, -1, 2]))
+    if r > 1 and draw(st.booleans()):
+        i = draw(st.sampled_from([i for i in range(r) if i != b]))
+        u = [v[b] * (t == i) - v[i] * (t == b) for t in range(r)]
+    else:
+        u = [draw(_SPARSE) for _ in range(r)]
+        u[b] = u[b] or 1
+    return [[a * x for x in v] for a in u]
+
+
 @st.composite
 def _stabilizer_cases(draw):
     """(point, flag, ctx) at genus 0, small enough for the full-table oracle.
 
-    Each factor keeps both families, or has c = 0, or has phi = 0, so that
-    one family or both can vanish across the factors.
+    Each factor keeps both families, or has c = 0, or has phi = 0, or has a
+    rank-one phi with c = 0 or not, so that one family or both can vanish
+    across the factors, and the end family alone can live on rank-one phis.
     """
     n = draw(st.integers(1, 3))
     r = draw(st.integers(1, 3))
@@ -877,10 +900,12 @@ def _stabilizer_cases(draw):
     for _ in range(n):
         y = _sparse_y(draw, r, m)
         phi = [[draw(_SPARSE) for _ in range(r)] for _ in range(r)]
-        kind = draw(st.sampled_from(["both", "c=0", "phi=0"]))
-        c = 0 if kind == "c=0" else draw(st.sampled_from([1, -1, 2]))
+        kind = draw(st.sampled_from(["both", "c=0", "phi=0", "rank1"]))
+        c = 0 if kind == "c=0" else draw(st.sampled_from([1, -1, 2] + [0] * (kind == "rank1")))
         if kind == "phi=0":
             phi = [[0] * r for _ in range(r)]
+        elif kind == "rank1":
+            phi = _rank_one(draw, r)
         elif not any(map(any, phi)):
             phi[0][0] = 1
         factors.append(Factor(y, c, phi))
@@ -1051,42 +1076,50 @@ def _bench_workload(name: str, seed: int):
         del sys.modules[spec.name]
 
 
-class TestStabilizerPlan:
-    """The shape-only plan of ``unipotent_stabilizer_dim``, cached per (r, m, flag)."""
+class TestStabilizerInvariance:
+    """The stabiliser as per-factor subspace invariance, which reads no table."""
 
-    def test_refused_calls_build_no_plan(self):
-        _stabilizer_plan.cache_clear()
+    @given(_single_factors())
+    @settings(max_examples=100, deadline=None)
+    def test_live_families_match_the_support(self, case):
+        p, _ = case
+        assert p._live_families == tuple(fam for fam in (0, 1) if all(s[fam] for s in p._support))
+
+    def test_builds_no_table(self):
         p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
-        flag = FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks)
-        with pytest.raises(CapExceeded):
-            unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=99)
-        with pytest.raises(ValueError, match="flag total"):
-            unipotent_stabilizer_dim(p, FlagShape((2, 2)), CTX73_N2)
-        assert _stabilizer_plan.cache_info().currsize == 0
-        unipotent_stabilizer_dim(p, flag, CTX73_N2)
-        assert _stabilizer_plan.cache_info().currsize == 1
+        unipotent_stabilizer_dim(p, FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks), CTX73_N2)
+        assert not {"_values", "_support"} & set(vars(p))
 
-    def test_one_plan_serves_points_of_one_shape(self):
-        _stabilizer_plan.cache_clear()
-        flag = FlagShape(beta_of_type(TAU43, CTX73).m_blocks)
-        rng = random.Random(8)
-        for _ in range(2):
-            p = build_flagged_point(TAU43, CTX73, rng)
-            assert unipotent_stabilizer_dim(p, flag, CTX73) == unipotent_stabilizer_dim_dense_oracle(
-                p, flag, CTX73
-            )
-        info = _stabilizer_plan.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank_four_matches_dense_oracle(self, seed):
+        # N = 1, m 5-8; c = 0 with a rank-one phi, u . v = 0 or not, takes the rank-one rule
+        rng = random.Random(seed)
+        m = rng.randint(5, 8)
+        ctx = CurveContext(4, m - 4, genus=0)
+        kind = ["both", "c=0", "phi=0", "rank1", "rank1"][seed % 5]
+        phi = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(4)] for _ in range(4)]
+        phi[0][0] = 1
+        if kind == "phi=0":
+            phi = [[0] * 4 for _ in range(4)]
+        elif kind == "rank1":
+            v = [rng.choice([0, 1, -1, 2]) for _ in range(3)] + [1]
+            u = [1, 0, 0, -v[0]] if seed % 2 else [rng.choice([1, 2]), -1, 0, 3]  # u . v = 0 when odd
+            phi = [[a * x for x in v] for a in u]
+        c = 0 if kind in ("c=0", "rank1") else 1
+        p = ModelPoint((Factor(random_block(rng, 4, m), c, phi),))
+        cuts = sorted(rng.sample(range(1, m), 2))
+        flag = FlagShape(tuple(b - a for a, b in zip([0, *cuts], [*cuts, m])))
+        assert unipotent_stabilizer_dim(p, flag, ctx) == unipotent_stabilizer_dim_dense_oracle(p, flag, ctx)
 
     def test_one_block_flag(self):
         p = build_flagged_point(TAU43, CTX73, random.Random(9))
         flag = FlagShape((p.m,))
-        assert _stabilizer_plan(p.r, p.m, flag) == (0, ((), ()))
         assert unipotent_stabilizer_dim(p, flag, CTX73) == 0
         assert unipotent_stabilizer_dim_dense_oracle(p, flag, CTX73) == 0
 
     def test_rows_fed_on_the_stratify_stabdim_points(self, capsys, monkeypatch):
-        # recorded before the plan existed: 77 nonzero rows fed, 47 kept
+        # 77 nonzero rows fed and 47 kept through the cofactor tables; the
+        # invariance rows keep the same 47 and feed no dependent row
         requests = [req for req in _bench_workload("stratify", 1).requests if req.kind == "stabdim"]
         assert len(requests) == 36
         fed, real = [], EchelonAccumulator.add
@@ -1099,7 +1132,7 @@ class TestStabilizerPlan:
         for req in requests:
             assert cli.main(list(req.argv)) == 0
         capsys.readouterr()
-        assert (len(fed), sum(fed)) == (77, 47)
+        assert (len(fed), sum(fed)) == (47, 47)
 
 
 @st.composite
