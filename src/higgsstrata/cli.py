@@ -13,10 +13,9 @@ a being their affine dimension; for ``stabdim`` N C(m,r) (1 + r^2) values,
 not rows, kept so CapExceeded counts stay the same (N points, rank r, m
 sections; ``report`` holds its stabiliser calls to the default cap in that
 unit); for ``point-coords`` the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type
-enumeration stops past 200,000 types, and ``point-check --step2`` refuses a
-``--lambda-bound`` whose prod_{g<s}(2 bound m_g + 1) block-trace heads (the
-traces of all blocks but the last) exceed 200,000.  JSON nested too deeply to
-parse is a domain error, ``RecursionError``.
+enumeration stops past 200,000 types; ``point-check --step2`` takes any
+``--lambda-bound`` >= 0, the trace identity being decided in closed form.  JSON
+nested too deeply to parse is a domain error, ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -267,7 +266,10 @@ def _cmd_point_check(args) -> None:
 
 def _cmd_stabdim(args) -> None:
     flag = FlagShape(tuple(_parse_int_list(args.blocks)))
-    if args.phis is not None or args.phis_file is not None:
+    phis = args.phis is not None or args.phis_file is not None
+    if phis and (args.point is not None or args.point_file is not None):
+        raise ValueError("provide one of --phis and --point, not both")
+    if phis:
         kind = "nilpotent_commutant"
         dim = nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
     else:

@@ -145,17 +145,15 @@ class HNType:
 
     def polygon_at(self, x: int) -> Fraction:
         """Height of the concave polygon at an integer abscissa 0 <= x <= rank."""
-        verts = self.polygon_vertices
-        if x < 0 or x > verts[-1][0]:
+        if x < 0 or x > self.rank:
             raise ValueError("abscissa outside [0, rank]")
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x0 <= x <= x1:
-                return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
-        return Fraction(verts[-1][1])
+        return self.polygon_heights[x]
 
     @cached_property
     def polygon_heights(self) -> tuple[Fraction, ...]:
-        return tuple(self.polygon_at(x) for x in range(self.rank + 1))
+        """Heights at 0..rank: the polygon is linear on each block, of slope
+        d_g/r_g, so they are the partial sums of the slope vector."""
+        return tuple(accumulate(self.slope_vector, initial=Fraction(0)))
 
     @classmethod
     def semistable(cls, rank: int, degree: int) -> "HNType":

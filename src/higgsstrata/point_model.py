@@ -160,12 +160,15 @@ class ModelPoint:
         if not factors[0].Y:
             raise ValueError("factor 1: y must have at least one row")
         r, m = self.r, self.m
+        bases = []  # per factor, the columns of y's nonzero r x r minor, for ``_kernel``
         for k, f in enumerate(factors, start=1):
             _check_factor_shape(f, k, r, m)
-            if full_row_rank(f.Y) is None:
+            bases.append(full_row_rank(f.Y))
+            if bases[-1] is None:
                 raise ValueError(f"factor {k}: y does not have full row rank")
             if not f.C and not any(map(any, f.Phi)):
                 raise ValueError(f"factor {k}: (c, phi) must not be (0, 0)")
+        object.__setattr__(self, "_bases", tuple(bases))
 
     @property
     def r(self) -> int:
@@ -694,9 +697,15 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
     """Each factor's distinct supported weights in one graded block, as int
     tuples; an empty list when some factor has none (a vacuous block).
 
-    A factor's weights are the characters 1 off K minus e_x of its block's
-    nonzero entries (K, x) (``_factor_support``); a rank-0 block has the one
-    det coordinate (), of value c and character 1 everywhere.  The block's
+    A factor's weights are the characters 1 off K minus e_x of the nonzero
+    entries (K, x) of its block's tables (``_factor_values``): every V_z
+    entry, and every V_y entry when c != 0.  These are its values'
+    characters (``_entry_keys``): a V_y entry with x in K repeats a column,
+    so it is 0; any other is +-det y_s, s = K u {x}, of character 1 off s
+    like the entry (s minus s_r, s_r) the det key s reads; and r_b <= m_g
+    leaves some l outside K, so the end key (K u {l}, i, j), s_i = x and
+    s_j = l, reads every V_z entry (K, x).  A rank-0 block has the one det
+    coordinate (), of value c and character 1 everywhere.  The block's
     weights are the Minkowski sum of these sets, which step 2 never builds.
     """
     per_factor: list[set[tuple[int, ...]]] = []
@@ -704,10 +713,11 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
         if not y_b:
             weights = {(1,) * m_g} if c else set()
         else:
-            support = _factor_support(_factor_values(y_b, c, phi_b, m_g), len(y_b), m_g)
+            _, v_y, v_z = _factor_values(y_b, c, phi_b, m_g)
             weights = {
                 tuple(int(l not in K) - (l == x) for l in range(1, m_g + 1))
-                for family in support for K, x in family
+                for table in ((v_z, v_y) if c else (v_z,))
+                for K, row in table.items() for x, v in enumerate(row, start=1) if v
             }
         if not weights:
             return []
@@ -735,9 +745,9 @@ def verify_step2(
     the witness X / gcd(delta m_g, X) its numerators over their least common
     denominator.  The blocks are sliced from the int factors of
     ``_adapted_factors``, so no ``Fraction`` is built.  The blockwise
-    grading/trace identity is checked exactly over all integer trace-zero
-    diagonal subgroups with entries up to ``lambda_bound``, first, so its
-    cap (see ``step2_trace_identity``) holds before any other work.
+    grading/trace identity over all integer trace-zero diagonal subgroups
+    with entries up to ``lambda_bound`` is decided, and its classes counted,
+    in closed form (``step2_trace_identity``), with no cap on the bound.
     This is a necessary condition for full semistability, not a decision of it.
     """
     checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
@@ -780,26 +790,26 @@ def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:
     return [(a, b) for (a, ga), (b, gb) in pairs if ga < gb]
 
 
-def _kernel(y) -> tuple:
-    """(B, adj(y_B), N), y_B a nonzero maximal minor of y (``full_row_rank``),
-    N the kernel basis n_x = d e_x - sum_b (adj(y_B) y_x)_b e_{B_b}, x not in
-    B, d = det y_B: y n_x = 0, nothing divided, and n_x alone is nonzero at x."""
-    B = full_row_rank(y)
+def _kernel(y, B) -> tuple:
+    """(adj(y_B), N), y_B the nonzero maximal minor of y on the columns B, N the
+    kernel basis n_x = d e_x - sum_b (adj(y_B) y_x)_b e_{B_b}, x not in B,
+    d = det y_B: y n_x = 0, nothing divided, and n_x alone is nonzero at x."""
     adj = adjugate([[row[l] for l in B] for row in y])
     G = {l: [sum(map(mul, adj_b, col)) for col in zip(*y)] for l, adj_b in zip(B, adj)}  # d e_b on B
     d, cols = G[B[0]][B[0]], range(len(y[0]))
-    return B, adj, [[d * (l == x) - (G[l][x] if l in G else 0) for l in cols] for x in cols if x not in B]
+    return adj, [[d * (l == x) - (G[l][x] if l in G else 0) for l in cols] for x in cols if x not in B]
 
 
 def _invariance_nullity(subspaces, positions) -> int:
     """The nullity, in xi_p for D = sum_p xi_p E_p, p = (a, l) in ``positions``,
     of W D in W (y D N = 0, N from ``_kernel``), W the row space of y, and of
-    [A^T, phi] = 0 unless phi is None, for every (y, phi): d A = (y D)_B adj(y_B)
-    gets y_a (x) adj(y_B)_b from E_p if l = B_b, so commutator row (i, j) holds
-    adj(y_B)_bi z_ja - (phi adj(y_B)^T)_ib y_ja at p, z = phi^T y; no division."""
+    [A^T, phi] = 0 unless phi is None, for every (y, B, phi), B the columns of a
+    nonzero maximal minor y_B: d A = (y D)_B adj(y_B) gets y_a (x) adj(y_B)_b
+    from E_p if l = B_b, so commutator row (i, j) holds adj(y_B)_bi z_ja -
+    (phi adj(y_B)^T)_ib y_ja at p, z = phi^T y; no division."""
     acc = EchelonAccumulator(len(positions))
-    for y, phi in subspaces:
-        B, adj, kernel = _kernel(y)
+    for y, B, phi in subspaces:
+        adj, kernel = _kernel(y, B)
         rows = [[y_i[a] * n[l] for a, l in positions] for y_i in y for n in kernel]
         if phi is not None:
             z = [[sum(map(mul, phi_j, col)) for col in zip(*y)] for phi_j in zip(*phi)]
@@ -863,15 +873,16 @@ def unipotent_stabilizer_dim(
     if not live:
         raise DegeneratePoint("all coordinates vanish")
     subspaces = []
-    for f in p.factors:
+    for f, B in zip(p.factors, p._bases):
         if live == (1,):
             v = next(row for row in f.Phi if any(row))
-            kernel = _kernel([v])[2]  # {a : a . v = 0}
+            kernel = _kernel([v], full_row_rank([v]))[1]  # {a : a . v = 0}
             if not any(dot(row, n) for row in f.Phi for n in kernel):  # phi = u v^T
                 w = next(row for row in mat_mul(transpose(f.Phi), f.Y) if any(row))
-                subspaces += [(s, None) for s in (mat_mul(kernel, f.Y), (w,)) if s]  # W' = 0 at r = 1
+                # W' = 0 at r = 1
+                subspaces += [(s, full_row_rank(s), None) for s in (mat_mul(kernel, f.Y), (w,)) if s]
                 continue
-        subspaces.append((f.Y, f.Phi if 1 in live else None))
+        subspaces.append((f.Y, B, f.Phi if 1 in live else None))
     return _invariance_nullity(subspaces, _lie_upper_positions(flag))
 
 
@@ -894,4 +905,4 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
     if not positions:
         return 0
     identity = [[int(i == j) for j in range(r)] for i in range(r)]
-    return _invariance_nullity([(identity, transpose(phi)) for phi in mats], positions)
+    return _invariance_nullity([(identity, tuple(range(r)), transpose(phi)) for phi in mats], positions)

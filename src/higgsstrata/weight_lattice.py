@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Iterator
 
 from .errors import DEFAULT_INDEX_CAP, CapExceeded, NonPositiveBlockDimension
@@ -300,39 +299,41 @@ def grading_one_parameter_subgroup(beta: BetaVector) -> tuple[int, ...] | None:
 def step2_trace_identity(
     beta: BetaVector, bound: int = 2
 ) -> tuple[int, bool, tuple[int, ...] | None]:
-    """Check the grading/trace identity over all integer trace-zero diagonals.
+    """Decide the grading/trace identity over all integer trace-zero diagonals.
 
     For every integer diagonal one-parameter subgroup with entries in
-    [-bound, bound] and zero trace, the blockwise quantity
-    sum_g(-N r_g/m_g * trace_g) must equal the pairing with beta.  Both sides
-    depend on the diagonal only through its block traces, so the check runs
-    exactly over all achievable block-trace tuples.  Returns (number of
-    classes checked, all_ok, first failing block-trace tuple or None).  A
-    negative bound raises ValueError; CapExceeded is raised before any work
-    when the prod_{g<s}(2 bound m_g + 1) heads exceed DEFAULT_INDEX_CAP.
+    [-bound, bound] and zero trace, sum_g(-N r_g/m_g * t_g) must equal the
+    pairing sum_g v_g t_g with beta, t_g its trace on block g.  Both sides
+    depend only on these traces, whose tuples (the classes) are the integer
+    t with sum t = 0 and |t_g| <= bound m_g.  Returns (number of classes,
+    all_ok, a failing class or None).
+
+    The difference of the two sides is sum_g c_g t_g, c_g = -N r_g/m_g - v_g.
+    With one block, or bound 0, the only class is 0.  Otherwise the e_g - e_h
+    are classes (bound, m_g >= 1) and span the zero-sum tuples, so the identity
+    holds on every class iff all c_g are equal, and else fails at e_1 - e_g
+    for the first g with c_g != c_1.  ``beta_of_type`` gives r_g = m_g - k_g/N and v_g = k_g/m_g -
+    k/m, so c_g = -N + k/m on every block.  With u = t + bound m, the classes
+    are the u with 0 <= u_g <= 2 bound m_g summing to A = bound sum m_g,
+    counted by inclusion-exclusion as sum_S (-1)^|S| C(A - w_S + s - 1, s - 1)
+    over the block sets S with w_S = sum_{g in S}(2 bound m_g + 1) <= A, in
+    O(2^s).  A bound that is not an int raises TypeError, a negative one
+    ValueError.
     """
-    if bound < 0:
+    if integer(bound) < 0:
         raise ValueError(f"the trace bound must be >= 0, got {bound}")
     m_blocks = beta.m_blocks
-    s = len(m_blocks)
-    heads = math.prod(2 * bound * m_g + 1 for m_g in m_blocks[:-1])
-    if heads > DEFAULT_INDEX_CAP:
-        raise CapExceeded(heads, DEFAULT_INDEX_CAP)
-    # lhs - rhs is sum_g c_g t_g, c_g = -N r_g/m_g - v_g, checked as
-    # sum_g C_g t_g = 0 with C = D c over ints
-    coeffs, _ = clear_denominators([
+    s, total = len(m_blocks), bound * sum(m_blocks)
+    checked = 0
+    for size in range(s + 1):
+        for widths in itertools.combinations([2 * bound * m_g + 1 for m_g in m_blocks], size):
+            if sum(widths) <= total:
+                checked += (-1) ** size * math.comb(total - sum(widths) + s - 1, s - 1)
+    c = [
         -Fraction(beta.npoints * r_g, m_g) - v
         for r_g, m_g, v in zip(beta.rank_blocks, m_blocks, beta.block_values)
-    ])
-    ranges = [range(-bound * m_g, bound * m_g + 1) for m_g in m_blocks[:-1]]
-    last_lo, last_hi = -bound * m_blocks[-1], bound * m_blocks[-1]
-    checked = 0
-    for head in itertools.product(*ranges) if s > 1 else [()]:
-        t_last = -sum(head)
-        if not (last_lo <= t_last <= last_hi):
-            continue
-        traces = head + (t_last,)
-        checked += 1
-        if sum(map(mul, coeffs, traces)):
-            return checked, False, traces
-    return checked, True, None
+    ]
+    g = next((g for g in range(1, s) if c[g] != c[0]), None)
+    if not bound or g is None:
+        return checked, True, None
+    return checked, False, tuple(int(h == 0) - int(h == g) for h in range(s))

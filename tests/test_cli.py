@@ -146,6 +146,14 @@ class TestJsonRoundTrips:
         )
         assert data["kind"] == "nilpotent_commutant" and data["dim"] == 0
 
+    @pytest.mark.parametrize("phis", [["--phis", "[[[0,1],[0,0]]]"], ["--phis-file", "phis.json"]])
+    @pytest.mark.parametrize("point", [["--point", '{"factors":[]}'], ["--point-file", "point.json"]])
+    def test_stabdim_refuses_phis_with_a_point(self, capsys, phis, point):
+        # the mix is refused before either input is read (the files do not exist)
+        code, out, err = run(capsys, "stabdim", "--blocks", "1,1", *phis, *point)
+        assert (code, out) == (1, "")
+        assert err == "ValueError: provide one of --phis and --point, not both\n"
+
     def test_report(self, capsys, tmp_path, point_file):
         corpus = {
             "points": [
@@ -702,14 +710,17 @@ class TestMalformedInput:
         assert re.fullmatch(r"CapExceeded: .*\n", err), err
         assert time.monotonic() - start < 10
 
-    def test_huge_lambda_bound_hits_trace_cap(self, capsys, point_file):
+    def test_huge_lambda_bound_is_counted(self, capsys):
+        # an in-locus point of type (5,2), blocks (4, 1): the 2 lambda + 1 classes
+        # are counted in closed form, with no cap on the bound
+        point = ModelPoint((Factor([[1, 2, 3, 4, 1], [0, 0, 0, 0, 1]], 1, [[2, 0], [5, 3]]),))
         start = time.monotonic()
-        code, out, err = run(
-            capsys, "point-check", "--point-file", point_file, "--tau", "5,2", "--ranks", "1,1",
-            "--genus", "2", "--step2", "--lambda-bound", "1000000000",
+        data = run_json(
+            capsys, "point-check", "--point", json.dumps(point.to_json()), "--tau", "5,2",
+            "--ranks", "1,1", "--genus", "2", "--step2", "--lambda-bound", "1000000000",
         )
-        assert code == 1 and not out
-        assert re.fullmatch(r"CapExceeded: .*\n", err), err
+        assert data["step2"]["trace_classes_checked"] == 2_000_000_001
+        assert data["step2"]["trace_identity_ok"] is True and data["membership"] == "InY_not_Z"
         assert time.monotonic() - start < 10
 
     def test_negative_lambda_bound(self, capsys, point_file):

@@ -50,8 +50,8 @@ from higgsstrata import (
 )
 from higgsstrata import cli
 from higgsstrata.linalg import (
-    EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, mat, mat_mul,
-    rank, transpose,
+    EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, full_row_rank, mat,
+    mat_mul, rank, transpose,
 )
 from higgsstrata.oracles import Dual, inverse
 from higgsstrata.point_model import (
@@ -1089,6 +1089,15 @@ class TestStabilizerInvariance:
         p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
         unipotent_stabilizer_dim(p, FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks), CTX73_N2)
         assert not {"_values", "_support"} & set(vars(p))
+
+    def test_one_minor_search_per_factor(self):
+        # the rank check's columns give each factor's kernel, so a fresh N = 2
+        # point searches for a nonzero maximal minor twice, not four times
+        factors = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors
+        assert all(f.C and any(map(any, f.Phi)) for f in factors)  # both families live
+        flag = FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks)
+        run = lambda: unipotent_stabilizer_dim(ModelPoint(factors), flag, CTX73_N2)
+        assert count_calls(run, full_row_rank) == [2]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rank_four_matches_dense_oracle(self, seed):

@@ -172,17 +172,24 @@ class TestCompat:
         assert report.violations == ()
         assert report.checked > 0
 
+    @staticmethod
+    def _pairs(r_max, d_range, degL_range):
+        """The (tau, mu) pairs ``compat_cross_table`` checks over these ranges."""
+        for r, d, deg_line in itertools.product(range(1, r_max + 1), d_range, degL_range):
+            ctx = CurveContext(r, d, deg_line=deg_line)
+            for tau in enumerate_hn_types(ctx, general_first_slope_bound(HNType.semistable(r, d), ctx)):
+                for mu in u_tau_candidates(tau, ctx):
+                    yield tau, mu
+
     def test_degl_zero_identity_pairing(self):
-        base = CurveContext(1, 0)
-        report = compat_cross_table(base, 3, range(1, 7), range(0, 1))
-        for row in report.rows:
-            assert row.mu.blocks == row.tau.blocks
+        pairs = list(self._pairs(3, range(1, 7), range(0, 1)))
+        assert pairs and all(mu.blocks == tau.blocks for tau, mu in pairs)
+        assert compat_cross_table(CurveContext(1, 0), 3, range(1, 7), range(0, 1)).checked == len(pairs)
 
     def test_rank_one_single_cell(self):
-        base = CurveContext(1, 0)
-        report = compat_cross_table(base, 1, range(3, 4), range(0, 2))
-        for row in report.rows:
-            assert row.tau.is_semistable and row.mu.is_semistable
+        pairs = list(self._pairs(1, range(3, 4), range(0, 2)))
+        assert pairs and all(tau.is_semistable and mu.is_semistable for tau, mu in pairs)
+        assert compat_cross_table(CurveContext(1, 0), 1, range(3, 4), range(0, 2)).checked == len(pairs)
 
     def test_bound_test_matches_literal_membership(self):
         # the table uses the slope-bound form; spot-check it against literal

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -233,29 +234,37 @@ class TestGrading:
         assert grading_one_parameter_subgroup(beta_of_type(HNType(((2, 8),)), ctx)) is None
 
 
+def _identity_holds(beta, traces) -> bool:
+    """The grading/trace identity at one block-trace tuple, by two ``Fraction`` sums."""
+    lhs = sum(-F(beta.npoints * r_g, m_g) * t for r_g, m_g, t in zip(beta.rank_blocks, beta.m_blocks, traces))
+    return lhs == sum(v * t for v, t in zip(beta.block_values, traces))
+
+
 def trace_identity_by_fractions(beta, bound: int):
-    """``step2_trace_identity``'s answer from two ``Fraction`` sums per class."""
+    """(number of block-trace classes, whether the identity holds on all of
+    them), by a walk over every class: the zero-sum t with |t_g| <= bound m_g."""
     m_blocks = beta.m_blocks
-    checked = 0
+    checked, ok = 0, True
     for head in itertools.product(*(range(-bound * m_g, bound * m_g + 1) for m_g in m_blocks[:-1])):
         traces = head + (-sum(head),)
-        if abs(traces[-1]) > bound * m_blocks[-1]:
-            continue
-        checked += 1
-        lhs = sum(-F(beta.npoints * r_g, m_g) * t for r_g, m_g, t in zip(beta.rank_blocks, m_blocks, traces))
-        if lhs != sum(v * t for v, t in zip(beta.block_values, traces)):
-            return checked, False, traces
-    return checked, True, None
+        if abs(traces[-1]) <= bound * m_blocks[-1]:
+            checked += 1
+            ok = ok and _identity_holds(beta, traces)
+    return checked, ok
 
 
 class TestTraceIdentity:
     @pytest.mark.parametrize("npoints", [1, 2, 3])
     def test_matches_the_fraction_sums(self, npoints):
-        # every type of ranks 1-3 at genus 0 and 2, as computed and with beta
-        # tampered: one block moved fails at the first class it changes, every
-        # block moved alike still passes (the traces sum to zero)
+        # every type of ranks 1-4 at genus 0 and 2 (rank 4 at genus 0, where
+        # the walk stays small), at bounds 0-4, as computed and with beta
+        # tampered: one block moved fails, every block moved alike still
+        # passes (the traces sum to zero); a failure's witness is a class
+        # that fails
         verdicts = set()
-        for r, g in itertools.product((1, 2, 3), (0, 2)):
+        for r, g in itertools.product((1, 2, 3, 4), (0, 2)):
+            if (r, g) == (4, 2):
+                continue
             ctx = CurveContext(r, r * (2 * g - 1) + 4, genus=g, npoints=npoints)
             for tau in enumerate_hn_types(ctx, ctx.degree + r, min_slope_exclusive=g - 1):
                 beta = beta_of_type(tau, ctx)
@@ -266,9 +275,15 @@ class TestTraceIdentity:
                     tuple(v - F(2, 3) for v in values),
                 ):
                     b = dataclasses.replace(beta, block_values=tampered)
-                    got = step2_trace_identity(b, 2)
-                    assert got == trace_identity_by_fractions(b, 2)
-                    verdicts.add((len(values) > 1, tampered == values, got[1]))
+                    for bound in range(5):
+                        checked, ok, witness = step2_trace_identity(b, bound)
+                        assert (checked, ok) == trace_identity_by_fractions(b, bound)
+                        if ok:
+                            assert witness is None
+                        else:
+                            assert sum(witness) == 0 and not _identity_holds(b, witness)
+                            assert all(abs(t) <= bound * m_g for t, m_g in zip(witness, b.m_blocks))
+                        verdicts.add((len(values) > 1 and bound > 0, tampered == values, ok))
         assert (True, False, False) in verdicts and (True, False, True) in verdicts
         assert not any(ok is False for _, untampered, ok in verdicts if untampered)
 
@@ -278,12 +293,18 @@ class TestTraceIdentity:
         checked, ok, bad = step2_trace_identity(beta, 3)
         assert ok and bad is None and checked == 13
 
-    def test_cap_before_work(self):
+    def test_huge_bound_counted_in_closed_form(self):
+        start = time.monotonic()
         ctx = CurveContext(2, 7, genus=2)
         beta = beta_of_type(HNType(((1, 5), (1, 2))), ctx)  # m_blocks (4, 1)
-        with pytest.raises(CapExceeded) as exc:
-            step2_trace_identity(beta, 10**9)
-        assert exc.value.count == 8 * 10**9 + 1
+        assert step2_trace_identity(beta, 10**9) == (2 * 10**9 + 1, True, None)
+        assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("bound, error", [(-1, ValueError), (2.0, TypeError), (True, TypeError), ("2", TypeError)])
+    def test_bad_bound_refused(self, bound, error):
+        beta = beta_of_type(HNType(((1, 4), (1, 3))), CurveContext(2, 7, genus=2))
+        with pytest.raises(error):
+            step2_trace_identity(beta, bound)
 
     def test_explicit_diagonals_match_block_form(self):
         ctx = CurveContext(2, 7, genus=2)
