@@ -12,7 +12,9 @@ variable HIGGSSTRATA_CAP overrides the default enumeration cap: for
 a being their affine dimension; for ``stabdim`` N C(m,r) (1 + r^2) values,
 not rows, kept so CapExceeded counts stay the same (N points, rank r, m
 sections; ``report`` holds its stabiliser calls to the default cap in that
-unit); for ``point-coords`` the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type
+unit, and ``stabdim --phis``, reading its defaulted context flags only with
+``--point``, refuses ``--cap``); for ``point-coords`` the C(m,r)^N
+(1 + r^(2N)) coordinate indices.  Type
 enumeration stops past 200,000 types; ``point-check --step2`` takes any
 ``--lambda-bound`` >= 0, the trace identity being decided in closed form.  JSON
 nested too deeply to parse is a domain error, ``RecursionError``.
@@ -38,7 +40,7 @@ from .hn_types import (
     compare_polygon,
     enumerate_hn_types,
 )
-from .linalg import frac
+from .linalg import frac, listlike
 from .minnorm import PointCloud, index_set_B, min_norm_point
 from .point_model import (
     ModelPoint,
@@ -269,6 +271,8 @@ def _cmd_stabdim(args) -> None:
     phis = args.phis is not None or args.phis_file is not None
     if phis and (args.point is not None or args.point_file is not None):
         raise ValueError("provide one of --phis and --point, not both")
+    if phis and args.cap is not None:
+        raise ValueError("--cap applies only to --point")
     if phis:
         kind = "nilpotent_commutant"
         dim = nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
@@ -295,8 +299,8 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_polygons(args) -> None:
-    data = _load_json_arg(args.types, args.types_file, "types")
-    types = [HNType(tuple(blocks)) for blocks in data]
+    data = listlike(_load_json_arg(args.types, args.types_file, "types"), "a list of types")
+    types = [HNType(tuple(listlike(blocks, "a type (a list of [rank, degree] blocks)"))) for blocks in data]
     doc = svg_mod.emit_polygon_svg(types, args.out)
     payload = lambda: {
         "schema": "higgsstrata.polygons/1",
@@ -314,9 +318,9 @@ def _cmd_report(args) -> None:
         (
             entry["id"],
             ModelPoint.from_json(entry["point"]),
-            FlagShape(tuple(entry["flag"])),
+            FlagShape(tuple(listlike(entry["flag"], "a flag (a list of block sizes)"))),
         )
-        for entry in data["points"]
+        for entry in listlike(data["points"], "a list of corpus entries")
     ]
     max_slope = frac(args.max_slope) if args.max_slope else None
     records = assemble(corpus, ctx, max_first_slope=max_slope)

@@ -12,7 +12,8 @@ Only the oracles (``higgsstrata.oracles``) call those two; they stay here
 because the benchmark traces them by these names.  There is one Laplace
 expansion, ``minors``, behind ``det``, ``adjugate``, ``full_row_rank`` and
 the cofactor tables of ``point_model``, over any commutative ring with
-``+``, ``-``, ``*`` and truthiness at zero.
+``+``, ``-``, ``*`` and truthiness at zero; ``full_row_rank`` finds the
+pivot columns of the reduced row echelon form through it, with no elimination.
 """
 
 from __future__ import annotations
@@ -185,7 +186,17 @@ def _minor(a, memo: dict, rows: tuple[int, ...], cols: tuple[int, ...]):
 def full_row_rank(a) -> tuple[int, ...] | None:
     """The columns of a nonzero r x r minor of ``a`` (None if none), grown a column per
     row up from its last row: a nonzero minor on the rows below extends to the row above
-    exactly when those rows have full rank (matroid augmentation); one memo serves all."""
+    exactly when those rows have full rank (matroid augmentation); one memo serves all.
+
+    They are rref(a)'s pivot columns B, the greedy basis of a's column matroid, which
+    column-by-column elimination keeps (``oracles.adapted_flag_basis``).  The pivot set
+    P(U) = {lead(u) : u in U, u != 0} of a row space U, lead(u) the first nonzero entry,
+    grows with U.  If the columns so far are P(U'), U' the span of the rows below, then
+    P(U), U = U' + the row above, adds one column p; the greedy basis P(U) is Gale-minimal
+    (its i-th least column is at most any basis's), so no column c < p outside P(U')
+    gives a basis P(U') + c, and p is the least column with a nonzero minor.  So a_B is
+    adapted to every flag of column prefixes: #{b in B : b < cut} columns span a cut.
+    """
     minor, cols = minors(a), ()
     for top in reversed(range(len(a))):
         rows = tuple(range(top, len(a)))
@@ -326,27 +337,3 @@ class EchelonAccumulator:
     def nullity(self) -> int:
         return self.width - len(self._rows)
 
-
-def adapted_flag_basis(columns: Sequence[Vec], cuts: Sequence[int]) -> tuple[Mat, tuple[int, ...]]:
-    """Basis of the target space adapted to the flag spanned by column prefixes.
-
-    ``columns`` are vectors in k^r; the flag step gamma is the span of the
-    first ``cuts[gamma]`` columns.  Returns (g, dims) where the columns of g
-    are a basis of k^r whose first dims[gamma] vectors span flag step gamma.
-    Requires the full column list to span k^r.
-    """
-    r = len(columns[0]) if columns else 0
-    acc = EchelonAccumulator(r)
-    basis: list[Vec] = []
-    dims: list[int] = []
-    start = 0
-    for cut in cuts:
-        for l in range(start, cut):
-            if acc.add(columns[l]):
-                basis.append(columns[l])
-        dims.append(len(basis))
-        start = cut
-    if len(basis) != r:
-        raise ValueError("columns do not span the target space")
-    g = transpose(tuple(basis))
-    return g, tuple(dims)

@@ -16,6 +16,9 @@ another road, compared with zero tolerance in the tests:
   (``linalg.nullspace``) meets the lowering triangle.
 - ``inverse``, the back-substitution of ``linalg._echelon`` on [a | I],
   checks the gauge moves of ``ModelPoint`` in the tests.
+- ``adapted_flag_basis`` checks the basis that ``point_model`` writes each
+  factor in, y on the columns of ``linalg.full_row_rank``, by eliminating
+  y's columns in order (``EchelonAccumulator``) flag step by flag step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from fractions import Fraction
 
 from .errors import DEFAULT_INDEX_CAP, DegeneratePoint, HiggsStrataError
 from .hn_types import CurveContext, FlagShape
-from .linalg import EchelonAccumulator, Mat, Vec, _echelon, dot, mat, nullspace, rank, solve_unique, vec
+from .linalg import (
+    EchelonAccumulator, Mat, Vec, _echelon, dot, mat, nullspace, rank, solve_unique, transpose, vec,
+)
 from .minnorm import _as_cloud
 from .point_model import ModelPoint, _check_shapes, _factor_values, _lie_upper_positions, _table
 from .weight_lattice import enumerate_coordinate_indices
@@ -73,6 +78,31 @@ def inverse(a: Mat) -> Mat | None:
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
+
+
+def adapted_flag_basis(columns, cuts) -> tuple[Mat, tuple[int, ...]]:
+    """Basis of the target space adapted to the flag spanned by column prefixes.
+
+    ``columns`` are vectors in k^r; the flag step gamma is the span of the
+    first ``cuts[gamma]`` columns.  Returns (g, dims) where the columns of g
+    are a basis of k^r whose first dims[gamma] vectors span flag step gamma.
+    Requires the full column list to span k^r.
+    """
+    r = len(columns[0]) if columns else 0
+    acc = EchelonAccumulator(r)
+    basis: list[Vec] = []
+    dims: list[int] = []
+    start = 0
+    for cut in cuts:
+        for l in range(start, cut):
+            if acc.add(columns[l]):
+                basis.append(columns[l])
+        dims.append(len(basis))
+        start = cut
+    if len(basis) != r:
+        raise ValueError("columns do not span the target space")
+    g = transpose(tuple(basis))
+    return g, tuple(dims)
 
 
 def min_norm_point_by_faces(points) -> Vec:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,7 +65,6 @@ from .hn_types import CurveContext, FlagShape, HNType
 from .linalg import (
     EchelonAccumulator,
     Mat,
-    adapted_flag_basis,
     adjugate,
     clear_denominators,
     cleared,
@@ -160,7 +159,7 @@ class ModelPoint:
         if not factors[0].Y:
             raise ValueError("factor 1: y must have at least one row")
         r, m = self.r, self.m
-        bases = []  # per factor, the columns of y's nonzero r x r minor, for ``_kernel``
+        bases = []  # per factor, the pivot columns of y, for ``_kernel`` and ``_adapted``
         for k, f in enumerate(factors, start=1):
             _check_factor_shape(f, k, r, m)
             bases.append(full_row_rank(f.Y))
@@ -194,6 +193,11 @@ class ModelPoint:
         integer form, evaluated once; each value of the factor is an entry
         times c or a sign, and its exact value times the factor's scale."""
         return tuple(_factor_values(*factor, self.m) for factor, _ in self._integer_factors)
+
+    @cached_property
+    def _adapted(self) -> tuple[tuple[tuple, int, tuple[int, ...]], ...]:
+        """Per factor ``_in_basis`` of its pivot columns, once for every beta."""
+        return tuple(map(_in_basis, self.factors, self._bases))
 
     @cached_property
     def _scale(self) -> int:
@@ -250,7 +254,7 @@ class ModelPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelPoint":
-        return cls(tuple(Factor.from_json(f) for f in data["factors"]))
+        return cls(tuple(Factor.from_json(f) for f in listlike(data["factors"], "a list of factors")))
 
 
 class Membership(Enum):
@@ -565,30 +569,35 @@ def _gauged(y, c, phi, g) -> tuple:
     return (mat_mul(adj, y), c * d, mat_mul(mat_mul(g_t, phi), transpose(adj))), d
 
 
-def _adapted(y, c, phi, cuts) -> tuple:
-    """((y', c', phi'), dims, det g): the factor gauged into the basis g adapted
-    to y's image flag, and that flag's dimensions; ValueError unless y has full rank."""
-    g, dims = adapted_flag_basis(transpose(y), cuts)
-    factor, d = _gauged(y, c, phi, g)
-    return factor, dims, d
+def _in_basis(f: Factor, B) -> tuple:
+    """((y', c', phi'), det g, B): f's integer form written in the basis g = Y_B
+    of its pivot columns B (``_gauged``)."""
+    return (*_gauged(f.Y, f.C, f.Phi, [[row[l] for l in B] for row in f.Y]), B)
+
+
+def _image_dims(B, cuts) -> tuple[int, ...]:
+    """The image flag's dimensions: per cut, the pivot columns before it."""
+    return tuple(bisect_left(B, cut) for cut in cuts)
 
 
 def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     """Per factor ((y', c', phi'), dims, det g, s), all int: its integer form
-    (Y, C, Phi) = (L y, M c, M phi) gauged into the basis g adapted to its
-    image flag (``_adapted``), the image-block cuts, and its scale s = L^r M.
+    (Y, C, Phi) = (L y, M c, M phi) in the basis g = Y_B of its pivot columns B
+    (``ModelPoint._adapted``, once per point), adapted to the image flag whose
+    dimensions beta counts off B (``_image_dims``), and its scale s = L^r M.
 
     Block triangular in that basis, y' and phi' have the graded point as
-    aligned diagonal blocks.  g is L times y's adapted basis g_0, so
-    y' = adj(g) Y = det(g) g_0^-1 y and (c', phi') = s (c det g_0,
-    det(g_0) g_0^T phi g_0^-T): each block's values are the exact ones times
-    one nonzero constant, which leaves its support and weights unchanged, as
-    in ``ModelPoint._integer_factors``.  Raises NotInY outside the inequality locus,
-    where the retraction is not defined.
+    aligned diagonal blocks.  g is L times g_0 = y_B, so y' = adj(g) Y =
+    det(g) g_0^-1 y = det(g) rref(y), each graded y-block of full row rank with
+    det(g) I on its pivot columns, and (c', phi') = s (c det g_0, det(g_0) g_0^T
+    phi g_0^-T): each block's values are the exact ones times one nonzero
+    constant, which leaves its support and weights unchanged, as in
+    ``ModelPoint._integer_factors``.  Raises NotInY outside the inequality locus.
     """
     if membership(p, beta, ctx) is Membership.OUTSIDE:
         raise NotInY("the retraction is defined only on the inequality locus")
-    return [(*_adapted(*factor, beta.flag.cuts), s) for factor, s in p._integer_factors]
+    return [(factor, _image_dims(B, beta.flag.cuts), d, s)
+            for (factor, d, B), (_, s) in zip(p._adapted, p._integer_factors)]
 
 
 def _check_flag_adapted(phi: Mat, dims, k: int, tau: HNType) -> None:
@@ -608,9 +617,9 @@ def _check_flag_adapted(phi: Mat, dims, k: int, tau: HNType) -> None:
 def retract_p_beta(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> ModelPoint:
     """Coordinate-zeroing retraction onto the equality locus of beta.
 
-    Matrix-level: each factor is gauged into a basis adapted to the image
-    flag (``_adapted_factors``), then both y and phi are cut down to their
-    aligned diagonal blocks, divided back by det g and s to exact values.
+    Matrix-level: each factor is read in the basis of its pivot columns,
+    adapted to the image flag (``_adapted_factors``), then both y and phi are
+    cut to their aligned diagonal blocks, divided back by det g and s.
     The resulting table equals the input table with every coordinate pairing
     strictly above the squared norm set to zero.  Raises NotInY for points
     outside the inequality locus, and InvariantViolation, as
@@ -663,11 +672,10 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
         raise ValueError("factor count does not match the context")
     for k, f in enumerate(h.factors, start=1):
         _check_factor_shape(f, k, h.ctx.rank, beta.m)
-        try:
-            (_, _, phi), dims, _ = _adapted(f.Y, f.C, f.Phi, cuts)
-        except ValueError:  # the shape check above leaves only the rank failure
+        if (B := full_row_rank(f.Y)) is None:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-        _check_flag_adapted(phi, dims, k, h.tau)
+        (_, _, phi), _, _ = _in_basis(f, B)
+        _check_flag_adapted(phi, _image_dims(B, cuts), k, h.tau)
     return ModelPoint(h.factors)
 
 

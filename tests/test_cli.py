@@ -154,6 +154,14 @@ class TestJsonRoundTrips:
         assert (code, out) == (1, "")
         assert err == "ValueError: provide one of --phis and --point, not both\n"
 
+    @pytest.mark.parametrize("phis", [["--phis", "[[[0,1],[0,0]]]"], ["--phis-file", "phis.json"]])
+    def test_stabdim_refuses_a_cap_with_phis(self, capsys, phis):
+        # the cap counts a point's values, so it is refused, not dropped, before
+        # the matrices are read (the file does not exist)
+        code, out, err = run(capsys, "stabdim", "--blocks", "1,1", *phis, "--cap", "0")
+        assert (code, out) == (1, "")
+        assert err == "ValueError: --cap applies only to --point\n"
+
     def test_report(self, capsys, tmp_path, point_file):
         corpus = {
             "points": [
@@ -688,6 +696,44 @@ class TestMalformedInput:
         # a number where a list belongs is named, not left to Python's own
         # "object is not iterable"
         code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == f"TypeError: expected {expected}\n"
+
+    TYPE = "a type (a list of [rank, degree] blocks)"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["polygons", "--types", "5", "--out", os.devnull], "a list of types, got int 5"),
+            (["polygons", "--types", '{"a": 1}', "--out", os.devnull], "a list of types, got dict {'a': 1}"),
+            (["polygons", "--types", "[[[1, 2]], 5]", "--out", os.devnull], f"{TYPE}, got int 5"),
+            (["point-coords", "--point", '{"factors": 5}', "--rank", "1", "--degree", "1"],
+             "a list of factors, got int 5"),
+        ],
+        ids=["polygons-scalar-types", "polygons-dict-types", "polygons-scalar-type", "point-scalar-factors"],
+    )
+    def test_scalar_or_mapping_for_a_list(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == f"TypeError: expected {expected}\n"
+
+    @pytest.mark.parametrize(
+        "points,expected",
+        [
+            (5, "a list of corpus entries, got int 5"),
+            ([{"id": "a", "flag": 5}], "a flag (a list of block sizes), got int 5"),
+        ],
+        ids=["scalar-points", "scalar-flag"],
+    )
+    def test_scalar_for_a_corpus_list(self, capsys, tmp_path, point_file, points, expected):
+        if isinstance(points, list):
+            points[0]["point"] = json.loads(Path(point_file).read_text())
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps({"points": points}))
+        code, out, err = run(
+            capsys, "report", "--rank", "2", "--degree", "7", "--genus", "2",
+            "--corpus-file", str(corpus_path), "--out-prefix", str(tmp_path / "r"),
+        )
         assert code == 1 and not out
         assert err == f"TypeError: expected {expected}\n"
 

@@ -29,8 +29,9 @@ from higgsstrata.linalg import (
     rank,
     ratio,
     solve_unique,
+    transpose,
 )
-from higgsstrata.oracles import Dual, inverse
+from higgsstrata.oracles import Dual, adapted_flag_basis, inverse
 
 BIG = 10**17 + 1  # 1 / BIG * (3 * BIG) rounds away from 3 in floating point
 
@@ -458,3 +459,11 @@ class TestIntegerForms:
             assert (cols is not None) == (rank(a) == len(a))
             if cols is not None:  # the columns of a nonzero maximal minor
                 assert list(cols) == sorted(set(cols)) and det([[row[c] for c in cols] for row in a])
+            if width:  # and the pivot columns that elimination keeps, None when it keeps too few
+                try:
+                    g, dims = adapted_flag_basis(transpose(a), range(1, width + 1))
+                except ValueError:
+                    assert cols is None
+                else:
+                    assert cols == tuple(l for l, (lo, hi) in enumerate(zip((0, *dims), dims)) if hi > lo)
+                    assert g == tuple(tuple(row[c] for c in cols) for row in a)

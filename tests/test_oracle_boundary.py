@@ -103,3 +103,14 @@ def test_the_stabilizer_reads_no_cofactor_table():
         f"{name}: {_name(n)}" for name, fn in reached.items() for n in ast.walk(fn) if _name(n) in TABLE_NAMES
     )
     assert {"_live_families", "_invariance_nullity"} <= set(reached) and not offenders, offenders
+
+
+def test_the_adapt_step_runs_no_elimination():
+    # so that the elimination route to each factor's adapted basis, the oracle, is a second route
+    tree = _tree("point_model.py")
+    reached = {**_reached(tree, "_adapted_factors"), **_reached(tree, "from_higgs_data")}
+    offenders = sorted(
+        f"{name}: {_name(n)}" for name, fn in reached.items() for n in ast.walk(fn)
+        if _name(n) in ("EchelonAccumulator", "adapted_flag_basis")
+    )
+    assert {"_adapted", "_in_basis", "_gauged", "_image_dims"} <= set(reached) and not offenders, offenders

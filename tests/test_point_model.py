@@ -48,12 +48,12 @@ from higgsstrata import (
     step2_trace_identity,
     verify_step2,
 )
-from higgsstrata import cli
+from higgsstrata import cli, point_model
 from higgsstrata.linalg import (
-    EchelonAccumulator, adapted_flag_basis, adjugate, clear_denominators, det, frac, full_row_rank, mat,
+    EchelonAccumulator, adjugate, clear_denominators, det, frac, full_row_rank, mat,
     mat_mul, rank, transpose,
 )
-from higgsstrata.oracles import Dual, inverse
+from higgsstrata.oracles import Dual, adapted_flag_basis, inverse
 from higgsstrata.point_model import (
     BlockReport,
     Step2Report,
@@ -714,6 +714,53 @@ class TestStep2Reference:
                 assert d_g == det(adapted_flag_basis(transpose(y_int), beta.flag.cuts)[0])
                 checked += 1
         assert checked >= 2
+
+
+class TestAdaptedBasis:
+    """Each factor is written once, in the basis of its rank check's pivot
+    columns; a beta only counts those columns under its cuts."""
+
+    def test_step2_runs_no_elimination(self):
+        p = ModelPoint(build_flagged_point(TAU52, CTX73_N2, random.Random(4)).factors)
+        beta = beta_of_type(TAU52, CTX73_N2)
+        assert count_calls(lambda: verify_step2(p, beta, CTX73_N2), EchelonAccumulator.add) == [0]
+
+    def test_one_gauge_per_factor_across_betas(self):
+        ctx = CTX73_N2
+        p = ModelPoint(build_flagged_point(TAU52, ctx, random.Random(3)).factors)
+        betas = [beta_of_type(tau, ctx) for tau in (TAU43, TAU52)]
+        assert all(membership(p, beta, ctx) is not Membership.OUTSIDE for beta in betas)
+        assert betas[0].flag.cuts != betas[1].flag.cuts
+        run = lambda: [_adapted_factors(p, beta, ctx) for beta in betas]
+        assert count_calls(run, point_model._gauged) == [2]  # N = 2, not 4
+
+    def test_graded_y_blocks_have_full_row_rank(self):
+        # y' = det(g) rref(y), so each graded block holds det(g) I on its pivot columns
+        rng = random.Random(29)
+        checked = rational = 0
+        for (r, d, genus), n in itertools.product([(1, 2, 0), (2, 3, 0), (2, 7, 2), (3, 2, 0)], (1, 2, 3)):
+            ctx = CurveContext(r, d, genus=genus, npoints=n)
+            types = [tau for tau in enumerate_hn_types(ctx, d + r, min_slope_exclusive=genus - 1)
+                     if model_supported(tau, ctx)]
+            betas = [beta_of_type(tau, ctx) for tau in types]
+            for tau in types * 4:
+                p = _sparsified(build_flagged_point(tau, ctx, rng, graded=rng.random() < 0.3), rng)
+                for k in range(n):
+                    alpha = [[x / t for x in row] for row, t in zip(random_block(rng, r, r), (2, 3, 5))]
+                    p = p.gauge_factor(k, alpha).rescale_factor(k, F(rng.randint(1, 5), rng.randint(2, 5)))
+                rational += any(f.L > 1 for f in p.factors)
+                for beta in betas:
+                    try:
+                        adapted = _adapted_factors(p, beta, ctx)
+                    except (NotInY, DegeneratePoint):
+                        continue
+                    cuts = (0,) + beta.flag.cuts
+                    for (y, _, _), dims, _, _ in adapted:
+                        for c_lo, c_hi, r_lo, r_hi in zip(cuts, cuts[1:], (0,) + dims, dims):
+                            block = tuple(row[c_lo:c_hi] for row in y[r_lo:r_hi])
+                            assert rank(block) == len(block)
+                            checked += 1
+        assert checked >= 500 and rational >= 100
 
 
 class TestScalingInvariance:
