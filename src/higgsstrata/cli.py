@@ -40,7 +40,7 @@ from .hn_types import (
     compare_polygon,
     enumerate_hn_types,
 )
-from .linalg import frac, listlike
+from .linalg import frac, listlike, objectlike
 from .minnorm import PointCloud, index_set_B, min_norm_point
 from .point_model import (
     ModelPoint,
@@ -299,8 +299,8 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_polygons(args) -> None:
-    data = listlike(_load_json_arg(args.types, args.types_file, "types"), "a list of types")
-    types = [HNType(tuple(listlike(blocks, "a type (a list of [rank, degree] blocks)"))) for blocks in data]
+    data = _load_json_arg(args.types, args.types_file, "types")
+    types = [HNType(blocks) for blocks in listlike(data, "a list of types")]
     doc = svg_mod.emit_polygon_svg(types, args.out)
     payload = lambda: {
         "schema": "higgsstrata.polygons/1",
@@ -313,15 +313,12 @@ def _cmd_polygons(args) -> None:
 def _cmd_report(args) -> None:
     ctx = _ctx_from(args)
     with open(args.corpus_file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    corpus = [
-        (
-            entry["id"],
-            ModelPoint.from_json(entry["point"]),
-            FlagShape(tuple(listlike(entry["flag"], "a flag (a list of block sizes)"))),
-        )
-        for entry in listlike(data["points"], "a list of corpus entries")
-    ]
+        data = objectlike(json.load(handle), "a corpus (an object with points)")
+    corpus = []
+    for entry in listlike(data["points"], "a list of corpus entries"):
+        entry = objectlike(entry, "a corpus entry (an object with id, point and flag)")
+        flag = FlagShape(tuple(listlike(entry["flag"], "a flag (a list of block sizes)")))
+        corpus.append((entry["id"], ModelPoint.from_json(entry["point"]), flag))
     max_slope = frac(args.max_slope) if args.max_slope else None
     records = assemble(corpus, ctx, max_first_slope=max_slope)
     closure = closure_order_report(records)

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .errors import DEFAULT_INDEX_CAP, AmbientMismatch, CapExceeded
-from .linalg import Mat, frac, integer, mat
+from .linalg import Mat, frac, integer, listlike, mat, objectlike
 
 
 class PolygonOrder(Enum):
@@ -76,6 +76,13 @@ class CurveContext:
         return Fraction(self.degree, self.rank)
 
 
+def _block(b) -> tuple[int, int]:
+    """A [rank, degree] block of exactly two int entries, as a tuple."""
+    if len(b := tuple(listlike(b, "a [rank, degree] block"))) != 2:
+        raise ValueError(f"expected a [rank, degree] block, got {list(b)!r:.40}")
+    return integer(b[0]), integer(b[1])
+
+
 @dataclass(frozen=True)
 class HNType:
     """Ordered (rank, degree) blocks with strictly decreasing slopes."""
@@ -83,7 +90,7 @@ class HNType:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        blocks = tuple((integer(r), integer(d)) for r, d in self.blocks)
+        blocks = tuple(map(_block, listlike(self.blocks, "a type (a list of [rank, degree] blocks)")))
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a type needs at least one block")
@@ -164,7 +171,7 @@ class HNType:
 
     @classmethod
     def from_json(cls, data: dict) -> "HNType":
-        return cls(tuple(data["rank_degree_pairs"]))
+        return cls(objectlike(data, "a type (an object with rank_degree_pairs)")["rank_degree_pairs"])
 
     def __repr__(self) -> str:
         body = ",".join(f"({r},{d})" for r, d in self.blocks)

@@ -107,6 +107,13 @@ def listlike(x, what: str):
     return x
 
 
+def objectlike(x, what: str) -> dict:
+    """``x`` itself if it is a dict (a JSON object), else a TypeError naming ``what``."""
+    if not isinstance(x, dict):
+        raise TypeError(f"expected {what}, got {type(x).__name__} {x!r:.40}")
+    return x
+
+
 VECTOR = "a vector (a list of rationals)"
 
 

@@ -37,8 +37,8 @@ The values are polynomials of degree r in y and 1 in (c, phi), so every
 value of factor k is its exact value times one nonzero constant s_k = L^r M,
 which leaves the support, hence every weight, unchanged; ``coordinates``
 divides by the product of the s_k.  Step 2 and the retraction gauge this
-integer form (``_adapted_factors``).  Step 1's weights are pairings with
-D beta, D the lcm of beta's denominators, and ``verify_step1`` divides by D.
+integer form (``_adapted_factors``); step 1 walks the tables once per beta,
+pairing with D beta, D the lcm of beta's denominators, and divides by D.
 ``Fraction`` appears only where a value leaves the module, as in a factor's
 ``y``, ``c`` and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
 """
@@ -75,6 +75,7 @@ from .linalg import (
     mat,
     mat_mul,
     minors,
+    objectlike,
     ratio,
     transpose,
 )
@@ -130,6 +131,7 @@ class Factor:
 
     @classmethod
     def from_json(cls, data: dict) -> "Factor":
+        data = objectlike(data, "a factor (an object with y, c and phi)")
         return cls(data["y"], data["c"], data["phi"])
 
 
@@ -200,21 +202,11 @@ class ModelPoint:
         return tuple(map(_in_basis, self.factors, self._bases))
 
     @cached_property
-    def _scale(self) -> int:
-        """The product of the factors' scales L^r M."""
-        return math.prod(scale for _, scale in self._integer_factors)
-
-    @cached_property
-    def _support(self) -> tuple[tuple[dict, dict], ...]:
-        """Per factor and family: {(K, x): first key in table order that reads
-        it} over the nonzero entries (``_factor_support``), for any beta."""
-        return tuple(_factor_support(values, self.r, self.m) for values in self._values)
-
-    @cached_property
     def _live_families(self) -> tuple[int, ...]:
         """The live families, 0 (det) and 1 (end): those with support at every
-        factor, as values are products over the factors, read off c and phi
-        (``unipotent_stabilizer_dim``); none for a degenerate point."""
+        factor, as values are products over the factors, read off c and phi;
+        none for a degenerate point.  A value is its entry times c or a sign,
+        so a live family's support is its nonzero entries (``_family_min_max``)."""
         live = all(f.C for f in self.factors), all(any(map(any, f.Phi)) for f in self.factors)
         return tuple(fam for fam in (0, 1) if live[fam])
 
@@ -254,7 +246,8 @@ class ModelPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelPoint":
-        return cls(tuple(Factor.from_json(f) for f in listlike(data["factors"], "a list of factors")))
+        factors = objectlike(data, "a point (an object with factors)")["factors"]
+        return cls(tuple(map(Factor.from_json, listlike(factors, "a list of factors"))))
 
 
 class Membership(Enum):
@@ -346,21 +339,11 @@ def _entry_keys(r: int, m: int) -> dict:
 @cache
 def _first_reads(r: int, m: int) -> tuple[tuple, tuple]:
     """Per family, the ((K, x), first key in table order that reads it) pairs
-    of ``_entry_keys`` in the order of those keys: the support pass's walk."""
+    of ``_entry_keys`` in the order of those keys: step 1's walk (``_family_min_max``)."""
     first = ({}, {})
     for key, (fam, K, x, _) in _entry_keys(r, m).items():
         first[fam].setdefault((K, x), key)
     return tuple(tuple(reads.items()) for reads in first)
-
-
-def _factor_support(values: tuple, r: int, m: int) -> tuple[dict, dict]:
-    """Per family, {(K, x): first key in table order that reads it} over
-    one factor's nonzero det and end values (``_first_reads``)."""
-    c, *tables = values
-    return tuple(
-        {Kx: key for Kx, key in reads if table[Kx[0]][Kx[1] - 1]} if fam or c else {}
-        for fam, (table, reads) in enumerate(zip(tables, _first_reads(r, m)))
-    )
 
 
 def _table(indices, parts) -> dict[CoordinateIndex, object]:
@@ -404,7 +387,7 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     """
     _check_shapes(p, ctx)
     indices = enumerate_coordinate_indices(ctx, cap)
-    scale = p._scale
+    scale = math.prod(s for _, s in p._integer_factors)
     return CoordinateTable(
         {idx: Fraction(v, scale) for idx, v in _table(indices, p._values).items()}
     )
@@ -414,10 +397,12 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     """Families supported at every factor, their least weight and the verdict.
 
     Returns ([(per-factor {weight: witness key} dicts, index builder)], D, lo,
-    membership).  The entry (K, x) pairs with D beta (trace zero, D the lcm of
-    its denominators) to -sum_{l in K} D beta_l - D beta_x; the witness is the
-    first key in table order of that weight.  Raises ValueError unless beta
-    was built for the point's rank, section count and number of points.
+    membership).  Per live family and factor, one walk over ``_first_reads``
+    keeps the nonzero entries of the cached tables (``ModelPoint._values``):
+    (K, x) pairs with D beta (trace zero, D the lcm of its denominators) to
+    -sum_{l in K} D beta_l - D beta_x, and the witness is the first key in
+    table order of that weight.  Raises ValueError unless beta was built for
+    the point's rank, section count and number of points.
     """
     if (beta.m, beta.npoints, beta.tau.rank) != (p.m, p.npoints, p.r):
         raise ValueError(
@@ -429,13 +414,14 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
         K: -sum(entries[l - 1] for l in K)
         for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
     }
-    families = []
+    reads, families = _first_reads(p.r, p.m), []
     for fam in p._live_families:
         per_factor = []
-        for support in p._support:
-            weights = {}
-            for (K, x), key in support[fam].items():
-                weights.setdefault(off[K] - entries[x - 1], key)
+        for _, *tables in p._values:
+            table, weights = tables[fam], {}
+            for (K, x), key in reads[fam]:
+                if table[K][x - 1]:
+                    weights.setdefault(off[K] - entries[x - 1], key)
             per_factor.append(weights)
         families.append((per_factor, (_det_index, _end_index)[fam]))
     if not families:
@@ -664,7 +650,8 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
     image-flag dimension is wrong or the Higgs matrix fails to preserve the
     flag; the result is guaranteed to satisfy the step-1 inequalities for the
     instability vector of its type (given an equality witness, e.g. for
-    finite points).
+    finite points).  Flags are checked on the point's ``_adapted`` form, which
+    step 2 reuses, after ``ModelPoint`` has refused any (c, phi) = (0, 0).
     """
     beta = beta_of_type(h.tau, h.ctx)
     cuts = beta.flag.cuts
@@ -672,11 +659,12 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
         raise ValueError("factor count does not match the context")
     for k, f in enumerate(h.factors, start=1):
         _check_factor_shape(f, k, h.ctx.rank, beta.m)
-        if (B := full_row_rank(f.Y)) is None:
+        if full_row_rank(f.Y) is None:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-        (_, _, phi), _, _ = _in_basis(f, B)
+    p = ModelPoint(h.factors)
+    for k, ((_, _, phi), _, B) in enumerate(p._adapted, start=1):
         _check_flag_adapted(phi, _image_dims(B, cuts), k, h.tau)
-    return ModelPoint(h.factors)
+    return p
 
 
 @dataclass(frozen=True)

@@ -737,6 +737,60 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert err == f"TypeError: expected {expected}\n"
 
+    BLOCK = "a [rank, degree] block"
+
+    @pytest.mark.parametrize(
+        "types,expected",
+        [
+            ("[[5]]", f"TypeError: expected {BLOCK}, got int 5"),
+            ("[[[1]]]", f"ValueError: expected {BLOCK}, got [1]"),
+            ("[[[1, 2, 3]]]", f"ValueError: expected {BLOCK}, got [1, 2, 3]"),
+        ],
+        ids=["scalar-block", "short-block", "long-block"],
+    )
+    def test_block_of_two_entries(self, capsys, types, expected):
+        code, out, err = run(capsys, "polygons", "--types", types, "--out", os.devnull)
+        assert code == 1 and not out
+        assert err == expected + "\n"
+
+    POINT = "a point (an object with factors)"
+    FACTOR = "a factor (an object with y, c and phi)"
+
+    @pytest.mark.parametrize(
+        "point,expected",
+        [
+            ("[1]", f"{POINT}, got list [1]"),
+            ("5", f"{POINT}, got int 5"),
+            ('{"factors": [5]}', f"{FACTOR}, got int 5"),
+            ('{"factors": [[[1, 0, 0], [0, 1, 0]], 1, [[0, 0], [1, 0]]]}', f"{FACTOR}, got list [[1, 0, 0], [0, 1, 0]]"),
+        ],
+        ids=["list-point", "scalar-point", "scalar-factor", "list-factor"],
+    )
+    def test_json_value_for_an_object(self, capsys, point, expected):
+        # a list or a number where an object belongs is named, not left to
+        # Python's "list indices must be integers" or "not subscriptable"
+        code, out, err = run(capsys, "point-check", "--tau", "2,1", "--ranks", "1,1", "--point", point)
+        assert code == 1 and not out
+        assert err == f"TypeError: expected {expected}\n"
+
+    @pytest.mark.parametrize(
+        "corpus,expected",
+        [
+            ([], "a corpus (an object with points), got list []"),
+            ({"points": [5]}, "a corpus entry (an object with id, point and flag), got int 5"),
+        ],
+        ids=["list-corpus", "scalar-entry"],
+    )
+    def test_json_value_for_a_corpus_object(self, capsys, tmp_path, corpus, expected):
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps(corpus))
+        code, out, err = run(
+            capsys, "report", "--rank", "2", "--degree", "7", "--genus", "2",
+            "--corpus-file", str(corpus_path), "--out-prefix", str(tmp_path / "r"),
+        )
+        assert code == 1 and not out
+        assert err == f"TypeError: expected {expected}\n"
+
     def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(

@@ -254,6 +254,29 @@ class TestClassifyRank3:
             classify_rank3(tau_c, (3,))
 
 
+class TestTypeBlocks:
+    TYPE = "a type (a list of [rank, degree] blocks)"
+
+    @pytest.mark.parametrize(
+        "data,kind,message",
+        [
+            ([[1, 2]], TypeError, "expected a type (an object with rank_degree_pairs), got list [[1, 2]]"),
+            ({"rank_degree_pairs": 5}, TypeError, f"expected {TYPE}, got int 5"),
+            ({"rank_degree_pairs": [[1, 2], "12"]}, TypeError, "expected a [rank, degree] block, got str '12'"),
+            ({"rank_degree_pairs": [[1, 2], []]}, ValueError, "expected a [rank, degree] block, got []"),
+        ],
+        ids=["list-type", "scalar-pairs", "string-block", "empty-block"],
+    )
+    def test_from_json_names_the_block(self, data, kind, message):
+        with pytest.raises(kind) as exc:
+            HNType.from_json(data)
+        assert type(exc.value) is kind and str(exc.value) == message
+
+    def test_blocks_read_from_any_iterable(self):
+        tau = HNType(iter([iter([1, 4]), (1, 3)]))
+        assert tau.blocks == ((1, 4), (1, 3)) and HNType.from_json(tau.to_json()) == tau
+
+
 class TestCurveContext:
     def test_fractional_degree_refused(self):
         with pytest.raises(TypeError):  # it would give the section count m = 9.5

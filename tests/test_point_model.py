@@ -60,8 +60,8 @@ from higgsstrata.point_model import (
     _adapted_factors,
     _block_weight_set,
     _entry_keys,
-    _factor_support,
     _factor_values,
+    _first_reads,
     _table,
 )
 from higgsstrata.weight_lattice import enumerate_coordinate_indices
@@ -314,6 +314,22 @@ class TestHiggsData:
         with pytest.raises(InvariantViolation) as exc:
             from_higgs_data(h)
         assert exc.value.block_index == 1
+
+    def test_zero_factor_refused_before_any_flag(self):
+        # the point is built, refusing (c, phi) = (0, 0) as ModelPoint does,
+        # before any factor's flag is checked on its adapted form
+        y = [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]]
+        h = HiggsDatum(TAU43, CTX73_N2, (Factor(y, 1, [[2, 9], [0, 3]]), Factor(y, 0, [[0, 0], [0, 0]])))
+        with pytest.raises(ValueError) as exc:
+            from_higgs_data(h)
+        assert type(exc.value) is ValueError and str(exc.value) == "factor 2: (c, phi) must not be (0, 0)"
+
+    def test_one_gauge_per_factor(self):
+        # the flag is checked on the point's own adapted form, which step 2 reuses
+        factors = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors
+        beta = beta_of_type(TAU52, CTX73_N2)
+        run = lambda: verify_step2(from_higgs_data(HiggsDatum(TAU52, CTX73_N2, factors)), beta, CTX73_N2)
+        assert count_calls(run, point_model._gauged) == [2]
 
 
 class TestInputChecks:
@@ -1048,6 +1064,8 @@ class TestFactorTablesByDefinition:
     @given(_ring_factors())
     @settings(max_examples=150, deadline=None)
     def test_support_is_the_first_key_walk(self, case):
+        # step 1 keeps, per family, the pairs of ``_first_reads`` whose entry
+        # is nonzero (the det family only when c != 0, ``_live_families``)
         y, c, phi = case
         r, m = len(y), len(y[0])
         values = _factor_values(y, c, phi, m)
@@ -1055,8 +1073,11 @@ class TestFactorTablesByDefinition:
         for key, (fam, K, x, _) in _entry_keys(r, m).items():
             if (fam or c) and values[1 + fam][K][x - 1]:
                 want[fam].setdefault((K, x), key)
-        got = _factor_support(values, r, m)
-        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        got = [
+            [((K, x), key) for (K, x), key in reads if values[1 + fam][K][x - 1]] if fam or c else []
+            for fam, reads in enumerate(_first_reads(r, m))
+        ]
+        assert got == [list(d.items()) for d in want]
 
 
 def _or_degenerate(route, *args):
@@ -1129,8 +1150,21 @@ class TestStabilizerInvariance:
     @given(_single_factors())
     @settings(max_examples=100, deadline=None)
     def test_live_families_match_the_support(self, case):
+        # a family is live when every factor has a nonzero value in it, each
+        # value an entry of its tables times c or a sign (``_entry_keys``)
         p, _ = case
-        assert p._live_families == tuple(fam for fam in (0, 1) if all(s[fam] for s in p._support))
+        reads = _entry_keys(p.r, p.m).values()
+        supported = lambda fam, c, tables: any(
+            (sign if fam else c) * tables[fam][K][x - 1] for f, K, x, sign in reads if f == fam
+        )
+        want = tuple(fam for fam in (0, 1) if all(supported(fam, c, tables) for c, *tables in p._values))
+        assert p._live_families == want
+
+    def test_step1_caches_only_the_tables(self):
+        # step 1 walks the cached tables once per beta and keeps no support of its own
+        p = ModelPoint(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
+        verify_step1(p, beta_of_type(TAU52, CTX73_N2), CTX73_N2)
+        assert set(vars(p)) == {"factors", "_bases", "_values", "_live_families"}
 
     def test_builds_no_table(self):
         p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
@@ -1474,6 +1508,10 @@ class TestDirectDefinitionCrossChecks:
         for ctx in (r3, r3_n2):
             points = [build_flagged_point(tau3, ctx, rng), _sparsified(build_flagged_point(tau3, ctx, rng), rng)]
             cases.append((ctx, points, [beta_of_type(tau, ctx) for tau in (tau3, HNType(((1, 6), (2, 4))))]))
+        n3 = CurveContext(2, 7, genus=2, npoints=3)
+        points = [build_flagged_point(TAU43, n3, rng), _sparsified(build_flagged_point(TAU52, n3, rng), rng)]
+        points.append(ModelPoint(phi_zero.factors + c_zero.factors + flagged_point(3, [[2, 0], [5, 3]]).factors))
+        cases.append((n3, points, [beta_of_type(tau, n3) for tau in (TAU43, TAU52, HNType(((2, 7),)))]))
         compared = cut = degenerate = 0
         for ctx, points, betas in cases:
             for p, beta, limit in itertools.product(points, betas, (0, 1, 3, 16)):
