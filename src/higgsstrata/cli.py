@@ -316,9 +316,8 @@ def _cmd_report(args) -> None:
         data = objectlike(json.load(handle), "a corpus (an object with points)")
     corpus = []
     for entry in listlike(data["points"], "a list of corpus entries"):
-        entry = objectlike(entry, "a corpus entry (an object with id, point and flag)")
-        flag = FlagShape(tuple(listlike(entry["flag"], "a flag (a list of block sizes)")))
-        corpus.append((entry["id"], ModelPoint.from_json(entry["point"]), flag))
+        entry = objectlike(entry, "a corpus entry (an object with id and point)")
+        corpus.append((entry["id"], ModelPoint.from_json(entry["point"])))
     max_slope = frac(args.max_slope) if args.max_slope else None
     records = assemble(corpus, ctx, max_first_slope=max_slope)
     closure = closure_order_report(records)

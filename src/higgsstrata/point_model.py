@@ -897,8 +897,7 @@ def nilpotent_commutant_dim(flag: FlagShape, phis) -> int:
     for phi in mats:
         if len(phi) != r or (phi and len(phi[0]) != r):
             raise ValueError(f"matrices must be {r}x{r} for this flag")
-    positions = _lie_upper_positions(flag)
-    if not positions:
-        return 0
     identity = [[int(i == j) for j in range(r)] for i in range(r)]
-    return _invariance_nullity([(identity, tuple(range(r)), transpose(phi)) for phi in mats], positions)
+    return _invariance_nullity(
+        [(identity, tuple(range(r)), transpose(phi)) for phi in mats], _lie_upper_positions(flag)
+    )

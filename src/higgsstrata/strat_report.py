@@ -1,12 +1,14 @@
 """Stratum records: partitioning point corpora and cross-validating type tables.
 
-A corpus point is assigned to the unique nonzero candidate instability vector
-whose inequality locus contains it; points matching no nonzero candidate fall
-into the zero record (their locus conditions are vacuous for the zero vector,
-so literal uniqueness can only be asked of the nonzero candidates).  Within a
-nonzero record, points on the equality locus form a terminal graded record and
-the rest are refined by the unipotent stabiliser dimension.  Closure relations
-are reported, never asserted: they are invisible to finitely many points.
+A corpus is a list of (id, point) pairs.  Each point is assigned to the unique
+nonzero candidate instability vector whose inequality locus contains it; points
+matching no nonzero candidate fall into the zero record (their locus conditions
+are vacuous for the zero vector, so literal uniqueness can only be asked of the
+nonzero candidates).  Within a nonzero record, points on the equality locus
+form a terminal graded record and the rest are refined by the unipotent
+stabiliser dimension in the matched vector's own flag, so a corpus names no
+flag.  Closure relations are reported, never asserted: they are invisible to
+finitely many points.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 from .errors import AmbiguousMembership, UnclassifiedPoint
 from .hn_types import (
     CurveContext,
-    FlagShape,
     HNType,
     PolygonOrder,
     compare_polygon,
@@ -45,10 +46,13 @@ class StratumRecord:
     """
 
     beta: BetaVector
-    norm_sq: Fraction
     delta: int | None
     graded: bool
     member_ids: tuple
+
+    @property
+    def norm_sq(self) -> Fraction:
+        return self.beta.norm_sq
 
     def to_json(self) -> dict:
         return {
@@ -80,34 +84,28 @@ def default_beta_candidates(
     ]
 
 
-def assemble(
-    corpus,
-    ctx: CurveContext,
-    candidates: list[BetaVector] | None = None,
-    max_first_slope=None,
-) -> list[StratumRecord]:
-    """Partition a corpus of (id, point, flag) triples into stratum records.
+def assemble(corpus, ctx: CurveContext, max_first_slope=None) -> list[StratumRecord]:
+    """Partition a corpus of (id, point) pairs into stratum records.
 
-    Each point must match exactly one nonzero candidate (AmbiguousMembership
-    flags an inconsistent candidate list); points matching none go to the
-    zero record when the zero vector is among the candidates, else
-    UnclassifiedPoint is raised.  Matching a candidate means lying in its
-    inequality locus and also passing the blockwise torus
+    Each point must match exactly one nonzero candidate of
+    ``default_beta_candidates`` (AmbiguousMembership flags an inconsistent
+    candidate list); points matching none go to the zero record when the slope
+    bound admits it, else UnclassifiedPoint is raised.  Matching a candidate
+    means lying in its inequality locus and also passing the blockwise torus
     semistability of the retracted point: the inequality locus alone is not
     disjoint across candidates (a deeper graded point satisfies the locus
     conditions of shallower vectors too), and the semistable part of the
     equality locus is what separates the strata.  Nonzero records are refined
-    by stabiliser dimension, with equality-locus points collected in a
-    separate terminal graded record.  Records are sorted by norm, then
-    stabiliser index, graded records last.
+    by stabiliser dimension in the matched vector's own flag, with
+    equality-locus points collected in a separate terminal graded record.
+    Records are sorted by norm, then stabiliser index, graded records last.
     """
-    if candidates is None:
-        candidates = default_beta_candidates(ctx, max_first_slope)
+    candidates = default_beta_candidates(ctx, max_first_slope)
     nonzero = [b for b in candidates if not b.is_zero]
     zero = next((b for b in candidates if b.is_zero), None)
     buckets: dict[tuple, list] = {}  # (beta, delta, graded) -> member ids
 
-    for point_id, point, flag in corpus:
+    for point_id, point in corpus:
         matches = []
         for beta in nonzero:
             got = membership(point, beta, ctx)
@@ -124,17 +122,11 @@ def assemble(
         if got is not Membership.IN_Y_NOT_Z:
             key = (beta, None, got is Membership.IN_Z)
         else:
-            flag_shape = flag if isinstance(flag, FlagShape) else FlagShape(tuple(flag))
-            if flag_shape.block_sizes != beta.m_blocks:
-                raise ValueError(
-                    f"corpus flag {flag_shape.block_sizes} does not match the "
-                    f"matched vector's blocks {beta.m_blocks} for point {point_id!r}"
-                )
-            key = (beta, unipotent_stabilizer_dim(point, flag_shape, ctx), False)
+            key = (beta, unipotent_stabilizer_dim(point, beta.flag, ctx), False)
         buckets.setdefault(key, []).append(point_id)
 
     records = [
-        StratumRecord(beta, beta.norm_sq, delta, graded, tuple(ids))
+        StratumRecord(beta, delta, graded, tuple(ids))
         for (beta, delta, graded), ids in buckets.items()
     ]
     records.sort(

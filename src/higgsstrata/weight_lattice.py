@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import DEFAULT_INDEX_CAP, CapExceeded, NonPositiveBlockDimension
 from .hn_types import CurveContext, FlagShape, HNType
-from .linalg import Vec, clear_denominators, dot, frac, integer
+from .linalg import Vec, clear_denominators, dot, frac, integer, listlike, objectlike
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,12 @@ class CoordinateIndex:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoordinateIndex":
+        data = objectlike(data, "a coordinate index (an object with kind and subsets)")
+        subsets = listlike(data["subsets"], "a list of subsets")
         ij = data.get("ij")
-        return cls(
-            data["kind"],
-            tuple(tuple(s) for s in data["subsets"]),
-            tuple(tuple(p) for p in ij) if ij is not None else None,
-        )
+        if ij is not None:
+            ij = tuple(tuple(listlike(p, "an (i, j) pair")) for p in listlike(ij, "a list of (i, j) pairs"))
+        return cls(data["kind"], tuple(tuple(listlike(s, "a subset (a list of indices)")) for s in subsets), ij)
 
 
 def _validate_index(idx: CoordinateIndex, ctx: CurveContext) -> int:

@@ -341,26 +341,12 @@ def test_ac10_partition_and_cross_table():
     rng = random.Random(55)
     tau_a = HNType(((1, 4), (1, 3)))
     tau_b = HNType(((1, 5), (1, 2)))
-    corpus = []
-    for i, tau in enumerate([tau_a, tau_b]):
-        beta = beta_of_type(tau, ctx)
-        flag = FlagShape(beta.m_blocks)
-        for j in range(3):
-            graded = j == 2
-            corpus.append(
-                (
-                    f"{i}-{j}",
-                    build_flagged_point(tau, ctx, rng, graded=graded, general_position=True),
-                    flag,
-                )
-            )
-    corpus.append(
-        (
-            "ss",
-            ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),)),
-            FlagShape((5,)),
-        )
-    )
+    corpus = [
+        (f"{i}-{j}", build_flagged_point(tau, ctx, rng, graded=j == 2, general_position=True))
+        for i, tau in enumerate([tau_a, tau_b])
+        for j in range(3)
+    ]
+    corpus.append(("ss", ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),))))
     records = assemble(corpus, ctx, max_first_slope=5)
     ids = [x for rec in records for x in rec.member_ids]
     ok = ok and sorted(ids) == sorted(c[0] for c in corpus) and len(ids) == len(set(ids))

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import shlex
 import tempfile
 import time
 from fractions import Fraction as F
@@ -38,6 +39,16 @@ def run_json(capsys, *argv) -> dict:
     return json.loads(out)
 
 
+def flagged_point_json(m1: int, phi) -> dict:
+    """An r = 2, m = 5 point whose y splits the sections m1 + (5 - m1)."""
+    y = [[1] * m1 + [0] * (5 - m1), [0] * m1 + [1] * (5 - m1)]
+    return ModelPoint((Factor(y, 1, phi),)).to_json()
+
+
+SEMISTABLE = ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),)).to_json()
+REPORT_CTX = ["report", "--rank", "2", "--degree", "7", "--genus", "2"]
+
+
 @pytest.fixture
 def point_file(tmp_path):
     p = ModelPoint((Factor([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], 1, [[2, 0], [5, 3]]),))
@@ -62,6 +73,20 @@ class TestWorkedExamples:
     def test_minnorm_example(self, capsys):
         code, out, _ = run(capsys, "minnorm", "--points", "[[1,0],[0,1]]")
         assert code == 0 and out.strip() == "(1/2, 1/2)"
+
+    def test_readme_report_example(self, capsys, tmp_path, monkeypatch):
+        # the README's corpus file and report command, run verbatim
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        corpus = re.search(r"A corpus file for `report`.*?```json\n(.*?)\n```", readme, re.S)[1]
+        command = re.search(r"^higgsstrata (report .*\\\n.*)$", readme, re.M)[1]
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.json").write_text(corpus, encoding="utf-8")
+        code, out, err = run(capsys, *shlex.split(command.replace("\\\n", " ")))
+        assert (code, err) == (0, "")
+        assert out == "1 records over 1 points\nwrote out.json\nwrote out.csv\nwrote out.svg\n"
+        (record,) = json.loads(Path("out.json").read_text(encoding="utf-8"))["records"]
+        assert record["member_ids"] == ["a"]
+        assert HNType.from_json(record["beta"]["tau"]) == HNType(((1, 4), (1, 3)))
 
 
 class TestJsonRoundTrips:
@@ -163,11 +188,7 @@ class TestJsonRoundTrips:
         assert err == "ValueError: --cap applies only to --point\n"
 
     def test_report(self, capsys, tmp_path, point_file):
-        corpus = {
-            "points": [
-                {"id": "a", "point": json.loads(Path(point_file).read_text()), "flag": [3, 2]}
-            ]
-        }
+        corpus = {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text())}]}
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(corpus))
         prefix = str(tmp_path / "rep")
@@ -183,31 +204,56 @@ class TestJsonRoundTrips:
         assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.svg").exists()
 
     def test_report_svg_draws_the_distinct_types_in_row_order(self, capsys, tmp_path):
-        def flagged(m1, phi):
-            y = [[1] * m1 + [0] * (5 - m1), [0] * m1 + [1] * (5 - m1)]
-            return ModelPoint((Factor(y, 1, phi),)).to_json()
-
-        semistable = ModelPoint((Factor([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], 1, [[1, 2], [3, 4]]),))
         entries = [
-            ("g43", flagged(3, [[2, 0], [0, 3]]), [3, 2]),
-            ("f43", flagged(3, [[2, 0], [5, 3]]), [3, 2]),
-            ("f52", flagged(4, [[2, 0], [5, 3]]), [4, 1]),
-            ("ss", semistable.to_json(), [5]),
+            ("g43", flagged_point_json(3, [[2, 0], [0, 3]])),
+            ("f43", flagged_point_json(3, [[2, 0], [5, 3]])),
+            ("f52", flagged_point_json(4, [[2, 0], [5, 3]])),
+            ("ss", SEMISTABLE),
         ]
         corpus_path = tmp_path / "corpus.json"
-        corpus_path.write_text(json.dumps(
-            {"points": [{"id": i, "point": p, "flag": f} for i, p, f in entries]}
-        ))
+        corpus_path.write_text(json.dumps({"points": [{"id": i, "point": p} for i, p in entries]}))
         data = run_json(
-            capsys,
-            "report", "--rank", "2", "--degree", "7", "--genus", "2",
-            "--corpus-file", str(corpus_path), "--max-slope", "5",
+            capsys, *REPORT_CTX, "--corpus-file", str(corpus_path), "--max-slope", "5",
             "--out-prefix", str(tmp_path / "rep"), "--svg",
         )
         taus = [HNType.from_json(row["tau"]) for row in data["closure"]["rows"]]
         distinct = list(dict.fromkeys(taus))
         assert len(taus) > len(distinct) >= 3  # several records of one type
         assert (tmp_path / "rep.svg").read_text(encoding="utf-8") == polygon_svg(distinct)
+
+    def test_report_ignores_a_flag_key(self, capsys, tmp_path):
+        # each point's stabiliser is taken in the flag of the stratum it
+        # matches, so a "flag" key that is correct, wrong (blocks (4, 1) on a
+        # (3, 2) point), malformed or absent gives the same stdout and files
+        points = {
+            "f43": flagged_point_json(3, [[2, 0], [5, 3]]),
+            "f52": flagged_point_json(4, [[2, 0], [5, 3]]),
+            "ss": SEMISTABLE,
+        }
+        variants = [
+            {"f43": [3, 2], "f52": [4, 1], "ss": [5]},
+            {"f43": [4, 1], "f52": [5], "ss": [3, 2]},
+            dict.fromkeys(points, 5),
+            dict.fromkeys(points, [2.9, 3.2]),
+            {},
+        ]
+        corpus_path, prefix = tmp_path / "corpus.json", str(tmp_path / "rep")
+        outputs = set()
+        for flags in variants:
+            corpus_path.write_text(json.dumps({"points": [
+                {"id": i, "point": p, **({"flag": flags[i]} if flags else {})} for i, p in points.items()
+            ]}))
+            stdout = []
+            for mode in ([], ["--json"]):
+                code, out, err = run(
+                    capsys, *REPORT_CTX, "--corpus-file", str(corpus_path), "--max-slope", "5",
+                    "--out-prefix", prefix, "--svg", *mode,
+                )
+                assert (code, err) == (0, ""), flags
+                stdout.append(out)
+            files = [Path(prefix + ext).read_bytes() for ext in (".json", ".csv", ".svg")]
+            outputs.add((*stdout, *files))
+        assert len(outputs) == 1
 
     def test_every_json_payload_carries_schema(self, capsys, point_file):
         invocations = [
@@ -721,13 +767,10 @@ class TestMalformedInput:
         "points,expected",
         [
             (5, "a list of corpus entries, got int 5"),
-            ([{"id": "a", "flag": 5}], "a flag (a list of block sizes), got int 5"),
         ],
-        ids=["scalar-points", "scalar-flag"],
+        ids=["scalar-points"],
     )
-    def test_scalar_for_a_corpus_list(self, capsys, tmp_path, point_file, points, expected):
-        if isinstance(points, list):
-            points[0]["point"] = json.loads(Path(point_file).read_text())
+    def test_scalar_for_a_corpus_list(self, capsys, tmp_path, points, expected):
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps({"points": points}))
         code, out, err = run(
@@ -777,7 +820,7 @@ class TestMalformedInput:
         "corpus,expected",
         [
             ([], "a corpus (an object with points), got list []"),
-            ({"points": [5]}, "a corpus entry (an object with id, point and flag), got int 5"),
+            ({"points": [5]}, "a corpus entry (an object with id and point), got int 5"),
         ],
         ids=["list-corpus", "scalar-entry"],
     )
@@ -790,18 +833,6 @@ class TestMalformedInput:
         )
         assert code == 1 and not out
         assert err == f"TypeError: expected {expected}\n"
-
-    def test_non_integer_report_flag(self, capsys, tmp_path, point_file):
-        corpus_path = tmp_path / "corpus.json"
-        corpus_path.write_text(json.dumps(
-            {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text()), "flag": [2.9, 3.2]}]}
-        ))
-        code, out, err = run(
-            capsys, "report", "--rank", "2", "--degree", "7", "--genus", "2",
-            "--corpus-file", str(corpus_path), "--out-prefix", str(tmp_path / "r"),
-        )
-        assert code == 1 and not out
-        assert re.fullmatch(r"TypeError: .*\n", err), err
 
     def test_unbounded_slope_hits_type_cap(self, capsys):
         start = time.monotonic()
@@ -835,9 +866,9 @@ class TestMalformedInput:
         # every block slope must exceed genus - 1, which bounds the first slope
         corpus_path = tmp_path / "corpus.json"
         corpus_path.write_text(json.dumps(
-            {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text()), "flag": [3, 2]}]}
+            {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text())}]}
         ))
-        common = ["report", "--rank", "2", "--degree", "7", "--genus", "2", "--corpus-file", str(corpus_path)]
+        common = [*REPORT_CTX, "--corpus-file", str(corpus_path)]
         start = time.monotonic()
         huge = run_json(capsys, *common, "--max-slope", "1e9", "--out-prefix", str(tmp_path / "a"))
         assert time.monotonic() - start < 10

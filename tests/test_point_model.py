@@ -1323,6 +1323,15 @@ class TestNilpotentCommutant:
         with pytest.raises(ValueError):
             nilpotent_commutant_dim(FLAG11, [[[1]]])
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_one_block_flag_has_no_lowering_maps(self, r, count):
+        # no strictly upper block positions: the nullity over none is 0
+        flag = FlagShape((r,))
+        rng = random.Random(r * 10 + count)
+        phis = [[[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)] for _ in range(count)]
+        assert nilpotent_commutant_dim(flag, phis) == nilpotent_commutant_dim_dense_oracle(flag, phis) == 0
+
     def test_dense_oracle_agreement(self):
         rng = random.Random(7)
         for _ in range(40):

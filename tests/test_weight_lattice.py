@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 import time
 from fractions import Fraction as F
 
@@ -343,6 +344,18 @@ class TestRationalJson:
     )
     def test_non_integer_index_refused(self, data):
         with pytest.raises(TypeError):
+            CoordinateIndex.from_json(data)
+
+    @pytest.mark.parametrize(
+        "data,expected",
+        [
+            ([1], "a coordinate index (an object with kind and subsets), got list [1]"),
+            ({"kind": "det", "subsets": 5}, "a list of subsets, got int 5"),
+        ],
+        ids=["list-index", "scalar-subsets"],
+    )
+    def test_index_of_the_wrong_shape_is_named(self, data, expected):
+        with pytest.raises(TypeError, match=re.escape(f"expected {expected}")):
             CoordinateIndex.from_json(data)
 
     def test_norm_sq_helper(self):
