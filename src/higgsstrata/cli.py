@@ -18,19 +18,24 @@ unit, and ``stabdim --phis``, reading its defaulted context flags only with
 enumeration stops past 200,000 types; ``point-check --step2`` takes any
 ``--lambda-bound`` >= 0, the trace identity being decided in closed form.  JSON
 nested too deeply to parse is a domain error, ``RecursionError``.
+
+Each verb runs in a fresh process, where import costs more than most
+requests, so this module imports at top level only what parsing and output
+need (``errors``, ``hn_types``, ``linalg``, ``weight_lattice``).  A verb
+imports ``minnorm``, ``point_model``, ``strat_report``, ``svg`` or ``csv``
+itself, when it runs: ``index-set`` loads none of the last four, and no verb
+loads ``oracles``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import svg as svg_mod
 from .errors import DEFAULT_INDEX_CAP, HiggsStrataError
 from .hn_types import (
     CurveContext,
@@ -41,16 +46,6 @@ from .hn_types import (
     enumerate_hn_types,
 )
 from .linalg import frac, listlike, objectlike
-from .minnorm import PointCloud, index_set_B, min_norm_point
-from .point_model import (
-    ModelPoint,
-    coordinates,
-    nilpotent_commutant_dim,
-    unipotent_stabilizer_dim,
-    verify_step1,
-    verify_step2,
-)
-from .strat_report import assemble, closure_order_report, compat_cross_table
 from .weight_lattice import beta_of_type, rational_to_json
 
 
@@ -154,6 +149,8 @@ def _cmd_beta(args) -> None:
 
 
 def _cmd_compat(args) -> None:
+    from .strat_report import compat_cross_table
+
     base = CurveContext(1, 0, args.genus, 0, args.npoints)
     report = compat_cross_table(
         base,
@@ -171,6 +168,8 @@ def _cmd_compat(args) -> None:
 
 
 def _cmd_minnorm(args) -> None:
+    from .minnorm import PointCloud, min_norm_point
+
     cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
     v = min_norm_point(cloud)
     payload = lambda: {"schema": "higgsstrata.minnorm/1", "point": [rational_to_json(x) for x in v]}
@@ -178,6 +177,8 @@ def _cmd_minnorm(args) -> None:
 
 
 def _cmd_index_set(args) -> None:
+    from .minnorm import PointCloud, index_set_B
+
     cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
     reps = index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
     payload = lambda: {
@@ -187,15 +188,11 @@ def _cmd_index_set(args) -> None:
     _emit(args, payload, lambda: [_vec_str(v) for v in reps])
 
 
-def _load_point(args) -> ModelPoint:
-    return ModelPoint.from_json(
-        _load_json_arg(args.point, args.point_file, "point")
-    )
-
-
 def _cmd_point_coords(args) -> None:
+    from .point_model import ModelPoint, coordinates
+
     ctx = _ctx_from(args)
-    point = _load_point(args)
+    point = ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
     table = coordinates(point, ctx, cap=_cap(args))
     support = table.support()
     payload = lambda: {
@@ -216,8 +213,10 @@ def _cmd_point_coords(args) -> None:
 
 
 def _cmd_point_check(args) -> None:
+    from .point_model import ModelPoint, verify_step1, verify_step2
+
     ctx, beta = _type_beta(args)
-    point = _load_point(args)
+    point = ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
     report = verify_step1(point, beta, ctx)
     got = report.membership
     s2 = verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound) if args.step2 else None
@@ -267,6 +266,8 @@ def _cmd_point_check(args) -> None:
 
 
 def _cmd_stabdim(args) -> None:
+    from .point_model import ModelPoint, nilpotent_commutant_dim, unipotent_stabilizer_dim
+
     flag = FlagShape(tuple(_parse_int_list(args.blocks)))
     phis = args.phis is not None or args.phis_file is not None
     if phis and (args.point is not None or args.point_file is not None):
@@ -279,7 +280,8 @@ def _cmd_stabdim(args) -> None:
     else:
         kind = "unipotent_stabilizer"
         ctx = _ctx_from(args)
-        dim = unipotent_stabilizer_dim(_load_point(args), flag, ctx, cap=_cap(args))
+        point = ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
+        dim = unipotent_stabilizer_dim(point, flag, ctx, cap=_cap(args))
     _emit(args, lambda: {"schema": "higgsstrata.stabdim/1", "kind": kind, "dim": dim}, lambda: [str(dim)])
 
 
@@ -299,9 +301,11 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_polygons(args) -> None:
+    from .svg import emit_polygon_svg
+
     data = _load_json_arg(args.types, args.types_file, "types")
     types = [HNType(blocks) for blocks in listlike(data, "a list of types")]
-    doc = svg_mod.emit_polygon_svg(types, args.out)
+    doc = emit_polygon_svg(types, args.out)
     payload = lambda: {
         "schema": "higgsstrata.polygons/1",
         "path": args.out,
@@ -311,6 +315,12 @@ def _cmd_polygons(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    import csv
+
+    from .point_model import ModelPoint
+    from .strat_report import assemble, closure_order_report
+    from .svg import emit_polygon_svg
+
     ctx = _ctx_from(args)
     with open(args.corpus_file, "r", encoding="utf-8") as handle:
         data = objectlike(json.load(handle), "a corpus (an object with points)")
@@ -336,7 +346,7 @@ def _cmd_report(args) -> None:
     written = [json_path, csv_path]
     if args.svg:
         svg_path = args.out_prefix + ".svg"
-        svg_mod.emit_polygon_svg(list(closure.types), svg_path)
+        emit_polygon_svg(list(closure.types), svg_path)
         written.append(svg_path)
     _emit(
         args,

@@ -47,6 +47,14 @@ def ratio(x) -> tuple[int, int]:
     bools are refused, also as a dict's num or den, not rounded, and so is a
     string whose exponent exceeds ``sys.get_int_max_str_digits()`` in magnitude:
     Fraction would build 10 to that power, which the digit limit never sees.
+
+    A str in the plain form -?[0-9]+(/[0-9]+)? with a nonzero den, what the
+    CLI's clouds and ``str(Fraction)`` carry, is read by ``_plain`` with ``int``
+    alone, before the abstract-class Fraction test, with no regular expression
+    and no Fraction.  Fraction's syntax reads that form the same way, digits
+    then den by ``int``, so an over-long entry raises the same digit-limit
+    error; every other string, '1/0' too, takes the Fraction route, so no
+    message changes.
     """
     # A dict, the JSON form of every point entry, is tested first: it is none
     # of the other types, and the Fraction test is an abstract-class check.
@@ -57,6 +65,8 @@ def ratio(x) -> tuple[int, int]:
             return num // g, den // g
     elif type(x) is int:
         return x, 1
+    elif type(x) is str and (plain := _plain(x)):
+        return plain
     elif isinstance(x, Fraction):
         return x.numerator, x.denominator
     else:
@@ -71,6 +81,21 @@ def ratio(x) -> tuple[int, int]:
         except ZeroDivisionError:
             pass
     raise ValueError(f"rational {x!r} has a zero denominator")
+
+
+def _plain(text: str) -> tuple[int, int] | None:
+    """(num, den) in lowest terms of a str -?[0-9]+(/[0-9]+)? with den != 0, else
+    None; the digits are read before the den, as ``Fraction`` reads them."""
+    head, slash, tail = text.partition("/")
+    sign = -1 if head[:1] == "-" else 1
+    digits = head[1:] if sign < 0 else head
+    if not (digits.isascii() and digits.isdigit()) or slash and not (tail.isascii() and tail.isdigit()):
+        return None
+    num, den = int(digits), int(tail) if slash else 1
+    if not den:
+        return None
+    g = math.gcd(num, den)
+    return sign * num // g, den // g
 
 
 def frac(x) -> Fraction:
@@ -307,9 +332,10 @@ class EchelonAccumulator:
     Rows are fed one at a time; only independent rows are kept, so the memory
     footprint is bounded by the width, not by the stream length.  It is
     fraction-free (Bareiss 1968): a row w is cleared of denominators once,
-    and each kept row r with pivot p turns it into r[p] w - w[p] r divided
-    by its gcd.  A kept row is a primitive int row, zero at every earlier
-    kept row's pivot.
+    unless every entry is already an int (the stabiliser's rows, ``rank`` of
+    int rows), and each kept row r with pivot p turns it into r[p] w - w[p] r
+    divided by its gcd.  A kept row is a primitive int row, zero at every
+    earlier kept row's pivot.
     """
 
     def __init__(self, width: int):
@@ -319,7 +345,7 @@ class EchelonAccumulator:
 
     def add(self, row: Sequence[Fraction]) -> bool:
         """Keep the row if it is independent of the kept rows; say whether it was."""
-        work = clear_denominators(row)[0]
+        work = row if all(type(x) is int for x in row) else clear_denominators(row)[0]
         for r, p in zip(self._rows, self._pivots):
             f = work[p]
             if f:

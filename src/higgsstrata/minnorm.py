@@ -309,13 +309,14 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
 
     The certificate <p, x> >= <x, x> for p in S reads, at x = X / (delta D),
     delta <P, X> >= <X, X>: ``_certified`` on the one set S, all integers.
-    ``Fraction`` is built only for the emitted points, once per distinct
-    (X, delta) in lowest terms.
 
     Results are deduplicated and, with ``restrict_to_chamber``, replaced by
     their weakly decreasing rearrangement, dropping those whose largest
     coordinate is negative (a nonzero trace-free closest point has a
-    positive one).  Sorted.
+    positive one).  Sorted, on ints: each distinct (X, delta) in lowest terms
+    by [a (L // delta) for a in X], L the lcm of the deltas, which is the
+    point times L D > 0, so the order is that of the points.  ``Fraction`` is
+    built only for the emitted points, once per entry, after sorting.
     """
     cloud = _as_cloud(weights)
     P, D = sorted(set(cloud.P)), cloud.D
@@ -350,4 +351,6 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     if restrict_to_chamber:
         chamber = ((tuple(sorted(X, reverse=True)), delta) for X, delta in found)
         found = {(X, delta) for X, delta in chamber if not (X and X[0] < 0)}
-    return sorted(tuple(Fraction(a, delta * D) for a in X) for X, delta in found)
+    L = math.lcm(*(delta for _, delta in found))
+    ordered = sorted(found, key=lambda node: [a * (L // node[1]) for a in node[0]])
+    return [tuple(Fraction(a, delta * D) for a in X) for X, delta in ordered]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -149,11 +149,16 @@ def _check_factor_shape(f: Factor, k: int, r: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A point of the product of extended Grassmannians, one factor per point."""
+    """A point of the product of extended Grassmannians, one factor per point.
+
+    ``_bases``, the factors' pivot columns (``full_row_rank``), is for a caller
+    that has found them already, so that no factor's minors are searched twice.
+    """
 
     factors: tuple[Factor, ...]
+    _bases: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _bases):
         factors = _as_factors(self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
@@ -164,7 +169,7 @@ class ModelPoint:
         bases = []  # per factor, the pivot columns of y, for ``_kernel`` and ``_adapted``
         for k, f in enumerate(factors, start=1):
             _check_factor_shape(f, k, r, m)
-            bases.append(full_row_rank(f.Y))
+            bases.append(full_row_rank(f.Y) if _bases is None else _bases[k - 1])
             if bases[-1] is None:
                 raise ValueError(f"factor {k}: y does not have full row rank")
             if not f.C and not any(map(any, f.Phi)):
@@ -651,17 +656,20 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
     flag; the result is guaranteed to satisfy the step-1 inequalities for the
     instability vector of its type (given an equality witness, e.g. for
     finite points).  Flags are checked on the point's ``_adapted`` form, which
-    step 2 reuses, after ``ModelPoint`` has refused any (c, phi) = (0, 0).
+    step 2 reuses, after ``ModelPoint`` has refused any (c, phi) = (0, 0); the
+    rank checks' pivot columns are handed to it, one minor search per factor.
     """
     beta = beta_of_type(h.tau, h.ctx)
     cuts = beta.flag.cuts
     if len(h.factors) != h.ctx.npoints:
         raise ValueError("factor count does not match the context")
+    bases = []
     for k, f in enumerate(h.factors, start=1):
         _check_factor_shape(f, k, h.ctx.rank, beta.m)
-        if full_row_rank(f.Y) is None:
+        bases.append(full_row_rank(f.Y))
+        if bases[-1] is None:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-    p = ModelPoint(h.factors)
+    p = ModelPoint(h.factors, bases)
     for k, ((_, _, phi), _, B) in enumerate(p._adapted, start=1):
         _check_flag_adapted(phi, _image_dims(B, cuts), k, h.tau)
     return p

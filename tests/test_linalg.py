@@ -3,6 +3,7 @@ without elimination."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from higgsstrata.linalg import (
     EchelonAccumulator,
     adjugate,
@@ -70,10 +72,11 @@ class TestIntInput:
         fracs = tuple(tuple(F(x) for x in row) for row in rows)
         assert nullspace(ints) == nullspace(fracs)
         assert all(_fractions_only(v) for v in nullspace(ints))
-        acc = EchelonAccumulator(3)
-        for row in ints:
-            acc.add(row)
-        assert acc.rank == rank(fracs)
+        # int rows skip clear_denominators and keep the rows Fraction rows keep
+        acc, acc_fracs = EchelonAccumulator(3), EchelonAccumulator(3)
+        assert count_calls(lambda: [acc.add(row) for row in ints], clear_denominators) == [0]
+        assert count_calls(lambda: [acc_fracs.add(row) for row in fracs], clear_denominators) == [len(rows)]
+        assert acc.rank == rank(fracs) and (acc._rows, acc._pivots) == (acc_fracs._rows, acc_fracs._pivots)
 
 
 _INTS = st.integers(-5, 5)
@@ -396,6 +399,26 @@ REFUSALS = [
 ]
 
 
+def _reads_or_refuses(text: str) -> None:
+    with contextlib.suppress(ValueError):
+        ratio(text)
+
+
+@st.composite
+def _plain_and_near(draw) -> str:
+    """Strings of the form -?[0-9]+(/[0-9]+)? and near it: leading zeros,
+    zero dens, non-ASCII digits, digit runs about the int digit limit, a sign,
+    underscore, space, decimal or exponent added."""
+    digits = st.one_of(
+        st.from_regex(r"[0-9]{1,12}", fullmatch=True),
+        st.sampled_from(["0", "00", "007", "1_0", "\u0663", "\uff15", "4\U0001d7d7", "\u00b2"]),
+        st.integers(_LIMIT - 1, _LIMIT + 2).map(lambda n: "1" * n),
+    )
+    num, den = draw(digits), draw(st.one_of(st.none(), digits))
+    body = draw(st.sampled_from(["", "-", "+", "--"])) + num + ("" if den is None else "/" + den)
+    return draw(st.sampled_from([body, body, f" {body}", f"{body}\n", f"{body}.5", f"{body}e-3", f"{body}/2"]))
+
+
 class TestReader:
     """``ratio`` against ``Fraction``: (num, den) in lowest terms, den > 0."""
 
@@ -412,23 +435,43 @@ class TestReader:
             assert ratio(entry) == (want.numerator, want.denominator)
             assert frac(entry) == want
 
-    @given(_fraction_syntax())
+    @given(st.one_of(_fraction_syntax(), _plain_and_near()))
     @example("3 / 4")
     @example("-1_000.5e-2 ")
     @example("0/0")
+    @example("-0")
+    @example("007/0140")
+    @example("1/0")
+    @example("\u0663/\uff15")  # Arabic-Indic 3 over fullwidth 5
+    @example("2\u00b2")  # a superscript is a digit to str.isdigit, not to int or Fraction
+    @example("-" + "9" * (_LIMIT + 1))
+    @example("1/" + "9" * (_LIMIT + 1))
+    @example("9" * (_LIMIT + 1) + "/0")
+    @example("9" * (_LIMIT + 1) + "/" + "9" * (_LIMIT + 2))  # the digits are read first
+    @settings(max_examples=300, deadline=None)
     def test_strings(self, text):
+        # the int-only route for -?[0-9]+(/[0-9]+)? and the Fraction route
+        # against Fraction's syntax: the same (num, den), or the same
+        # exception type and message
         try:
             want = F(text)
         except ZeroDivisionError:
-            with pytest.raises(ValueError, match=r"^rational .* has a zero denominator$"):
+            with pytest.raises(ValueError) as got:
                 ratio(text)
+            assert str(got.value) == f"rational {text!r} has a zero denominator"
         except ValueError as refusal:
             with pytest.raises(ValueError) as got:
                 ratio(text)
-            assert str(got.value) == str(refusal)
+            assert type(got.value) is ValueError and str(got.value) == str(refusal)
         else:
             assert ratio(text) == (want.numerator, want.denominator)
             assert frac(text) == want
+
+    def test_plain_strings_build_no_fraction(self):
+        plain = ["-3/2", "007", "-0", "10/4", "0/9"]
+        assert count_calls(lambda: [ratio(text) for text in plain], F.__new__) == [0]
+        for text in ("1/0", " 3", "+3", "1_0", "0.5", "\u0663"):  # Fraction's syntax reads these
+            assert count_calls(lambda: _reads_or_refuses(text), F.__new__) == [1], text
 
     @given(st.fractions())
     def test_fractions(self, q):

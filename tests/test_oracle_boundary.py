@@ -56,13 +56,14 @@ def test_exported_oracles_are_defined_in_the_oracles_module():
         for node in _tree("oracles.py").body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    sources = {}
-    for node in _tree("__init__.py").body:
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                sources[alias.asname or alias.name] = (node.level, node.module)
+    # the package re-exports lazily, each name from the submodule its
+    # ``_SOURCES`` map gives, and imports no submodule itself
+    init = _tree("__init__.py").body
+    (table,) = [node.value for node in init if isinstance(node, ast.Assign) and _name(node.targets[0]) == "_SOURCES"]
+    sources = {name: module for module, names in ast.literal_eval(table).items() for name in names}
+    assert not [node for node in init if isinstance(node, (ast.Import, ast.ImportFrom))]
     for name in sorted(EXPORTED_ORACLES):
-        assert sources.get(name) == (1, "oracles"), f"{name} is not exported from .oracles"
+        assert sources.get(name) == "oracles", f"{name} is not exported from .oracles"
         assert name in defined, f"{name} is not defined in oracles.py"
     # and no answer module keeps a second copy of any oracle
     for path in sorted(PACKAGE.glob("*.py")):

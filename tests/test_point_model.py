@@ -324,6 +324,18 @@ class TestHiggsData:
             from_higgs_data(h)
         assert type(exc.value) is ValueError and str(exc.value) == "factor 2: (c, phi) must not be (0, 0)"
 
+    def test_one_minor_search_per_factor(self):
+        # the rank checks' pivot columns go to ModelPoint: N = 2 searches 2, not 4
+        h = HiggsDatum(TAU52, CTX73_N2, build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
+        assert count_calls(lambda: from_higgs_data(h), full_row_rank) == [2]
+
+    def test_rank_refused_before_a_zero_factor(self):
+        # every factor's rank is checked before any factor's (c, phi)
+        y, low = [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], [[1, 1, 1, 0, 0], [2, 2, 2, 0, 0]]
+        h = HiggsDatum(TAU43, CTX73_N2, (Factor(y, 0, [[0, 0], [0, 0]]), Factor(low, 1, [[2, 0], [5, 3]])))
+        with pytest.raises(InvariantViolation, match="factor 2: y does not have full row rank$"):
+            from_higgs_data(h)
+
     def test_one_gauge_per_factor(self):
         # the flag is checked on the point's own adapted form, which step 2 reuses
         factors = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors
@@ -481,8 +493,11 @@ class TestIntegerForm:
         }]}
         watched = (F.__new__, EchelonAccumulator.add, rank)
         assert count_calls(lambda: ModelPoint.from_json(point), *watched) == [0, 0, 0]
+        # plain "p/q" strings are read on ints too; a decimal takes Fraction's syntax
         text = {"factors": [{"y": [["1/2", 1, 0], [0, "-3", 1]], "c": 1, "phi": [[0, 0], [1, 0]]}]}
-        assert count_calls(lambda: ModelPoint.from_json(text), F.__new__)[0] == 2  # the counter sees Fraction
+        assert count_calls(lambda: ModelPoint.from_json(text), *watched) == [0, 0, 0]
+        text["factors"][0]["y"][0][0] = "0.5"
+        assert count_calls(lambda: ModelPoint.from_json(text), F.__new__)[0] == 1  # the counter sees Fraction
 
 
 class TestStep1:
