@@ -47,5 +47,5 @@ for a, b, polygon_order, norm_order in report.pairs:
     print(f"  {a} vs {b}: polygon {polygon_order.value}, norm {norm_order}")
 
 # The two candidate constructions never contradict each other at desk scale.
-table = compat_cross_table(CurveContext(1, 0), 3, range(1, 13), range(0, 3))
+table = compat_cross_table(3, range(1, 13), range(0, 3))
 print(f"cross-table: {table.checked} pairs checked, {len(table.violations)} violations")

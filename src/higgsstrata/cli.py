@@ -151,20 +151,14 @@ def _cmd_beta(args) -> None:
 def _cmd_compat(args) -> None:
     from .strat_report import compat_cross_table
 
-    base = CurveContext(1, 0, args.genus, 0, args.npoints)
     report = compat_cross_table(
-        base,
-        args.rank_max,
-        range(args.d_min, args.d_max + 1),
-        range(args.degl_min, args.degl_max + 1),
+        args.rank_max, range(args.d_min, args.d_max + 1), range(args.degl_min, args.degl_max + 1)
     )
-
-    def lines():
-        yield f"checked {report.checked} pairs, {len(report.violations)} violations"
-        for v in report.violations:
-            yield f"violation: r={v.rank} d={v.degree} degL={v.deg_line} {v.tau} {v.mu}"
-
-    _emit(args, lambda: {"schema": "higgsstrata.compat/1", **report.to_json()}, lines)
+    _emit(
+        args,
+        lambda: {"schema": "higgsstrata.compat/1", **report.to_json()},
+        lambda: [f"checked {report.checked} pairs, {len(report.violations)} violations"],
+    )
 
 
 def _cmd_minnorm(args) -> None:
@@ -394,8 +388,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--degl-min", type=int, default=0)
     p.add_argument("--degl-max", type=int, required=True)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--npoints", type=int, default=1)
     p.set_defaults(func=_cmd_compat)
 
     p = subs.add_parser("minnorm", help="minimum-norm point of a hull")

@@ -13,7 +13,7 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -339,19 +339,16 @@ def first_slope_bound(mu: HNType, ctx: CurveContext) -> Fraction:
     return general_first_slope_bound(mu, ctx)
 
 
-def t_mu_candidates(mu: HNType, ctx: CurveContext, max_first_slope=None) -> list[HNType]:
+def t_mu_candidates(mu: HNType, ctx: CurveContext) -> list[HNType]:
     """Finite superset of underlying types compatible with the Higgs type mu.
 
     These are necessary-condition candidates, not certified realizable types.
     The bound is the sharper average-slope one for the semistable mu and the
-    general one otherwise; an optional ``max_first_slope`` intersects further.
+    general one otherwise.
     """
     if (mu.rank, mu.degree) != (ctx.rank, ctx.degree):
         raise AmbientMismatch("type does not match the context's (rank, degree)")
-    bound = first_slope_bound(mu, ctx)
-    if max_first_slope is not None:
-        bound = min(bound, frac(max_first_slope))
-    return enumerate_hn_types(ctx, bound)
+    return enumerate_hn_types(ctx, first_slope_bound(mu, ctx))
 
 
 class Rank3Kind(Enum):
@@ -435,34 +432,34 @@ def u_tau_candidates(tau: HNType, ctx: CurveContext) -> CandidateSet:
     """
     if (tau.rank, tau.degree) != (ctx.rank, ctx.degree):
         raise AmbientMismatch("type does not match the context's (rank, degree)")
+    return _u_tau(tau, ctx, lambda: enumerate_hn_types(ctx, tau.top_slope))
+
+
+def _u_tau(tau: HNType, ctx: CurveContext, types) -> CandidateSet:
+    """``u_tau_candidates`` read off ``types()``, the sorted enumeration at any
+    bound >= tau's top slope, called only past the degree-0 and rank-2 rules.
+
+    Sorted by slope vector, the list is sorted by top slope: the types of top
+    slope <= tau's are its prefix up to ``bisect_right``, headed by the
+    semistable type, the only one of top slope d/r, the least.  Past the head,
+    ``first_slope_bound(mu, ctx)`` is mu's top slope plus a constant and rises
+    along the list, so the mu whose bound admits tau are a suffix of the
+    prefix, from ``bisect_left`` on that key; the head is tested on its own.
+    The rank-3 table, a filter too, comes last."""
     r, d, deg_line = ctx.rank, ctx.degree, ctx.deg_line
-
-    if deg_line == 0:
+    if deg_line == 0 or r == 2 and (tau.is_semistable or 2 * tau.blocks[0][1] > d + deg_line):
         return CandidateSet((tau,), sharp=True)
-
     if r == 2:
-        if tau.is_semistable:
-            return CandidateSet((tau,), sharp=True)
-        mu0 = HNType.semistable(r, d)
-        d1 = tau.blocks[0][1]
-        if Fraction(d1) > Fraction(d + deg_line, 2):
-            return CandidateSet((tau,), sharp=True)
-        return CandidateSet((mu0, tau), sharp=True)
-
-    cands = enumerate_hn_types(ctx, tau.top_slope)
-    if r == 3:
-        kept = []
-        for mu in cands:
-            verdict = classify_rank3(tau.composition, mu.composition)
-            if verdict.kind is Rank3Kind.FORBIDDEN:
-                continue
-            if verdict.kind is Rank3Kind.FORCED_EQUAL and mu.blocks != tau.blocks:
-                continue
-            kept.append(mu)
-        cands = kept
-    # Reverse necessary condition: tau must lie under mu's own first-slope bound.
-    bound_ok = tuple(mu for mu in cands if tau.top_slope <= first_slope_bound(mu, ctx))
-    return CandidateSet(bound_ok, sharp=r <= 3)
+        return CandidateSet((HNType.semistable(r, d), tau), sharp=True)
+    types, top = types(), tau.top_slope
+    end = bisect_right(types, top, key=lambda mu: mu.top_slope)
+    start = bisect_left(types, top, 1, end, key=lambda mu: first_slope_bound(mu, ctx))
+    head = types[:1] if top <= first_slope_bound(types[0], ctx) else []
+    cands = head + types[start:end]
+    if r == 3:  # FORCED_EQUAL, the table's diagonal verdict, keeps mu = tau alone
+        cands = [mu for mu in cands
+                 if mu == tau or classify_rank3(tau.composition, mu.composition).kind is Rank3Kind.ALLOWED]
+    return CandidateSet(tuple(cands), sharp=r <= 3)
 
 
 @dataclass(frozen=True)

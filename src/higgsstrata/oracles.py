@@ -19,6 +19,10 @@ another road, compared with zero tolerance in the tests:
 - ``adapted_flag_basis`` checks the basis that ``point_model`` writes each
   factor in, y on the columns of ``linalg.full_row_rank``, by eliminating
   y's columns in order (``EchelonAccumulator``) flag step by flag step.
+- ``u_tau_candidates_literal`` checks ``hn_types.u_tau_candidates`` (a
+  bisection of one sorted list) by enumerating at tau's top slope and
+  testing ``first_slope_bound`` on every mu; ``compat_pairs`` checks the
+  count of ``strat_report.compat_cross_table`` by re-testing every pair.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_INDEX_CAP, DegeneratePoint, HiggsStrataError
-from .hn_types import CurveContext, FlagShape
+from .hn_types import (CandidateSet, CurveContext, FlagShape, HNType, Rank3Kind, classify_rank3,
+                       enumerate_hn_types, first_slope_bound, general_first_slope_bound)
 from .linalg import (
     EchelonAccumulator, Mat, Vec, _echelon, dot, mat, nullspace, rank, solve_unique, transpose, vec,
 )
@@ -255,3 +260,34 @@ def nilpotent_commutant_dim_dense_oracle(flag: FlagShape, phis) -> int:
     if not lowering or not commutant:
         return 0
     return len(commutant) + len(lowering) - rank(tuple(commutant) + tuple(lowering))
+
+
+def u_tau_candidates_literal(tau: HNType, ctx: CurveContext) -> CandidateSet:
+    """``u_tau_candidates`` by its definition: the degree-0 and rank-2 rules,
+    else the types of top slope <= tau's, the rank-3 table, then every mu
+    whose ``first_slope_bound`` admits tau."""
+    r, d, deg_line = ctx.rank, ctx.degree, ctx.deg_line
+    if deg_line == 0 or r == 2 and (tau.is_semistable or Fraction(tau.blocks[0][1]) > Fraction(d + deg_line, 2)):
+        return CandidateSet((tau,), sharp=True)
+    if r == 2:
+        return CandidateSet((HNType.semistable(r, d), tau), sharp=True)
+    cands = enumerate_hn_types(ctx, tau.top_slope)
+    if r == 3:
+        verdicts = [classify_rank3(tau.composition, mu.composition) for mu in cands]
+        cands = [mu for mu, v in zip(cands, verdicts) if v.kind is not Rank3Kind.FORBIDDEN
+                 and (v.kind is not Rank3Kind.FORCED_EQUAL or mu.blocks == tau.blocks)]
+    return CandidateSet(tuple(mu for mu in cands if tau.top_slope <= first_slope_bound(mu, ctx)), sharp=r <= 3)
+
+
+def compat_pairs(r_max: int, d_range, degL_range) -> tuple[int, tuple]:
+    """The pairs ``compat_cross_table`` counts, each tested: their number, and
+    the (r, d, deg L, tau, mu) with tau's top slope above mu's bound."""
+    checked, violations = 0, []
+    for r, d, deg_line in itertools.product(range(1, r_max + 1), d_range, degL_range):
+        ctx = CurveContext(r, d, deg_line=deg_line)
+        for tau in enumerate_hn_types(ctx, general_first_slope_bound(HNType.semistable(r, d), ctx)):
+            for mu in u_tau_candidates_literal(tau, ctx):
+                checked += 1
+                if tau.top_slope > first_slope_bound(mu, ctx):
+                    violations.append((r, d, deg_line, tau, mu))
+    return checked, tuple(violations)

@@ -223,12 +223,12 @@ class ModelPoint:
         k = range(self.npoints)[k]  # IndexError past either end
         f = self.factors[k]
         scaled = Factor._over(f.Y, f.L, num * f.C, [[num * x for x in row] for row in f.Phi], den * f.M)
-        return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:])
+        return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:], self._bases)
 
     def gauge_factor(self, k: int, alpha) -> "ModelPoint":
         """Basis change y -> alpha y of the quotient fibre of factor k, alpha in
         GL(r): factor k written in the basis alpha^-1 (see ``_gauged``).  Every
-        projective coordinate is unchanged by this move."""
+        projective coordinate, and rref(y)'s pivot columns, are unchanged."""
         A, D = cleared(mat(alpha, ratio))  # alpha = A / D
         k, r = range(self.npoints)[k], self.r  # IndexError past either end
         if len(A) != r or any(len(row) != r for row in A):
@@ -244,7 +244,7 @@ class ModelPoint:
         D_r = D ** r
         gauged = Factor._over([[a * x for x in row] for row in y], d * D * f.L,
                               c * D_r, [[D_r * x for x in row] for row in phi], a * d * f.M)
-        return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
+        return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:], self._bases)
 
     def to_json(self) -> dict:
         return {"factors": [f.to_json() for f in self.factors]}

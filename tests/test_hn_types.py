@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction as F
 
@@ -20,12 +21,16 @@ from higgsstrata import (
     compare_polygon,
     compute_phi_blocks,
     enumerate_hn_types,
+    first_slope_bound,
     higgs_index_order,
     higgs_stratum_index,
     t_mu_candidates,
     u_tau_candidates,
 )
-from higgsstrata.hn_types import pair_weight
+from conftest import count_calls
+from higgsstrata import hn_types, oracles
+from higgsstrata.hn_types import _u_tau, pair_weight
+from higgsstrata.oracles import u_tau_candidates_literal
 from higgsstrata.point_model import _lie_upper_positions
 
 
@@ -208,6 +213,45 @@ class TestCandidates:
             for mu in u_tau_candidates(tau, ctx):
                 verdict = classify_rank3(tau.composition, mu.composition)
                 assert verdict.kind is not Rank3Kind.FORBIDDEN
+
+    def test_u_tau_matches_literal_route(self, monkeypatch):
+        # the same tuple, in the same order, as the literal route, and as the
+        # helper reading one list per context; enumerate_hn_types is a pure
+        # function, memoised here so that each (context, bound) runs once
+        memo = functools.cache(enumerate_hn_types)
+        monkeypatch.setattr(hn_types, "enumerate_hn_types", memo)
+        monkeypatch.setattr(oracles, "enumerate_hn_types", memo)
+        cases = 0
+        for r, d, deg_line, genus in itertools.product(range(1, 5), range(-6, 7), range(4), (0, 2)):
+            ctx = CurveContext(r, d, genus=genus, deg_line=deg_line)
+            taus = enumerate_hn_types(ctx, F(d, r) + 3)
+            for tau in taus:
+                want = u_tau_candidates_literal(tau, ctx)
+                assert u_tau_candidates(tau, ctx) == want
+                assert _u_tau(tau, ctx, lambda: taus) == want
+                cases += 1
+        assert cases == 8024
+
+    def test_u_tau_keeps_a_reverse_bound_met_exactly(self):
+        # past the top slopes above, an unstable mu's bound can equal tau's top
+        # slope, and that mu is kept
+        ctx = CurveContext(3, 0, deg_line=3)
+        tau, mu = blocks((1, 8), (1, -3), (1, -5)), blocks((1, 1), (2, -1))
+        assert first_slope_bound(mu, ctx) == tau.top_slope and mu in u_tau_candidates(tau, ctx)
+        for tau in enumerate_hn_types(ctx, 9):
+            assert u_tau_candidates(tau, ctx) == u_tau_candidates_literal(tau, ctx)
+
+    def test_u_tau_sharp_rules_enumerate_nothing(self):
+        # degree-0 twisting and rank 2 answer before any enumeration, so a huge
+        # top slope raises no CapExceeded
+        huge = 10**6
+        for tau, ctx, n in [
+            (blocks((1, huge), (3, 7 - huge)), CurveContext(4, 7, deg_line=0), 1),
+            (blocks((1, huge), (1, 7 - huge)), CurveContext(2, 7, deg_line=2), 1),
+            (blocks((1, 4), (1, 3)), CurveContext(2, 7, deg_line=2), 2),  # and the semistable type
+        ]:
+            assert count_calls(lambda: u_tau_candidates(tau, ctx), enumerate_hn_types) == [0]
+            assert len(u_tau_candidates(tau, ctx)) == n
 
     def test_cross_consistency_smoke(self):
         # the full exhaustive run is acceptance criterion 10

@@ -329,6 +329,19 @@ class TestHiggsData:
         h = HiggsDatum(TAU52, CTX73_N2, build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
         assert count_calls(lambda: from_higgs_data(h), full_row_rank) == [2]
 
+    def test_moves_keep_the_pivot_columns(self):
+        # rescaling keeps y, and alpha y has the row space, hence rref(y)'s pivot
+        # columns, of y: both moves hand the point's own on, searching no minor
+        y = [[0, 1, 1, 0, 0], [0, 0, 0, 1, 1]]  # pivot columns (1, 3)
+        generic = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors[0]
+        p = ModelPoint((Factor(y, 1, [[2, 0], [5, 3]]), generic))
+        for k, alpha in itertools.product((0, 1), (((F(2, 3), 1), (0, F(-5, 2))), ((0, 1), (1, 1)))):
+            for move in (lambda: p.rescale_factor(k, F(-3, 4)), lambda: p.gauge_factor(k, alpha)):
+                assert count_calls(move, full_row_rank) == [0]
+                moved = move()
+                assert moved._bases == ModelPoint(moved.factors)._bases
+        assert p._bases[0] == (1, 3)
+
     def test_rank_refused_before_a_zero_factor(self):
         # every factor's rank is checked before any factor's (c, phi)
         y, low = [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], [[1, 1, 1, 0, 0], [2, 2, 2, 0, 0]]

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import build_flagged_point
+from higgsstrata.oracles import compat_pairs
 from higgsstrata import (
     CurveContext,
     Factor,
@@ -157,8 +158,7 @@ class TestClosureReport:
 
 class TestCompat:
     def test_rank_two_no_violations(self):
-        base = CurveContext(1, 0)
-        report = compat_cross_table(base, 2, range(1, 13), range(0, 3))
+        report = compat_cross_table(2, range(1, 13), range(0, 3))
         assert report.violations == ()
         assert report.checked > 0
 
@@ -174,12 +174,22 @@ class TestCompat:
     def test_degl_zero_identity_pairing(self):
         pairs = list(self._pairs(3, range(1, 7), range(0, 1)))
         assert pairs and all(mu.blocks == tau.blocks for tau, mu in pairs)
-        assert compat_cross_table(CurveContext(1, 0), 3, range(1, 7), range(0, 1)).checked == len(pairs)
+        assert compat_cross_table(3, range(1, 7), range(0, 1)).checked == len(pairs)
 
     def test_rank_one_single_cell(self):
         pairs = list(self._pairs(1, range(3, 4), range(0, 2)))
         assert pairs and all(tau.is_semistable and mu.is_semistable for tau, mu in pairs)
-        assert compat_cross_table(CurveContext(1, 0), 1, range(3, 4), range(0, 2)).checked == len(pairs)
+        assert compat_cross_table(1, range(3, 4), range(0, 2)).checked == len(pairs)
+
+    def test_count_matches_pair_oracle(self):
+        # AC10's ranges: every pair re-tested by the literal route, none failing
+        checked, violations = compat_pairs(3, range(1, 13), range(0, 3))
+        assert violations == ()
+        assert compat_cross_table(3, range(1, 13), range(0, 3)).checked == checked == 3244
+
+    def test_rank_four_count(self):
+        # the count of the pair-by-pair route at these ranges
+        assert compat_cross_table(4, range(1, 13), range(0, 3)).checked == 614986
 
     def test_bound_test_matches_literal_membership(self):
         # the table uses the slope-bound form; spot-check it against literal
