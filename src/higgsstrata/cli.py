@@ -333,7 +333,7 @@ def _cmd_report(args) -> None:
     json_path = args.out_prefix + ".json"
     csv_path = args.out_prefix + ".csv"
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(report_json, handle, sort_keys=True, indent=2)
+        handle.write(json.dumps(report_json, sort_keys=True, indent=2))
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerows(closure.to_csv_rows())

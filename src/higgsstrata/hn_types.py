@@ -13,6 +13,7 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -270,7 +271,9 @@ def enumerate_hn_types(
                 blocks.pop()
 
     rec(r_total, d_total, None, [])
-    out.sort(key=lambda t: t.slope_vector)
+    # the slope vector times L = lcm(1..rank), an int vector in the same lex order
+    L = math.lcm(*range(1, r_total + 1))
+    out.sort(key=lambda t: [x for r, d in t.blocks for x in [d * (L // r)] * r])
     return out
 
 

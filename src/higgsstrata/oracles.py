@@ -219,7 +219,7 @@ def unipotent_stabilizer_dim_dense_oracle(
     _check_shapes(p, ctx, flag)
     order = list(enumerate_coordinate_indices(ctx, cap))
     positions = _lie_upper_positions(flag)
-    base = _table(order, [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors])
+    base = _table(order, [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors], p.r, p.m)
     if not any(base[idx] for idx in order):
         raise DegeneratePoint("all coordinates vanish")
     eps_columns = []
@@ -228,7 +228,7 @@ def unipotent_stabilizer_dim_dense_oracle(
             _factor_values(_sheared(f.y, a, l), Dual(f.c, 0), [[Dual(x, 0) for x in v] for v in f.phi], p.m)
             for f in p.factors
         ]
-        dual_table = _table(order, dual_parts)
+        dual_table = _table(order, dual_parts, p.r, p.m)
         eps_columns.append([dual_table[idx].b for idx in order])
     acc = EchelonAccumulator(len(positions) + 1)
     for row_i, idx in enumerate(order):

@@ -8,17 +8,18 @@ Its projective coordinates are
     end family:  prod_k  det(y_k|I_k) * tr(y_k|I_k . sigma_ij . y_k|I_k^(-1) . phi_k^T)
 
 where sigma_ij has a single one in position (i, j).  Each is a product over
-factors of one entry V(K, x) = det[y_K | w_x] of the factor's two cofactor
-tables (``_factor_values``), w = y for det values and, by Cramer's rule,
-w = phi^T y for end values, times c or a sign (``_entry_keys``); the entry
-(K, x) has the torus character 1 off K minus e_x in both families.  The
-minors come from one ``linalg.minors`` memo, so values are polynomial also
-where a minor vanishes, and no matrix is inverted or struck out.  Note the
-transpose: phi is stored in the presentation's convention, i.e. as the
-transpose of the endomorphism of the quotient fibre.  Consequently a Higgs
-field preserving the subspace flag appears here as a block *lower* triangular
-matrix, and the basis-change rule (``_gauged``), which writes a factor in a
-basis g of the quotient fibre, conjugates by the transpose:
+factors of one entry of the factor's tables (``_factor_values``) times c or
+a sign (``_entry_keys``): a maximal minor det y_s for det values, of torus
+character 1 off s, and, by Cramer's rule, an entry V_z(K, x) = det[y_K | z_x]
+of one flat cofactor table, z = phi^T y, of character 1 off K minus e_x, for
+end values.  The minors come from one ``linalg.minors`` memo, so values are
+polynomial also where a minor vanishes, and no matrix is inverted or struck
+out.  Note the transpose: phi is stored in the presentation's convention,
+i.e. as the transpose of the endomorphism of the quotient fibre.
+Consequently a Higgs field preserving the subspace flag appears here as a
+block *lower* triangular matrix, and the basis-change rule (``_gauged``),
+which writes a factor in a basis g of the quotient fibre, conjugates by the
+transpose:
 
     <g^-1 y, [c det(g) : det(g) g^T phi g^-T]> = <y, [c : phi]>,
 
@@ -38,7 +39,10 @@ value of factor k is its exact value times one nonzero constant s_k = L^r M,
 which leaves the support, hence every weight, unchanged; ``coordinates``
 divides by the product of the s_k.  Step 2 and the retraction gauge this
 integer form (``_adapted_factors``); step 1 walks the tables once per beta,
-pairing with D beta, D the lcm of beta's denominators, and divides by D.
+pairing with D beta, D the lcm of beta's denominators, compares the int
+weights with D |beta|^2 as ints (``_int_target``) and divides by D on its
+report.  The point keeps the walk for the last beta it was asked about, so
+step 2's guard after step 1 or ``membership`` on that beta walks nothing.
 ``Fraction`` appears only where a value leaves the module, as in a factor's
 ``y``, ``c`` and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
 """
@@ -190,13 +194,13 @@ class ModelPoint:
 
     @property
     def _integer_factors(self) -> tuple[tuple[tuple, int], ...]:
-        """Per factor: its integer form (Y, C, Phi) and its scale s = L^r M; V_y
+        """Per factor: its integer form (Y, C, Phi) and its scale s = L^r M; P
         entries scale by L^r, and V_z entries and every value by s."""
         return tuple(((f.Y, f.C, f.Phi), f.L ** len(f.Y) * f.M) for f in self.factors)
 
     @cached_property
-    def _values(self) -> tuple[tuple[int, dict, dict], ...]:
-        """Per factor: (c, V_y, V_z) over int, ``_factor_values`` of its
+    def _values(self) -> tuple[tuple[int, list, list], ...]:
+        """Per factor: (c, P, V_z) over int, ``_factor_values`` of its
         integer form, evaluated once; each value of the factor is an entry
         times c or a sign, and its exact value times the factor's scale."""
         return tuple(_factor_values(*factor, self.m) for factor, _ in self._integer_factors)
@@ -288,24 +292,30 @@ class CoordinateTable:
 
 
 def _factor_values(y, c, phi, m: int) -> tuple:
-    """One factor's (c, V_y, V_z): c and its two cofactor tables, of which
-    every det and end value of the factor is one entry (``_entry_keys``).
+    """One factor's (c, P, V_z): c, y's maximal minors P and one flat cofactor
+    table V_z, of which every det and end value of the factor is one entry
+    times c or a sign (``_entry_keys``).
 
     For each (r-1)-subset K, f_K is the Laplace cofactor vector of [y_K | w]
     along its last column, so det[y_K | w] = f_K . w: f_K[i] is
     (-1)^(r-1-i) times the minor of y on the rows other than i and the
-    columns K, all read from one ``minors`` memo per factor.  The tables hold
-    V_y[K][x-1] = f_K . y_x and V_z[K][x-1] = f_K . z_x, z = phi^T y, built
-    together as the one row combination sum_i f_K[i] (y_i | z_i) of the rows
-    of [y | z], which skips zero cofactors and starts from the ring's zero
-    row, so every entry is in the ring of the input.  The det
-    value at I is c V_y(I minus s_r, s_r); by Cramer's rule on
-    B_I = (y^T phi)_I adj(y_I^T) the end value at (I, i, j) is
-    det(y_I with column j replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i).
-    Either way the entry (K, x) has the torus character 1 off K minus e_x.
-    Works over any commutative ring: the point's own tables are built over
-    int (``Factor``'s integer form), the dense stabiliser oracle's over ``Fraction``
-    and dual numbers.  y has at least one row.
+    columns K, all read from one ``minors`` memo per factor.  One row
+    combination sum_i f_K[i] (y_i | z_i), z = phi^T y, over y's columns past
+    max K and all of z's, which skips zero cofactors and starts from the
+    ring's zero row, so every entry is in the ring of the input, gives K's
+    part of both tables.  f_K . y_x = det y_s for x > max K and s = K u {x};
+    K in lex order and x rising list every r-subset s once, as (s minus s_r,
+    s_r), in lex order, so P[n] = det y_s for the n-th s.  Every other f_K .
+    y_x is 0 (x in K) or +-det y_{K u {x}}, so P holds all of them that can
+    be nonzero.  V_z[kidx(K) m + x - 1] = f_K . z_x = det[y_K | z_x] for
+    every x, kidx(K) the place of K in lex order.  The det value at s is c
+    det y_s, of torus character 1 off s; by Cramer's rule on B_I = (y^T
+    phi)_I adj(y_I^T) the end value at (I, i, j) is det(y_I with column j
+    replaced by z_{s_i}) = (-1)^(r-j) V_z(I minus s_j, s_i), and V_z(K, x)
+    has the character 1 off K minus e_x.  Works over any commutative ring:
+    the point's own tables are built over int (``Factor``'s integer form),
+    the dense stabiliser oracle's over ``Fraction`` and dual numbers.  y has
+    at least one row.
     """
     r = len(y)
     # Row i of [y | z], times the sign (-1)^(r-1-i) of its cofactor.
@@ -316,53 +326,68 @@ def _factor_values(y, c, phi, m: int) -> tuple:
     zero = [x - x for x in signed[0]]
     minor, rows = minors(y), tuple(range(r))
     struck = [rows[:i] + rows[i + 1:] for i in rows]
-    v_y, v_z = {}, {}
+    dets, v_z = [], []
     for cols in itertools.combinations(range(m), r - 1):
-        row = zero
+        start = cols[-1] + 1 if cols else 0  # y's columns past max K
+        row = zero[start:]
         for i in rows:
             f = minor(struck[i], cols)
             if f:
-                row = [a + f * b for a, b in zip(row, signed[i])]
-        K = tuple(l + 1 for l in cols)
-        v_y[K], v_z[K] = row[:m], row[m:]
-    return c, v_y, v_z
+                row = [a + f * b for a, b in zip(row, signed[i][start:])]
+        dets += row[:m - start]
+        v_z += row[m - start:]
+    return c, dets, v_z
+
+
+@cache
+def _subset_places(r: int, m: int) -> dict[tuple[int, ...], int]:
+    """Each r-subset of {1..m} mapped to its place in lex order."""
+    return {s: n for n, s in enumerate(itertools.combinations(range(1, m + 1), r))}
 
 
 @cache
 def _entry_keys(r: int, m: int) -> dict:
     """The key -> entry rule (see ``_factor_values``): each det key s and end
-    key (s, i, j) of a factor, in table order, mapped to (family, K, x, sign):
-    it reads V_y(K, x) times c (family 0) or V_z(K, x) times sign (family 1)."""
-    subsets = list(itertools.combinations(range(1, m + 1), r))
-    reads = {s: (0, s[:-1], s[-1], 1) for s in subsets}
-    for s in subsets:
+    key (s, i, j) of a factor, in table order, mapped to (family, index,
+    sign): it reads P[index] times c (family 0), s's place in lex order, or
+    V_z[index] times sign (family 1), the entry (K, x) = (s minus s_j, s_i)
+    at index kidx(K) m + x - 1."""
+    places, kidx = _subset_places(r, m), _subset_places(r - 1, m)
+    reads = {s: (0, n, 1) for s, n in places.items()}
+    for s in places:
         for i, j in itertools.product(range(1, r + 1), repeat=2):
-            reads[(s, i, j)] = (1, s[:j - 1] + s[j:], s[i - 1], (-1) ** (r - j))
+            reads[(s, i, j)] = (1, kidx[s[:j - 1] + s[j:]] * m + s[i - 1] - 1, (-1) ** (r - j))
     return reads
 
 
 @cache
 def _first_reads(r: int, m: int) -> tuple[tuple, tuple]:
-    """Per family, the ((K, x), first key in table order that reads it) pairs
-    of ``_entry_keys`` in the order of those keys: step 1's walk (``_family_min_max``)."""
+    """Step 1's walk (``_family_min_max``) per family: for each entry (K, x),
+    in the order of the first key in table order that reads it, (index,
+    kidx(K), x, that key).  The det keys are the r-subsets s in lex order,
+    each the one reader of P at its place, so the det walk is P in order,
+    with (K, x) = (s minus s_r, s_r)."""
     first = ({}, {})
-    for key, (fam, K, x, _) in _entry_keys(r, m).items():
-        first[fam].setdefault((K, x), key)
-    return tuple(tuple(reads.items()) for reads in first)
+    for key, (fam, n, _) in _entry_keys(r, m).items():
+        first[fam].setdefault(n, key)
+    kidx = _subset_places(r - 1, m)
+    dets = tuple((n, kidx[s[:-1]], s[-1], s) for n, s in first[0].items())
+    ends = tuple((n, n // m, n % m + 1, key) for n, key in first[1].items())
+    return dets, ends
 
 
-def _table(indices, parts) -> dict[CoordinateIndex, object]:
+def _table(indices, parts, r: int, m: int) -> dict[CoordinateIndex, object]:
     """Coordinate values in index order, each the product over factors of the
-    entry its key reads (``_entry_keys``), over any base ring."""
-    K, row = next(iter(parts[0][1].items()))  # V_y is C(m, r-1) x m
-    reads = _entry_keys(len(K) + 1, len(row))
+    entry its key reads (``_entry_keys``), over any base ring; ``parts`` are
+    the factors' (c, P, V_z) from ``_factor_values``."""
+    reads = _entry_keys(r, m)
     table: dict[CoordinateIndex, object] = {}
     for idx in indices:
         keys = idx.subsets if idx.kind == "det" else zip(idx.subsets, *zip(*idx.ij))
         vals = []
         for (c, *tables), key in zip(parts, keys):
-            fam, K, x, sign = reads[key]
-            vals.append((sign if fam else c) * tables[fam][K][x - 1])
+            fam, n, sign = reads[key]
+            vals.append((sign if fam else c) * tables[fam][n])
         table[idx] = reduce(mul, vals)
     return table
 
@@ -394,7 +419,7 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     indices = enumerate_coordinate_indices(ctx, cap)
     scale = math.prod(s for _, s in p._integer_factors)
     return CoordinateTable(
-        {idx: Fraction(v, scale) for idx, v in _table(indices, p._values).items()}
+        {idx: Fraction(v, scale) for idx, v in _table(indices, p._values, p.r, p.m).items()}
     )
 
 
@@ -403,11 +428,12 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
 
     Returns ([(per-factor {weight: witness key} dicts, index builder)], D, lo,
     membership).  Per live family and factor, one walk over ``_first_reads``
-    keeps the nonzero entries of the cached tables (``ModelPoint._values``):
-    (K, x) pairs with D beta (trace zero, D the lcm of its denominators) to
-    -sum_{l in K} D beta_l - D beta_x, and the witness is the first key in
-    table order of that weight.  Raises ValueError unless beta was built for
-    the point's rank, section count and number of points.
+    keeps the nonzero entries of the cached tables (``ModelPoint._values``),
+    P in order by ``zip`` and V_z by flat index: (K, x) pairs with D beta
+    (trace zero, D the lcm of its denominators) to -sum_{l in K} D beta_l -
+    D beta_x, the K sums taken once per beta, and the witness is the first
+    key in table order of that weight.  Raises ValueError unless beta was
+    built for the point's rank, section count and number of points.
     """
     if (beta.m, beta.npoints, beta.tau.rank) != (p.m, p.npoints, p.r):
         raise ValueError(
@@ -415,35 +441,71 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
             f"does not match point ({p.r}x{p.m}, {p.npoints} factors)"
         )
     entries, D = clear_denominators(beta.entries)
-    off = {
-        K: -sum(entries[l - 1] for l in K)
-        for K in itertools.combinations(range(1, p.m + 1), p.r - 1)
-    }
-    reads, families = _first_reads(p.r, p.m), []
+    at = (0, *entries)  # D beta_l at column l
+    off = [-sum(map(at.__getitem__, K)) for K in _subset_places(p.r - 1, p.m)]
+    dets, ends = _first_reads(p.r, p.m)
+    families = []
     for fam in p._live_families:
         per_factor = []
-        for _, *tables in p._values:
-            table, weights = tables[fam], {}
-            for (K, x), key in reads[fam]:
-                if table[K][x - 1]:
-                    weights.setdefault(off[K] - entries[x - 1], key)
+        for _, P, V_z in p._values:
+            weights = {}
+            if fam:
+                for n, k, x, key in ends:
+                    if V_z[n]:
+                        weights.setdefault(off[k] - at[x], key)
+            else:
+                for v, (_, k, x, key) in zip(P, dets):
+                    if v:
+                        weights.setdefault(off[k] - at[x], key)
             per_factor.append(weights)
         families.append((per_factor, (_det_index, _end_index)[fam]))
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     lo = min(sum(min(d) for d in fam) for fam, _ in families)
-    if lo != beta.norm_sq * D:
+    target, exact = _int_target(beta, D)
+    if not exact or lo != target:
         return families, D, lo, Membership.OUTSIDE
     hi = max(sum(max(d) for d in fam) for fam, _ in families)
     return families, D, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
 
 
-def _scan(per_factor, target, limit: int, want_witness: bool):
+def _step1(p: ModelPoint, beta: BetaVector):
+    """``_family_min_max`` of the point and beta, walked once: the point keeps
+    the result for the last beta it was asked about, one entry, so that
+    ``verify_step2``'s guard after ``verify_step1`` or ``membership`` on the
+    same beta reads it again."""
+    last = p.__dict__.get("_last_walk")
+    if last is None or last[0] != beta:
+        last = beta, _family_min_max(p, beta)
+        p.__dict__["_last_walk"] = last
+    return last[1]
+
+
+def _int_target(beta: BetaVector, D: int) -> tuple[int, bool]:
+    """(t, True) when t = D |beta|^2 is an int, else (floor(t) + 1, False):
+    the int that step 1's int weights w compare with, w < t exactly as
+    against D |beta|^2, and whether some w can equal D |beta|^2.
+
+    It is an int for every ``beta_of_type`` beta.  Its block values beta_g =
+    k_g/m_g - k/m, k = sum_g k_g and m = sum_g m_g, have trace sum_g m_g
+    beta_g = 0, so |beta|^2 = sum_g m_g beta_g^2 = sum_g m_g beta_g (k_g/m_g
+    - k/m) = sum_g k_g beta_g, and D |beta|^2 = sum_g k_g (D beta_g), a sum
+    of products of ints.  A hand-built beta may break this.  Then an int w
+    is below D |beta|^2 iff w <= floor(D |beta|^2), that is w < floor + 1,
+    and no w equals it, so there is no equality witness.
+    """
+    t = beta.norm_sq * D
+    floor, rem = divmod(t.numerator, t.denominator)
+    return floor + bool(rem), not rem
+
+
+def _scan(per_factor, target: int, limit: int, want_witness: bool):
     """Tuples of per-factor keys, visited in lexicographic weight order.
 
-    Returns the first ``limit`` tuples whose weights sum below target, with
-    their sums, and (when ``want_witness``) the first tuple summing to it.
-    Subtrees that can hold neither are pruned on their suffix min and max.
+    Returns the first ``limit`` tuples whose int weights sum below the int
+    target (``_int_target``), with their sums, and (when ``want_witness``)
+    the first tuple summing to it.  Subtrees that can hold neither are
+    pruned on their suffix min and max.
     """
     items = [sorted(d.items()) for d in per_factor]
     n = len(items)
@@ -497,7 +559,7 @@ def membership(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Membership
     witness scan; call ``verify_step1`` instead when both are wanted.
     """
     _check_shapes(p, ctx)
-    return _family_min_max(p, beta)[3]
+    return _step1(p, beta)[3]
 
 
 @dataclass(frozen=True)
@@ -531,12 +593,12 @@ def verify_step1(
     weights are int pairings with D beta, divided by D on the report.
     """
     _check_shapes(p, ctx)
-    families, D, lo, verdict = _family_min_max(p, beta)
-    target = beta.norm_sq * D
+    families, D, lo, verdict = _step1(p, beta)
+    target, exact = _int_target(beta, D)
     violations: list[tuple[CoordinateIndex, Fraction]] = []
     witness = None
     for fam, make_index in families:
-        below, keys = _scan(fam, target, max_violations - len(violations), witness is None)
+        below, keys = _scan(fam, target, max_violations - len(violations), exact and witness is None)
         violations.extend((make_index(chosen), Fraction(w, D)) for chosen, w in below)
         if keys is not None:
             witness = make_index(keys)
@@ -701,28 +763,30 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
     """Each factor's distinct supported weights in one graded block, as int
     tuples; an empty list when some factor has none (a vacuous block).
 
-    A factor's weights are the characters 1 off K minus e_x of the nonzero
-    entries (K, x) of its block's tables (``_factor_values``): every V_z
-    entry, and every V_y entry when c != 0.  These are its values'
-    characters (``_entry_keys``): a V_y entry with x in K repeats a column,
-    so it is 0; any other is +-det y_s, s = K u {x}, of character 1 off s
-    like the entry (s minus s_r, s_r) the det key s reads; and r_b <= m_g
-    leaves some l outside K, so the end key (K u {l}, i, j), s_i = x and
-    s_j = l, reads every V_z entry (K, x).  A rank-0 block has the one det
-    coordinate (), of value c and character 1 everywhere.  The block's
-    weights are the Minkowski sum of these sets, which step 2 never builds.
+    A factor's weights are the characters of the nonzero entries of its
+    block's tables (``_factor_values``): 1 off K minus e_x for every V_z
+    entry (K, x), and 1 off s for every det y_s in P when c != 0.  These are
+    its values' characters (``_entry_keys``): the det key s reads c det y_s,
+    and r_b <= m_g leaves some l outside K, so the end key (K u {l}, i, j),
+    s_i = x and s_j = l, reads every V_z entry (K, x).  A rank-0 block has
+    the one det coordinate (), of value c and character 1 everywhere.  The
+    block's weights are the Minkowski sum of these sets, which step 2 never
+    builds.
     """
+    cols = range(1, m_g + 1)
     per_factor: list[set[tuple[int, ...]]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
         if not y_b:
             weights = {(1,) * m_g} if c else set()
         else:
-            _, v_y, v_z = _factor_values(y_b, c, phi_b, m_g)
+            r_b = len(y_b)
+            _, dets, v_z = _factor_values(y_b, c, phi_b, m_g)
             weights = {
-                tuple(int(l not in K) - (l == x) for l in range(1, m_g + 1))
-                for table in ((v_z, v_y) if c else (v_z,))
-                for K, row in table.items() for x, v in enumerate(row, start=1) if v
+                tuple(int(l not in K) - (l == x) for l in cols)
+                for n, K in enumerate(_subset_places(r_b - 1, m_g)) for x in cols if v_z[n * m_g + x - 1]
             }
+            if c:
+                weights |= {tuple(int(l not in s) for l in cols) for s, v in zip(_subset_places(r_b, m_g), dets) if v}
         if not weights:
             return []
         per_factor.append(weights)

@@ -549,6 +549,26 @@ class TestStep1:
         report = verify_step1(broken, beta, CTX73)
         assert not report.passed and report.violations
 
+    def test_step2_guard_reads_the_step1_walk(self):
+        # the point keeps the walk of the last beta asked, so step 2's NotInY
+        # guard (one ``membership`` call) after step 1 walks nothing again
+        factors = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors
+        beta = beta_of_type(TAU52, CTX73_N2)
+
+        def run():
+            p = ModelPoint(factors)
+            verify_step1(p, beta, CTX73_N2)
+            verify_step2(p, beta, CTX73_N2)
+
+        assert count_calls(run, point_model._family_min_max, point_model.membership) == [1, 1]
+
+    def test_one_entry_for_the_last_beta(self):
+        # another beta walks again and replaces the entry; so does going back
+        p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
+        betas = [beta_of_type(tau, CTX73_N2) for tau in (TAU52, TAU52, TAU43, TAU52)]
+        walks = [count_calls(lambda: membership(p, beta, CTX73_N2), point_model._family_min_max)[0] for beta in betas]
+        assert walks == [1, 0, 1, 1] and p._last_walk[0] == beta_of_type(TAU52, CTX73_N2)
+
 
 class TestStep2:
     def test_general_position_graded_passes(self):
@@ -1073,39 +1093,53 @@ class TestFactorTablesByDefinition:
     @given(_ring_factors())
     @settings(max_examples=150, deadline=None)
     def test_every_entry_is_its_determinant(self, case):
+        # P[n] = det y_s for the n-th r-subset s in lex order, and the flat
+        # V_z[kidx(K) m + x - 1] = det[y_K | z_x], in the input's ring
         y, c, phi = case
         r, m = len(y), len(y[0])
         ring = type(y[0][0]) if m else None
         z = mat_mul(transpose(phi), y)
-        got_c, v_y, v_z = _factor_values(y, c, phi, m)
+        got_c, dets, v_z = _factor_values(y, c, phi, m)
         assert got_c == c
-        subsets = list(itertools.combinations(range(1, m + 1), r - 1))
-        assert list(v_y) == list(v_z) == subsets
-        for K in subsets:
-            assert len(v_y[K]) == len(v_z[K]) == m
+        columns = lambda w, cols: tuple(tuple(row[l - 1] for l in cols) for row in w)
+        subsets = list(itertools.combinations(range(1, m + 1), r))
+        assert len(dets) == len(subsets)
+        for s, got in zip(subsets, dets):
+            assert got == det(columns(y, s)) and type(got) is ring
+        Ks = list(itertools.combinations(range(1, m + 1), r - 1))
+        assert len(v_z) == len(Ks) * m
+        for n, K in enumerate(Ks):
             for x in range(1, m + 1):
-                for table, w in ((v_y, y), (v_z, z)):
-                    want = det(tuple((*(row[l - 1] for l in K), w_row[x - 1]) for row, w_row in zip(y, w)))
-                    got = table[K][x - 1]
-                    assert got == want and type(got) is ring
+                want = det(tuple((*y_K, z_row[x - 1]) for y_K, z_row in zip(columns(y, K), z)))
+                got = v_z[n * m + x - 1]
+                assert got == want and type(got) is ring
 
     @given(_ring_factors())
     @settings(max_examples=150, deadline=None)
     def test_support_is_the_first_key_walk(self, case):
-        # step 1 keeps, per family, the pairs of ``_first_reads`` whose entry
-        # is nonzero (the det family only when c != 0, ``_live_families``)
+        # step 1 keeps, per family, the entries of ``_first_reads`` that are
+        # nonzero (the det family only when c != 0, ``_live_families``), each
+        # with the first key in table order that reads it, in that key's order
         y, c, phi = case
         r, m = len(y), len(y[0])
-        values = _factor_values(y, c, phi, m)
+        _, *tables = _factor_values(y, c, phi, m)
+        Ks = list(itertools.combinations(range(1, m + 1), r - 1))
         want = ({}, {})
-        for key, (fam, K, x, _) in _entry_keys(r, m).items():
-            if (fam or c) and values[1 + fam][K][x - 1]:
-                want[fam].setdefault((K, x), key)
+        for key, (fam, n, _) in _entry_keys(r, m).items():
+            if (fam or c) and tables[fam][n]:
+                want[fam].setdefault(n, key)
         got = [
-            [((K, x), key) for (K, x), key in reads if values[1 + fam][K][x - 1]] if fam or c else []
+            [(n, key) for n, k, x, key in reads if tables[fam][n]] if fam or c else []
             for fam, reads in enumerate(_first_reads(r, m))
         ]
         assert got == [list(d.items()) for d in want]
+        # each step's (kidx(K), x) names the entry (K, x) its key reads
+        for fam, reads in enumerate(_first_reads(r, m)):
+            for n, k, x, key in reads:
+                s, i, j = (key, r, r) if fam == 0 else key
+                assert (Ks[k], x) == (s[:j - 1] + s[j:], s[i - 1])
+        # so the det walk reads P in order, by ``zip``
+        assert [n for n, *_ in _first_reads(r, m)[0]] == list(range(math.comb(m, r)))
 
 
 def _or_degenerate(route, *args):
@@ -1183,16 +1217,17 @@ class TestStabilizerInvariance:
         p, _ = case
         reads = _entry_keys(p.r, p.m).values()
         supported = lambda fam, c, tables: any(
-            (sign if fam else c) * tables[fam][K][x - 1] for f, K, x, sign in reads if f == fam
+            (sign if fam else c) * tables[fam][n] for f, n, sign in reads if f == fam
         )
         want = tuple(fam for fam in (0, 1) if all(supported(fam, c, tables) for c, *tables in p._values))
         assert p._live_families == want
 
     def test_step1_caches_only_the_tables(self):
-        # step 1 walks the cached tables once per beta and keeps no support of its own
+        # step 1 walks the cached tables once per beta and keeps no support of
+        # its own, only the one walk of the last beta (``_last_walk``)
         p = ModelPoint(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
         verify_step1(p, beta_of_type(TAU52, CTX73_N2), CTX73_N2)
-        assert set(vars(p)) == {"factors", "_bases", "_values", "_live_families"}
+        assert set(vars(p)) == {"factors", "_bases", "_values", "_live_families", "_last_walk"}
 
     def test_builds_no_table(self):
         p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
@@ -1302,7 +1337,7 @@ class TestRationalEntries:
         p, _, _, ctx = case
         raw = _table(
             enumerate_coordinate_indices(ctx),
-            [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors],
+            [_factor_values(f.y, f.c, f.phi, p.m) for f in p.factors], p.r, p.m,
         )
         table = _or_degenerate(coordinates, p, ctx)
         if table == "degenerate":
@@ -1563,6 +1598,24 @@ class TestDirectDefinitionCrossChecks:
                 compared += 1
                 cut += len(want[0]) == limit > 0
         assert compared >= 200 and cut >= 20 and degenerate > 0
+
+    def test_step1_off_an_int_target_matches_definition(self):
+        # hand-built trace-zero betas on TAU43's (3, 2) blocks: (1/2, -3/4)
+        # has D = 4 and D |beta|^2 = 15/2, not an int, and (1/3, -1/2) has
+        # D = 6 and D |beta|^2 = 5; some violation must pair at the floor 7/4
+        at_floor = compared = 0
+        for ctx, points, _ in self._cases():
+            own = beta_of_type(TAU43, ctx)
+            for values, D, t in (((F(1, 2), F(-3, 4)), 4, F(15, 2)), ((F(1, 3), F(-1, 2)), 6, 5)):
+                beta = dataclasses.replace(own, block_values=values)
+                assert beta.trace() == 0 and beta.norm_sq * D == t
+                for p, limit in itertools.product(points, (0, 1, 3, 16)):
+                    report = verify_step1(p, beta, ctx, max_violations=limit)
+                    assert (report.violations, report.equality_witness) == self._step1_by_definition(p, beta, ctx, limit)
+                    assert report.membership is self._direct_membership(p, beta, ctx)
+                    at_floor += any(w * D == math.floor(t) < t for _, w in report.violations)
+                    compared += 1
+        assert compared >= 40 and at_floor > 0
 
 
 class TestCoordinateTableType:

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import build_flagged_point
+from conftest import build_flagged_point, count_calls
+from higgsstrata import point_model
 from higgsstrata.oracles import compat_pairs
 from higgsstrata import (
     CurveContext,
@@ -56,6 +57,18 @@ def mixed_corpus():
 class TestAssemble:
     def test_empty_corpus(self):
         assert assemble([], CTX, max_first_slope=5) == []
+
+    def test_one_walk_per_point_and_beta(self):
+        # step 2's NotInY guard on an in-locus (point, beta) reads the walk
+        # that assemble's ``membership`` call has just made
+        corpus = mixed_corpus()
+        nonzero = [b for b in default_beta_candidates(CTX, 5) if not b.is_zero]
+        walks, calls, step2 = count_calls(
+            lambda: assemble(corpus, CTX, max_first_slope=5),
+            point_model._family_min_max, point_model.membership, point_model.verify_step2,
+        )
+        # each step 2 makes one ``membership`` call of its own, which walks nothing
+        assert walks == len(corpus) * len(nonzero) and calls == walks + step2 and step2 > 0
 
     def test_single_type_corpus_delta_partitioned(self):
         rng = random.Random(12)
