@@ -8,23 +8,26 @@ Exit codes: 0 success, 1 domain error (the error name goes to stderr),
 unknown flag after a verb is reported with that verb's usage and prog:
 ``higgsstrata beta: error: unrecognized arguments: --bogus``.  The environment
 variable HIGGSSTRATA_CAP overrides the default enumeration cap: for
-``index-set`` it counts the weight subsets of at most a + 1 distinct weights,
-a being their affine dimension; for ``stabdim`` N C(m,r) (1 + r^2) values,
-not rows, kept so CapExceeded counts stay the same (N points, rank r, m
-sections; ``report`` holds its stabiliser calls to the default cap in that
-unit, and ``stabdim --phis``, reading its defaulted context flags only with
-``--point``, refuses ``--cap``); for ``point-coords`` the C(m,r)^N
-(1 + r^(2N)) coordinate indices.  Type
-enumeration stops past 200,000 types; ``point-check --step2`` takes any
-``--lambda-bound`` >= 0, the trace identity being decided in closed form.  JSON
-nested too deeply to parse is a domain error, ``RecursionError``.
+``index-set`` it counts the weight subsets of at most a distinct weights, a
+being their affine dimension, the subsets its walk can visit; for ``stabdim``
+N C(m,r) (1 + r^2) values, not rows, kept so CapExceeded counts stay the same
+(N points, rank r, m sections; ``report`` holds its stabiliser calls to the
+default cap in that unit, and ``stabdim --phis``, reading its defaulted
+context flags only with ``--point``, refuses ``--cap``); for ``point-coords``
+the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type enumeration stops past
+200,000 types; ``point-check --step2`` takes any ``--lambda-bound`` >= 0, the
+trace identity being decided in closed form.  JSON nested too deeply to parse
+is a domain error, ``RecursionError``.
 
 Each verb runs in a fresh process, where import costs more than most
 requests, so this module imports at top level only what parsing and output
 need (``errors``, ``hn_types``, ``linalg``, ``weight_lattice``).  A verb
 imports ``minnorm``, ``point_model``, ``strat_report``, ``svg`` or ``csv``
 itself, when it runs: ``index-set`` loads none of the last four, and no verb
-loads ``oracles``.
+loads ``oracles``.  A verb binds a package module by ``import
+higgsstrata.<module> as <module>``, which costs less per call than a
+relative ``from .<module> import`` (that form pays a failed ``__path__``
+lookup on the module each time).
 """
 
 from __future__ import annotations
@@ -149,9 +152,9 @@ def _cmd_beta(args) -> None:
 
 
 def _cmd_compat(args) -> None:
-    from .strat_report import compat_cross_table
+    import higgsstrata.strat_report as strat_report
 
-    report = compat_cross_table(
+    report = strat_report.compat_cross_table(
         args.rank_max, range(args.d_min, args.d_max + 1), range(args.degl_min, args.degl_max + 1)
     )
     _emit(
@@ -162,19 +165,19 @@ def _cmd_compat(args) -> None:
 
 
 def _cmd_minnorm(args) -> None:
-    from .minnorm import PointCloud, min_norm_point
+    import higgsstrata.minnorm as minnorm
 
-    cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
-    v = min_norm_point(cloud)
+    cloud = minnorm.PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
+    v = minnorm.min_norm_point(cloud)
     payload = lambda: {"schema": "higgsstrata.minnorm/1", "point": [rational_to_json(x) for x in v]}
     _emit(args, payload, lambda: [_vec_str(v)])
 
 
 def _cmd_index_set(args) -> None:
-    from .minnorm import PointCloud, index_set_B
+    import higgsstrata.minnorm as minnorm
 
-    cloud = PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
-    reps = index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
+    cloud = minnorm.PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
+    reps = minnorm.index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
     payload = lambda: {
         "schema": "higgsstrata.index_set/1",
         "vectors": [[rational_to_json(x) for x in v] for v in reps],
@@ -183,11 +186,11 @@ def _cmd_index_set(args) -> None:
 
 
 def _cmd_point_coords(args) -> None:
-    from .point_model import ModelPoint, coordinates
+    import higgsstrata.point_model as point_model
 
     ctx = _ctx_from(args)
-    point = ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
-    table = coordinates(point, ctx, cap=_cap(args))
+    point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
+    table = point_model.coordinates(point, ctx, cap=_cap(args))
     support = table.support()
     payload = lambda: {
         "schema": "higgsstrata.point_coords/1",
@@ -207,13 +210,13 @@ def _cmd_point_coords(args) -> None:
 
 
 def _cmd_point_check(args) -> None:
-    from .point_model import ModelPoint, verify_step1, verify_step2
+    import higgsstrata.point_model as point_model
 
     ctx, beta = _type_beta(args)
-    point = ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
-    report = verify_step1(point, beta, ctx)
+    point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
+    report = point_model.verify_step1(point, beta, ctx)
     got = report.membership
-    s2 = verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound) if args.step2 else None
+    s2 = point_model.verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound) if args.step2 else None
 
     def payload():
         out = {
@@ -260,7 +263,7 @@ def _cmd_point_check(args) -> None:
 
 
 def _cmd_stabdim(args) -> None:
-    from .point_model import ModelPoint, nilpotent_commutant_dim, unipotent_stabilizer_dim
+    import higgsstrata.point_model as point_model
 
     flag = FlagShape(tuple(_parse_int_list(args.blocks)))
     phis = args.phis is not None or args.phis_file is not None
@@ -270,12 +273,12 @@ def _cmd_stabdim(args) -> None:
         raise ValueError("--cap applies only to --point")
     if phis:
         kind = "nilpotent_commutant"
-        dim = nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
+        dim = point_model.nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
     else:
         kind = "unipotent_stabilizer"
         ctx = _ctx_from(args)
-        point = ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
-        dim = unipotent_stabilizer_dim(point, flag, ctx, cap=_cap(args))
+        point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
+        dim = point_model.unipotent_stabilizer_dim(point, flag, ctx, cap=_cap(args))
     _emit(args, lambda: {"schema": "higgsstrata.stabdim/1", "kind": kind, "dim": dim}, lambda: [str(dim)])
 
 
@@ -295,11 +298,11 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_polygons(args) -> None:
-    from .svg import emit_polygon_svg
+    import higgsstrata.svg as svg
 
     data = _load_json_arg(args.types, args.types_file, "types")
     types = [HNType(blocks) for blocks in listlike(data, "a list of types")]
-    doc = emit_polygon_svg(types, args.out)
+    doc = svg.emit_polygon_svg(types, args.out)
     payload = lambda: {
         "schema": "higgsstrata.polygons/1",
         "path": args.out,
@@ -311,9 +314,9 @@ def _cmd_polygons(args) -> None:
 def _cmd_report(args) -> None:
     import csv
 
-    from .point_model import ModelPoint
-    from .strat_report import assemble, closure_order_report
-    from .svg import emit_polygon_svg
+    import higgsstrata.point_model as point_model
+    import higgsstrata.strat_report as strat_report
+    import higgsstrata.svg as svg
 
     ctx = _ctx_from(args)
     with open(args.corpus_file, "r", encoding="utf-8") as handle:
@@ -321,10 +324,10 @@ def _cmd_report(args) -> None:
     corpus = []
     for entry in listlike(data["points"], "a list of corpus entries"):
         entry = objectlike(entry, "a corpus entry (an object with id and point)")
-        corpus.append((entry["id"], ModelPoint.from_json(entry["point"])))
+        corpus.append((entry["id"], point_model.ModelPoint.from_json(entry["point"])))
     max_slope = frac(args.max_slope) if args.max_slope else None
-    records = assemble(corpus, ctx, max_first_slope=max_slope)
-    closure = closure_order_report(records)
+    records = strat_report.assemble(corpus, ctx, max_first_slope=max_slope)
+    closure = strat_report.closure_order_report(records)
     report_json = {
         "schema": "higgsstrata.report/1",
         "records": [rec.to_json() for rec in records],
@@ -340,7 +343,7 @@ def _cmd_report(args) -> None:
     written = [json_path, csv_path]
     if args.svg:
         svg_path = args.out_prefix + ".svg"
-        emit_polygon_svg(list(closure.types), svg_path)
+        svg.emit_polygon_svg(list(closure.types), svg_path)
         written.append(svg_path)
     _emit(
         args,

@@ -267,8 +267,9 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     the answer B is the set of projections of the affinely independent
     subsets S of the distinct weights P whose barycentric weights are all
     positive.  Such an S has at most a + 1 members, a the affine dimension of
-    P; ``cap`` bounds the number of subsets of at most a + 1 weights and is
-    checked before any work.
+    P.  ``cap`` bounds the subsets the walk below can visit, those of at most
+    a weights, sum_{s=1}^{a} C(n, s) for n distinct weights, and is checked
+    before any work.
 
     The subsets of at most a weights are walked, and each projection with
     positive weights is kept, KKT-certified.  The a + 1 level is replaced by
@@ -321,7 +322,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     cloud = _as_cloud(weights)
     P, D = sorted(set(cloud.P)), cloud.D
     affine_dim = rank(tuple(tuple(a - b for a, b in zip(p, P[0])) for p in P[1:]))
-    count = sum(math.comb(len(P), s) for s in range(1, affine_dim + 2))
+    count = sum(math.comb(len(P), s) for s in range(1, affine_dim + 1))
     if count > cap:
         raise CapExceeded(count, cap)
     found: set[tuple[tuple[int, ...], int]] = set()

@@ -40,7 +40,8 @@ which leaves the support, hence every weight, unchanged; ``coordinates``
 divides by the product of the s_k.  Step 2 and the retraction gauge this
 integer form (``_adapted_factors``); step 1 walks the tables once per beta,
 pairing with D beta, D the lcm of beta's denominators, compares the int
-weights with D |beta|^2 as ints (``_int_target``) and divides by D on its
+weights with D |beta|^2 as ints, both read off beta's integer form
+(``BetaVector.integer_form``, ``_int_target``), and divides by D on its
 report.  The point keeps the walk for the last beta it was asked about, so
 step 2's guard after step 1 or ``membership`` on that beta walks nothing.
 ``Fraction`` appears only where a value leaves the module, as in a factor's
@@ -70,7 +71,6 @@ from .linalg import (
     EchelonAccumulator,
     Mat,
     adjugate,
-    clear_denominators,
     cleared,
     dot,
     full_row_rank,
@@ -302,9 +302,10 @@ def _factor_values(y, c, phi, m: int) -> tuple:
     columns K, all read from one ``minors`` memo per factor.  One row
     combination sum_i f_K[i] (y_i | z_i), z = phi^T y, over y's columns past
     max K and all of z's, which skips zero cofactors and starts from the
-    ring's zero row, so every entry is in the ring of the input, gives K's
-    part of both tables.  f_K . y_x = det y_s for x > max K and s = K u {x};
-    K in lex order and x rising list every r-subset s once, as (s minus s_r,
+    first nonzero one's multiple of its row, or from the ring's zero row when
+    every cofactor vanishes, so every entry is in the ring of the input,
+    gives K's part of both tables.  f_K . y_x = det y_s for x > max K and
+    s = K u {x}; K in lex order and x rising list every r-subset s once, as (s minus s_r,
     s_r), in lex order, so P[n] = det y_s for the n-th s.  Every other f_K .
     y_x is 0 (x in K) or +-det y_{K u {x}}, so P holds all of them that can
     be nonzero.  V_z[kidx(K) m + x - 1] = f_K . z_x = det[y_K | z_x] for
@@ -323,17 +324,19 @@ def _factor_values(y, c, phi, m: int) -> tuple:
         [-x for x in (*y_i, *z_i)] if (r - 1 - i) % 2 else (*y_i, *z_i)
         for i, (y_i, z_i) in enumerate(zip(y, mat_mul(transpose(phi), y)))
     ]
-    zero = [x - x for x in signed[0]]
     minor, rows = minors(y), tuple(range(r))
     struck = [rows[:i] + rows[i + 1:] for i in rows]
     dets, v_z = [], []
     for cols in itertools.combinations(range(m), r - 1):
         start = cols[-1] + 1 if cols else 0  # y's columns past max K
-        row = zero[start:]
+        row = None
         for i in rows:
             f = minor(struck[i], cols)
             if f:
-                row = [a + f * b for a, b in zip(row, signed[i][start:])]
+                part = signed[i][start:]
+                row = [f * b for b in part] if row is None else [a + f * b for a, b in zip(row, part)]
+        if row is None:
+            row = [x - x for x in signed[0][start:]]
         dets += row[:m - start]
         v_z += row[m - start:]
     return c, dets, v_z
@@ -426,22 +429,25 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
 def _family_min_max(p: ModelPoint, beta: BetaVector):
     """Families supported at every factor, their least weight and the verdict.
 
-    Returns ([(per-factor {weight: witness key} dicts, index builder)], D, lo,
+    Returns ([(per-factor {weight: witness key} dicts, index builder)], lo,
     membership).  Per live family and factor, one walk over ``_first_reads``
     keeps the nonzero entries of the cached tables (``ModelPoint._values``),
     P in order by ``zip`` and V_z by flat index: (K, x) pairs with D beta
-    (trace zero, D the lcm of its denominators) to -sum_{l in K} D beta_l -
-    D beta_x, the K sums taken once per beta, and the witness is the first
-    key in table order of that weight.  Raises ValueError unless beta was
-    built for the point's rank, section count and number of points.
+    (trace zero, D the lcm of its denominators), read off beta's integer
+    form (``BetaVector.integer_form``) as b_g on each column of block g, to
+    -sum_{l in K} D beta_l - D beta_x, the K sums taken once per beta, and
+    the witness is the first key in table order of that weight.  Raises
+    ValueError unless beta was built for the point's rank, section count and
+    number of points.
     """
     if (beta.m, beta.npoints, beta.tau.rank) != (p.m, p.npoints, p.r):
         raise ValueError(
             f"instability vector shape ({beta.tau.rank}x{beta.m}, {beta.npoints} factors) "
             f"does not match point ({p.r}x{p.m}, {p.npoints} factors)"
         )
-    entries, D = clear_denominators(beta.entries)
-    at = (0, *entries)  # D beta_l at column l
+    at = [0]  # D beta_l at column l
+    for b_g, m_g in zip(beta.integer_form[0], beta.m_blocks):
+        at += [b_g] * m_g
     off = [-sum(map(at.__getitem__, K)) for K in _subset_places(p.r - 1, p.m)]
     dets, ends = _first_reads(p.r, p.m)
     families = []
@@ -462,11 +468,11 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     lo = min(sum(min(d) for d in fam) for fam, _ in families)
-    target, exact = _int_target(beta, D)
+    target, exact = _int_target(beta)
     if not exact or lo != target:
-        return families, D, lo, Membership.OUTSIDE
+        return families, lo, Membership.OUTSIDE
     hi = max(sum(max(d) for d in fam) for fam, _ in families)
-    return families, D, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
+    return families, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
 
 
 def _step1(p: ModelPoint, beta: BetaVector):
@@ -481,21 +487,26 @@ def _step1(p: ModelPoint, beta: BetaVector):
     return last[1]
 
 
-def _int_target(beta: BetaVector, D: int) -> tuple[int, bool]:
+def _int_target(beta: BetaVector) -> tuple[int, bool]:
     """(t, True) when t = D |beta|^2 is an int, else (floor(t) + 1, False):
-    the int that step 1's int weights w compare with, w < t exactly as
-    against D |beta|^2, and whether some w can equal D |beta|^2.
+    the int that step 1's int weights w, pairings with D beta, compare with,
+    w < t exactly as against D |beta|^2, and whether some w can equal
+    D |beta|^2.  It is decided once per (point, beta) verdict, by
+    ``_family_min_max``, and once per ``verify_step1`` report.
 
-    It is an int for every ``beta_of_type`` beta.  Its block values beta_g =
-    k_g/m_g - k/m, k = sum_g k_g and m = sum_g m_g, have trace sum_g m_g
-    beta_g = 0, so |beta|^2 = sum_g m_g beta_g^2 = sum_g m_g beta_g (k_g/m_g
-    - k/m) = sum_g k_g beta_g, and D |beta|^2 = sum_g k_g (D beta_g), a sum
-    of products of ints.  A hand-built beta may break this.  Then an int w
-    is below D |beta|^2 iff w <= floor(D |beta|^2), that is w < floor + 1,
-    and no w equals it, so there is no equality witness.
+    Over beta's integer form (b, D, S) (``BetaVector.integer_form``), b_g =
+    D beta_g and S = sum_g m_g b_g^2 = D^2 |beta|^2, so D |beta|^2 = S / D,
+    and t is ``divmod(S, D)``.  It is an int for every ``beta_of_type`` beta.
+    Its block values beta_g = k_g/m_g - k/m, k = sum_g k_g and m = sum_g m_g,
+    have trace sum_g m_g beta_g = 0, so |beta|^2 = sum_g m_g beta_g^2 =
+    sum_g m_g beta_g (k_g/m_g - k/m) = sum_g k_g beta_g, and D |beta|^2 =
+    sum_g k_g b_g, a sum of products of ints.  A hand-built beta may break
+    this.  Then an int w is below D |beta|^2 iff w <= floor(D |beta|^2),
+    that is w < floor + 1, and no w equals it, so there is no equality
+    witness.
     """
-    t = beta.norm_sq * D
-    floor, rem = divmod(t.numerator, t.denominator)
+    _, D, S = beta.integer_form
+    floor, rem = divmod(S, D)
     return floor + bool(rem), not rem
 
 
@@ -538,14 +549,13 @@ def _scan(per_factor, target: int, limit: int, want_witness: bool):
 
 
 def _det_index(keys) -> CoordinateIndex:
-    return CoordinateIndex("det", tuple(keys))
+    """The det index of per-factor det keys of ``_entry_keys``, valid by
+    construction, so built unchecked (``CoordinateIndex._trusted``)."""
+    return CoordinateIndex._trusted("det", tuple(keys))
 
 def _end_index(keys) -> CoordinateIndex:
-    return CoordinateIndex(
-        "end",
-        tuple(k[0] for k in keys),
-        tuple((k[1], k[2]) for k in keys),
-    )
+    """The end index of per-factor end keys (s, i, j), as ``_det_index``."""
+    return CoordinateIndex._trusted("end", tuple(k[0] for k in keys), tuple((k[1], k[2]) for k in keys))
 
 
 def membership(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Membership:
@@ -559,7 +569,7 @@ def membership(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Membership
     witness scan; call ``verify_step1`` instead when both are wanted.
     """
     _check_shapes(p, ctx)
-    return _step1(p, beta)[3]
+    return _step1(p, beta)[2]
 
 
 @dataclass(frozen=True)
@@ -593,8 +603,9 @@ def verify_step1(
     weights are int pairings with D beta, divided by D on the report.
     """
     _check_shapes(p, ctx)
-    families, D, lo, verdict = _step1(p, beta)
-    target, exact = _int_target(beta, D)
+    families, lo, verdict = _step1(p, beta)
+    target, exact = _int_target(beta)
+    D = beta.integer_form[1]
     violations: list[tuple[CoordinateIndex, Fraction]] = []
     witness = None
     for fam, make_index in families:

@@ -28,7 +28,8 @@ class BetaVector:
 
     Entries are constant on blocks (m_g copies of k_g/m_g - k/m) and strictly
     decrease across blocks.  The full coordinate vector is materialised lazily
-    since most computations only need the block data.
+    since most computations only need the block data, and those over int read
+    its integer form (``integer_form``).
     """
 
     block_values: tuple[Fraction, ...]
@@ -53,17 +54,24 @@ class BetaVector:
         return tuple(out)
 
     @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int, int]:
+        """(b, D, S) over int: the block ints b_g = D beta_g, D the lcm of the
+        block values' denominators, and S = sum_g m_g b_g^2 = D^2 |beta|^2.
+        Built once per beta from its ``block_values`` alone, so a beta made by
+        ``dataclasses.replace`` gets its own."""
+        b, D = clear_denominators(self.block_values)
+        return b, D, sum(m_g * b_g * b_g for b_g, m_g in zip(b, self.m_blocks))
+
+    @cached_property
     def norm_sq(self) -> Fraction:
-        return sum(
-            (v * v * size for v, size in zip(self.block_values, self.m_blocks)),
-            Fraction(0),
-        )
+        _, D, S = self.integer_form
+        return Fraction(S, D * D)
 
     @property
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.block_values)
 
-    @property
+    @cached_property
     def flag(self) -> FlagShape:
         return FlagShape(self.m_blocks)
 
@@ -119,11 +127,11 @@ def beta_of_type(tau: HNType, ctx: CurveContext) -> BetaVector:
         k_blocks.append(n * (d_g - r_g * g))
         m_blocks.append(m_g)
     k, m = sum(k_blocks), sum(m_blocks)
-    base = Fraction(k, m)
-    values = tuple(Fraction(k_g, m_g) - base for k_g, m_g in zip(k_blocks, m_blocks))
-    for a, b in zip(values, values[1:]):
-        if a <= b:
+    blocks = list(zip(k_blocks, m_blocks))
+    for (k_a, m_a), (k_b, m_b) in zip(blocks, blocks[1:]):
+        if k_a * m_b <= k_b * m_a:  # k_a/m_a <= k_b/m_b, both m > 0
             raise ValueError("block values failed to decrease; inconsistent type")
+    values = tuple(Fraction(k_g * m - k * m_g, m_g * m) for k_g, m_g in blocks)
     return BetaVector(values, tuple(k_blocks), tuple(m_blocks), n, tau)
 
 
@@ -156,6 +164,15 @@ class CoordinateIndex:
             )
         elif self.ij is not None:
             raise ValueError("'det' indices carry no (i, j) data")
+
+    @classmethod
+    def _trusted(cls, kind: str, subsets, ij=None) -> "CoordinateIndex":
+        """The index of parts already valid, int tuples in the form
+        ``__post_init__`` leaves them, built with no check: step 1's witness
+        and violation indices, whose keys come from ``point_model._entry_keys``."""
+        idx = object.__new__(cls)
+        idx.__dict__.update(kind=kind, subsets=subsets, ij=ij)
+        return idx
 
     def to_json(self) -> dict:
         data = {"kind": self.kind, "subsets": [list(s) for s in self.subsets]}
@@ -312,10 +329,13 @@ def step2_trace_identity(
     With one block, or bound 0, the only class is 0.  Otherwise the e_g - e_h
     are classes (bound, m_g >= 1) and span the zero-sum tuples, so the identity
     holds on every class iff all c_g are equal, and else fails at e_1 - e_g
-    for the first g with c_g != c_1.  ``beta_of_type`` gives r_g = m_g - k_g/N and v_g = k_g/m_g -
-    k/m, so c_g = -N + k/m on every block.  With u = t + bound m, the classes
-    are the u with 0 <= u_g <= 2 bound m_g summing to A = bound sum m_g,
-    counted by inclusion-exclusion as sum_S (-1)^|S| C(A - w_S + s - 1, s - 1)
+    for the first g with c_g != c_1.  ``beta_of_type`` gives r_g = m_g - k_g/N
+    and v_g = k_g/m_g - k/m, so c_g = -N + k/m on every block.  On beta's
+    integer form (b, D) (``BetaVector.integer_form``), v_g = b_g / D, so c_g =
+    -n_g / (m_g D) with the int n_g = N r_g D + b_g m_g, and c_g = c_1 iff
+    n_g m_1 = n_1 m_g: the c_g are compared as ints.  With u = t + bound m,
+    the classes are the u with 0 <= u_g <= 2 bound m_g summing to A = bound
+    sum m_g, counted by inclusion-exclusion as sum_S (-1)^|S| C(A - w_S + s - 1, s - 1)
     over the block sets S with w_S = sum_{g in S}(2 bound m_g + 1) <= A, in
     O(2^s).  A bound that is not an int raises TypeError, a negative one
     ValueError.
@@ -329,11 +349,9 @@ def step2_trace_identity(
         for widths in itertools.combinations([2 * bound * m_g + 1 for m_g in m_blocks], size):
             if sum(widths) <= total:
                 checked += (-1) ** size * math.comb(total - sum(widths) + s - 1, s - 1)
-    c = [
-        -Fraction(beta.npoints * r_g, m_g) - v
-        for r_g, m_g, v in zip(beta.rank_blocks, m_blocks, beta.block_values)
-    ]
-    g = next((g for g in range(1, s) if c[g] != c[0]), None)
+    b, D, _ = beta.integer_form
+    n = [beta.npoints * r_g * D + b_g * m_g for r_g, m_g, b_g in zip(beta.rank_blocks, m_blocks, b)]
+    g = next((g for g in range(1, s) if n[g] * m_blocks[0] != n[0] * m_blocks[g]), None)
     if not bound or g is None:
         return checked, True, None
     return checked, False, tuple(int(h == 0) - int(h == g) for h in range(s))

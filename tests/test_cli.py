@@ -427,15 +427,16 @@ class TestGoldenPointCheck:
 
 class TestIndexSetDefaultCap:
     def test_library_and_cli_share_the_default_cap(self, capsys, monkeypatch):
-        # 18 affinely independent points in Q^17: 2^18 - 1 subsets are counted
+        # 18 affinely independent points in Q^17: the walk's subsets, all but
+        # the empty one and the full one, 2^18 - 2, are counted
         points = [[0] * 17] + [[int(i == j) for j in range(17)] for i in range(17)]
         with pytest.raises(CapExceeded) as exc:
             index_set_B(points)
-        assert (exc.value.count, exc.value.cap) == (262_143, DEFAULT_INDEX_CAP)
+        assert (exc.value.count, exc.value.cap) == (262_142, DEFAULT_INDEX_CAP)
         monkeypatch.delenv("HIGGSSTRATA_CAP", raising=False)
         code, out, err = run(capsys, "index-set", "--points", json.dumps(points))
         assert code == 1 and not out
-        assert err == f"CapExceeded: enumeration of size 262143 exceeds cap {DEFAULT_INDEX_CAP}\n"
+        assert err == f"CapExceeded: enumeration of size 262142 exceeds cap {DEFAULT_INDEX_CAP}\n"
 
 
 class TestIndexSetLattices:

@@ -331,14 +331,17 @@ class TestIndexSet:
         assert got == [(F(-1),), (F(0),), (F(1),)]
 
     def test_cap(self):
-        # affine dimension 2: subsets of at most 3 of the 12 weights are counted
+        # affine dimension 2: the walk's subsets, at most 2 of the 12 weights,
+        # are counted, 12 + 66; the cap admits exactly that many
+        cloud = [[i, i * i] for i in range(12)]
         with pytest.raises(CapExceeded) as exc:
-            index_set_B([[i, i * i] for i in range(12)], cap=100)
-        assert exc.value.count == 298
+            index_set_B(cloud, cap=77)
+        assert exc.value.count == 78
+        assert len(index_set_B(cloud, cap=78)) == len(index_set_B(cloud))
 
     def test_collinear_cloud_under_cap(self):
-        # affine dimension 1: only the 12 + 66 singletons and pairs count
-        got = index_set_B([[i, 1] for i in range(12)], cap=100)
+        # affine dimension 1: only the 12 singletons count
+        got = index_set_B([[i, 1] for i in range(12)], cap=12)
         assert got == [(F(1), F(0)), (F(1), F(1))] + [(F(i), F(1)) for i in range(2, 12)]
 
     def test_failed_certificate_raises(self, monkeypatch):

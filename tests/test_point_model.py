@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib.util
 import itertools
@@ -64,7 +65,7 @@ from higgsstrata.point_model import (
     _first_reads,
     _table,
 )
-from higgsstrata.weight_lattice import enumerate_coordinate_indices
+from higgsstrata.weight_lattice import enumerate_coordinate_indices, step2_trace_identity
 
 
 CTX3 = CurveContext(2, 1, genus=0, npoints=1)  # m = 3
@@ -511,6 +512,37 @@ class TestIntegerForm:
         assert count_calls(lambda: ModelPoint.from_json(text), *watched) == [0, 0, 0]
         text["factors"][0]["y"][0][0] = "0.5"
         assert count_calls(lambda: ModelPoint.from_json(text), F.__new__)[0] == 1  # the counter sees Fraction
+
+
+class TestBetaIntegerForm:
+    """Step 1's verdict and the trace identity read beta's integer form
+    (``BetaVector.integer_form``), over int, and nothing else of beta."""
+
+    READERS = {"point_model.py": ("_family_min_max", "_int_target"), "weight_lattice.py": ("step2_trace_identity",)}
+
+    def test_a_fresh_beta_builds_no_fraction(self):
+        p = ModelPoint((Factor([[1, 2, 0, 1, 0], [0, 0, 1, 3, 1]], 1, [[2, 0], [5, 3]]),))
+        p._values  # the point's tables, over int, before counting
+
+        def fresh(values):
+            own = beta_of_type(TAU43, CTX73)
+            return own if values is None else dataclasses.replace(own, block_values=values)
+
+        for values in (None, (F(1, 2), F(-3, 4)), (F(2, 3), F(1, 5))):  # own, trace zero, tampered
+            beta = fresh(values)
+            assert count_calls(lambda: point_model._family_min_max(p, beta), F.__new__) == [0]
+            beta = fresh(values)
+            assert count_calls(lambda: step2_trace_identity(beta, 3), F.__new__) == [0]
+        assert count_calls(lambda: beta.norm_sq, F.__new__) == [1]  # the counter sees Fraction
+
+    def test_readers_name_only_the_integer_form(self):
+        package = pathlib.Path(point_model.__file__).parent
+        for module, names in self.READERS.items():
+            tree = ast.parse((package / module).read_text(encoding="utf-8"))
+            defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+            for name in names:
+                attrs = {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}
+                assert "integer_form" in attrs and not attrs & {"entries", "block_values", "norm_sq"}, name
 
 
 class TestStep1:

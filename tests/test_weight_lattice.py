@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import re
 import time
 from fractions import Fraction as F
@@ -29,6 +30,7 @@ from higgsstrata import (
     pairing,
     step2_trace_identity,
 )
+from higgsstrata.point_model import _int_target
 from higgsstrata.weight_lattice import rational_from_json, rational_to_json
 
 
@@ -318,6 +320,72 @@ class TestTraceIdentity:
                 for r_g, m_g, t in zip(beta.rank_blocks, beta.m_blocks, traces)
             )
             assert lhs == pairing(beta, tuple(F(x) for x in lam))
+
+
+def _all_betas() -> list:
+    """``beta_of_type`` of every type of ranks 1-3 at genus 0 and 2, N 1-3,
+    as in ``TestTraceIdentity`` but for rank 4."""
+    out = []
+    for r, g, n in itertools.product((1, 2, 3), (0, 2), (1, 2, 3)):
+        ctx = CurveContext(r, r * (2 * g - 1) + 4, genus=g, npoints=n)
+        out += [beta_of_type(tau, ctx) for tau in enumerate_hn_types(ctx, ctx.degree + r, min_slope_exclusive=g - 1)]
+    return out
+
+
+ALL_BETAS = _all_betas()
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _betas(draw):
+    """A ``beta_of_type`` beta, or one hand-built from it by
+    ``dataclasses.replace``: one block moved or every block moved alike (not
+    trace zero unless by zero), or every value drawn afresh."""
+    beta = draw(st.sampled_from(ALL_BETAS))
+    values = beta.block_values
+    how = draw(st.sampled_from(("own", "one", "all", "free")))
+    if how == "one":
+        g = draw(st.integers(0, len(values) - 1))
+        values = values[:g] + (values[g] + draw(_RATIONALS),) + values[g + 1:]
+    elif how == "all":
+        shift = draw(_RATIONALS)
+        values = tuple(v + shift for v in values)
+    elif how == "free":
+        values = tuple(draw(_RATIONALS) for _ in values)
+    return beta if how == "own" else dataclasses.replace(beta, block_values=values)
+
+
+class TestIntegerFormByFractions:
+    """``BetaVector.integer_form`` and its readers against their ``Fraction``
+    definitions, on ``beta_of_type`` and hand-built beta."""
+
+    @given(_betas())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_definitions(self, beta):
+        b, D, S = beta.integer_form
+        norm = sum((v * v * m_g for v, m_g in zip(beta.block_values, beta.m_blocks)), F(0))
+        assert beta.norm_sq == norm == sum(x * x for x in beta.entries) and type(beta.norm_sq) is F
+        assert D == math.lcm(*(x.denominator for x in beta.entries))
+        assert b == tuple(v * D for v in beta.block_values) and S == norm * D * D
+        t = norm * D
+        assert _int_target(beta) == (math.floor(t) + (t.denominator > 1), t.denominator == 1)
+        # c_g = -N r_g/m_g - v_g; the identity fails at e_1 - e_g for the first g off c_1
+        c = [-F(beta.npoints * r_g, m_g) - v for r_g, m_g, v in zip(beta.rank_blocks, beta.m_blocks, beta.block_values)]
+        g = next((g for g in range(1, len(c)) if c[g] != c[0]), None)
+        for bound in range(4):
+            checked, ok, witness = step2_trace_identity(beta, bound)
+            assert (checked, ok) == trace_identity_by_fractions(beta, bound)
+            want = None if not bound or g is None else tuple(int(h == 0) - int(h == g) for h in range(len(c)))
+            assert witness == want
+
+    def test_int_target_exact_and_not(self):
+        # on the (3, 2) blocks the own beta (1/15, -1/10) has D = 30 and
+        # D |beta|^2 = S / D = 30 / 30 = 1; the hand-built (1/2, -3/4) has the
+        # same b and S, D = 4 and D |beta|^2 = 15/2, compared as 8
+        own = beta_of_type(HNType(((1, 4), (1, 3))), CurveContext(2, 7, genus=2))
+        assert own.integer_form == ((2, -3), 30, 30) and _int_target(own) == (1, True)
+        hand = dataclasses.replace(own, block_values=(F(1, 2), F(-3, 4)))
+        assert hand.integer_form == ((2, -3), 4, 30) and _int_target(hand) == (8, False)
 
 
 class TestRationalJson:
