@@ -6,15 +6,19 @@ accepted as integers or "p/q" strings and always emitted in lowest terms.
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
 2 usage error.  A request is parsed once, by its verb's parser alone, so an
 unknown flag after a verb is reported with that verb's usage and prog:
-``higgsstrata beta: error: unrecognized arguments: --bogus``.  The environment
-variable HIGGSSTRATA_CAP overrides the default enumeration cap: for
-``index-set`` it counts the weight subsets of at most a distinct weights, a
-being their affine dimension, the subsets its walk can visit; for ``stabdim``
-N C(m,r) (1 + r^2) values, not rows, kept so CapExceeded counts stay the same
-(N points, rank r, m sections; ``report`` holds its stabiliser calls to the
-default cap in that unit, and ``stabdim --phis``, reading its defaulted
-context flags only with ``--point``, refuses ``--cap``); for ``point-coords``
-the C(m,r)^N (1 + r^(2N)) coordinate indices.  Type enumeration stops past
+``higgsstrata beta: error: unrecognized arguments: --bogus``.  The context
+flags are the ones an answer reads: ``--genus`` and ``--npoints`` wherever a
+point or an instability vector is built, ``--degl`` (the twisting line
+bundle's degree) on ``report`` alone, whose candidate bounds read it, and
+only ``--rank`` and ``--degree`` on ``enumerate``.  ``--cap`` bounds, before
+any work, ``index-set``'s weight subsets of at most a distinct weights, a
+being their affine dimension, the subsets its walk can visit;
+``stabdim --point``'s N r m |positions| invariance-row entries (N points,
+rank r, m sections, |positions| the flag's strictly upper block-triangle
+slots; ``report`` holds its stabiliser calls to the default cap in that
+unit, and ``stabdim --phis``, reading its defaulted context flags only with
+``--point``, refuses ``--cap``); and ``point-coords``'s C(m,r)^N
+(1 + r^(2N)) coordinate indices.  Type enumeration stops past
 200,000 types; ``point-check --step2`` takes any ``--lambda-bound`` >= 0, the
 trace identity being decided in closed form.  JSON nested too deeply to parse
 is a domain error, ``RecursionError``.
@@ -35,7 +39,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -50,19 +53,6 @@ from .hn_types import (
 )
 from .linalg import frac, listlike, objectlike
 from .weight_lattice import beta_of_type, rational_to_json
-
-
-def _cap(args) -> int:
-    """The --cap value, else HIGGSSTRATA_CAP, else the default cap."""
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("HIGGSSTRATA_CAP")
-    if not env:
-        return DEFAULT_INDEX_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"HIGGSSTRATA_CAP must be an integer, got {env!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -104,23 +94,22 @@ def _emit(args, payload, text_lines) -> None:
             print(line)
 
 
-def _ctx_from(args) -> CurveContext:
-    return CurveContext(
-        args.rank, args.degree, args.genus, args.degl, args.npoints
-    )
+def _ctx_from(args, deg_line=0) -> CurveContext:
+    return CurveContext(args.rank, args.degree, args.genus, deg_line, args.npoints)
 
 
-def _add_ctx_flags(sub, with_rank=True):
+def _add_ctx_flags(sub, with_rank=True, with_degl=False):
     if with_rank:
         sub.add_argument("--rank", type=int, required=True)
         sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--genus", type=int, default=0)
-    sub.add_argument("--degl", type=int, default=0)
+    if with_degl:
+        sub.add_argument("--degl", type=int, default=0)
     sub.add_argument("--npoints", type=int, default=1)
 
 
 def _cmd_enumerate(args) -> None:
-    ctx = _ctx_from(args)
+    ctx = CurveContext(args.rank, args.degree)
     types = enumerate_hn_types(ctx, frac(args.max_slope))
     payload = lambda: {"schema": "higgsstrata.enumerate/1", "types": [t.to_json() for t in types]}
     _emit(args, payload, lambda: [repr(t) for t in types])
@@ -138,7 +127,7 @@ def _cmd_order(args) -> None:
 def _type_beta(args):
     """The context of the --tau/--ranks type and that type's instability vector."""
     tau = _parse_type(args.tau, args.ranks)
-    ctx = CurveContext(tau.rank, tau.degree, args.genus, args.degl, args.npoints)
+    ctx = CurveContext(tau.rank, tau.degree, args.genus, npoints=args.npoints)
     return ctx, beta_of_type(tau, ctx)
 
 
@@ -177,7 +166,7 @@ def _cmd_index_set(args) -> None:
     import higgsstrata.minnorm as minnorm
 
     cloud = minnorm.PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
-    reps = minnorm.index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=_cap(args))
+    reps = minnorm.index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=args.cap)
     payload = lambda: {
         "schema": "higgsstrata.index_set/1",
         "vectors": [[rational_to_json(x) for x in v] for v in reps],
@@ -190,7 +179,7 @@ def _cmd_point_coords(args) -> None:
 
     ctx = _ctx_from(args)
     point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
-    table = point_model.coordinates(point, ctx, cap=_cap(args))
+    table = point_model.coordinates(point, ctx, cap=args.cap)
     support = table.support()
     payload = lambda: {
         "schema": "higgsstrata.point_coords/1",
@@ -278,7 +267,8 @@ def _cmd_stabdim(args) -> None:
         kind = "unipotent_stabilizer"
         ctx = _ctx_from(args)
         point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
-        dim = point_model.unipotent_stabilizer_dim(point, flag, ctx, cap=_cap(args))
+        cap = DEFAULT_INDEX_CAP if args.cap is None else args.cap
+        dim = point_model.unipotent_stabilizer_dim(point, flag, ctx, cap=cap)
     _emit(args, lambda: {"schema": "higgsstrata.stabdim/1", "kind": kind, "dim": dim}, lambda: [str(dim)])
 
 
@@ -318,7 +308,7 @@ def _cmd_report(args) -> None:
     import higgsstrata.strat_report as strat_report
     import higgsstrata.svg as svg
 
-    ctx = _ctx_from(args)
+    ctx = _ctx_from(args, args.degl)
     with open(args.corpus_file, "r", encoding="utf-8") as handle:
         data = objectlike(json.load(handle), "a corpus (an object with points)")
     corpus = []
@@ -357,8 +347,8 @@ def _cmd_report(args) -> None:
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its verb -> parser map, built once per process.
 
-    Parsing reads only argv (HIGGSSTRATA_CAP is read when a verb runs), so they
-    serve every call of ``main``, which parses with the verb's parser alone.
+    Parsing reads only argv, so they serve every call of ``main``, which
+    parses with the verb's parser alone.
     """
     parser = argparse.ArgumentParser(
         prog="higgsstrata",
@@ -367,7 +357,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="verb", required=True)
 
     p = subs.add_parser("enumerate", help="list types under a slope bound")
-    _add_ctx_flags(p)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-slope", required=True)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -402,14 +393,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--points")
     p.add_argument("--points-file")
     p.add_argument("--no-chamber", action="store_true")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_INDEX_CAP)
     p.set_defaults(func=_cmd_index_set)
 
     p = subs.add_parser("point-coords", help="projective coordinates of a point")
     _add_ctx_flags(p)
     p.add_argument("--point")
     p.add_argument("--point-file")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_INDEX_CAP)
     p.set_defaults(func=_cmd_point_coords)
 
     p = subs.add_parser("point-check", help="membership and inequality checks")
@@ -446,7 +437,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=_cmd_polygons)
 
     p = subs.add_parser("report", help="assemble stratum records for a corpus")
-    _add_ctx_flags(p)
+    _add_ctx_flags(p, with_degl=True)
     p.add_argument("--corpus-file", required=True)
     p.add_argument("--max-slope")
     p.add_argument("--out-prefix", required=True)

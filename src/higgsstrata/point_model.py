@@ -940,14 +940,17 @@ def unipotent_stabilizer_dim(
     So each factor gives the rows of ``_invariance_nullity`` for W, with
     [A^T, phi] when the end family lives, but for W' and <w> when it alone
     lives and rank phi = 1; the integer form's scaling changes no kernel.
-    ``cap`` bounds N C(m,r) (1 + r^2), values and not rows, so that
-    CapExceeded counts stay the same, and is checked first.  The test oracle,
+    ``cap`` bounds N r m |positions|, checked before any work: each factor
+    gives at most r(m - r) + r^2 = r m rows (fewer when rank phi = 1), each
+    with one entry per strictly upper position, of which there are
+    (m^2 - sum of the squared block sizes) / 2.  The test oracle,
     ``oracles.unipotent_stabilizer_dim_dense_oracle``, differentiates T.
     """
     _check_shapes(p, ctx, flag)
-    values = p.npoints * math.comb(p.m, p.r) * (1 + p.r ** 2)
-    if values > cap:
-        raise CapExceeded(values, cap)
+    positions = (p.m ** 2 - sum(b * b for b in flag.block_sizes)) // 2
+    entries = p.npoints * p.r * p.m * positions
+    if entries > cap:
+        raise CapExceeded(entries, cap)
     live = p._live_families
     if not live:
         raise DegeneratePoint("all coordinates vanish")

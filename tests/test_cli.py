@@ -153,7 +153,8 @@ class TestJsonRoundTrips:
         )
 
     def test_stabdim_four_points(self, capsys):
-        # 10^4 * (1 + 2^8) = 2,570,000 coordinate indices, 4 * 10 * 5 = 200 rows
+        # 10^4 * (1 + 2^8) = 2,570,000 coordinate indices; N r m |positions|
+        # = 4 * 2 * 5 * 4 = 160 invariance-row entries
         start = time.monotonic()
         code, out, err = self._four_point_stabdim(capsys, "--json")
         assert time.monotonic() - start < 10
@@ -161,9 +162,26 @@ class TestJsonRoundTrips:
         assert json.loads(out)["kind"] == "unipotent_stabilizer"
 
     def test_stabdim_cap_counts_rows(self, capsys):
-        code, out, err = self._four_point_stabdim(capsys, "--cap", "199")
+        code, out, err = self._four_point_stabdim(capsys, "--cap", "159")
         assert code == 1 and not out
-        assert re.fullmatch(r"CapExceeded: .*size 200 exceeds cap 199\n", err), err
+        assert re.fullmatch(r"CapExceeded: .*size 160 exceeds cap 159\n", err), err
+        assert self._four_point_stabdim(capsys, "--cap", "160")[0] == 0
+
+    def test_rank4_two_point_stabiliser_under_the_default_cap(self, capsys, tmp_path):
+        # (r, d, g, N) = (4, 20, 0, 2), m = 24: N r m |positions| = 2 * 4 * 24
+        # * (13 * 11) = 27,456 entries, where N C(m,r) (1 + r^2) was 361,284
+        ctx = CurveContext(4, 20, genus=0, npoints=2)
+        point = build_flagged_point(HNType(((2, 11), (2, 9))), ctx, random.Random(0)).to_json()
+        ctx_flags = ["--rank", "4", "--degree", "20", "--npoints", "2"]
+        data = run_json(capsys, "stabdim", "--point", json.dumps(point), "--blocks", "13,11", *ctx_flags)
+        assert data["dim"] == 99
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps({"points": [{"id": "a", "point": point}]}))
+        data = run_json(
+            capsys, "report", *ctx_flags, "--corpus-file", str(corpus_path),
+            "--max-slope", "6", "--out-prefix", str(tmp_path / "rep"),
+        )
+        assert [row["delta"] for row in data["closure"]["rows"]] == [99]
 
     def test_stabdim_phis(self, capsys):
         data = run_json(
@@ -202,6 +220,22 @@ class TestJsonRoundTrips:
         on_disk = json.loads((tmp_path / "rep.json").read_text())
         assert on_disk["schema"] == "higgsstrata.report/1"
         assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.svg").exists()
+
+    def test_report_degl_sets_the_default_slope_bound(self, capsys, tmp_path, point_file):
+        # without --max-slope the bound is mu + (r-1)^2/r deg L: 7/2 admits only
+        # the semistable type, 4 also admits the point's type ((1,4),(1,3))
+        corpus = {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text())}]}
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps(corpus))
+        rows = {
+            degl: run_json(
+                capsys, *REPORT_CTX, "--degl", degl, "--corpus-file", str(corpus_path),
+                "--out-prefix", str(tmp_path / degl),
+            )["closure"]["rows"]
+            for degl in ("0", "1")
+        }
+        assert [r["tau"]["rank_degree_pairs"] for r in rows["0"]] == [[[2, 7]]]
+        assert [r["tau"]["rank_degree_pairs"] for r in rows["1"]] == [[[1, 4], [1, 3]]]
 
     def test_report_svg_draws_the_distinct_types_in_row_order(self, capsys, tmp_path):
         entries = [
@@ -426,14 +460,13 @@ class TestGoldenPointCheck:
 
 
 class TestIndexSetDefaultCap:
-    def test_library_and_cli_share_the_default_cap(self, capsys, monkeypatch):
+    def test_library_and_cli_share_the_default_cap(self, capsys):
         # 18 affinely independent points in Q^17: the walk's subsets, all but
         # the empty one and the full one, 2^18 - 2, are counted
         points = [[0] * 17] + [[int(i == j) for j in range(17)] for i in range(17)]
         with pytest.raises(CapExceeded) as exc:
             index_set_B(points)
         assert (exc.value.count, exc.value.cap) == (262_142, DEFAULT_INDEX_CAP)
-        monkeypatch.delenv("HIGGSSTRATA_CAP", raising=False)
         code, out, err = run(capsys, "index-set", "--points", json.dumps(points))
         assert code == 1 and not out
         assert err == f"CapExceeded: enumeration of size 262142 exceeds cap {DEFAULT_INDEX_CAP}\n"
@@ -502,8 +535,19 @@ class TestExitCodes:
         [
             ["minnorm", "--points", "[[1,0],[0,1]]", "--method", "faces"],
             ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", "2", "--flavor", "higgs"],
+            # context flags no answer of the verb reads
+            ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", "2", "--genus", "0"],
+            ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", "2", "--degl", "0"],
+            ["enumerate", "--rank", "2", "--degree", "1", "--max-slope", "2", "--npoints", "1"],
+            ["beta", "--tau", "5,3", "--genus", "2", "--degl", "0"],
+            ["point-check", "--point", "{}", "--tau", "4,3", "--ranks", "1,1", "--degl", "0"],
+            ["point-coords", "--point", "{}", "--rank", "2", "--degree", "7", "--degl", "0"],
+            ["stabdim", "--point", "{}", "--blocks", "3,2", "--rank", "2", "--degree", "7", "--degl", "0"],
         ],
-        ids=["minnorm-method", "enumerate-flavor"],
+        ids=[
+            "minnorm-method", "enumerate-flavor", "enumerate-genus", "enumerate-degl",
+            "enumerate-npoints", "beta-degl", "point-check-degl", "point-coords-degl", "stabdim-degl",
+        ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -514,14 +558,63 @@ class TestExitCodes:
     def test_success_exit_zero(self, capsys):
         assert run(capsys, "classify", "--tau-type", "3", "--mu-type", "3")[0] == 0
 
-    def test_cap_env_var_enforced(self, capsys, monkeypatch, point_file):
+    def test_cap_env_var_changes_nothing(self, capsys, monkeypatch, point_file):
+        # each request counts more than 10 in its verb's cap unit; --cap is
+        # the only way to set a cap
+        ctx = ["--rank", "2", "--degree", "7", "--genus", "2"]
+        requests = [
+            ["index-set", "--points", "[[0,0],[1,0],[0,1],[2,1],[1,3]]"],
+            ["point-coords", "--point-file", point_file, *ctx],
+            ["stabdim", "--point-file", point_file, "--blocks", "3,2", *ctx],
+        ]
+        monkeypatch.delenv("HIGGSSTRATA_CAP", raising=False)
+        plain = [run(capsys, *argv, "--json") for argv in requests]
+        assert all(code == 0 for code, _, _ in plain), plain
         monkeypatch.setenv("HIGGSSTRATA_CAP", "10")
-        code, _, err = run(
-            capsys,
-            "point-coords", "--point-file", point_file,
-            "--rank", "2", "--degree", "7", "--genus", "2",
-        )
-        assert code == 1 and "CapExceeded" in err
+        assert [run(capsys, *argv, "--json") for argv in requests] == plain
+        assert run(capsys, *requests[2], "--cap", "10")[0] == 1
+
+
+class TestOptionSurface:
+    """Each verb's option strings, as its parser exposes them (--help aside).
+
+    Every option here changes an answer or a refusal; adding or dropping one
+    is an edit of this table."""
+
+    OPTIONS = {
+        "enumerate": ["--rank", "--degree", "--max-slope", "--json"],
+        "order": ["--a", "--b", "--ranks-a", "--ranks-b", "--rank", "--json"],
+        "beta": ["--tau", "--ranks", "--genus", "--npoints", "--json"],
+        "compat": ["--rank-max", "--d-min", "--d-max", "--degl-min", "--degl-max", "--json"],
+        "minnorm": ["--points", "--points-file", "--json"],
+        "index-set": ["--points", "--points-file", "--no-chamber", "--cap", "--json"],
+        "point-coords": [
+            "--rank", "--degree", "--genus", "--npoints", "--point", "--point-file", "--cap", "--json",
+        ],
+        "point-check": [
+            "--point", "--point-file", "--tau", "--ranks", "--genus", "--npoints", "--step2",
+            "--lambda-bound", "--json",
+        ],
+        "stabdim": [
+            "--genus", "--npoints", "--rank", "--degree", "--blocks", "--point", "--point-file",
+            "--phis", "--phis-file", "--cap", "--json",
+        ],
+        "classify": ["--tau-type", "--mu-type", "--json"],
+        "polygons": ["--types", "--types-file", "--out", "--json"],
+        "report": [
+            "--rank", "--degree", "--genus", "--degl", "--npoints", "--corpus-file", "--max-slope",
+            "--out-prefix", "--svg", "--json",
+        ],
+    }
+
+    def test_each_verb_exposes_its_options(self):
+        _, verbs = cli.build_parser()
+        exposed = {
+            verb: [o for action in sub._actions for o in action.option_strings if o not in ("-h", "--help")]
+            for verb, sub in verbs.items()
+        }
+        assert exposed == self.OPTIONS
+        assert sum(map(len, exposed.values())) == 74
 
 
 class TestRepeatedCalls:
@@ -536,8 +629,7 @@ class TestRepeatedCalls:
         assert raw["vectors"] == [[{"num": -1, "den": 1}], [{"num": 0, "den": 1}], [one]]
         assert chamber["vectors"] == [[{"num": 0, "den": 1}], [one]]
 
-    def test_cap_then_default_cap(self, capsys, monkeypatch):
-        monkeypatch.delenv("HIGGSSTRATA_CAP", raising=False)
+    def test_cap_then_default_cap(self, capsys):
         code, out, err = run(capsys, "index-set", "--points", self.POINTS, "--cap", "1", "--json")
         assert (code, out) == (1, "") and err.startswith("CapExceeded")
         assert len(run_json(capsys, "index-set", "--points", self.POINTS)["vectors"]) == 2
@@ -901,17 +993,6 @@ class TestMalformedInput:
             assert code == 1 and not out
             assert re.fullmatch(r"ValueError: .*exponent.*\n", err), err
 
-    def test_non_integer_cap_env_var(self, capsys, monkeypatch, point_file):
-        monkeypatch.setenv("HIGGSSTRATA_CAP", "abc")
-        assert run(capsys, "beta", "--tau", "5,3", "--genus", "2")[0] == 0
-        code, _, err = run(
-            capsys,
-            "point-coords", "--point-file", point_file,
-            "--rank", "2", "--degree", "7", "--genus", "2",
-        )
-        assert code == 1
-        assert re.fullmatch(r"ValueError: HIGGSSTRATA_CAP .*\n", err), err
-
 
 class TestSvg:
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -993,10 +1074,7 @@ def _point_case(draw):
 
 def _argv(tmp: str, ctx: list, point: str, tau: list, blocks: str):
     point_arg = ["--point", point]
-    free_ctx = st.tuples(
-        st.just("--rank"), _small_int, st.just("--degree"), _small_int,
-        st.just("--npoints"), st.sampled_from(["1", "2", "0"]),
-    ).map(list)
+    free_ctx = st.tuples(st.just("--rank"), _small_int, st.just("--degree"), _small_int).map(list)
     verbs = [
         # --max-slope stays small here: the type count grows with it by
         # design, up to the cap; TestMalformedInput runs 1e400.

@@ -1206,11 +1206,12 @@ class TestStabilizerDenseOracle:
         beta = beta_of_type(TAU52, CTX73_N2)
         flag = FlagShape(beta.m_blocks)
         p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
-        # N C(m,r) (1 + r^2) = 2 * 10 * 5 rows against 10^2 * 17 coordinates
-        dim = unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=100)
+        # N r m |positions| = 2 * 2 * 5 * (4 * 1) invariance-row entries
+        # against 10^2 * 17 coordinates
+        dim = unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=80)
         with pytest.raises(CapExceeded) as exc:
-            unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=99)
-        assert exc.value.count == 100
+            unipotent_stabilizer_dim(p, flag, CTX73_N2, cap=79)
+        assert exc.value.count == 80
         with pytest.raises(CapExceeded) as exc:
             unipotent_stabilizer_dim_dense_oracle(p, flag, CTX73_N2, cap=100)
         assert exc.value.count == 1700
