@@ -6,7 +6,13 @@ accepted as integers or "p/q" strings and always emitted in lowest terms.
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
 2 usage error.  A request is parsed once, by its verb's parser alone, so an
 unknown flag after a verb is reported with that verb's usage and prog:
-``higgsstrata beta: error: unrecognized arguments: --bogus``.  The context
+``higgsstrata beta: error: unrecognized arguments: --bogus``.  That parser
+first reads a well-formed request straight off its own argparse actions:
+exact option strings, each store option followed by a value that does not
+start with ``-`` and that its type accepts, every required option given.
+Anything else (an abbreviation, ``--opt=value``, ``-h``, ``--``, a value
+such as ``-3``, a refused or missing value or option) goes to argparse,
+which parses it with its own help, usage and messages.  The context
 flags are the ones an answer reads: ``--genus`` and ``--npoints`` wherever a
 point or an instability vector is built, ``--degl`` (the twisting line
 bundle's degree) on ``report`` alone, whose candidate bounds read it, and
@@ -19,9 +25,11 @@ slots; ``report`` holds its stabiliser calls to the default cap in that
 unit, and ``stabdim --phis``, reading its defaulted context flags only with
 ``--point``, refuses ``--cap``); and ``point-coords``'s C(m,r)^N
 (1 + r^(2N)) coordinate indices.  Type enumeration stops past
-200,000 types; ``point-check --step2`` takes any ``--lambda-bound`` >= 0, the
-trace identity being decided in closed form.  JSON nested too deeply to parse
-is a domain error, ``RecursionError``.
+200,000 types; ``point-check --step2`` takes any ``--lambda-bound`` >= 0
+(default 2), the trace identity being decided in closed form, and
+``point-check`` refuses ``--lambda-bound`` without ``--step2``.  A list
+flag such as ``--tau 5,3`` refuses an empty entry (``5,,3`` or ``5,3,``).
+JSON nested too deeply to parse is a domain error, ``RecursionError``.
 
 Each verb runs in a fresh process, where import costs more than most
 requests, so this module imports at top level only what parsing and output
@@ -56,7 +64,12 @@ from .weight_lattice import beta_of_type, rational_to_json
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    if not text:
+        return []
+    entries = text.split(",")
+    if "" in entries:
+        raise ValueError(f"empty entry in the list {text!r}")
+    return [int(x) for x in entries]
 
 
 def _parse_type(degrees: str, ranks: str | None) -> HNType:
@@ -201,11 +214,16 @@ def _cmd_point_coords(args) -> None:
 def _cmd_point_check(args) -> None:
     import higgsstrata.point_model as point_model
 
+    if args.lambda_bound is not None and not args.step2:
+        raise ValueError("--lambda-bound applies only to --step2")
     ctx, beta = _type_beta(args)
     point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
     report = point_model.verify_step1(point, beta, ctx)
     got = report.membership
-    s2 = point_model.verify_step2(point, beta, ctx, lambda_bound=args.lambda_bound) if args.step2 else None
+    s2 = None
+    if args.step2:
+        bound = 2 if args.lambda_bound is None else args.lambda_bound
+        s2 = point_model.verify_step2(point, beta, ctx, lambda_bound=bound)
 
     def payload():
         out = {
@@ -343,6 +361,65 @@ def _cmd_report(args) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads a well-formed request off its own actions.
+
+    ``parse_args`` first tries ``_read_exact``; argparse parses whatever
+    that reader returns None on, so help, usage errors and their messages
+    stay argparse's.
+    """
+
+    def parse_args(self, args=None, namespace=None):
+        if args is not None:
+            read = self._read_exact(args, argparse.Namespace() if namespace is None else namespace)
+            if read is not None:
+                return read
+        return super().parse_args(args, namespace)
+
+    def _read_exact(self, args, namespace):
+        """The namespace argparse makes of ``args``, or None to leave them to it.
+
+        Every token must be an exact option string: a store-true option
+        takes no value, a store option the next token, converted by its
+        type.  None on anything else: an unknown token, an abbreviation, an
+        ``--opt=value`` token, ``-h``, ``--``, a missing value or one that
+        starts with ``-`` (such as ``-3``), a value the type refuses, or a
+        required option (or one with a string default) not given.  The
+        namespace is touched only on success.
+        """
+        seen, values, i = set(), [], 0
+        while i < len(args):
+            action = self._option_string_actions.get(args[i])
+            kind = type(action)
+            if kind is argparse._StoreTrueAction:
+                value, i = action.const, i + 1
+            elif kind is not argparse._StoreAction or action.nargs is not None or action.choices is not None:
+                return None
+            elif i + 1 == len(args) or args[i + 1].startswith("-"):
+                return None
+            else:
+                try:
+                    value = args[i + 1] if action.type is None else action.type(args[i + 1])
+                except (TypeError, ValueError):
+                    return None
+                i += 2
+            seen.add(action)
+            values.append((action.dest, value))
+        for a in self._actions:
+            if a not in seen and (a.required or isinstance(a.default, str) and a.default is not argparse.SUPPRESS):
+                return None
+        defaults = [
+            (a.dest, a.default) for a in self._actions
+            if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
+        ]
+        for dest, default in (*defaults, *self._defaults.items()):
+            if not hasattr(namespace, dest):
+                setattr(namespace, dest, default)
+        for dest, value in values:
+            setattr(namespace, dest, value)
+        return namespace
+
+
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its verb -> parser map, built once per process.
@@ -350,7 +427,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     Parsing reads only argv, so they serve every call of ``main``, which
     parses with the verb's parser alone.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="higgsstrata",
         description="Exact instability-stratification combinatorics",
     )
@@ -410,7 +487,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ranks")
     _add_ctx_flags(p, with_rank=False)
     p.add_argument("--step2", action="store_true")
-    p.add_argument("--lambda-bound", type=int, default=2)
+    p.add_argument("--lambda-bound", type=int)
     p.set_defaults(func=_cmd_point_check)
 
     p = subs.add_parser("stabdim", help="stabiliser dimensions")

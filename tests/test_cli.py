@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import INDEX_SET_LATTICE_GOLDEN, build_flagged_point, genus0_lattice_weights
@@ -716,6 +717,111 @@ class TestDispatch:
         assert (args.verb, args.tau_type, args.mu_type, args.json) == ("classify", "3", "3", True)
 
 
+# Good values for an option of either type, and values that either type
+# refuses or that start with "-" (argparse takes "-3" as a negative number
+# and refuses the rest).
+_GOOD = {int: ["0", "2", "7"], None: ["5,3", "", "[[1]]"]}
+_VALUES = ["x", "5,3", "-3", "-x", "--json", "-h"]
+_HOSTILE = ["-h", "--help", "--", "-3", "-x", "", "x", "--bogus", "--json=1"]
+_EDITS = ["drop", "abbrev", "equals", "value", "repeat", "insert"]
+
+
+@st.composite
+def _near_request(draw):
+    """A verb, an argv and whether it is a well-formed request.
+
+    The request gives every required option and some others, each as its
+    exact string with a value of its type, in any order.  Up to two edits
+    follow: drop an option, abbreviate one, write one as ``--opt=value``,
+    give one a hostile value, repeat one, or insert a hostile token.
+    """
+    verb = draw(st.sampled_from(TestDispatch.VERBS))
+    groups = []
+    for action in cli.build_parser()[1][verb]._actions:
+        if action.dest == "help" or not (action.required or draw(st.booleans())):
+            continue
+        value = [] if action.nargs == 0 else [draw(st.sampled_from(_GOOD[action.type]))]
+        groups.append([action.option_strings[0], *value])
+    groups = draw(st.permutations(groups))
+    edits = [draw(st.sampled_from(_EDITS)) for _ in range(draw(st.integers(0, 2)))]
+    for edit in edits:
+        if edit == "insert" or not groups:
+            continue
+        i = draw(st.integers(0, len(groups) - 1))
+        option, *value = groups[i]
+        if edit == "drop":
+            del groups[i]
+        elif edit == "abbrev":
+            groups[i] = [option[:-1], *value]
+        elif edit == "equals":
+            groups[i] = ["=".join(groups[i])]
+        elif edit == "value":
+            groups[i] = [option, draw(st.sampled_from(_VALUES))]
+        else:
+            groups.append(groups[i])
+    argv = [token for group in groups for token in group]
+    for _ in range(edits.count("insert")):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_HOSTILE)))
+    return verb, argv, not edits
+
+
+class TestExactReader:
+    """A well-formed request skips argparse's matching; nothing else does."""
+
+    @given(_near_request())
+    @example(("beta", ["--genus", "2"], False))  # a required option missing
+    @example(("beta", ["--tau", "--json"], False))  # a value that starts with "-"
+    @settings(max_examples=400, deadline=None)
+    def test_reader_agrees_with_argparse(self, case):
+        verb, argv, well_formed = case
+        sub = cli.build_parser()[1][verb]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = argparse.ArgumentParser.parse_args(sub, argv, argparse.Namespace(verb=verb))
+            except SystemExit:
+                expected = None
+        read = sub._read_exact(list(argv), argparse.Namespace(verb=verb))
+        assert read is not None or not well_formed, argv
+        if read is not None:
+            assert expected is not None, argv  # argparse refuses this argv
+            assert read == expected, argv
+
+    @staticmethod
+    def _requests(point):
+        """README's examples, and one request of each benchmark shape."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```\n(higgsstrata enumerate .*?)```", readme, re.S)[1]
+        yield from (shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines())
+        ctx = ["--rank", "2", "--degree", "7", "--genus", "2", "--npoints", "1"]
+        yield ["report", *ctx, "--corpus-file", "corpus.json", "--max-slope", "5",
+               "--out-prefix", "bench-out", "--svg", "--json"]
+        yield ["stabdim", *ctx, "--blocks", "3,2", "--point", point, "--json"]
+        for step2 in ([], ["--step2"]):
+            yield ["point-check", "--point", point, "--tau", "4,3", "--ranks", "1,1",
+                   "--genus", "2", "--npoints", "1", *step2, "--json"]
+        yield ["index-set", "--points", "[[0,0],[1,0],[0,1],[2,1],[1,3]]", "--json"]
+
+    def test_well_formed_requests_skip_argparse(self, capsys, tmp_path, monkeypatch, point_file):
+        monkeypatch.chdir(tmp_path)  # where point_file wrote point.json
+        point = Path(point_file).read_text(encoding="utf-8")
+        Path("corpus.json").write_text('{"points": [{"id": "a", "point": %s}]}' % point, encoding="utf-8")
+        calls = []
+        real = argparse.ArgumentParser._parse_known_args
+
+        def counted(self, *a, **k):
+            calls.append(self.prog)
+            return real(self, *a, **k)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+        requests = list(self._requests(point))
+        assert {argv[0] for argv in requests} == set(TestDispatch.VERBS)
+        for argv in requests:
+            code, _, err = run(capsys, *argv)
+            assert (code, err, calls) == (0, "", []), argv
+        # the counter sees argparse's own route
+        assert run(capsys, "beta", "--tau=5,3")[0] == 0 and calls == ["higgsstrata beta"]
+
+
 class TestMalformedInput:
     """Bad input ends with one ``Name: message`` line on stderr, not a traceback."""
 
@@ -954,6 +1060,35 @@ class TestMalformedInput:
         )
         assert code == 1 and not out
         assert re.fullmatch(r"ValueError: .*\n", err), err
+
+    def test_lambda_bound_needs_step2(self, capsys, point_file):
+        common = ["point-check", "--point-file", point_file, "--tau", "4,3", "--ranks", "1,1", "--genus", "2"]
+        code, out, err = run(capsys, *common, "--lambda-bound", "2")
+        assert (code, out, err) == (1, "", "ValueError: --lambda-bound applies only to --step2\n")
+        default = run_json(capsys, *common, "--step2")
+        assert run_json(capsys, *common, "--step2", "--lambda-bound", "2") == default
+        assert default["step2"] != run_json(capsys, *common, "--step2", "--lambda-bound", "3")["step2"]
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["beta", "--tau", "5,,3"], "5,,3"),
+            (["beta", "--tau", "5,3,"], "5,3,"),
+            (["beta", "--tau", "5,3", "--ranks", ",1,1"], ",1,1"),
+            (["order", "--a", "1,0", "--b", "2,,-1", "--rank", "2"], "2,,-1"),
+            (["classify", "--tau-type", "2,1,", "--mu-type", "1,1,1"], "2,1,"),
+            (["stabdim", "--blocks", "1,,1", "--phis", "[[[0,0],[1,0]]]"], "1,,1"),
+        ],
+        ids=["double-comma", "trailing-comma", "leading-comma", "order", "classify", "stabdim"],
+    )
+    def test_empty_list_entry(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"ValueError: empty entry in the list {text!r}\n"
+
+    def test_empty_list_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "beta", "--tau", "")
+        assert (code, out, err) == (1, "", "ValueError: a type needs at least one block\n")
 
     def test_huge_report_slope_is_pruned(self, capsys, tmp_path, point_file):
         # every block slope must exceed genus - 1, which bounds the first slope
