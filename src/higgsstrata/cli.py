@@ -22,13 +22,14 @@ being their affine dimension, the subsets its walk can visit;
 ``stabdim --point``'s N r m |positions| invariance-row entries (N points,
 rank r, m sections, |positions| the flag's strictly upper block-triangle
 slots; ``report`` holds its stabiliser calls to the default cap in that
-unit, and ``stabdim --phis``, reading its defaulted context flags only with
-``--point``, refuses ``--cap``); and ``point-coords``'s C(m,r)^N
-(1 + r^(2N)) coordinate indices.  Type enumeration stops past
-200,000 types; ``point-check --step2`` takes any ``--lambda-bound`` >= 0
-(default 2), the trace identity being decided in closed form, and
-``point-check`` refuses ``--lambda-bound`` without ``--step2``.  A list
-flag such as ``--tau 5,3`` refuses an empty entry (``5,,3`` or ``5,3,``).
+unit, ``stabdim --point`` needs ``--rank`` and ``--degree``, and
+``stabdim --phis`` refuses ``--cap``, ``--rank`` and ``--degree``, which
+only ``--point`` reads); and ``point-coords``'s C(m,r)^N (1 + r^(2N))
+coordinate indices.  Type enumeration stops past 200,000 types;
+``point-check --step2`` takes any ``--lambda-bound`` >= 0 (default 2), the
+trace classes being counted in closed form, and ``point-check`` refuses
+``--lambda-bound`` without ``--step2``.  A list flag such as ``--tau 5,3``
+refuses an empty entry (``5,,3`` or ``5,3,``).
 JSON nested too deeply to parse is a domain error, ``RecursionError``.
 
 Each verb runs in a fresh process, where import costs more than most
@@ -278,11 +279,15 @@ def _cmd_stabdim(args) -> None:
         raise ValueError("provide one of --phis and --point, not both")
     if phis and args.cap is not None:
         raise ValueError("--cap applies only to --point")
+    if phis and (args.rank is not None or args.degree is not None):
+        raise ValueError("--rank and --degree apply only to --point")
     if phis:
         kind = "nilpotent_commutant"
         dim = point_model.nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
     else:
         kind = "unipotent_stabilizer"
+        if args.rank is None or args.degree is None:
+            raise ValueError("stabdim --point needs --rank and --degree")
         ctx = _ctx_from(args)
         point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
         cap = DEFAULT_INDEX_CAP if args.cap is None else args.cap
@@ -492,8 +497,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("stabdim", help="stabiliser dimensions")
     _add_ctx_flags(p, with_rank=False)
-    p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--degree", type=int)
     p.add_argument("--blocks", required=True, help="flag block sizes")
     p.add_argument("--point")
     p.add_argument("--point-file")

@@ -40,10 +40,9 @@ which leaves the support, hence every weight, unchanged; ``coordinates``
 divides by the product of the s_k.  Step 2 and the retraction gauge this
 integer form (``_adapted_factors``); step 1 walks the tables once per beta,
 pairing with D beta, D the lcm of beta's denominators, compares the int
-weights with D |beta|^2 as ints, both read off beta's integer form
-(``BetaVector.integer_form``, ``_int_target``), and divides by D on its
-report.  The point keeps the walk for the last beta it was asked about, so
-step 2's guard after step 1 or ``membership`` on that beta walks nothing.
+weights with the int T = D |beta|^2, both read off beta's integer form
+(``BetaVector.integer_form``), and divides by D on its report.  The point
+keeps the walk for the last beta it was asked about, so step 2's guard after step 1 or ``membership`` on that beta walks nothing.
 ``Fraction`` appears only where a value leaves the module, as in a factor's
 ``y``, ``c`` and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
 """
@@ -436,7 +435,8 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     (trace zero, D the lcm of its denominators), read off beta's integer
     form (``BetaVector.integer_form``) as b_g on each column of block g, to
     -sum_{l in K} D beta_l - D beta_x, the K sums taken once per beta, and
-    the witness is the first key in table order of that weight.  Raises
+    the witness is the first key in table order of that weight; the verdict
+    compares them with the int T = D |beta|^2 of that form.  Raises
     ValueError unless beta was built for the point's rank, section count and
     number of points.
     """
@@ -468,8 +468,7 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     if not families:
         raise DegeneratePoint("all coordinates vanish")
     lo = min(sum(min(d) for d in fam) for fam, _ in families)
-    target, exact = _int_target(beta)
-    if not exact or lo != target:
+    if lo != beta.integer_form[2]:
         return families, lo, Membership.OUTSIDE
     hi = max(sum(max(d) for d in fam) for fam, _ in families)
     return families, lo, Membership.IN_Z if hi == lo else Membership.IN_Y_NOT_Z
@@ -487,34 +486,11 @@ def _step1(p: ModelPoint, beta: BetaVector):
     return last[1]
 
 
-def _int_target(beta: BetaVector) -> tuple[int, bool]:
-    """(t, True) when t = D |beta|^2 is an int, else (floor(t) + 1, False):
-    the int that step 1's int weights w, pairings with D beta, compare with,
-    w < t exactly as against D |beta|^2, and whether some w can equal
-    D |beta|^2.  It is decided once per (point, beta) verdict, by
-    ``_family_min_max``, and once per ``verify_step1`` report.
-
-    Over beta's integer form (b, D, S) (``BetaVector.integer_form``), b_g =
-    D beta_g and S = sum_g m_g b_g^2 = D^2 |beta|^2, so D |beta|^2 = S / D,
-    and t is ``divmod(S, D)``.  It is an int for every ``beta_of_type`` beta.
-    Its block values beta_g = k_g/m_g - k/m, k = sum_g k_g and m = sum_g m_g,
-    have trace sum_g m_g beta_g = 0, so |beta|^2 = sum_g m_g beta_g^2 =
-    sum_g m_g beta_g (k_g/m_g - k/m) = sum_g k_g beta_g, and D |beta|^2 =
-    sum_g k_g b_g, a sum of products of ints.  A hand-built beta may break
-    this.  Then an int w is below D |beta|^2 iff w <= floor(D |beta|^2),
-    that is w < floor + 1, and no w equals it, so there is no equality
-    witness.
-    """
-    _, D, S = beta.integer_form
-    floor, rem = divmod(S, D)
-    return floor + bool(rem), not rem
-
-
 def _scan(per_factor, target: int, limit: int, want_witness: bool):
     """Tuples of per-factor keys, visited in lexicographic weight order.
 
     Returns the first ``limit`` tuples whose int weights sum below the int
-    target (``_int_target``), with their sums, and (when ``want_witness``)
+    target (T = D |beta|^2), with their sums, and (when ``want_witness``)
     the first tuple summing to it.  Subtrees that can hold neither are
     pruned on their suffix min and max.
     """
@@ -600,16 +576,16 @@ def verify_step1(
     lexicographic weight order) and the first index pairing exactly at the
     norm.  The report never raises on failure: ``passed`` reads the exact
     least weight, never the (possibly cut short) violation list.  The
-    weights are int pairings with D beta, divided by D on the report.
+    weights are int pairings with D beta, compared with the int T = D |beta|^2
+    (``BetaVector.integer_form``) and divided by D on the report.
     """
     _check_shapes(p, ctx)
     families, lo, verdict = _step1(p, beta)
-    target, exact = _int_target(beta)
-    D = beta.integer_form[1]
+    _, D, T = beta.integer_form
     violations: list[tuple[CoordinateIndex, Fraction]] = []
     witness = None
     for fam, make_index in families:
-        below, keys = _scan(fam, target, max_violations - len(violations), exact and witness is None)
+        below, keys = _scan(fam, T, max_violations - len(violations), witness is None)
         violations.extend((make_index(chosen), Fraction(w, D)) for chosen, w in below)
         if keys is not None:
             witness = make_index(keys)
@@ -753,8 +729,6 @@ class BlockReport:
     """Torus-semistability verdict for one graded block of a retracted point."""
 
     index: int
-    block_rank: int
-    block_sections: int
     semistable: bool
     witness: tuple[int, ...] | None
     vacuous: bool = False
@@ -825,8 +799,8 @@ def verify_step2(
     denominator.  The blocks are sliced from the int factors of
     ``_adapted_factors``, so no ``Fraction`` is built.  The blockwise
     grading/trace identity over all integer trace-zero diagonal subgroups
-    with entries up to ``lambda_bound`` is decided, and its classes counted,
-    in closed form (``step2_trace_identity``), with no cap on the bound.
+    with entries up to ``lambda_bound`` holds for every beta; its classes are
+    counted in closed form (``step2_trace_identity``), with no cap on the bound.
     This is a necessary condition for full semistability, not a decision of it.
     """
     checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
@@ -846,9 +820,7 @@ def verify_step2(
             r_bs.append(r_hi - r_lo)
         weights = _block_weight_set(y_blocks, c_vals, phi_blocks, m_g)
         if not weights:
-            blocks.append(
-                BlockReport(gamma, max(r_bs), m_g, True, None, vacuous=True)
-            )
+            blocks.append(BlockReport(gamma, True, None, vacuous=True))
             continue
         X, delta = min_norm_point_of_sum(
             [tuple(m_g * a - m_g + r_b for a in w) for w in ws] for ws, r_b in zip(weights, r_bs)
@@ -856,10 +828,8 @@ def verify_step2(
         ss, G = not any(X), math.gcd(delta * m_g, *X)
         witness = None if ss else tuple(a // G for a in X)
         all_ok = all_ok and ss
-        blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, witness))
-    return Step2Report(
-        all_ok and identity_ok, tuple(blocks), checked, identity_ok
-    )
+        blocks.append(BlockReport(gamma, ss, witness))
+    return Step2Report(all_ok, tuple(blocks), checked, identity_ok)
 
 
 def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:

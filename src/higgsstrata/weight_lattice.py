@@ -12,31 +12,47 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
 from .errors import DEFAULT_INDEX_CAP, CapExceeded, NonPositiveBlockDimension
 from .hn_types import CurveContext, FlagShape, HNType
-from .linalg import Vec, clear_denominators, dot, frac, integer, listlike, objectlike
+from .linalg import Vec, dot, frac, integer, listlike, objectlike
 
 
 @dataclass(frozen=True)
 class BetaVector:
-    """Trace-zero instability vector of a type, with its block data.
+    """Trace-zero instability vector of the type tau at a genus and point
+    count, which alone fix it, so equality and hash read those three.
 
-    Entries are constant on blocks (m_g copies of k_g/m_g - k/m) and strictly
-    decrease across blocks.  The full coordinate vector is materialised lazily
-    since most computations only need the block data, and those over int read
-    its integer form (``integer_form``).
+    Building it raises NonPositiveBlockDimension for the first block with
+    m_g <= 0, then ValueError unless the block values strictly decrease, so
+    every beta lies in the chamber.  Every value is read off the integer form
+    (``integer_form``); the full coordinate vector is materialised lazily.
     """
 
-    block_values: tuple[Fraction, ...]
-    k_blocks: tuple[int, ...]
-    m_blocks: tuple[int, ...]
-    npoints: int
     tau: HNType
+    genus: int
+    npoints: int
+    k_blocks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    m_blocks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g, n = self.genus, self.npoints
+        k_blocks, m_blocks = [], []
+        for idx, (r_g, d_g) in enumerate(self.tau.blocks, start=1):
+            m_g = d_g + r_g * (1 - g)
+            if m_g <= 0:
+                raise NonPositiveBlockDimension(idx, m_g)
+            k_blocks.append(n * (d_g - r_g * g))
+            m_blocks.append(m_g)
+        for (k_a, m_a), (k_b, m_b) in itertools.pairwise(zip(k_blocks, m_blocks)):
+            if k_a * m_b <= k_b * m_a:  # k_a/m_a <= k_b/m_b, both m > 0
+                raise ValueError("block values failed to decrease; inconsistent type")
+        object.__setattr__(self, "k_blocks", tuple(k_blocks))
+        object.__setattr__(self, "m_blocks", tuple(m_blocks))
 
     @property
     def k(self) -> int:
@@ -47,6 +63,29 @@ class BetaVector:
         return sum(self.m_blocks)
 
     @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int, int]:
+        """(b, D, T) over int: the block ints b_g = D beta_g, D the lcm of the
+        reduced denominators of beta_g = (k_g m - k m_g) / (m_g m), and
+        T = sum_g k_g b_g = D |beta|^2, all built from ints.
+
+        T is exact because the values have trace zero: sum_g m_g beta_g =
+        sum_g k_g - (k/m) sum_g m_g = 0, so |beta|^2 = sum_g m_g beta_g^2 =
+        sum_g m_g beta_g (k_g/m_g - k/m) = sum_g k_g beta_g, and D |beta|^2 =
+        sum_g k_g b_g, a sum of products of ints.
+        """
+        k, m = self.k, self.m
+        nums = [k_g * m - k * m_g for k_g, m_g in zip(self.k_blocks, self.m_blocks)]
+        dens = [m_g * m for m_g in self.m_blocks]
+        D = math.lcm(*(d // math.gcd(x, d) for x, d in zip(nums, dens)))
+        b = tuple(x * D // d for x, d in zip(nums, dens))
+        return b, D, sum(k_g * b_g for k_g, b_g in zip(self.k_blocks, b))
+
+    @cached_property
+    def block_values(self) -> tuple[Fraction, ...]:
+        b, D, _ = self.integer_form
+        return tuple(Fraction(b_g, D) for b_g in b)
+
+    @cached_property
     def entries(self) -> Vec:
         out: list[Fraction] = []
         for v, size in zip(self.block_values, self.m_blocks):
@@ -54,42 +93,26 @@ class BetaVector:
         return tuple(out)
 
     @cached_property
-    def integer_form(self) -> tuple[tuple[int, ...], int, int]:
-        """(b, D, S) over int: the block ints b_g = D beta_g, D the lcm of the
-        block values' denominators, and S = sum_g m_g b_g^2 = D^2 |beta|^2.
-        Built once per beta from its ``block_values`` alone, so a beta made by
-        ``dataclasses.replace`` gets its own."""
-        b, D = clear_denominators(self.block_values)
-        return b, D, sum(m_g * b_g * b_g for b_g, m_g in zip(b, self.m_blocks))
-
-    @cached_property
     def norm_sq(self) -> Fraction:
-        _, D, S = self.integer_form
-        return Fraction(S, D * D)
+        _, D, T = self.integer_form
+        return Fraction(T, D)
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.block_values)
+        return not any(self.integer_form[0])
 
     @cached_property
     def flag(self) -> FlagShape:
         return FlagShape(self.m_blocks)
 
-    @cached_property
+    @property
     def rank_blocks(self) -> tuple[int, ...]:
-        """Block ranks r_g recovered from m_g - k_g/N."""
-        out = []
-        for k_g, m_g in zip(self.k_blocks, self.m_blocks):
-            if k_g % self.npoints:
-                raise ValueError("block data inconsistent with the point count")
-            out.append(m_g - k_g // self.npoints)
-        return tuple(out)
+        """Block ranks r_g, the type's composition."""
+        return self.tau.composition
 
     def trace(self) -> Fraction:
-        return sum(
-            (v * size for v, size in zip(self.block_values, self.m_blocks)),
-            Fraction(0),
-        )
+        b, D, _ = self.integer_form
+        return Fraction(sum(b_g * m_g for b_g, m_g in zip(b, self.m_blocks)), D)
 
     def to_json(self) -> dict:
         return {
@@ -118,21 +141,7 @@ def beta_of_type(tau: HNType, ctx: CurveContext) -> BetaVector:
     Raises NonPositiveBlockDimension when some block has d_g + r_g(1-g) <= 0,
     i.e. when the degree is too small for this construction.
     """
-    g, n = ctx.genus, ctx.npoints
-    k_blocks, m_blocks = [], []
-    for idx, (r_g, d_g) in enumerate(tau.blocks, start=1):
-        m_g = d_g + r_g * (1 - g)
-        if m_g <= 0:
-            raise NonPositiveBlockDimension(idx, m_g)
-        k_blocks.append(n * (d_g - r_g * g))
-        m_blocks.append(m_g)
-    k, m = sum(k_blocks), sum(m_blocks)
-    blocks = list(zip(k_blocks, m_blocks))
-    for (k_a, m_a), (k_b, m_b) in zip(blocks, blocks[1:]):
-        if k_a * m_b <= k_b * m_a:  # k_a/m_a <= k_b/m_b, both m > 0
-            raise ValueError("block values failed to decrease; inconsistent type")
-    values = tuple(Fraction(k_g * m - k * m_g, m_g * m) for k_g, m_g in blocks)
-    return BetaVector(values, tuple(k_blocks), tuple(m_blocks), n, tau)
+    return BetaVector(tau, ctx.genus, ctx.npoints)
 
 
 @dataclass(frozen=True)
@@ -302,15 +311,15 @@ def enumerate_coordinate_indices(
 
 
 def grading_one_parameter_subgroup(beta: BetaVector) -> tuple[int, ...] | None:
-    """Integer weight vector q*beta for the smallest positive rational q.
-
-    None for the zero vector, which grades nothing.
+    """Integer weight vector q*beta for the smallest positive rational q,
+    read off beta's integer form.  None for the zero vector, which grades
+    nothing.
     """
     if beta.is_zero:
         return None
-    scaled, _ = clear_denominators(beta.entries)
-    g = math.gcd(*scaled)
-    return tuple(x // g for x in scaled)
+    b = beta.integer_form[0]
+    g = math.gcd(*b)
+    return tuple(b_g // g for b_g, m_g in zip(b, beta.m_blocks) for _ in range(m_g))
 
 
 def step2_trace_identity(
@@ -323,17 +332,13 @@ def step2_trace_identity(
     pairing sum_g v_g t_g with beta, t_g its trace on block g.  Both sides
     depend only on these traces, whose tuples (the classes) are the integer
     t with sum t = 0 and |t_g| <= bound m_g.  Returns (number of classes,
-    all_ok, a failing class or None).
+    True, None): the identity holds on every class of every beta.
 
     The difference of the two sides is sum_g c_g t_g, c_g = -N r_g/m_g - v_g.
-    With one block, or bound 0, the only class is 0.  Otherwise the e_g - e_h
-    are classes (bound, m_g >= 1) and span the zero-sum tuples, so the identity
-    holds on every class iff all c_g are equal, and else fails at e_1 - e_g
-    for the first g with c_g != c_1.  ``beta_of_type`` gives r_g = m_g - k_g/N
-    and v_g = k_g/m_g - k/m, so c_g = -N + k/m on every block.  On beta's
-    integer form (b, D) (``BetaVector.integer_form``), v_g = b_g / D, so c_g =
-    -n_g / (m_g D) with the int n_g = N r_g D + b_g m_g, and c_g = c_1 iff
-    n_g m_1 = n_1 m_g: the c_g are compared as ints.  With u = t + bound m,
+    A beta is built from its type (``BetaVector``), so k_g/N = d_g - r_g
+    genus gives r_g = m_g - k_g/N, and v_g = k_g/m_g - k/m; hence c_g =
+    -N + k_g/m_g - k_g/m_g + k/m = -N + k/m, one constant c on every block,
+    and sum_g c_g t_g = c sum_g t_g = 0 on every class.  With u = t + bound m,
     the classes are the u with 0 <= u_g <= 2 bound m_g summing to A = bound
     sum m_g, counted by inclusion-exclusion as sum_S (-1)^|S| C(A - w_S + s - 1, s - 1)
     over the block sets S with w_S = sum_{g in S}(2 bound m_g + 1) <= A, in
@@ -349,9 +354,4 @@ def step2_trace_identity(
         for widths in itertools.combinations([2 * bound * m_g + 1 for m_g in m_blocks], size):
             if sum(widths) <= total:
                 checked += (-1) ** size * math.comb(total - sum(widths) + s - 1, s - 1)
-    b, D, _ = beta.integer_form
-    n = [beta.npoints * r_g * D + b_g * m_g for r_g, m_g, b_g in zip(beta.rank_blocks, m_blocks, b)]
-    g = next((g for g in range(1, s) if n[g] * m_blocks[0] != n[0] * m_blocks[g]), None)
-    if not bound or g is None:
-        return checked, True, None
-    return checked, False, tuple(int(h == 0) - int(h == g) for h in range(s))
+    return checked, True, None

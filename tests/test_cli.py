@@ -206,6 +206,19 @@ class TestJsonRoundTrips:
         assert (code, out) == (1, "")
         assert err == "ValueError: --cap applies only to --point\n"
 
+    @pytest.mark.parametrize("ctx", [["--rank", "7"], ["--degree", "3"], ["--rank", "7", "--degree", "3"]])
+    def test_stabdim_refuses_context_flags_with_phis(self, capsys, ctx):
+        # --phis reads neither flag, so either is refused, not dropped
+        code, out, err = run(capsys, "stabdim", "--blocks", "1,1", "--phis", "[[[0,1],[0,0]]]", *ctx)
+        assert (code, out) == (1, "")
+        assert err == "ValueError: --rank and --degree apply only to --point\n"
+
+    @pytest.mark.parametrize("ctx", [[], ["--rank", "2"], ["--degree", "7"]])
+    def test_stabdim_point_needs_rank_and_degree(self, capsys, point_file, ctx):
+        code, out, err = run(capsys, "stabdim", "--point-file", point_file, "--blocks", "3,2", "--genus", "2", *ctx)
+        assert (code, out) == (1, "")
+        assert err == "ValueError: stabdim --point needs --rank and --degree\n"
+
     def test_report(self, capsys, tmp_path, point_file):
         corpus = {"points": [{"id": "a", "point": json.loads(Path(point_file).read_text())}]}
         corpus_path = tmp_path / "corpus.json"

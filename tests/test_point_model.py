@@ -65,7 +65,7 @@ from higgsstrata.point_model import (
     _first_reads,
     _table,
 )
-from higgsstrata.weight_lattice import enumerate_coordinate_indices, step2_trace_identity
+from higgsstrata.weight_lattice import enumerate_coordinate_indices, grading_one_parameter_subgroup, step2_trace_identity
 
 
 CTX3 = CurveContext(2, 1, genus=0, npoints=1)  # m = 3
@@ -515,34 +515,41 @@ class TestIntegerForm:
 
 
 class TestBetaIntegerForm:
-    """Step 1's verdict and the trace identity read beta's integer form
-    (``BetaVector.integer_form``), over int, and nothing else of beta."""
+    """Step 1's verdict, ``is_zero`` and the grading subgroup read beta's
+    integer form (``BetaVector.integer_form``), over int, and the trace
+    identity reads m_g alone; none reads a ``Fraction`` view of beta."""
 
-    READERS = {"point_model.py": ("_family_min_max", "_int_target"), "weight_lattice.py": ("step2_trace_identity",)}
+    READERS = {
+        ("point_model.py", "_family_min_max"): "integer_form",
+        ("weight_lattice.py", "BetaVector.is_zero"): "integer_form",
+        ("weight_lattice.py", "grading_one_parameter_subgroup"): "integer_form",
+        ("weight_lattice.py", "step2_trace_identity"): "m_blocks",
+    }
 
     def test_a_fresh_beta_builds_no_fraction(self):
         p = ModelPoint((Factor([[1, 2, 0, 1, 0], [0, 0, 1, 3, 1]], 1, [[2, 0], [5, 3]]),))
         p._values  # the point's tables, over int, before counting
-
-        def fresh(values):
-            own = beta_of_type(TAU43, CTX73)
-            return own if values is None else dataclasses.replace(own, block_values=values)
-
-        for values in (None, (F(1, 2), F(-3, 4)), (F(2, 3), F(1, 5))):  # own, trace zero, tampered
-            beta = fresh(values)
-            assert count_calls(lambda: point_model._family_min_max(p, beta), F.__new__) == [0]
-            beta = fresh(values)
-            assert count_calls(lambda: step2_trace_identity(beta, 3), F.__new__) == [0]
+        for read in (
+            lambda beta: point_model._family_min_max(p, beta),
+            lambda beta: step2_trace_identity(beta, 3),
+            lambda beta: beta.is_zero,
+            grading_one_parameter_subgroup,
+        ):
+            beta = beta_of_type(TAU43, CTX73)
+            assert count_calls(lambda: read(beta), F.__new__) == [0]
         assert count_calls(lambda: beta.norm_sq, F.__new__) == [1]  # the counter sees Fraction
 
     def test_readers_name_only_the_integer_form(self):
         package = pathlib.Path(point_model.__file__).parent
-        for module, names in self.READERS.items():
-            tree = ast.parse((package / module).read_text(encoding="utf-8"))
-            defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-            for name in names:
-                attrs = {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}
-                assert "integer_form" in attrs and not attrs & {"entries", "block_values", "norm_sq"}, name
+        for (module, name), reads in self.READERS.items():
+            scope = ast.parse((package / module).read_text(encoding="utf-8"))
+            for part in name.split("."):
+                scope = next(
+                    node for node in scope.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
+                )
+            attrs = {node.attr for node in ast.walk(scope) if isinstance(node, ast.Attribute)}
+            assert reads in attrs and not attrs & {"entries", "block_values", "norm_sq"}, name
 
 
 class TestStep1:
@@ -682,12 +689,12 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
     for gamma, (m_g, y_bs, c_vals, phi_bs, r_bs) in enumerate(graded_blocks(p, beta), start=1):
         weights = minkowski_sum(_block_weight_set(y_bs, c_vals, phi_bs, m_g))
         if not weights:
-            blocks.append(BlockReport(gamma, max(r_bs), m_g, True, None, vacuous=True))
+            blocks.append(BlockReport(gamma, True, None, vacuous=True))
             continue
         chi = sum(F(m_g - r_b, m_g) for r_b in r_bs)
         v = min_norm_point_by_faces(sorted(tuple(a - chi for a in w) for w in weights))
         ss = not any(v)
-        blocks.append(BlockReport(gamma, max(r_bs), m_g, ss, None if ss else clear_denominators(v)[0]))
+        blocks.append(BlockReport(gamma, ss, None if ss else clear_denominators(v)[0]))
     return Step2Report(identity_ok and all(b.semistable for b in blocks), tuple(blocks), checked, identity_ok)
 
 
@@ -1631,24 +1638,6 @@ class TestDirectDefinitionCrossChecks:
                 compared += 1
                 cut += len(want[0]) == limit > 0
         assert compared >= 200 and cut >= 20 and degenerate > 0
-
-    def test_step1_off_an_int_target_matches_definition(self):
-        # hand-built trace-zero betas on TAU43's (3, 2) blocks: (1/2, -3/4)
-        # has D = 4 and D |beta|^2 = 15/2, not an int, and (1/3, -1/2) has
-        # D = 6 and D |beta|^2 = 5; some violation must pair at the floor 7/4
-        at_floor = compared = 0
-        for ctx, points, _ in self._cases():
-            own = beta_of_type(TAU43, ctx)
-            for values, D, t in (((F(1, 2), F(-3, 4)), 4, F(15, 2)), ((F(1, 3), F(-1, 2)), 6, 5)):
-                beta = dataclasses.replace(own, block_values=values)
-                assert beta.trace() == 0 and beta.norm_sq * D == t
-                for p, limit in itertools.product(points, (0, 1, 3, 16)):
-                    report = verify_step1(p, beta, ctx, max_violations=limit)
-                    assert (report.violations, report.equality_witness) == self._step1_by_definition(p, beta, ctx, limit)
-                    assert report.membership is self._direct_membership(p, beta, ctx)
-                    at_floor += any(w * D == math.floor(t) < t for _, w in report.violations)
-                    compared += 1
-        assert compared >= 40 and at_floor > 0
 
 
 class TestCoordinateTableType:
