@@ -38,7 +38,9 @@ The values are polynomials of degree r in y and 1 in (c, phi), so every
 value of factor k is its exact value times one nonzero constant s_k = L^r M,
 which leaves the support, hence every weight, unchanged; ``coordinates``
 divides by the product of the s_k.  Step 2 and the retraction gauge this
-integer form (``_adapted_factors``); step 1 walks the tables once per beta,
+integer form (``_adapted_factors``), and step 2 reads each graded block's
+nonzero minors and V_z entries, by one (K, x) rule, straight as Wolfe's
+integer points (``_block_weight_set``); step 1 walks the tables once per beta,
 pairing with D beta, D the lcm of beta's denominators, compares the int
 weights with the int T = D |beta|^2, both read off beta's integer form
 (``BetaVector.integer_form``), and divides by D on its report.  The point
@@ -744,37 +746,57 @@ class Step2Report:
     trace_identity_ok: bool
 
 
+@cache
+def _block_points(r: int, m: int) -> tuple[tuple, tuple]:
+    """Wolfe's integer point of each entry (K, x) of a rank-r block with m
+    columns, r >= 1 (see ``_block_weight_set``): one per V_z entry, by flat
+    index kidx(K) m + x - 1, and one per P entry, in P's order, the entry
+    (K, x) with x > max K.  Per (r-1)-subset K in lex order, one base vector,
+    r on every column and r - m on the columns of K, gives base - m e_x."""
+    ends, dets = [], []
+    for K in _subset_places(r - 1, m):
+        base = [r - m if l in K else r for l in range(1, m + 1)]
+        for x in range(m):
+            base[x] -= m
+            ends.append(tuple(base))
+            base[x] += m
+        dets += ends[len(ends) - m + (K[-1] if K else 0):]  # K's entries x > max K
+    return tuple(ends), tuple(dets)
+
+
 def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[int, ...]]]:
-    """Each factor's distinct supported weights in one graded block, as int
-    tuples; an empty list when some factor has none (a vacuous block).
+    """Each factor's distinct supported weights w in one graded block, as
+    Wolfe's integer points m_g w - (m_g - r_b), r_b the factor's block rank;
+    an empty list when some factor has none (a vacuous block).
 
     A factor's weights are the characters of the nonzero entries of its
     block's tables (``_factor_values``): 1 off K minus e_x for every V_z
     entry (K, x), and 1 off s for every det y_s in P when c != 0.  These are
     its values' characters (``_entry_keys``): the det key s reads c det y_s,
     and r_b <= m_g leaves some l outside K, so the end key (K u {l}, i, j),
-    s_i = x and s_j = l, reads every V_z entry (K, x).  A rank-0 block has
-    the one det coordinate (), of value c and character 1 everywhere.  The
-    block's weights are the Minkowski sum of these sets, which step 2 never
-    builds.
+    s_i = x and s_j = l, reads every V_z entry (K, x).  Both families read
+    one (K, x) rule: P lists det y_s as the entry (K, x) = (s minus s_r, s_r),
+    x > max K, and 1 off s = 1 off (K u {x}) = 1 off K minus e_x, since x is
+    not in K.  So the point of either entry (K, x) is m_g (1 off K - e_x) -
+    (m_g - r_b), which is r_b on every column, r_b - m_g on the columns of K,
+    less m_g at x (``_block_points``).  A rank-0 block has the one det
+    coordinate (), of value c and character 1 everywhere, whose point is 0.
+    The block's points are the Minkowski sum of these sets, which step 2
+    never builds.
     """
-    cols = range(1, m_g + 1)
     per_factor: list[set[tuple[int, ...]]] = []
     for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
         if not y_b:
-            weights = {(1,) * m_g} if c else set()
+            points = {(0,) * m_g} if c else set()
         else:
-            r_b = len(y_b)
             _, dets, v_z = _factor_values(y_b, c, phi_b, m_g)
-            weights = {
-                tuple(int(l not in K) - (l == x) for l in cols)
-                for n, K in enumerate(_subset_places(r_b - 1, m_g)) for x in cols if v_z[n * m_g + x - 1]
-            }
+            ends, det_points = _block_points(len(y_b), m_g)
+            points = set(itertools.compress(ends, v_z))
             if c:
-                weights |= {tuple(int(l not in s) for l in cols) for s, v in zip(_subset_places(r_b, m_g), dets) if v}
-        if not weights:
+                points.update(itertools.compress(det_points, dets))
+        if not points:
             return []
-        per_factor.append(weights)
+        per_factor.append(points)
     return per_factor
 
 
@@ -792,11 +814,12 @@ def verify_step2(
     separating direction found by the minimum-norm computation.  The
     block's weights are the Minkowski sum over factors of each factor's
     weights w, and the character is the sum of chi_k = (m_g - r_k) / m_g
-    times the all-ones vector, so factor k's set is scaled to the integer
-    points m_g w - (m_g - r_k) and ``min_norm_point_of_sum`` runs Wolfe on
-    the sum without building it: the min-norm point is X / (delta m_g), and
-    the witness X / gcd(delta m_g, X) its numerators over their least common
-    denominator.  The blocks are sliced from the int factors of
+    times the all-ones vector, so factor k's set is read as the integer
+    points m_g w - (m_g - r_k), both families by one (K, x) rule
+    (``_block_weight_set``), and ``min_norm_point_of_sum`` runs Wolfe on
+    those sets as they are, without building the sum: the min-norm point is
+    X / (delta m_g), and the witness X / gcd(delta m_g, X) its numerators
+    over their least common denominator.  The blocks are sliced from the int factors of
     ``_adapted_factors``, so no ``Fraction`` is built.  The blockwise
     grading/trace identity over all integer trace-zero diagonal subgroups
     with entries up to ``lambda_bound`` holds for every beta; its classes are
@@ -811,20 +834,17 @@ def verify_step2(
     for gamma in range(1, len(beta.m_blocks) + 1):
         m_g = beta.m_blocks[gamma - 1]
         c_lo, c_hi = cuts[gamma - 1], cuts[gamma]
-        y_blocks, c_vals, phi_blocks, r_bs = [], [], [], []
+        y_blocks, c_vals, phi_blocks = [], [], []
         for (y, c, phi), dims, _, _ in adapted:
             r_lo, r_hi = ((0,) + dims)[gamma - 1], dims[gamma - 1]
             y_blocks.append(tuple(row[c_lo:c_hi] for row in y[r_lo:r_hi]))
             phi_blocks.append(tuple(row[r_lo:r_hi] for row in phi[r_lo:r_hi]))
             c_vals.append(c)
-            r_bs.append(r_hi - r_lo)
-        weights = _block_weight_set(y_blocks, c_vals, phi_blocks, m_g)
-        if not weights:
+        points = _block_weight_set(y_blocks, c_vals, phi_blocks, m_g)
+        if not points:
             blocks.append(BlockReport(gamma, True, None, vacuous=True))
             continue
-        X, delta = min_norm_point_of_sum(
-            [tuple(m_g * a - m_g + r_b for a in w) for w in ws] for ws, r_b in zip(weights, r_bs)
-        )
+        X, delta = min_norm_point_of_sum(points)
         ss, G = not any(X), math.gcd(delta * m_g, *X)
         witness = None if ss else tuple(a // G for a in X)
         all_ok = all_ok and ss

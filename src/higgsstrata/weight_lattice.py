@@ -27,10 +27,17 @@ class BetaVector:
     """Trace-zero instability vector of the type tau at a genus and point
     count, which alone fix it, so equality and hash read those three.
 
-    Building it raises NonPositiveBlockDimension for the first block with
-    m_g <= 0, then ValueError unless the block values strictly decrease, so
-    every beta lies in the chamber.  Every value is read off the integer form
+    Building it raises ValueError for a genus below 0 or a point count below
+    1, with ``CurveContext``'s messages, before any other check; then
+    NonPositiveBlockDimension for the first block with m_g <= 0, then
+    ValueError unless the block values strictly decrease, so every beta lies
+    in the chamber.  Every value is read off the integer form
     (``integer_form``); the full coordinate vector is materialised lazily.
+
+    The decrease check cannot fire through ``beta_of_type``: its context has
+    N >= 1, and with m_g = r_g (mu_g + 1 - g) > 0 and k_g = N r_g (mu_g - g),
+    k_g / m_g = N (1 - 1 / (mu_g + 1 - g)) is strictly increasing in the
+    block slope mu_g, which strictly decreases along a type.
     """
 
     tau: HNType
@@ -41,6 +48,10 @@ class BetaVector:
 
     def __post_init__(self):
         g, n = self.genus, self.npoints
+        if g < 0:
+            raise ValueError("genus must be >= 0")
+        if n < 1:
+            raise ValueError("npoints must be >= 1")
         k_blocks, m_blocks = [], []
         for idx, (r_g, d_g) in enumerate(self.tau.blocks, start=1):
             m_g = d_g + r_g * (1 - g)

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_flagged_point, count_calls, model_supported, mutate_break_flag, random_block
@@ -636,13 +636,14 @@ class TestStep2:
         assert report.trace_classes_checked == 13 and report.trace_identity_ok
 
     def test_rank_zero_block_weights(self):
-        # a rank-0 block has the det coordinate () iff c != 0, and no end
-        # coordinate; the block's weights are the Minkowski sum of the
-        # per-factor sets
-        ones = (F(1),) * 3
-        assert minkowski_sum(_block_weight_set([(), ()], [1, 2], [(), ()], 3)) == {(F(2),) * 3}
-        assert minkowski_sum(_block_weight_set([()], [5], [()], 3)) == {ones}
-        assert minkowski_sum(_block_weight_set([(), ()], [1, 0], [(), ()], 3)) == set()
+        # a rank-0 block has the det coordinate () iff c != 0, of character 1
+        # everywhere, and no end coordinate: its point m_g w - m_g is 0, and
+        # a factor with c = 0 leaves the block vacuous
+        for c_vals in ([1, 2], [5], [1, 0], [0]):
+            blocks = [()] * len(c_vals)
+            want = [rescaled(cramer_block_weights((), c, (), 3), 3, 0) for c in c_vals]
+            assert _block_weight_set(blocks, c_vals, blocks, 3) == (want if all(want) else [])
+        assert _block_weight_set([(), ()], [1, 2], [(), ()], 3) == [{(0, 0, 0)}] * 2
 
 
 def minkowski_sum(sets) -> set:
@@ -679,7 +680,8 @@ def graded_blocks(p: ModelPoint, beta):
 
 def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
     """``verify_step2`` by the explicit route: each graded block of
-    ``graded_blocks``, its weights summed over factors point by point,
+    ``graded_blocks``, its weights by definition (``cramer_block_weights``)
+    summed over factors point by point,
     translated by the twisted character, and the faces oracle's min-norm
     point."""
     checked, identity_ok, _ = step2_trace_identity(beta)
@@ -687,7 +689,8 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
         raise NotInY("outside the inequality locus")
     blocks = []
     for gamma, (m_g, y_bs, c_vals, phi_bs, r_bs) in enumerate(graded_blocks(p, beta), start=1):
-        weights = minkowski_sum(_block_weight_set(y_bs, c_vals, phi_bs, m_g))
+        per_factor = [cramer_block_weights(*args, m_g) for args in zip(y_bs, c_vals, phi_bs)]
+        weights = minkowski_sum(per_factor) if all(per_factor) else set()
         if not weights:
             blocks.append(BlockReport(gamma, True, None, vacuous=True))
             continue
@@ -699,12 +702,15 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
 
 
 def cramer_block_weights(y_b, c, phi_b, m_g: int) -> set[tuple[int, ...]]:
-    """One factor's supported weights in a graded block of positive rank r_b,
-    by the definitions: a det value c det(y_s) from ``det`` of the block's
-    columns s, an end value (s, i, j) in Cramer form, det(y_s with column j
-    replaced by column s_i of phi^T y), and each weight from
-    ``alpha_of_index`` in the one-point context with m_g sections."""
+    """One factor's supported weights in a graded block of rank r_b, by the
+    definitions: a det value c det(y_s) from ``det`` of the block's columns
+    s, an end value (s, i, j) in Cramer form, det(y_s with column j replaced
+    by column s_i of phi^T y), and each weight from ``alpha_of_index`` in
+    the one-point context with m_g sections.  A rank-0 block has the one det
+    value c, at s = (), of character 1 everywhere, and no end value."""
     r_b = len(y_b)
+    if not r_b:
+        return {(1,) * m_g} if c else set()
     ctx_b = CurveContext(r_b, m_g - r_b)
     z = mat_mul(transpose(phi_b), y_b)
     weights = set()
@@ -717,6 +723,11 @@ def cramer_block_weights(y_b, c, phi_b, m_g: int) -> set[tuple[int, ...]]:
             if det(replaced):
                 weights.add(alpha_of_index(CoordinateIndex("end", (s,), ((i, j),)), ctx_b))
     return {tuple(int(a) for a in w) for w in weights}
+
+
+def rescaled(weights, m_g: int, r_b: int) -> set[tuple[int, ...]]:
+    """A factor's weights w as step 2's integer points m_g w - (m_g - r_b)."""
+    return {tuple(m_g * a - m_g + r_b for a in w) for w in weights}
 
 
 def _sparsified(p: ModelPoint, rng: random.Random) -> ModelPoint:
@@ -788,7 +799,10 @@ class TestStep2Reference:
                     for m_g, y_bs, c_vals, phi_bs, r_bs in graded_blocks(p, beta):
                         if not all(r_bs):
                             continue
-                        want = [cramer_block_weights(*args, m_g) for args in zip(y_bs, c_vals, phi_bs)]
+                        want = [
+                            rescaled(cramer_block_weights(*args, m_g), m_g, r_b)
+                            for *args, r_b in zip(y_bs, c_vals, phi_bs, r_bs)
+                        ]
                         want = want if all(want) else []
                         assert _block_weight_set(y_bs, c_vals, phi_bs, m_g) == want
                         compared += 1
@@ -1075,6 +1089,66 @@ def _single_factors(draw):
     if c == 0 and not any(map(any, phi)):
         phi[0][0] = 1
     return ModelPoint((Factor(y, c, phi),)), CurveContext(r, m - r, genus=0)
+
+
+def per_family_weights(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[int, ...]]]:
+    """A graded block's per-factor weights by family, unscaled: 1 off K minus
+    e_x for every nonzero V_z entry (K, x), x in K too, and 1 off s for
+    every nonzero det y_s when c != 0; (1, ..., 1) for a rank-0 block when
+    c != 0; an empty list when some factor has none."""
+    cols = range(1, m_g + 1)
+    per_factor = []
+    for y_b, c, phi_b in zip(y_blocks, c_vals, phi_blocks):
+        if not y_b:
+            weights = {(1,) * m_g} if c else set()
+        else:
+            _, dets, v_z = _factor_values(y_b, c, phi_b, m_g)
+            K_all = itertools.combinations(cols, len(y_b) - 1)
+            weights = {
+                tuple(int(l not in K) - (l == x) for l in cols)
+                for n, K in enumerate(K_all) for x in cols if v_z[n * m_g + x - 1]
+            }
+            if c:
+                s_all = itertools.combinations(cols, len(y_b))
+                weights |= {tuple(int(l not in s) for l in cols) for s, v in zip(s_all, dets) if v}
+        if not weights:
+            return []
+        per_factor.append(weights)
+    return per_factor
+
+
+@st.composite
+def _graded_block_cases(draw):
+    """(y blocks, c values, phi blocks, m_g): 1-3 factors of one graded block,
+    r_b 0-3, m_g <= r_b + 3, sparse y of full row rank, c zero or not, and
+    phi zero, rank one or generic."""
+    r = draw(st.integers(0, 3))
+    m = draw(st.integers(max(r, 1), r + 3))
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["zero", "rank1", "generic"]))
+        if kind == "zero" or not r:
+            phi = [[0] * r for _ in range(r)]
+        else:
+            phi = _rank_one(draw, r) if kind == "rank1" else [[draw(_SPARSE) for _ in range(r)] for _ in range(r)]
+        y = _sparse_y(draw, r, m)
+        cases.append((tuple(map(tuple, y)), draw(st.sampled_from([0, 1, -2])), tuple(map(tuple, phi))))
+    return (*map(list, zip(*cases)), m)
+
+
+class TestBlockPointsByFamily:
+    # y = I_2 and phi_12 = 3: z = phi^T y has z_1 = (0, 3), so V_z({1}, 1) =
+    # det[y_1 | z_1] = 3 is an entry with x in K; c = 0 and phi = 0 leave
+    # the block vacuous
+    @given(_graded_block_cases())
+    @settings(max_examples=300, deadline=None)
+    @example(([((1, 0), (0, 1))], [0], [((0, 3), (0, 0))], 2))
+    @example(([((1, 0, 2),), ((0, 1, 1),)], [1, 0], [((0,),), ((0,),)], 3))
+    @example(([(), ()], [1, 0], [(), ()], 2))
+    def test_points_match_the_per_family_weights_rescaled(self, case):
+        y_bs, c_vals, phi_bs, m_g = case
+        want = [rescaled(ws, m_g, len(y_b)) for ws, y_b in zip(per_family_weights(*case), y_bs)]
+        assert _block_weight_set(y_bs, c_vals, phi_bs, m_g) == want
 
 
 class TestFactorValuesReference:

@@ -64,6 +64,23 @@ class TestBeta:
                 BetaVector(HNType(((1, 1), (1, -1))), genus, 1)
             assert (exc.value.block_index, exc.value.dimension) == (2, -genus)
 
+    # refused by name before any other check: (1, 0), (1, -1) has m_1 <= 0
+    # at genus 2, a one-block type built a beta at any count, and two blocks
+    # at npoints 0 failed the decrease check
+    BAD_CONTEXT_TYPES = [HNType(((1, 0), (1, -1))), HNType(((2, 7),)), HNType(((1, 4), (1, 3)))]
+
+    @pytest.mark.parametrize("genus", [-1, -3])
+    def test_refuses_a_negative_genus(self, genus):
+        for tau in self.BAD_CONTEXT_TYPES:
+            with pytest.raises(ValueError, match=r"^genus must be >= 0$"):
+                BetaVector(tau, genus, 1)
+
+    @pytest.mark.parametrize("npoints", [0, -1])
+    def test_refuses_a_point_count_below_one(self, npoints):
+        for tau in self.BAD_CONTEXT_TYPES:
+            with pytest.raises(ValueError, match=r"^npoints must be >= 1$"):
+                BetaVector(tau, 2, npoints)
+
     def test_built_from_its_type_alone(self):
         tau = HNType(((1, 4), (1, 3)))
         beta = beta_of_type(tau, CurveContext(2, 7, genus=2, npoints=3))

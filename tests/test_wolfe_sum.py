@@ -95,14 +95,24 @@ class TestMinkowskiWolfe:
             ([[(1, 2)], [(F(3, 2), 2)]], TypeError, "integer"),
             ([[(1, 2)], [(1.5, 2)]], TypeError, "integer"),
             ([[(True, 2)]], TypeError, "integer"),
+            ([[(1, "2")]], TypeError, "integer"),
+            ([[(1, 2)], [(0, 0), (3, 4), (5, F(1, 2))]], TypeError, r"integer, got Fraction\(1, 2\)"),
         ],
         ids=["no-sets", "empty-set", "short-point-in-later-set", "short-point-in-one-set",
-             "fraction", "float", "bool"],
+             "fraction", "float", "bool", "str", "bad-entry-in-later-point-of-later-set"],
     )
     def test_malformed_input_is_refused(self, monkeypatch, sets, error, match):
         monkeypatch.setattr(higgsstrata.minnorm, "_wolfe", None)  # refused before any work
         with pytest.raises(error, match=match):
             min_norm_point_of_sum(sets)
+
+    def test_int_subclass_is_accepted(self):
+        # only bool among int's subclasses is refused, as by ``linalg.integer``
+        class Tagged(int):
+            pass
+
+        sets = [[(Tagged(1), 0), (0, Tagged(1))], [(Tagged(2), 2)]]
+        assert min_norm_point_of_sum(sets) == min_norm_point_of_sum([[(1, 0), (0, 1)], [(2, 2)]])
 
 
 class TestAffineMinimizer:
