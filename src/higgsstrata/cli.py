@@ -28,8 +28,9 @@ only ``--point`` reads); and ``point-coords``'s C(m,r)^N (1 + r^(2N))
 coordinate indices.  Type enumeration stops past 200,000 types;
 ``point-check --step2`` takes any ``--lambda-bound`` >= 0 (default 2), the
 trace classes being counted in closed form, and ``point-check`` refuses
-``--lambda-bound`` without ``--step2``.  A list flag such as ``--tau 5,3``
-refuses an empty entry (``5,,3`` or ``5,3,``).
+``--lambda-bound`` without ``--step2``; it counts beta's classes itself.  A
+list flag such as ``--tau 5,3`` refuses an empty entry (``5,,3``), and an
+empty value is read, not dropped (``--ranks ''``, ``--max-slope ''``).
 JSON nested too deeply to parse is a domain error, ``RecursionError``.
 
 Each verb runs in a fresh process, where import costs more than most
@@ -61,7 +62,7 @@ from .hn_types import (
     enumerate_hn_types,
 )
 from .linalg import frac, listlike, objectlike
-from .weight_lattice import beta_of_type, rational_to_json
+from .weight_lattice import beta_of_type, rational_to_json, step2_trace_identity
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -75,7 +76,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_type(degrees: str, ranks: str | None) -> HNType:
     ds = _parse_int_list(degrees)
-    rs = _parse_int_list(ranks) if ranks else [1] * len(ds)
+    rs = [1] * len(ds) if ranks is None else _parse_int_list(ranks)
     if len(rs) != len(ds):
         raise ValueError("ranks and degrees must have the same length")
     return HNType(tuple(zip(rs, ds)))
@@ -224,7 +225,8 @@ def _cmd_point_check(args) -> None:
     s2 = None
     if args.step2:
         bound = 2 if args.lambda_bound is None else args.lambda_bound
-        s2 = point_model.verify_step2(point, beta, ctx, lambda_bound=bound)
+        checked, identity_ok, _ = step2_trace_identity(beta, bound)
+        s2 = point_model.verify_step2(point, beta, ctx)
 
     def payload():
         out = {
@@ -232,7 +234,7 @@ def _cmd_point_check(args) -> None:
             "membership": got.value,
             "step1": {
                 "passed": report.passed,
-                "norm_sq": rational_to_json(report.norm_sq),
+                "norm_sq": rational_to_json(beta.norm_sq),
                 "min_support_weight": rational_to_json(report.min_support_weight),
                 "violations": [
                     {"index": idx.to_json(), "weight": rational_to_json(w)}
@@ -244,8 +246,8 @@ def _cmd_point_check(args) -> None:
         if s2:
             out["step2"] = {
                 "passed": s2.passed,
-                "trace_identity_ok": s2.trace_identity_ok,
-                "trace_classes_checked": s2.trace_classes_checked,
+                "trace_identity_ok": identity_ok,
+                "trace_classes_checked": checked,
                 "blocks": [
                     {
                         "index": b.index,
@@ -262,7 +264,7 @@ def _cmd_point_check(args) -> None:
         yield (
             f"step1: {'pass' if report.passed else 'fail'} "
             f"(min support weight {_rat_str(report.min_support_weight)}, "
-            f"norm_sq {_rat_str(report.norm_sq)})"
+            f"norm_sq {_rat_str(beta.norm_sq)})"
         )
         if s2:
             yield f"step2: {'pass' if s2.passed else 'fail'}"
@@ -338,7 +340,7 @@ def _cmd_report(args) -> None:
     for entry in listlike(data["points"], "a list of corpus entries"):
         entry = objectlike(entry, "a corpus entry (an object with id and point)")
         corpus.append((entry["id"], point_model.ModelPoint.from_json(entry["point"])))
-    max_slope = frac(args.max_slope) if args.max_slope else None
+    max_slope = None if args.max_slope is None else frac(args.max_slope)
     records = strat_report.assemble(corpus, ctx, max_first_slope=max_slope)
     closure = strat_report.closure_order_report(records)
     report_json = {

@@ -91,7 +91,6 @@ from .weight_lattice import (
     beta_of_type,
     enumerate_coordinate_indices,
     rational_to_json,
-    step2_trace_identity,
 )
 
 
@@ -555,15 +554,14 @@ class Step1Report:
     """Outcome of the coordinate-by-coordinate inequality check against beta."""
 
     membership: Membership
-    norm_sq: Fraction
     min_support_weight: Fraction
     violations: tuple[tuple[CoordinateIndex, Fraction], ...]
     equality_witness: CoordinateIndex | None
 
     @property
     def passed(self) -> bool:
-        """No supported coordinate pairs below the norm, and one pairs at it."""
-        return self.min_support_weight == self.norm_sq
+        """The verdict is not OUTSIDE: no weight below |beta|^2, one at it."""
+        return self.membership is not Membership.OUTSIDE
 
 
 def verify_step1(
@@ -576,10 +574,11 @@ def verify_step1(
     and the ``membership`` verdict; one scan per family then collects the
     first ``max_violations`` violating indices (det family first, each in
     lexicographic weight order) and the first index pairing exactly at the
-    norm.  The report never raises on failure: ``passed`` reads the exact
-    least weight, never the (possibly cut short) violation list.  The
-    weights are int pairings with D beta, compared with the int T = D |beta|^2
-    (``BetaVector.integer_form``) and divided by D on the report.
+    norm.  The report holds only what the point decides and never raises on
+    failure: ``passed`` reads the verdict, never the (possibly cut short)
+    violation list.  The weights are int pairings with D beta, compared with
+    the int T = D |beta|^2 (``BetaVector.integer_form``), divided by D on
+    the report.
     """
     _check_shapes(p, ctx)
     families, lo, verdict = _step1(p, beta)
@@ -591,7 +590,7 @@ def verify_step1(
         violations.extend((make_index(chosen), Fraction(w, D)) for chosen, w in below)
         if keys is not None:
             witness = make_index(keys)
-    return Step1Report(verdict, beta.norm_sq, Fraction(lo, D), tuple(violations), witness)
+    return Step1Report(verdict, Fraction(lo, D), tuple(violations), witness)
 
 
 def _block_cut(matrix, row_cuts, col_cuts) -> tuple:
@@ -738,12 +737,14 @@ class BlockReport:
 
 @dataclass(frozen=True)
 class Step2Report:
-    """Per-block torus checks plus the grading/trace identity."""
+    """Per-block torus checks of the graded point."""
 
-    passed: bool
     blocks: tuple[BlockReport, ...]
-    trace_classes_checked: int
-    trace_identity_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        """Every block is semistable; a vacuous block counts as semistable."""
+        return all(b.semistable for b in self.blocks)
 
 
 @cache
@@ -800,12 +801,7 @@ def _block_weight_set(y_blocks, c_vals, phi_blocks, m_g: int) -> list[set[tuple[
     return per_factor
 
 
-def verify_step2(
-    p: ModelPoint,
-    beta: BetaVector,
-    ctx: CurveContext,
-    lambda_bound: int = 2,
-) -> Step2Report:
+def verify_step2(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Step2Report:
     """Torus-level semistability of the graded point, block by block.
 
     Each graded block must contain its twisted character (the barycentric
@@ -820,17 +816,14 @@ def verify_step2(
     those sets as they are, without building the sum: the min-norm point is
     X / (delta m_g), and the witness X / gcd(delta m_g, X) its numerators
     over their least common denominator.  The blocks are sliced from the int factors of
-    ``_adapted_factors``, so no ``Fraction`` is built.  The blockwise
-    grading/trace identity over all integer trace-zero diagonal subgroups
-    with entries up to ``lambda_bound`` holds for every beta; its classes are
-    counted in closed form (``step2_trace_identity``), with no cap on the bound.
-    This is a necessary condition for full semistability, not a decision of it.
+    ``_adapted_factors``, so no ``Fraction`` is built.  The report holds the
+    blocks alone: the grading/trace identity holds for every beta
+    (``step2_trace_identity``), so it decides nothing about the point.  This
+    is a necessary condition for full semistability, not a decision of it.
     """
-    checked, identity_ok, _ = step2_trace_identity(beta, lambda_bound)
     adapted = _adapted_factors(p, beta, ctx)
     cuts = (0,) + beta.flag.cuts
     blocks: list[BlockReport] = []
-    all_ok = True
     for gamma in range(1, len(beta.m_blocks) + 1):
         m_g = beta.m_blocks[gamma - 1]
         c_lo, c_hi = cuts[gamma - 1], cuts[gamma]
@@ -847,9 +840,8 @@ def verify_step2(
         X, delta = min_norm_point_of_sum(points)
         ss, G = not any(X), math.gcd(delta * m_g, *X)
         witness = None if ss else tuple(a // G for a in X)
-        all_ok = all_ok and ss
         blocks.append(BlockReport(gamma, ss, witness))
-    return Step2Report(all_ok, tuple(blocks), checked, identity_ok)
+    return Step2Report(tuple(blocks))
 
 
 def _lie_upper_positions(flag: FlagShape) -> list[tuple[int, int]]:

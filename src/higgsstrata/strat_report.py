@@ -110,7 +110,7 @@ def assemble(corpus, ctx: CurveContext, max_first_slope=None) -> list[StratumRec
             got = membership(point, beta, ctx)
             if got is Membership.OUTSIDE:
                 continue
-            if not verify_step2(point, beta, ctx, lambda_bound=0).passed:
+            if not verify_step2(point, beta, ctx).passed:
                 continue
             matches.append((beta, got))
         if len(matches) > 1:

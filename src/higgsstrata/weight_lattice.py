@@ -27,17 +27,17 @@ class BetaVector:
     """Trace-zero instability vector of the type tau at a genus and point
     count, which alone fix it, so equality and hash read those three.
 
-    Building it raises ValueError for a genus below 0 or a point count below
-    1, with ``CurveContext``'s messages, before any other check; then
-    NonPositiveBlockDimension for the first block with m_g <= 0, then
-    ValueError unless the block values strictly decrease, so every beta lies
-    in the chamber.  Every value is read off the integer form
-    (``integer_form``); the full coordinate vector is materialised lazily.
+    Building it raises TypeError unless the genus and point count are ints
+    (``linalg.integer``), then ValueError for a genus below 0 or a point
+    count below 1, with ``CurveContext``'s messages, before any other check;
+    then NonPositiveBlockDimension for the first block with m_g <= 0.
 
-    The decrease check cannot fire through ``beta_of_type``: its context has
-    N >= 1, and with m_g = r_g (mu_g + 1 - g) > 0 and k_g = N r_g (mu_g - g),
-    k_g / m_g = N (1 - 1 / (mu_g + 1 - g)) is strictly increasing in the
-    block slope mu_g, which strictly decreases along a type.
+    Every beta lies in the chamber, its block values strictly decreasing,
+    with no check: for int g >= 0 and N >= 1, m_g = r_g (mu_g + 1 - g) > 0
+    and k_g = N r_g (mu_g - g) give k_g / m_g = N (1 - 1 / (mu_g + 1 - g)),
+    strictly increasing in the block slope mu_g, which strictly decreases
+    along a type.  Every value is read off the integer form
+    (``integer_form``); the full coordinate vector is materialised lazily.
     """
 
     tau: HNType
@@ -47,7 +47,7 @@ class BetaVector:
     m_blocks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g, n = self.genus, self.npoints
+        g, n = integer(self.genus), integer(self.npoints)
         if g < 0:
             raise ValueError("genus must be >= 0")
         if n < 1:
@@ -59,9 +59,6 @@ class BetaVector:
                 raise NonPositiveBlockDimension(idx, m_g)
             k_blocks.append(n * (d_g - r_g * g))
             m_blocks.append(m_g)
-        for (k_a, m_a), (k_b, m_b) in itertools.pairwise(zip(k_blocks, m_blocks)):
-            if k_a * m_b <= k_b * m_a:  # k_a/m_a <= k_b/m_b, both m > 0
-                raise ValueError("block values failed to decrease; inconsistent type")
         object.__setattr__(self, "k_blocks", tuple(k_blocks))
         object.__setattr__(self, "m_blocks", tuple(m_blocks))
 

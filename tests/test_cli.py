@@ -1074,6 +1074,16 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert re.fullmatch(r"ValueError: .*\n", err), err
 
+    def test_negative_lambda_bound_before_not_in_y(self, capsys):
+        # y = [I | 0], phi = 0 lies outside the locus of (4,3): the bound is
+        # refused first, before step 2 finds the point outside
+        point = ModelPoint((Factor([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 1, [[0, 0], [0, 0]]),))
+        common = ["point-check", "--point", json.dumps(point.to_json()), "--tau", "4,3", "--ranks", "1,1",
+                  "--genus", "2", "--step2"]
+        assert run(capsys, *common)[2].startswith("NotInY")
+        code, out, err = run(capsys, *common, "--lambda-bound", "-1")
+        assert (code, out, err) == (1, "", "ValueError: the trace bound must be >= 0, got -1\n")
+
     def test_lambda_bound_needs_step2(self, capsys, point_file):
         common = ["point-check", "--point-file", point_file, "--tau", "4,3", "--ranks", "1,1", "--genus", "2"]
         code, out, err = run(capsys, *common, "--lambda-bound", "2")
@@ -1082,22 +1092,38 @@ class TestMalformedInput:
         assert run_json(capsys, *common, "--step2", "--lambda-bound", "2") == default
         assert default["step2"] != run_json(capsys, *common, "--step2", "--lambda-bound", "3")["step2"]
 
+    LENGTHS = "ranks and degrees must have the same length"
+    SLOPE = "Invalid literal for Fraction: ''"
+
+    # an empty entry is refused by name; an explicitly empty value is read,
+    # never dropped for the default: '' is no ranks and no slope bound
     @pytest.mark.parametrize(
-        "argv,text",
+        "argv,message",
         [
-            (["beta", "--tau", "5,,3"], "5,,3"),
-            (["beta", "--tau", "5,3,"], "5,3,"),
-            (["beta", "--tau", "5,3", "--ranks", ",1,1"], ",1,1"),
-            (["order", "--a", "1,0", "--b", "2,,-1", "--rank", "2"], "2,,-1"),
-            (["classify", "--tau-type", "2,1,", "--mu-type", "1,1,1"], "2,1,"),
-            (["stabdim", "--blocks", "1,,1", "--phis", "[[[0,0],[1,0]]]"], "1,,1"),
+            (["beta", "--tau", "5,,3"], "empty entry in the list '5,,3'"),
+            (["beta", "--tau", "5,3,"], "empty entry in the list '5,3,'"),
+            (["beta", "--tau", "5,3", "--ranks", ",1,1"], "empty entry in the list ',1,1'"),
+            (["order", "--a", "1,0", "--b", "2,,-1", "--rank", "2"], "empty entry in the list '2,,-1'"),
+            (["classify", "--tau-type", "2,1,", "--mu-type", "1,1,1"], "empty entry in the list '2,1,'"),
+            (["stabdim", "--blocks", "1,,1", "--phis", "[[[0,0],[1,0]]]"], "empty entry in the list '1,,1'"),
+            (["beta", "--tau", "5,3", "--ranks", ""], LENGTHS),
+            (["order", "--a", "1,0", "--b", "2,-1", "--rank", "2", "--ranks-a", ""], LENGTHS),
+            (["order", "--a", "1,0", "--b", "2,-1", "--rank", "2", "--ranks-b", ""], LENGTHS),
+            (["enumerate", "--rank", "2", "--degree", "1", "--max-slope", ""], SLOPE),
+            ([*REPORT_CTX, "--corpus-file", "CORPUS", "--max-slope", "", "--out-prefix", "OUT"], SLOPE),
         ],
-        ids=["double-comma", "trailing-comma", "leading-comma", "order", "classify", "stabdim"],
+        ids=[
+            "double-comma", "trailing-comma", "leading-comma", "order", "classify", "stabdim",
+            "empty-ranks", "empty-ranks-a", "empty-ranks-b", "enumerate-empty-slope", "report-empty-slope",
+        ],
     )
-    def test_empty_list_entry(self, capsys, argv, text):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err == f"ValueError: empty entry in the list {text!r}\n"
+    def test_empty_list_entry(self, capsys, tmp_path, argv, message):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('{"points": []}')
+        paths = {"CORPUS": str(corpus), "OUT": str(tmp_path / "r")}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert (code, out, err) == (1, "", f"ValueError: {message}\n")
+        assert list(tmp_path.iterdir()) == [corpus]
 
     def test_empty_list_keeps_its_message(self, capsys):
         code, out, err = run(capsys, "beta", "--tau", "")

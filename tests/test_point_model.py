@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import itertools
 import math
 import pathlib
@@ -552,6 +553,55 @@ class TestBetaIntegerForm:
             assert reads in attrs and not attrs & {"entries", "block_values", "norm_sq"}, name
 
 
+class TestStepSurface:
+    """The steps' parameters and report fields, as the library exposes them.
+
+    A report holds only what the point decides, and each parameter changes
+    an answer; adding or dropping a knob or a field is an edit of this table."""
+
+    PARAMETERS = {
+        membership: ["p", "beta", "ctx"],
+        verify_step1: ["p", "beta", "ctx", "max_violations"],
+        verify_step2: ["p", "beta", "ctx"],
+        retract_p_beta: ["p", "beta", "ctx"],
+        coordinates: ["p", "ctx", "cap"],
+        unipotent_stabilizer_dim: ["p", "flag", "ctx", "cap"],
+    }
+    FIELDS = {
+        point_model.Step1Report: ["membership", "min_support_weight", "violations", "equality_witness"],
+        Step2Report: ["blocks"],
+        BlockReport: ["index", "semistable", "witness", "vacuous"],
+    }
+
+    def test_parameters(self):
+        for fn, names in self.PARAMETERS.items():
+            assert list(inspect.signature(fn).parameters) == names, fn.__name__
+
+    def test_report_fields(self):
+        for cls, names in self.FIELDS.items():
+            assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+    def test_passed_reads_the_verdict_and_the_blocks(self):
+        # two in-locus points, one graded, one with a failing block, and
+        # y = [I | 0], phi = 0 outside the locus
+        beta, verdicts = beta_of_type(TAU43, CTX73), []
+        for y, phi in (
+            ([[1, 1, 1, 0, 0], [0, 0, 0, 1, 2]], [[2, 0], [0, 3]]),
+            ([[1, 1, 0, 0, 0], [0, 0, 0, 1, 1]], [[2, 0], [0, 3]]),
+            ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [[0, 0], [0, 0]]),
+        ):
+            p = ModelPoint((Factor(y, 1, phi),))
+            s1 = verify_step1(p, beta, CTX73)
+            assert s1.passed == (s1.min_support_weight == beta.norm_sq)
+            assert s1.passed == (s1.membership is not Membership.OUTSIDE)
+            s2 = verify_step2(p, beta, CTX73) if s1.passed else None
+            assert s2 is None or s2.passed == all(b.semistable for b in s2.blocks)
+            verdicts.append((s1.passed, s2 and s2.passed))
+        assert verdicts == [(True, True), (True, False), (False, None)]
+        vacuous = Step2Report((BlockReport(1, True, None, vacuous=True), BlockReport(2, True, None)))
+        assert vacuous.passed and not Step2Report((BlockReport(1, False, (1, -1)),)).passed
+
+
 class TestStep1:
     def test_wrong_beta_fails_with_explicit_index(self):
         p = flagged_point(3, [[2, 0], [5, 3]])
@@ -616,7 +666,6 @@ class TestStep2:
         report = verify_step2(p, beta, CTX73)
         assert report.passed
         assert all(b.semistable for b in report.blocks)
-        assert report.trace_identity_ok
 
     def test_hyperplane_support_fails_with_witness(self):
         beta = beta_of_type(TAU43, CTX73)
@@ -628,12 +677,6 @@ class TestStep2:
         assert not bad.semistable and bad.witness is not None
         # the witness separates: every supported weight pairs above the character
         assert any(x for x in bad.witness)
-
-    def test_trace_identity_runs(self):
-        beta = beta_of_type(TAU43, CTX73)
-        p = ModelPoint((Factor([[1, 1, 1, 0, 0], [0, 0, 0, 1, 2]], 1, [[2, 0], [0, 3]]),))
-        report = verify_step2(p, beta, CTX73, lambda_bound=3)
-        assert report.trace_classes_checked == 13 and report.trace_identity_ok
 
     def test_rank_zero_block_weights(self):
         # a rank-0 block has the det coordinate () iff c != 0, of character 1
@@ -684,7 +727,6 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
     summed over factors point by point,
     translated by the twisted character, and the faces oracle's min-norm
     point."""
-    checked, identity_ok, _ = step2_trace_identity(beta)
     if membership(p, beta, ctx) is Membership.OUTSIDE:
         raise NotInY("outside the inequality locus")
     blocks = []
@@ -698,7 +740,7 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
         v = min_norm_point_by_faces(sorted(tuple(a - chi for a in w) for w in weights))
         ss = not any(v)
         blocks.append(BlockReport(gamma, ss, None if ss else clear_denominators(v)[0]))
-    return Step2Report(identity_ok and all(b.semistable for b in blocks), tuple(blocks), checked, identity_ok)
+    return Step2Report(tuple(blocks))
 
 
 def cramer_block_weights(y_b, c, phi_b, m_g: int) -> set[tuple[int, ...]]:

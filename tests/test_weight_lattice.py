@@ -66,7 +66,7 @@ class TestBeta:
 
     # refused by name before any other check: (1, 0), (1, -1) has m_1 <= 0
     # at genus 2, a one-block type built a beta at any count, and two blocks
-    # at npoints 0 failed the decrease check
+    # at npoints 0 would build the zero beta, every k_g being 0
     BAD_CONTEXT_TYPES = [HNType(((1, 0), (1, -1))), HNType(((2, 7),)), HNType(((1, 4), (1, 3)))]
 
     @pytest.mark.parametrize("genus", [-1, -3])
@@ -80,6 +80,24 @@ class TestBeta:
         for tau in self.BAD_CONTEXT_TYPES:
             with pytest.raises(ValueError, match=r"^npoints must be >= 1$"):
                 BetaVector(tau, 2, npoints)
+
+    @pytest.mark.parametrize(
+        "genus,npoints",
+        [(0.5, 1), (2.0, 1), (F(2), 1), (2, True), (2, 1.5), (-1, 1.5)],
+        ids=["half-genus", "float-genus", "fraction-genus", "bool-npoints", "float-npoints", "before-value"],
+    )
+    def test_refuses_a_non_int_genus_or_point_count(self, genus, npoints):
+        # read as CurveContext reads them, before any other check: 0.5 would
+        # build m_blocks (4.5, 3.5), and True or 1.5 a beta at N = 1 or 1.5
+        for tau in self.BAD_CONTEXT_TYPES:
+            with pytest.raises(TypeError, match=r"^expected an integer, got "):
+                BetaVector(tau, genus, npoints)
+        with pytest.raises(TypeError):
+            CurveContext(2, 7, genus, npoints=npoints)
+
+    def test_genus_refused_before_point_count(self):
+        with pytest.raises(ValueError, match=r"^genus must be >= 0$"):
+            BetaVector(HNType(((1, 4), (1, 3))), -1, 0)
 
     def test_built_from_its_type_alone(self):
         tau = HNType(((1, 4), (1, 3)))
