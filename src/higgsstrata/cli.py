@@ -23,9 +23,10 @@ being their affine dimension, the subsets its walk can visit;
 rank r, m sections, |positions| the flag's strictly upper block-triangle
 slots; ``report`` holds its stabiliser calls to the default cap in that
 unit, ``stabdim --point`` needs ``--rank`` and ``--degree``, and
-``stabdim --phis`` refuses ``--cap``, ``--rank`` and ``--degree``, which
-only ``--point`` reads); and ``point-coords``'s C(m,r)^N (1 + r^(2N))
-coordinate indices.  Type enumeration stops past 200,000 types;
+``stabdim --phis`` refuses ``--cap``, ``--rank``, ``--degree``, ``--genus``
+and ``--npoints``, which only ``--point`` reads); and ``point-coords``'s
+C(m,r)^N (1 + r^(2N)) coordinate indices.  Type enumeration stops past
+200,000 types;
 ``point-check --step2`` takes any ``--lambda-bound`` >= 0 (default 2), the
 trace classes being counted in closed form, and ``point-check`` refuses
 ``--lambda-bound`` without ``--step2``; it counts beta's classes itself.  A
@@ -283,6 +284,8 @@ def _cmd_stabdim(args) -> None:
         raise ValueError("--cap applies only to --point")
     if phis and (args.rank is not None or args.degree is not None):
         raise ValueError("--rank and --degree apply only to --point")
+    if phis and (args.genus is not None or args.npoints is not None):
+        raise ValueError("--genus and --npoints apply only to --point")
     if phis:
         kind = "nilpotent_commutant"
         dim = point_model.nilpotent_commutant_dim(flag, _load_json_arg(args.phis, args.phis_file, "phis"))
@@ -290,7 +293,9 @@ def _cmd_stabdim(args) -> None:
         kind = "unipotent_stabilizer"
         if args.rank is None or args.degree is None:
             raise ValueError("stabdim --point needs --rank and --degree")
-        ctx = _ctx_from(args)
+        genus = 0 if args.genus is None else args.genus
+        npoints = 1 if args.npoints is None else args.npoints
+        ctx = CurveContext(args.rank, args.degree, genus, npoints=npoints)
         point = point_model.ModelPoint.from_json(_load_json_arg(args.point, args.point_file, "point"))
         cap = DEFAULT_INDEX_CAP if args.cap is None else args.cap
         dim = point_model.unipotent_stabilizer_dim(point, flag, ctx, cap=cap)
@@ -348,6 +353,8 @@ def _cmd_report(args) -> None:
         "records": [rec.to_json() for rec in records],
         "closure": closure.to_json(),
     }
+    # the drawing is made, or refused (no types), before any file is written
+    drawing = svg.polygon_svg(list(closure.types)) if args.svg else None
     json_path = args.out_prefix + ".json"
     csv_path = args.out_prefix + ".csv"
     with open(json_path, "w", encoding="utf-8") as handle:
@@ -356,9 +363,10 @@ def _cmd_report(args) -> None:
         writer = csv.writer(handle)
         writer.writerows(closure.to_csv_rows())
     written = [json_path, csv_path]
-    if args.svg:
+    if drawing is not None:
         svg_path = args.out_prefix + ".svg"
-        svg.emit_polygon_svg(list(closure.types), svg_path)
+        with open(svg_path, "w", encoding="utf-8") as handle:
+            handle.write(drawing)
         written.append(svg_path)
     _emit(
         args,
@@ -498,7 +506,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=_cmd_point_check)
 
     p = subs.add_parser("stabdim", help="stabiliser dimensions")
-    _add_ctx_flags(p, with_rank=False)
+    p.add_argument("--genus", type=int)
+    p.add_argument("--npoints", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--degree", type=int)
     p.add_argument("--blocks", required=True, help="flag block sizes")

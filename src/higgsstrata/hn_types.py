@@ -76,6 +76,11 @@ class CurveContext:
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
+    def require_ambient(self, tau: "HNType") -> None:
+        """Raise AmbientMismatch unless the type has this context's (rank, degree)."""
+        if (tau.rank, tau.degree) != (self.rank, self.degree):
+            raise AmbientMismatch("type does not match the context's (rank, degree)")
+
 
 def _block(b) -> tuple[int, int]:
     """A [rank, degree] block of exactly two int entries, as a tuple."""
@@ -349,8 +354,7 @@ def t_mu_candidates(mu: HNType, ctx: CurveContext) -> list[HNType]:
     The bound is the sharper average-slope one for the semistable mu and the
     general one otherwise.
     """
-    if (mu.rank, mu.degree) != (ctx.rank, ctx.degree):
-        raise AmbientMismatch("type does not match the context's (rank, degree)")
+    ctx.require_ambient(mu)
     return enumerate_hn_types(ctx, first_slope_bound(mu, ctx))
 
 
@@ -433,8 +437,7 @@ def u_tau_candidates(tau: HNType, ctx: CurveContext) -> CandidateSet:
     among its own underlying-type candidates, which removes semistable (and
     other) candidates whose reverse bound is violated.
     """
-    if (tau.rank, tau.degree) != (ctx.rank, ctx.degree):
-        raise AmbientMismatch("type does not match the context's (rank, degree)")
+    ctx.require_ambient(tau)
     return _u_tau(tau, ctx, lambda: enumerate_hn_types(ctx, tau.top_slope))
 
 

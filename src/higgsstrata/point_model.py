@@ -43,8 +43,8 @@ nonzero minors and V_z entries, by one (K, x) rule, straight as Wolfe's
 integer points (``_block_weight_set``); step 1 walks the tables once per beta,
 pairing with D beta, D the lcm of beta's denominators, compares the int
 weights with the int T = D |beta|^2, both read off beta's integer form
-(``BetaVector.integer_form``), and divides by D on its report.  The point
-keeps the walk for the last beta it was asked about, so step 2's guard after step 1 or ``membership`` on that beta walks nothing.
+(``BetaVector.integer_form``), and divides by D on its report.  The point keeps
+the walk of the last beta, so step 2's guard after step 1 on it walks nothing.
 ``Fraction`` appears only where a value leaves the module, as in a factor's
 ``y``, ``c`` and ``phi``, which ``to_json`` and ``higgsstrata.oracles`` read.
 """
@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -75,6 +75,7 @@ from .linalg import (
     cleared,
     dot,
     full_row_rank,
+    integer,
     listlike,
     lowest_terms,
     mat,
@@ -102,7 +103,8 @@ class Factor:
     (C, Phi, M) = (M c, M phi, M), L and M the lcms of the reduced
     denominators of y and of (c, phi).  The form is canonical, so equality
     and hash are those of (y, c, phi); ``y``, ``c`` and ``phi`` are built as
-    ``Fraction`` only when read.
+    ``Fraction`` only when read.  What the factor alone decides is cached on
+    it, so every point that shares the factor works it out once.
     """
 
     Y: tuple[tuple[int, ...], ...]
@@ -138,6 +140,19 @@ class Factor:
         data = objectlike(data, "a factor (an object with y, c and phi)")
         return cls(data["y"], data["c"], data["phi"])
 
+    _basis = cached_property(lambda f: full_row_rank(f.Y))  # y's pivot columns B, None below full rank
+    _scale = cached_property(lambda f: f.L ** len(f.Y) * f.M)  # s = L^r M: V_z entries and values scale by s
+
+    @cached_property
+    def _tables(self) -> tuple[int, list, list]:
+        """(C, P, V_z) of the integer form (``_factor_values``): every value is one entry times C or a sign."""
+        return _factor_values(self.Y, self.C, self.Phi, len(self.Y[0]))
+
+    @cached_property
+    def _adapted(self) -> tuple[tuple, int]:
+        """((y', c', phi'), det g): the integer form in the basis g = Y_B of its pivot columns (``_gauged``)."""
+        return _gauged(self.Y, self.C, self.Phi, [[row[l] for l in self._basis] for row in self.Y])
+
 
 def _as_factors(factors) -> tuple[Factor, ...]:
     return tuple(f if isinstance(f, Factor) else Factor(*f) for f in factors)
@@ -153,16 +168,12 @@ def _check_factor_shape(f: Factor, k: int, r: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A point of the product of extended Grassmannians, one factor per point.
-
-    ``_bases``, the factors' pivot columns (``full_row_rank``), is for a caller
-    that has found them already, so that no factor's minors are searched twice.
-    """
+    """A point of the product of extended Grassmannians, one factor per point;
+    it keeps only what spans its factors, each factor's own forms on the ``Factor``."""
 
     factors: tuple[Factor, ...]
-    _bases: InitVar[tuple | None] = None
 
-    def __post_init__(self, _bases):
+    def __post_init__(self):
         factors = _as_factors(self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
@@ -170,15 +181,12 @@ class ModelPoint:
         if not factors[0].Y:
             raise ValueError("factor 1: y must have at least one row")
         r, m = self.r, self.m
-        bases = []  # per factor, the pivot columns of y, for ``_kernel`` and ``_adapted``
         for k, f in enumerate(factors, start=1):
             _check_factor_shape(f, k, r, m)
-            bases.append(full_row_rank(f.Y) if _bases is None else _bases[k - 1])
-            if bases[-1] is None:
+            if f._basis is None:
                 raise ValueError(f"factor {k}: y does not have full row rank")
             if not f.C and not any(map(any, f.Phi)):
                 raise ValueError(f"factor {k}: (c, phi) must not be (0, 0)")
-        object.__setattr__(self, "_bases", tuple(bases))
 
     @property
     def r(self) -> int:
@@ -191,24 +199,6 @@ class ModelPoint:
     @property
     def npoints(self) -> int:
         return len(self.factors)
-
-    @property
-    def _integer_factors(self) -> tuple[tuple[tuple, int], ...]:
-        """Per factor: its integer form (Y, C, Phi) and its scale s = L^r M; P
-        entries scale by L^r, and V_z entries and every value by s."""
-        return tuple(((f.Y, f.C, f.Phi), f.L ** len(f.Y) * f.M) for f in self.factors)
-
-    @cached_property
-    def _values(self) -> tuple[tuple[int, list, list], ...]:
-        """Per factor: (c, P, V_z) over int, ``_factor_values`` of its
-        integer form, evaluated once; each value of the factor is an entry
-        times c or a sign, and its exact value times the factor's scale."""
-        return tuple(_factor_values(*factor, self.m) for factor, _ in self._integer_factors)
-
-    @cached_property
-    def _adapted(self) -> tuple[tuple[tuple, int, tuple[int, ...]], ...]:
-        """Per factor ``_in_basis`` of its pivot columns, once for every beta."""
-        return tuple(map(_in_basis, self.factors, self._bases))
 
     @cached_property
     def _live_families(self) -> tuple[int, ...]:
@@ -227,7 +217,7 @@ class ModelPoint:
         k = range(self.npoints)[k]  # IndexError past either end
         f = self.factors[k]
         scaled = Factor._over(f.Y, f.L, num * f.C, [[num * x for x in row] for row in f.Phi], den * f.M)
-        return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:], self._bases)
+        return ModelPoint(self.factors[:k] + (scaled,) + self.factors[k + 1:])
 
     def gauge_factor(self, k: int, alpha) -> "ModelPoint":
         """Basis change y -> alpha y of the quotient fibre of factor k, alpha in
@@ -248,7 +238,7 @@ class ModelPoint:
         D_r = D ** r
         gauged = Factor._over([[a * x for x in row] for row in y], d * D * f.L,
                               c * D_r, [[D_r * x for x in row] for row in phi], a * d * f.M)
-        return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:], self._bases)
+        return ModelPoint(self.factors[:k] + (gauged,) + self.factors[k + 1:])
 
     def to_json(self) -> dict:
         return {"factors": [f.to_json() for f in self.factors]}
@@ -413,17 +403,16 @@ def coordinates(p: ModelPoint, ctx: CurveContext, cap: int = DEFAULT_INDEX_CAP) 
     ``_factor_values``, so vanishing minors are handled without any matrix
     inversion.  The tables are built over int from each factor's entries
     with denominators cleared, which scales every value of factor k by s_k =
-    L_k^r M_k (see ``ModelPoint._integer_factors``); each product is divided back by the
+    L_k^r M_k (``Factor._scale``); each product is divided back by the
     product of the s_k, so the values are the exact ``Fraction``s.  Raises
     CapExceeded when the index count exceeds the cap, and DegeneratePoint if
     every coordinate vanishes.
     """
     _check_shapes(p, ctx)
     indices = enumerate_coordinate_indices(ctx, cap)
-    scale = math.prod(s for _, s in p._integer_factors)
-    return CoordinateTable(
-        {idx: Fraction(v, scale) for idx, v in _table(indices, p._values, p.r, p.m).items()}
-    )
+    scale = math.prod(f._scale for f in p.factors)
+    table = _table(indices, [f._tables for f in p.factors], p.r, p.m)
+    return CoordinateTable({idx: Fraction(v, scale) for idx, v in table.items()})
 
 
 def _family_min_max(p: ModelPoint, beta: BetaVector):
@@ -431,7 +420,7 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
 
     Returns ([(per-factor {weight: witness key} dicts, index builder)], lo,
     membership).  Per live family and factor, one walk over ``_first_reads``
-    keeps the nonzero entries of the cached tables (``ModelPoint._values``),
+    keeps the nonzero entries of the factor's cached tables (``Factor._tables``),
     P in order by ``zip`` and V_z by flat index: (K, x) pairs with D beta
     (trace zero, D the lcm of its denominators), read off beta's integer
     form (``BetaVector.integer_form``) as b_g on each column of block g, to
@@ -454,7 +443,7 @@ def _family_min_max(p: ModelPoint, beta: BetaVector):
     families = []
     for fam in p._live_families:
         per_factor = []
-        for _, P, V_z in p._values:
+        for _, P, V_z in (f._tables for f in p.factors):
             weights = {}
             if fam:
                 for n, k, x, key in ends:
@@ -578,8 +567,10 @@ def verify_step1(
     failure: ``passed`` reads the verdict, never the (possibly cut short)
     violation list.  The weights are int pairings with D beta, compared with
     the int T = D |beta|^2 (``BetaVector.integer_form``), divided by D on
-    the report.
+    the report.  A non-int ``max_violations`` raises TypeError, a negative one ValueError.
     """
+    if integer(max_violations) < 0:
+        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
     _check_shapes(p, ctx)
     families, lo, verdict = _step1(p, beta)
     _, D, T = beta.integer_form
@@ -610,12 +601,6 @@ def _gauged(y, c, phi, g) -> tuple:
     return (mat_mul(adj, y), c * d, mat_mul(mat_mul(g_t, phi), transpose(adj))), d
 
 
-def _in_basis(f: Factor, B) -> tuple:
-    """((y', c', phi'), det g, B): f's integer form written in the basis g = Y_B
-    of its pivot columns B (``_gauged``)."""
-    return (*_gauged(f.Y, f.C, f.Phi, [[row[l] for l in B] for row in f.Y]), B)
-
-
 def _image_dims(B, cuts) -> tuple[int, ...]:
     """The image flag's dimensions: per cut, the pivot columns before it."""
     return tuple(bisect_left(B, cut) for cut in cuts)
@@ -624,7 +609,7 @@ def _image_dims(B, cuts) -> tuple[int, ...]:
 def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     """Per factor ((y', c', phi'), dims, det g, s), all int: its integer form
     (Y, C, Phi) = (L y, M c, M phi) in the basis g = Y_B of its pivot columns B
-    (``ModelPoint._adapted``, once per point), adapted to the image flag whose
+    (``Factor._adapted``, once per factor), adapted to the image flag whose
     dimensions beta counts off B (``_image_dims``), and its scale s = L^r M.
 
     Block triangular in that basis, y' and phi' have the graded point as
@@ -633,12 +618,12 @@ def _adapted_factors(p: ModelPoint, beta: BetaVector, ctx: CurveContext):
     det(g) I on its pivot columns, and (c', phi') = s (c det g_0, det(g_0) g_0^T
     phi g_0^-T): each block's values are the exact ones times one nonzero
     constant, which leaves its support and weights unchanged, as in
-    ``ModelPoint._integer_factors``.  Raises NotInY outside the inequality locus.
+    ``Factor._tables``.  Raises NotInY outside the inequality locus.
     """
     if membership(p, beta, ctx) is Membership.OUTSIDE:
         raise NotInY("the retraction is defined only on the inequality locus")
-    return [(factor, _image_dims(B, beta.flag.cuts), d, s)
-            for (factor, d, B), (_, s) in zip(p._adapted, p._integer_factors)]
+    cuts = beta.flag.cuts
+    return [(f._adapted[0], _image_dims(f._basis, cuts), f._adapted[1], f._scale) for f in p.factors]
 
 
 def _check_flag_adapted(phi: Mat, dims, k: int, tau: HNType) -> None:
@@ -705,23 +690,22 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
     image-flag dimension is wrong or the Higgs matrix fails to preserve the
     flag; the result is guaranteed to satisfy the step-1 inequalities for the
     instability vector of its type (given an equality witness, e.g. for
-    finite points).  Flags are checked on the point's ``_adapted`` form, which
-    step 2 reuses, after ``ModelPoint`` has refused any (c, phi) = (0, 0); the
-    rank checks' pivot columns are handed to it, one minor search per factor.
+    finite points).  Flags are checked on each factor's adapted form
+    (``Factor._adapted``), which step 2 reuses, after every factor's rank and
+    ``ModelPoint``'s refusal of any (c, phi) = (0, 0); each factor searches
+    its minors once.
     """
     beta = beta_of_type(h.tau, h.ctx)
     cuts = beta.flag.cuts
     if len(h.factors) != h.ctx.npoints:
         raise ValueError("factor count does not match the context")
-    bases = []
     for k, f in enumerate(h.factors, start=1):
         _check_factor_shape(f, k, h.ctx.rank, beta.m)
-        bases.append(full_row_rank(f.Y))
-        if bases[-1] is None:
+        if f._basis is None:
             raise InvariantViolation(len(cuts), k, "y does not have full row rank")
-    p = ModelPoint(h.factors, bases)
-    for k, ((_, _, phi), _, B) in enumerate(p._adapted, start=1):
-        _check_flag_adapted(phi, _image_dims(B, cuts), k, h.tau)
+    p = ModelPoint(h.factors)
+    for k, f in enumerate(p.factors, start=1):
+        _check_flag_adapted(f._adapted[0][2], _image_dims(f._basis, cuts), k, h.tau)
     return p
 
 
@@ -937,7 +921,7 @@ def unipotent_stabilizer_dim(
     if not live:
         raise DegeneratePoint("all coordinates vanish")
     subspaces = []
-    for f, B in zip(p.factors, p._bases):
+    for f in p.factors:
         if live == (1,):
             v = next(row for row in f.Phi if any(row))
             kernel = _kernel([v], full_row_rank([v]))[1]  # {a : a . v = 0}
@@ -946,7 +930,7 @@ def unipotent_stabilizer_dim(
                 # W' = 0 at r = 1
                 subspaces += [(s, full_row_rank(s), None) for s in (mat_mul(kernel, f.Y), (w,)) if s]
                 continue
-        subspaces.append((f.Y, B, f.Phi if 1 in live else None))
+        subspaces.append((f.Y, f._basis, f.Phi if 1 in live else None))
     return _invariance_nullity(subspaces, _lie_upper_positions(flag))
 
 

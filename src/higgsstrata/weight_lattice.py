@@ -146,9 +146,11 @@ def rational_from_json(data) -> Fraction:
 def beta_of_type(tau: HNType, ctx: CurveContext) -> BetaVector:
     """Instability vector of a type: blockwise k_g/m_g - k/m, trace zero.
 
-    Raises NonPositiveBlockDimension when some block has d_g + r_g(1-g) <= 0,
+    Raises AmbientMismatch unless the type has the context's (rank, degree),
+    and NonPositiveBlockDimension when some block has d_g + r_g(1-g) <= 0,
     i.e. when the degree is too small for this construction.
     """
+    ctx.require_ambient(tau)
     return BetaVector(tau, ctx.genus, ctx.npoints)
 
 

@@ -182,6 +182,13 @@ def build_flagged_point(
     return from_higgs_data(HiggsDatum(tau, ctx, factors))
 
 
+def fresh_factors(factors) -> tuple[Factor, ...]:
+    """The factors rebuilt from their entries, with none of the forms a
+    ``Factor`` caches (pivot columns, tables, adapted form) worked out yet,
+    for a test that counts that work."""
+    return tuple(Factor(f.y, f.c, f.phi) for f in factors)
+
+
 def mutate_break_flag(point: ModelPoint, tau: HNType, ctx: CurveContext) -> ModelPoint:
     """Break flag invariance detectably: one stored-upper Higgs entry per factor.
 

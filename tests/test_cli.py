@@ -213,6 +213,23 @@ class TestJsonRoundTrips:
         assert (code, out) == (1, "")
         assert err == "ValueError: --rank and --degree apply only to --point\n"
 
+    @pytest.mark.parametrize("ctx", [["--genus", "-5", "--npoints", "-3"], ["--genus", "0"], ["--npoints", "1"]])
+    def test_stabdim_refuses_genus_and_npoints_with_phis(self, capsys, ctx):
+        # --phis reads neither flag, so either is refused, at its default value too
+        code, out, err = run(capsys, "stabdim", "--blocks", "1,1", "--phis", "[[[0,0],[1,0]]]", *ctx)
+        assert (code, out) == (1, "")
+        assert err == "ValueError: --genus and --npoints apply only to --point\n"
+
+    def test_stabdim_point_reads_genus_and_npoints(self, capsys, point_file):
+        # --point reads both, at 0 and 1 when they are not given
+        argv = ("stabdim", "--point-file", point_file, "--blocks", "3,2", "--rank", "2", "--json")
+        want = run(capsys, *argv, "--degree", "7", "--genus", "2")
+        assert want[0] == 0
+        assert run(capsys, *argv, "--degree", "3") == want
+        assert run(capsys, *argv, "--degree", "3", "--genus", "0", "--npoints", "1") == want
+        code, out, err = run(capsys, *argv, "--degree", "3", "--npoints", "2")
+        assert (code, out) == (1, "") and err.startswith("ValueError: point shape (2x5, 1 factors)")
+
     @pytest.mark.parametrize("ctx", [[], ["--rank", "2"], ["--degree", "7"]])
     def test_stabdim_point_needs_rank_and_degree(self, capsys, point_file, ctx):
         code, out, err = run(capsys, "stabdim", "--point-file", point_file, "--blocks", "3,2", "--genus", "2", *ctx)
@@ -268,6 +285,17 @@ class TestJsonRoundTrips:
         distinct = list(dict.fromkeys(taus))
         assert len(taus) > len(distinct) >= 3  # several records of one type
         assert (tmp_path / "rep.svg").read_text(encoding="utf-8") == polygon_svg(distinct)
+
+    def test_report_svg_of_an_empty_corpus_writes_nothing(self, capsys, tmp_path):
+        # there is no type to draw, which is refused before the first file is written
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text('{"points": []}')
+        argv = (*REPORT_CTX, "--corpus-file", str(corpus_path), "--out-prefix", str(tmp_path / "rep"))
+        assert run(capsys, *argv, "--svg") == (1, "", "ValueError: at least one type is required\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("0 records over 0 points\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.json", "rep.csv", "rep.json"]
 
     def test_report_ignores_a_flag_key(self, capsys, tmp_path):
         # each point's stabiliser is taken in the flag of the stratum it

@@ -73,7 +73,7 @@ def test_exported_oracles_are_defined_in_the_oracles_module():
 
 
 # The tables the dense stabiliser oracle differentiates, and the rules that read them.
-TABLE_NAMES = {"_factor_values", "_table", "_values", "_support", "_first_reads", "_entry_keys"}
+TABLE_NAMES = {"_factor_values", "_table", "_tables", "_support", "_first_reads", "_entry_keys"}
 
 
 def _name(node: ast.AST) -> str | None:
@@ -114,4 +114,7 @@ def test_the_adapt_step_runs_no_elimination():
         f"{name}: {_name(n)}" for name, fn in reached.items() for n in ast.walk(fn)
         if _name(n) in ("EchelonAccumulator", "adapted_flag_basis")
     )
-    assert {"_adapted", "_in_basis", "_gauged", "_image_dims"} <= set(reached) and not offenders, offenders
+    (factor,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Factor"]
+    forms = {f.name: f for f in factor.body if isinstance(f, ast.FunctionDef)}
+    assert reached["_adapted"] is forms["_adapted"], "the adapt step is Factor's"
+    assert {"_gauged", "_image_dims"} <= set(reached) and not offenders, offenders

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_flagged_point, count_calls, model_supported, mutate_break_flag, random_block
+from conftest import (
+    build_flagged_point, count_calls, fresh_factors, model_supported, mutate_break_flag, random_block,
+)
 from higgsstrata import (
     CapExceeded,
     CoordinateIndex,
@@ -124,7 +126,7 @@ class TestCoordinates:
         with pytest.raises(CapExceeded) as exc:
             coordinates(p, CTX3, cap=total - 1)
         assert (exc.value.count, exc.value.cap) == (15, 14)
-        assert "_values" not in vars(p)  # no per-factor value was evaluated
+        assert not any("_tables" in vars(f) for f in p.factors)  # no per-factor value was evaluated
         assert len(coordinates(p, CTX3, cap=total).values) == total
 
 
@@ -327,22 +329,28 @@ class TestHiggsData:
         assert type(exc.value) is ValueError and str(exc.value) == "factor 2: (c, phi) must not be (0, 0)"
 
     def test_one_minor_search_per_factor(self):
-        # the rank checks' pivot columns go to ModelPoint: N = 2 searches 2, not 4
-        h = HiggsDatum(TAU52, CTX73_N2, build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
-        assert count_calls(lambda: from_higgs_data(h), full_row_rank) == [2]
+        # each fresh factor searches its minors once, for its rank check, and is
+        # gauged once, for its flag check: N = 2 makes 2 of each, step 2 none
+        factors = fresh_factors(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
+        h, beta = HiggsDatum(TAU52, CTX73_N2, factors), beta_of_type(TAU52, CTX73_N2)
+        watched, got = (full_row_rank, point_model._gauged), []
+        assert count_calls(lambda: got.append(from_higgs_data(h)), *watched) == [2, 2]
+        assert count_calls(lambda: verify_step2(got[0], beta, CTX73_N2), *watched) == [0, 0]
 
     def test_moves_keep_the_pivot_columns(self):
         # rescaling keeps y, and alpha y has the row space, hence rref(y)'s pivot
-        # columns, of y: both moves hand the point's own on, searching no minor
+        # columns, of y: the moved factor searches its own minors once and finds
+        # the same columns, and the other factor, shared, searches none
         y = [[0, 1, 1, 0, 0], [0, 0, 0, 1, 1]]  # pivot columns (1, 3)
         generic = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors[0]
         p = ModelPoint((Factor(y, 1, [[2, 0], [5, 3]]), generic))
         for k, alpha in itertools.product((0, 1), (((F(2, 3), 1), (0, F(-5, 2))), ((0, 1), (1, 1)))):
             for move in (lambda: p.rescale_factor(k, F(-3, 4)), lambda: p.gauge_factor(k, alpha)):
-                assert count_calls(move, full_row_rank) == [0]
+                assert count_calls(move, full_row_rank) == [1]
                 moved = move()
-                assert moved._bases == ModelPoint(moved.factors)._bases
-        assert p._bases[0] == (1, 3)
+                assert moved.factors[1 - k] is p.factors[1 - k]
+                assert moved.factors[k]._basis == p.factors[k]._basis
+        assert p.factors[0]._basis == (1, 3)
 
     def test_rank_refused_before_a_zero_factor(self):
         # every factor's rank is checked before any factor's (c, phi)
@@ -353,7 +361,7 @@ class TestHiggsData:
 
     def test_one_gauge_per_factor(self):
         # the flag is checked on the point's own adapted form, which step 2 reuses
-        factors = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors
+        factors = fresh_factors(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
         beta = beta_of_type(TAU52, CTX73_N2)
         run = lambda: verify_step2(from_higgs_data(HiggsDatum(TAU52, CTX73_N2, factors)), beta, CTX73_N2)
         assert count_calls(run, point_model._gauged) == [2]
@@ -472,12 +480,13 @@ class TestIntegerForm:
     def test_one_value_four_spellings(self):
         points = [self._point(half) for half in ("1/2", {"num": 2, "den": 4}, {"num": -1, "den": -2}, F(1, 2))]
         first = points[0]
-        assert first._integer_factors == (((((1, 2, 0), (0, 0, 2)), 1, ((1, 0), (0, 2))), 8),)
+        form = lambda p: [(f.Y, f.C, f.Phi, f._scale) for f in p.factors]  # the scale s = L^r M
+        assert form(first) == [(((1, 2, 0), (0, 0, 2)), 1, ((1, 0), (0, 2)), 8)]
         assert first.factors[0].y == ((F(1, 2), 1, 0), (0, 0, 1)) and first.factors[0].c == F(1, 2)
         for p in points:
             assert p.factors[0] == first.factors[0] and hash(p.factors[0]) == hash(first.factors[0])
             assert p == first and hash(p) == hash(first)
-            assert p._integer_factors == first._integer_factors
+            assert form(p) == form(first)
             assert p.to_json() == first.to_json()
         assert self._point(F(1, 3)).factors[0] != first.factors[0]
 
@@ -515,6 +524,28 @@ class TestIntegerForm:
         assert count_calls(lambda: ModelPoint.from_json(text), F.__new__)[0] == 1  # the counter sees Fraction
 
 
+class TestFactorForms:
+    """A factor's pivot columns, tables and adapted form are cached on the
+    ``Factor``, so a factor shared by two points is worked out once."""
+
+    def test_a_shared_factor_builds_no_table_again(self):
+        beta = beta_of_type(TAU52, CTX73_N2)
+        p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
+        verify_step1(p, beta, CTX73_N2)
+        step1 = lambda q: count_calls(lambda: verify_step1(q, beta, CTX73_N2), point_model._factor_values)
+        assert step1(ModelPoint(p.factors)) == [0]
+        moved = p.rescale_factor(0, F(-3, 4))
+        assert step1(moved) == [1]  # the moved factor's, and not the shared one's
+        assert moved.factors[1]._tables is p.factors[1]._tables
+        assert moved.factors[0]._tables is not p.factors[0]._tables
+
+    def test_forms_leave_equality_and_hash_alone(self):
+        f = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors[0]
+        g = fresh_factors([f])[0]
+        assert "_adapted" in vars(f) and "_adapted" not in vars(g)
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+
+
 class TestBetaIntegerForm:
     """Step 1's verdict, ``is_zero`` and the grading subgroup read beta's
     integer form (``BetaVector.integer_form``), over int, and the trace
@@ -529,7 +560,7 @@ class TestBetaIntegerForm:
 
     def test_a_fresh_beta_builds_no_fraction(self):
         p = ModelPoint((Factor([[1, 2, 0, 1, 0], [0, 0, 1, 3, 1]], 1, [[2, 0], [5, 3]]),))
-        p._values  # the point's tables, over int, before counting
+        p.factors[0]._tables  # the factor's tables, over int, before counting
         for read in (
             lambda beta: point_model._family_min_max(p, beta),
             lambda beta: step2_trace_identity(beta, 3),
@@ -637,6 +668,19 @@ class TestStep1:
         broken = mutate_break_flag(p, TAU43, CTX73)
         report = verify_step1(broken, beta, CTX73)
         assert not report.passed and report.violations
+
+    @pytest.mark.parametrize("bad, kind, message", [
+        *((n, ValueError, "max_violations must be >= 0") for n in (-3, -1)),
+        *((x, TypeError, "expected an integer") for x in (2.5, True, None, "3")),
+    ])
+    def test_bad_max_violations_refused_before_any_work(self, bad, kind, message):
+        p = mutate_break_flag(build_flagged_point(TAU43, CTX73, random.Random(3)), TAU43, CTX73)
+        beta = beta_of_type(TAU43, CTX73)
+        with pytest.raises(kind, match=message):
+            verify_step1(p, beta, CTX73, max_violations=bad)
+        assert "_last_walk" not in vars(p) and not any("_tables" in vars(f) for f in p.factors)
+        assert len(verify_step1(p, beta, CTX73, max_violations=1).violations) == 1
+        assert verify_step1(p, beta, CTX73, max_violations=0).violations == ()
 
     def test_step2_guard_reads_the_step1_walk(self):
         # the point keeps the walk of the last beta asked, so step 2's NotInY
@@ -866,11 +910,11 @@ class TestStep2Reference:
                 p = p.gauge_factor(k, alpha).rescale_factor(k, F(rng.randint(1, 5), rng.randint(2, 5)))
             beta = beta_of_type(tau, ctx)
             adapted = _adapted_factors(p, beta, ctx)
-            for ((y, c, phi), dims, d_g, s), ((y_int, _, _), _) in zip(adapted, p._integer_factors):
+            for ((y, c, phi), dims, d_g, s), f in zip(adapted, p.factors):
                 entries = [*(x for row in y + phi for x in row), c, *dims, d_g, s]
                 assert all(type(x) is int for x in entries)
                 # the det(g) read off _gauged's cofactors is det of the adapted basis
-                assert d_g == det(adapted_flag_basis(transpose(y_int), beta.flag.cuts)[0])
+                assert d_g == det(adapted_flag_basis(transpose(f.Y), beta.flag.cuts)[0])
                 checked += 1
         assert checked >= 2
 
@@ -886,7 +930,7 @@ class TestAdaptedBasis:
 
     def test_one_gauge_per_factor_across_betas(self):
         ctx = CTX73_N2
-        p = ModelPoint(build_flagged_point(TAU52, ctx, random.Random(3)).factors)
+        p = ModelPoint(fresh_factors(build_flagged_point(TAU52, ctx, random.Random(3)).factors))
         betas = [beta_of_type(tau, ctx) for tau in (TAU43, TAU52)]
         assert all(membership(p, beta, ctx) is not Membership.OUTSIDE for beta in betas)
         assert betas[0].flag.cuts != betas[1].flag.cuts
@@ -1372,23 +1416,25 @@ class TestStabilizerInvariance:
         # value an entry of its tables times c or a sign (``_entry_keys``)
         p, _ = case
         reads = _entry_keys(p.r, p.m).values()
-        supported = lambda fam, c, tables: any(
-            (sign if fam else c) * tables[fam][n] for f, n, sign in reads if f == fam
+        supported = lambda fam, c, parts: any(
+            (sign if fam else c) * parts[fam][n] for f, n, sign in reads if f == fam
         )
-        want = tuple(fam for fam in (0, 1) if all(supported(fam, c, tables) for c, *tables in p._values))
+        tables = [f._tables for f in p.factors]
+        want = tuple(fam for fam in (0, 1) if all(supported(fam, c, parts) for c, *parts in tables))
         assert p._live_families == want
 
     def test_step1_caches_only_the_tables(self):
-        # step 1 walks the cached tables once per beta and keeps no support of
-        # its own, only the one walk of the last beta (``_last_walk``)
-        p = ModelPoint(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors)
+        # step 1 walks each factor's cached tables once per beta and keeps no
+        # support of its own, only the one walk of the last beta (``_last_walk``)
+        p = ModelPoint(fresh_factors(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors))
         verify_step1(p, beta_of_type(TAU52, CTX73_N2), CTX73_N2)
-        assert set(vars(p)) == {"factors", "_bases", "_values", "_live_families", "_last_walk"}
+        assert set(vars(p)) == {"factors", "_live_families", "_last_walk"}
+        assert all(set(vars(f)) == {"Y", "L", "C", "Phi", "M", "_basis", "_tables"} for f in p.factors)
 
     def test_builds_no_table(self):
-        p = build_flagged_point(TAU52, CTX73_N2, random.Random(3))
+        p = ModelPoint(fresh_factors(build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors))
         unipotent_stabilizer_dim(p, FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks), CTX73_N2)
-        assert not {"_values", "_support"} & set(vars(p))
+        assert not any("_tables" in vars(f) for f in p.factors)
 
     def test_one_minor_search_per_factor(self):
         # the rank check's columns give each factor's kernel, so a fresh N = 2
@@ -1396,7 +1442,7 @@ class TestStabilizerInvariance:
         factors = build_flagged_point(TAU52, CTX73_N2, random.Random(3)).factors
         assert all(f.C and any(map(any, f.Phi)) for f in factors)  # both families live
         flag = FlagShape(beta_of_type(TAU52, CTX73_N2).m_blocks)
-        run = lambda: unipotent_stabilizer_dim(ModelPoint(factors), flag, CTX73_N2)
+        run = lambda: unipotent_stabilizer_dim(ModelPoint(fresh_factors(factors)), flag, CTX73_N2)
         assert count_calls(run, full_row_rank) == [2]
 
     @pytest.mark.parametrize("seed", range(8))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsstrata import (
+    AmbientMismatch,
     BetaVector,
     CapExceeded,
     CoordinateIndex,
@@ -51,6 +52,14 @@ class TestBeta:
         beta = beta_of_type(HNType(((1, 4), (1, 3))), ctx)
         assert beta.entries == (F(1, 15),) * 3 + (F(-1, 10),) * 2
         assert beta.norm_sq == F(1, 30)
+
+    @pytest.mark.parametrize("rank, degree", [(3, 5), (2, 6), (2, 8)])
+    def test_refuses_a_type_of_another_ambient(self, rank, degree):
+        # as the candidate tables do: the context's (rank, degree) is the type's
+        tau = HNType(((1, 5), (1, 2)))
+        with pytest.raises(AmbientMismatch, match=r"^type does not match the context's \(rank, degree\)$"):
+            beta_of_type(tau, CurveContext(rank, degree))
+        assert beta_of_type(tau, CurveContext(2, 7)).m_blocks == (6, 3)
 
     def test_nonpositive_block_dimension(self):
         ctx = CurveContext(2, -1, genus=2)
