@@ -25,7 +25,7 @@ beta = beta_of_type(tau, ctx)
 print("type", tau, "on a genus-2 curve, one evaluation point")
 print("  section blocks m_g:", beta.m_blocks, " k_g:", beta.k_blocks)
 print("  vector:", [str(v) for v in beta.entries])
-print("  trace:", beta.trace(), " squared norm:", beta.norm_sq)
+print("  trace:", sum(beta.entries), " squared norm:", beta.norm_sq)  # the trace is 0 for every type
 
 # The smallest integer multiple generates the grading one-parameter subgroup.
 print("  grading subgroup weights:", grading_one_parameter_subgroup(beta))

@@ -157,8 +157,8 @@ class HNType:
         return tuple(verts)
 
     def polygon_at(self, x: int) -> Fraction:
-        """Height of the concave polygon at an integer abscissa 0 <= x <= rank."""
-        if x < 0 or x > self.rank:
+        """Height of the concave polygon at an int abscissa 0 <= x <= rank (``linalg.integer``)."""
+        if integer(x) < 0 or x > self.rank:
             raise ValueError("abscissa outside [0, rank]")
         return self.polygon_heights[x]
 

@@ -8,12 +8,13 @@ with no floating point and no tolerances.  There is one Gaussian
 elimination, ``EchelonAccumulator.add``, fraction-free over int: ``rank``
 reads its rank, and ``nullspace`` and ``solve_unique`` the reduced row
 echelon form that ``_echelon`` gets from its kept rows by back-substitution.
-Only the oracles (``higgsstrata.oracles``) call those two; they stay here
-because the benchmark traces them by these names.  There is one Laplace
-expansion, ``minors``, behind ``det``, ``adjugate``, ``full_row_rank`` and
-the cofactor tables of ``point_model``, over any commutative ring with
-``+``, ``-``, ``*`` and truthiness at zero; ``full_row_rank`` finds the
-pivot columns of the reduced row echelon form through it, with no elimination.
+Only the oracles (``higgsstrata.oracles``, which keeps their vector reader
+``vec``) call those two; they stay here because the benchmark traces them
+by these names.  There is one Laplace expansion, ``minors``, behind
+``det``, ``adjugate``, ``full_row_rank`` and the cofactor tables of
+``point_model``, over any commutative ring with ``+``, ``-``, ``*`` and
+truthiness at zero; ``full_row_rank`` finds the pivot columns of the
+reduced row echelon form through it, with no elimination.
 """
 
 from __future__ import annotations
@@ -140,10 +141,6 @@ def objectlike(x, what: str) -> dict:
 
 
 VECTOR = "a vector (a list of rationals)"
-
-
-def vec(entries) -> Vec:
-    return tuple(frac(e) for e in listlike(entries, VECTOR))
 
 
 def mat(rows, read=frac) -> Mat:

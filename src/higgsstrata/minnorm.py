@@ -269,7 +269,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     positive.  Such an S has at most a + 1 members, a the affine dimension of
     P.  ``cap`` bounds the subsets the walk below can visit, those of at most
     a weights, sum_{s=1}^{a} C(n, s) for n distinct weights, and is checked
-    before any work.
+    before any work, after a cap that is not an int is refused (TypeError).
 
     The subsets of at most a weights are walked, and each projection with
     positive weights is kept, KKT-certified.  The a + 1 level is replaced by
@@ -319,6 +319,7 @@ def index_set_B(weights, restrict_to_chamber: bool = True, cap: int = DEFAULT_IN
     point times L D > 0, so the order is that of the points.  ``Fraction`` is
     built only for the emitted points, once per entry, after sorting.
     """
+    integer(cap)
     cloud = _as_cloud(weights)
     P, D = sorted(set(cloud.P)), cloud.D
     affine_dim = rank(tuple(tuple(a - b for a, b in zip(p, P[0])) for p in P[1:]))

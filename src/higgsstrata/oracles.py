@@ -7,7 +7,8 @@ another road, compared with zero tolerance in the tests:
   ints): the shortest projection of the origin, with nonnegative weights,
   onto the affine hull of any subset, by a ``Fraction`` solve.
 - ``hull_contains_origin`` checks that this point is zero exactly when the
-  origin is in the hull, by a phase-1 simplex, ``nonneg_combination_exists``.
+  origin is in the hull, by a phase-1 simplex, ``nonneg_combination_exists``,
+  whose vectors ``vec`` reads.
 - ``unipotent_stabilizer_dim_dense_oracle`` checks
   ``point_model.unipotent_stabilizer_dim`` on the full coordinate table,
   differentiated through ``Dual`` numbers, with the scalar kept unknown.
@@ -34,9 +35,8 @@ from fractions import Fraction
 from .errors import DEFAULT_INDEX_CAP, DegeneratePoint, HiggsStrataError
 from .hn_types import (CandidateSet, CurveContext, FlagShape, HNType, Rank3Kind, classify_rank3,
                        enumerate_hn_types, first_slope_bound, general_first_slope_bound)
-from .linalg import (
-    EchelonAccumulator, Mat, Vec, _echelon, dot, mat, nullspace, rank, solve_unique, transpose, vec,
-)
+from .linalg import (VECTOR, EchelonAccumulator, Mat, Vec, _echelon, dot, frac, listlike, mat, nullspace, rank,
+                     solve_unique, transpose)
 from .minnorm import _as_cloud
 from .point_model import ModelPoint, _check_shapes, _factor_values, _lie_upper_positions, _table
 from .weight_lattice import enumerate_coordinate_indices
@@ -148,6 +148,10 @@ def hull_contains_origin(points) -> bool:
     columns = [tuple(p) + (Fraction(1),) for p in pts]
     target = tuple([Fraction(0)] * len(pts[0])) + (Fraction(1),)
     return nonneg_combination_exists(columns, target)
+
+
+def vec(entries) -> Vec:
+    return tuple(frac(e) for e in listlike(entries, VECTOR))
 
 
 def nonneg_combination_exists(columns, target) -> bool:

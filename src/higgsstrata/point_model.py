@@ -906,12 +906,13 @@ def unipotent_stabilizer_dim(
     So each factor gives the rows of ``_invariance_nullity`` for W, with
     [A^T, phi] when the end family lives, but for W' and <w> when it alone
     lives and rank phi = 1; the integer form's scaling changes no kernel.
-    ``cap`` bounds N r m |positions|, checked before any work: each factor
-    gives at most r(m - r) + r^2 = r m rows (fewer when rank phi = 1), each
-    with one entry per strictly upper position, of which there are
-    (m^2 - sum of the squared block sizes) / 2.  The test oracle,
-    ``oracles.unipotent_stabilizer_dim_dense_oracle``, differentiates T.
+    ``cap``, an int (``linalg.integer``), bounds N r m |positions|, both
+    checked before any work: each factor gives at most r(m - r) + r^2 = r m
+    rows (fewer when rank phi = 1), each with one entry per strictly upper
+    position, of which there are (m^2 - sum of the squared block sizes) / 2.
+    The test oracle, ``oracles.unipotent_stabilizer_dim_dense_oracle``, differentiates T.
     """
+    integer(cap)
     _check_shapes(p, ctx, flag)
     positions = (p.m ** 2 - sum(b * b for b in flag.block_sizes)) // 2
     entries = p.npoints * p.r * p.m * positions

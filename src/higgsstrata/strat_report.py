@@ -8,7 +8,7 @@ nonzero candidates).  Within a nonzero record, points on the equality locus
 form a terminal graded record and the rest are refined by the unipotent
 stabiliser dimension in the matched vector's own flag, so a corpus names no
 flag.  Closure relations are reported, never asserted: they are invisible to
-finitely many points.
+finitely many points; the closure table's rows are the records themselves.
 """
 
 from __future__ import annotations
@@ -140,24 +140,16 @@ def assemble(corpus, ctx: CurveContext, max_first_slope=None) -> list[StratumRec
 
 
 @dataclass(frozen=True)
-class ClosureReportRow:
-    tau: HNType
-    norm_sq: Fraction
-    delta: int | None
-    graded: bool
-    members: int
-
-
-@dataclass(frozen=True)
 class ClosureReport:
     """Descriptive norm-versus-polygon-order table over assembled records.
 
     Closure inclusions cannot be certified on a finite corpus, so this report
     carries comparisons only: for each pair of source types, the polygon order
-    and the order of the squared norms.
+    and the order of the squared norms.  Its rows are the records, in (norm,
+    slope vector) order.
     """
 
-    rows: tuple[ClosureReportRow, ...]
+    rows: tuple[StratumRecord, ...]
     pairs: tuple[tuple[HNType, HNType, PolygonOrder, str], ...]
 
     @property
@@ -169,13 +161,13 @@ class ClosureReport:
         return {
             "rows": [
                 {
-                    "tau": row.tau.to_json(),
-                    "norm_sq": rational_to_json(row.norm_sq),
-                    "delta": row.delta,
-                    "graded": row.graded,
-                    "members": row.members,
+                    "tau": rec.beta.tau.to_json(),
+                    "norm_sq": rational_to_json(rec.norm_sq),
+                    "delta": rec.delta,
+                    "graded": rec.graded,
+                    "members": len(rec.member_ids),
                 }
-                for row in self.rows
+                for rec in self.rows
             ],
             "pairs": [
                 {
@@ -190,35 +182,30 @@ class ClosureReport:
 
     def to_csv_rows(self) -> list[list[str]]:
         out = [["tau", "norm_sq", "delta", "graded", "members"]]
-        for row in self.rows:
+        for rec in self.rows:
             out.append(
                 [
-                    repr(row.tau),
-                    str(row.norm_sq),
-                    "" if row.delta is None else str(row.delta),
-                    str(row.graded),
-                    str(row.members),
+                    repr(rec.beta.tau),
+                    str(rec.norm_sq),
+                    "" if rec.delta is None else str(rec.delta),
+                    str(rec.graded),
+                    str(len(rec.member_ids)),
                 ]
             )
         return out
 
 
-def _first_rows(rows) -> dict[HNType, ClosureReportRow]:
-    """The first row of each distinct type, keyed in row order."""
+def _first_rows(rows) -> dict[HNType, StratumRecord]:
+    """The first record of each distinct type, keyed in row order."""
     first = {}
-    for row in rows:
-        first.setdefault(row.tau, row)
+    for rec in rows:
+        first.setdefault(rec.beta.tau, rec)
     return first
 
 
 def closure_order_report(records) -> ClosureReport:
     """Records sorted by norm, with the pairwise polygon/norm comparison table."""
-    rows = tuple(
-        ClosureReportRow(
-            rec.beta.tau, rec.norm_sq, rec.delta, rec.graded, len(rec.member_ids)
-        )
-        for rec in sorted(records, key=lambda r: (r.norm_sq, r.beta.tau.slope_vector))
-    )
+    rows = tuple(sorted(records, key=lambda r: (r.norm_sq, r.beta.tau.slope_vector)))
     pairs = []
     for (a, rec_a), (b, rec_b) in itertools.combinations(_first_rows(rows).items(), 2):
         if rec_a.norm_sq < rec_b.norm_sq:
@@ -234,10 +221,9 @@ def closure_order_report(records) -> ClosureReport:
 @dataclass(frozen=True)
 class CompatReport:
     checked: int
-    violations = ()  # no pair can fail (``compat_cross_table``)
 
     def to_json(self) -> dict:
-        return {"checked": self.checked, "violations": []}
+        return {"checked": self.checked, "violations": []}  # no pair can fail (``compat_cross_table``)
 
 
 def compat_cross_table(r_max: int, d_range, degL_range) -> CompatReport:

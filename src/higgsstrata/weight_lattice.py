@@ -5,7 +5,8 @@ per section, m in total); pairings against trace-zero vectors are independent
 of the trace-zero projection, so weights are stored unprojected.  The
 instability vector of a type has one constant value per block, k_g/m_g - k/m,
 where k_g = N(d_g - r_g * genus) and m_g = d_g + r_g(1 - genus).  The positive
-Weyl chamber convention throughout is weakly decreasing coordinates.
+Weyl chamber convention throughout is weakly decreasing coordinates.  A beta's
+zero trace and its grading/trace identity are proved, not returned as values.
 """
 
 from __future__ import annotations
@@ -113,15 +114,6 @@ class BetaVector:
     def flag(self) -> FlagShape:
         return FlagShape(self.m_blocks)
 
-    @property
-    def rank_blocks(self) -> tuple[int, ...]:
-        """Block ranks r_g, the type's composition."""
-        return self.tau.composition
-
-    def trace(self) -> Fraction:
-        b, D, _ = self.integer_form
-        return Fraction(sum(b_g * m_g for b_g, m_g in zip(b, self.m_blocks)), D)
-
     def to_json(self) -> dict:
         return {
             "entries": [rational_to_json(v) for v in self.entries],
@@ -137,10 +129,6 @@ class BetaVector:
 def rational_to_json(x: Fraction) -> dict:
     f = frac(x)
     return {"num": f.numerator, "den": f.denominator}
-
-
-def rational_from_json(data) -> Fraction:
-    return frac(data)
 
 
 def beta_of_type(tau: HNType, ctx: CurveContext) -> BetaVector:
@@ -299,10 +287,11 @@ def enumerate_coordinate_indices(
 ) -> Iterator[CoordinateIndex]:
     """Yield every det and end coordinate index exactly once, det family first.
 
-    Raises CapExceeded (with the exact count) before yielding anything if the
-    total would exceed the cap.  The stream is restartable: call again for a
-    fresh iterator.
+    Raises TypeError for a cap that is not an int (``linalg.integer``), then
+    CapExceeded (with the exact count) if the total would exceed the cap, both
+    before any work.  The stream is restartable: call again for a fresh iterator.
     """
+    integer(cap)
     total = coordinate_index_count(ctx)
     if total > cap:
         raise CapExceeded(total, cap)
@@ -332,17 +321,16 @@ def grading_one_parameter_subgroup(beta: BetaVector) -> tuple[int, ...] | None:
     return tuple(b_g // g for b_g, m_g in zip(b, beta.m_blocks) for _ in range(m_g))
 
 
-def step2_trace_identity(
-    beta: BetaVector, bound: int = 2
-) -> tuple[int, bool, tuple[int, ...] | None]:
-    """Decide the grading/trace identity over all integer trace-zero diagonals.
+def step2_trace_identity(beta: BetaVector, bound: int = 2) -> int:
+    """Count the classes of the grading/trace identity over all integer
+    trace-zero diagonals, on each of which it holds.
 
     For every integer diagonal one-parameter subgroup with entries in
     [-bound, bound] and zero trace, sum_g(-N r_g/m_g * t_g) must equal the
     pairing sum_g v_g t_g with beta, t_g its trace on block g.  Both sides
     depend only on these traces, whose tuples (the classes) are the integer
-    t with sum t = 0 and |t_g| <= bound m_g.  Returns (number of classes,
-    True, None): the identity holds on every class of every beta.
+    t with sum t = 0 and |t_g| <= bound m_g.  Returns the number of classes:
+    the identity holds on every class of every beta, so no verdict is returned.
 
     The difference of the two sides is sum_g c_g t_g, c_g = -N r_g/m_g - v_g.
     A beta is built from its type (``BetaVector``), so k_g/N = d_g - r_g
@@ -364,4 +352,4 @@ def step2_trace_identity(
         for widths in itertools.combinations([2 * bound * m_g + 1 for m_g in m_blocks], size):
             if sum(widths) <= total:
                 checked += (-1) ** size * math.comb(total - sum(widths) + s - 1, s - 1)
-    return checked, True, None
+    return checked

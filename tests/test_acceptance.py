@@ -44,6 +44,7 @@ from higgsstrata import (
 )
 from higgsstrata.hn_types import Rank3Kind
 from higgsstrata.minnorm import PointCloud
+from higgsstrata.oracles import compat_pairs
 from higgsstrata.weight_lattice import alpha_of_index, pairing
 
 
@@ -69,7 +70,7 @@ def test_ac01_beta_well_formedness():
                     for tau in taus:
                         beta = beta_of_type(tau, ctx)
                         vals = beta.block_values
-                        ok = ok and beta.trace() == 0
+                        ok = ok and sum(beta.entries) == 0
                         ok = ok and all(a > b for a, b in zip(vals, vals[1:]))
                         got = bb_weights(tau, ctx)
                         want = F(beta.k_blocks[-1], beta.m_blocks[-1]) - F(
@@ -167,8 +168,16 @@ def test_ac04_step2_trace_identity():
                     continue
                 for tau in enumerate_hn_types(ctx, d + r, min_slope_exclusive=g - 1):
                     beta = beta_of_type(tau, ctx)
-                    checked, good, bad = step2_trace_identity(beta, 3)
-                    ok = ok and good and checked > 0
+                    # the count against a walk of every class (zero-sum block
+                    # traces |t_g| <= 3 m_g), each tested by two Fraction sums
+                    held = 0
+                    for head in itertools.product(*(range(-3 * m_g, 3 * m_g + 1) for m_g in beta.m_blocks[:-1])):
+                        traces = (*head, -sum(head))
+                        if abs(traces[-1]) <= 3 * beta.m_blocks[-1]:
+                            lhs = sum(-F(beta.npoints * r_g, m_g) * t
+                                      for r_g, m_g, t in zip(tau.composition, beta.m_blocks, traces))
+                            held += lhs == sum(v * t for v, t in zip(beta.block_values, traces))
+                    ok = ok and step2_trace_identity(beta, 3) == held > 0
                     types_checked += 1
                     # spot-check explicit diagonals against the blockwise form
                     for _ in range(3):
@@ -187,7 +196,7 @@ def test_ac04_step2_trace_identity():
                         lhs = sum(
                             -F(beta.npoints * r_g, m_g) * t
                             for r_g, m_g, t in zip(
-                                beta.rank_blocks, beta.m_blocks, traces
+                                tau.composition, beta.m_blocks, traces
                             )
                         )
                         ok = ok and lhs == pairing(beta, tuple(F(x) for x in lam))
@@ -352,7 +361,8 @@ def test_ac10_partition_and_cross_table():
     ok = ok and sorted(ids) == sorted(c[0] for c in corpus) and len(ids) == len(set(ids))
     # exhaustive candidate cross-table
     report = compat_cross_table(3, range(1, 13), range(0, 3))
-    ok = ok and report.violations == () and report.checked > 0
+    checked, violations = compat_pairs(3, range(1, 13), range(0, 3))
+    ok = ok and violations == () and report.checked == checked > 0
     _report(10, "partition and cross-table", ok, time.monotonic() - start, 60.0,
             f"{len(records)} records, {report.checked} table pairs, 0 violations")
 

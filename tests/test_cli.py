@@ -113,6 +113,11 @@ class TestJsonRoundTrips:
         )
         assert data["violations"] == [] and data["checked"] > 0
 
+    def test_compat_text(self, capsys):
+        # the text line states the violation count, 0 by compat_cross_table's proof
+        code, out, err = run(capsys, "compat", "--rank-max", "2", "--d-min", "-3", "--d-max", "5", "--degl-max", "1")
+        assert (code, out, err) == (0, "checked 55 pairs, 0 violations\n", "")
+
     def test_classify(self, capsys):
         data = run_json(capsys, "classify", "--tau-type", "2,1", "--mu-type", "1,1,1")
         assert data["kind"] == "Forbidden"
@@ -251,6 +256,43 @@ class TestJsonRoundTrips:
         on_disk = json.loads((tmp_path / "rep.json").read_text())
         assert on_disk["schema"] == "higgsstrata.report/1"
         assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.svg").exists()
+
+    # the closure rows and CSV text of a fixed corpus with a two-member record,
+    # pinned byte for byte
+    CLOSURE_ROWS = (
+        '[{"delta": null, "graded": false, "members": 1, "norm_sq": {"den": 1, "num": 0}, '
+        '"tau": {"rank_degree_pairs": [[2, 7]]}}, '
+        '{"delta": 4, "graded": false, "members": 1, "norm_sq": {"den": 30, "num": 1}, '
+        '"tau": {"rank_degree_pairs": [[1, 4], [1, 3]]}}, '
+        '{"delta": null, "graded": true, "members": 2, "norm_sq": {"den": 30, "num": 1}, '
+        '"tau": {"rank_degree_pairs": [[1, 4], [1, 3]]}}, '
+        '{"delta": 3, "graded": false, "members": 1, "norm_sq": {"den": 20, "num": 9}, '
+        '"tau": {"rank_degree_pairs": [[1, 5], [1, 2]]}}]'
+    )
+    CLOSURE_CSV = (
+        'tau,norm_sq,delta,graded,members\r\n"HNType[(2,7)]",0,,False,1\r\n'
+        '"HNType[(1,4),(1,3)]",1/30,4,False,1\r\n"HNType[(1,4),(1,3)]",1/30,,True,2\r\n'
+        '"HNType[(1,5),(1,2)]",9/20,3,False,1\r\n'
+    )
+
+    def test_report_closure_rows_and_csv_bytes(self, capsys, tmp_path):
+        entries = [
+            ("g43", flagged_point_json(3, [[2, 0], [0, 3]])),
+            ("g43b", flagged_point_json(3, [[1, 0], [0, 1]])),
+            ("f43", flagged_point_json(3, [[2, 0], [5, 3]])),
+            ("f52", flagged_point_json(4, [[2, 0], [5, 3]])),
+            ("ss", SEMISTABLE),
+        ]
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps({"points": [{"id": i, "point": p} for i, p in entries]}))
+        data = run_json(
+            capsys, *REPORT_CTX, "--corpus-file", str(corpus_path), "--max-slope", "5",
+            "--out-prefix", str(tmp_path / "rep"),
+        )
+        assert json.dumps(data["closure"]["rows"], sort_keys=True) == self.CLOSURE_ROWS
+        on_disk = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))
+        assert json.dumps(on_disk["closure"]["rows"], sort_keys=True) == self.CLOSURE_ROWS
+        assert (tmp_path / "rep.csv").read_bytes().decode("utf-8") == self.CLOSURE_CSV
 
     def test_report_degl_sets_the_default_slope_bound(self, capsys, tmp_path, point_file):
         # without --max-slope the bound is mu + (r-1)^2/r deg L: 7/2 admits only

@@ -108,8 +108,14 @@ class TestPolygonOrder:
             compare_polygon(HNType(((2, 1),)), HNType(((2, 2),)))
 
     def test_polygon_abscissa_range(self):
+        tau = HNType(((2, 1),))
         with pytest.raises(ValueError):
-            HNType(((2, 1),)).polygon_at(3)
+            tau.polygon_at(3)
+        # the abscissa is read as an int (linalg.integer): True is not 1
+        for x in (True, F(1, 2), 1.0):
+            with pytest.raises(TypeError, match="^expected an integer, got "):
+                tau.polygon_at(x)
+        assert tau.polygon_at(1) == F(1, 2)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_partial_order_exhaustive(self, r):

@@ -3,7 +3,8 @@
 No answer module may import from ``oracles``, so the answer path never runs
 an oracle, and every oracle the package exports is defined there, so a test
 that compares a fast route with its oracle compares two separate routes.
-The package sources are parsed, never imported.
+An answer module keeps only what the package exports, an answer reads or the
+benchmark names.  The package sources are parsed, never imported.
 """
 
 from __future__ import annotations
@@ -118,3 +119,51 @@ def test_the_adapt_step_runs_no_elimination():
     forms = {f.name: f for f in factor.body if isinstance(f, ast.FunctionDef)}
     assert reached["_adapted"] is forms["_adapted"], "the adapt step is Factor's"
     assert {"_gauged", "_image_dims"} <= set(reached) and not offenders, offenders
+
+
+def _reads(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Every identifier the module reads, as a name, an attribute or a
+    from-import, outside the subtree ``skip``."""
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute):
+            names.add(_name(node))
+    return names
+
+
+def test_answer_modules_keep_only_what_is_read():
+    # every top-level function and class of an answer module is re-exported by
+    # the package, read by some answer module (the CLI included; its own module
+    # outside its own definition counts) or named by the benchmark
+    from test_bench_names import _imported_names, _traced_names
+
+    (table,) = [
+        node.value for node in _tree("__init__.py").body
+        if isinstance(node, ast.Assign) and _name(node.targets[0]) == "_SOURCES"
+    ]
+    named = {(module, name) for module, names in ast.literal_eval(table).items() for name in names}
+    named |= {tuple(dotted.split(".")[:2]) for dotted in _traced_names()}
+    named |= {
+        (module.removeprefix("higgsstrata."), name)
+        for module, name in (entry.split(":") for entry in _imported_names())
+    }
+    answer_modules = [p.name for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("oracles.py", "__init__.py")]
+    trees = {name: _tree(name) for name in answer_modules}
+    read_elsewhere = {name: set().union(*(_reads(t) for other, t in trees.items() if other != name)) for name in trees}
+    unread = [
+        f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (name[:-3], node.name) not in named
+        and node.name not in read_elsewhere[name]
+        and node.name not in _reads(tree, skip=node)
+    ]
+    # only the oracles and the benchmark read these two (ROADMAP item 12)
+    assert {("linalg", "nullspace"), ("linalg", "solve_unique")} <= named
+    assert not unread, f"answer-module names no answer reads: {unread}"

@@ -10,6 +10,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 import sys
 import time
 from fractions import Fraction as F
@@ -40,6 +41,7 @@ from higgsstrata import (
     coordinates,
     enumerate_hn_types,
     from_higgs_data,
+    index_set_B,
     min_norm_point_by_faces,
     membership,
     nilpotent_commutant_dim,
@@ -52,7 +54,8 @@ from higgsstrata import (
     step2_trace_identity,
     verify_step2,
 )
-from higgsstrata import cli, point_model
+from higgsstrata import cli, minnorm, point_model, weight_lattice
+from higgsstrata.errors import DEFAULT_INDEX_CAP
 from higgsstrata.linalg import (
     EchelonAccumulator, adjugate, clear_denominators, det, frac, full_row_rank, mat,
     mat_mul, rank, transpose,
@@ -435,6 +438,33 @@ class TestInputChecks:
     def test_stabilizer_flag_total_mismatch(self):
         with pytest.raises(ValueError, match="^flag total must equal the section count$"):
             unipotent_stabilizer_dim(flagged_point(3, self.PHI), FLAG11, CTX73)
+
+    # each library cap's entry point, with the first work it would do
+    CAP_READERS = {
+        "enumerate_coordinate_indices": (
+            lambda p, cap: enumerate_coordinate_indices(CTX73, cap), weight_lattice.coordinate_index_count,
+        ),
+        "index_set_B": (lambda p, cap: index_set_B([[1, -1], [-1, 1], [0, 0]], cap=cap), minnorm._as_cloud),
+        "unipotent_stabilizer_dim": (
+            lambda p, cap: unipotent_stabilizer_dim(p, FlagShape((3, 2)), CTX73, cap), point_model._check_shapes,
+        ),
+    }
+
+    @pytest.mark.parametrize("cap", [2.5, True, None, "5"])
+    @pytest.mark.parametrize("entry", sorted(CAP_READERS))
+    def test_a_non_int_cap_is_refused_before_any_work(self, entry, cap):
+        # read by linalg.integer, as verify_step1 reads max_violations; the
+        # dense oracle and ``coordinates`` take the cap to the enumeration
+        call, first_work = self.CAP_READERS[entry]
+        p = flagged_point(3, self.PHI)
+
+        def refused():
+            with pytest.raises(TypeError, match=f"^expected an integer, got {re.escape(repr(cap))}$"):
+                call(p, cap)
+
+        assert count_calls(refused, first_work) == [0]
+        assert "_live_families" not in vars(p)
+        call(p, DEFAULT_INDEX_CAP)  # an int cap is read as before
 
 
 class TestErrorOrder:
