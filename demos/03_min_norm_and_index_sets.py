@@ -22,7 +22,7 @@ from higgsstrata import (
 )
 
 # The closest point of a segment missing the origin is its midpoint foot.
-cloud = PointCloud.from_points([[1, 0], [0, 1]])
+cloud = PointCloud([[1, 0], [0, 1]])
 print("segment:", min_norm_point(cloud))
 
 # Both routes agree exactly, no tolerance anywhere.

@@ -172,7 +172,7 @@ def _cmd_compat(args) -> None:
 def _cmd_minnorm(args) -> None:
     import higgsstrata.minnorm as minnorm
 
-    cloud = minnorm.PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
+    cloud = minnorm.PointCloud(_load_json_arg(args.points, args.points_file, "points"))
     v = minnorm.min_norm_point(cloud)
     payload = lambda: {"schema": "higgsstrata.minnorm/1", "point": [rational_to_json(x) for x in v]}
     _emit(args, payload, lambda: [_vec_str(v)])
@@ -181,7 +181,7 @@ def _cmd_minnorm(args) -> None:
 def _cmd_index_set(args) -> None:
     import higgsstrata.minnorm as minnorm
 
-    cloud = minnorm.PointCloud.from_points(_load_json_arg(args.points, args.points_file, "points"))
+    cloud = minnorm.PointCloud(_load_json_arg(args.points, args.points_file, "points"))
     reps = minnorm.index_set_B(cloud, restrict_to_chamber=not args.no_chamber, cap=args.cap)
     payload = lambda: {
         "schema": "higgsstrata.index_set/1",

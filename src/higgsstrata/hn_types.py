@@ -472,13 +472,16 @@ def _u_tau(tau: HNType, ctx: CurveContext, types) -> CandidateSet:
 class PhiBlock:
     """Status of one induced block of a Higgs-field matrix.
 
-    ``defined`` follows the inductive well-definedness bookkeeping; when
-    defined, ``entries`` holds the submatrix with rows in the target block and
+    ``entries`` is None when the inductive well-definedness bookkeeping leaves
+    the block undefined, else the submatrix with rows in the target block and
     columns in the source block.
     """
 
-    defined: bool
     entries: Mat | None = None
+
+    @property
+    def defined(self) -> bool:
+        return self.entries is not None
 
     @property
     def is_zero(self) -> bool:
@@ -512,10 +515,7 @@ def compute_phi_blocks(flag: FlagShape, phi) -> dict[tuple[int, int], PhiBlock]:
         for j in range(s, i, -1):
             left_ok = i == 1 or status[(i - 1, j)].is_zero
             up_ok = j == s or status[(i, j + 1)].is_zero
-            if left_ok and up_ok:
-                status[(i, j)] = PhiBlock(True, _submatrix(phi_m, flag, i, j))
-            else:
-                status[(i, j)] = PhiBlock(False)
+            status[(i, j)] = PhiBlock(_submatrix(phi_m, flag, i, j) if left_ok and up_ok else None)
     return status
 
 

@@ -42,34 +42,29 @@ class PointCloud:
     """Finitely many rational points of a common dimension, held in integer form.
 
     Each entry is read once, by ``linalg.ratio``, into the rows P = D p, D
-    the lcm of the entries' reduced denominators; a dim of None is the first
+    the lcm of the entries' reduced denominators; the dimension is the first
     point's.  The form is canonical, so equality and hash are those of the
     points, and ``points`` is built as ``Fraction`` only when read.
     """
 
-    dim: int
     P: tuple[tuple[int, ...], ...]
     D: int
 
-    def __init__(self, dim: int | None, points):
-        rows = [tuple(map(ratio, listlike(p, VECTOR))) for p in points]
+    def __init__(self, points):
+        rows = [tuple(map(ratio, listlike(p, VECTOR))) for p in listlike(points, "a list of points")]
         if not rows:
             raise ValueError("a point cloud needs at least one point")
-        dim = len(rows[0]) if dim is None else dim
-        if any(len(p) != dim for p in rows):
+        if any(len(p) != len(rows[0]) for p in rows):
             raise ValueError("all points must share the cloud dimension")
         P, D = cleared(rows)
-        self.__dict__.update(dim=dim, P=tuple(P), D=D)
+        self.__dict__.update(P=tuple(P), D=D)
 
+    dim = property(lambda c: len(c.P[0]))
     points = property(lambda c: tuple(tuple(Fraction(x, c.D) for x in p) for p in c.P))
-
-    @classmethod
-    def from_points(cls, points) -> "PointCloud":
-        return cls(None, listlike(points, "a list of points"))
 
 
 def _as_cloud(cloud) -> PointCloud:
-    return cloud if isinstance(cloud, PointCloud) else PointCloud.from_points(cloud)
+    return cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)
 
 
 def _extend(X: list, lam: list, delta: int, u: list, coeffs: list, sigma: int, rest: list):

@@ -711,12 +711,15 @@ def from_higgs_data(h: HiggsDatum) -> ModelPoint:
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Torus-semistability verdict for one graded block of a retracted point."""
+    """Torus-semistability verdict for one graded block: a separating direction, or None."""
 
     index: int
-    semistable: bool
     witness: tuple[int, ...] | None
     vacuous: bool = False
+
+    @property
+    def semistable(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -819,12 +822,11 @@ def verify_step2(p: ModelPoint, beta: BetaVector, ctx: CurveContext) -> Step2Rep
             c_vals.append(c)
         points = _block_weight_set(y_blocks, c_vals, phi_blocks, m_g)
         if not points:
-            blocks.append(BlockReport(gamma, True, None, vacuous=True))
+            blocks.append(BlockReport(gamma, None, vacuous=True))
             continue
         X, delta = min_norm_point_of_sum(points)
-        ss, G = not any(X), math.gcd(delta * m_g, *X)
-        witness = None if ss else tuple(a // G for a in X)
-        blocks.append(BlockReport(gamma, ss, witness))
+        G = math.gcd(delta * m_g, *X)
+        blocks.append(BlockReport(gamma, tuple(a // G for a in X) if any(X) else None))
     return Step2Report(tuple(blocks))
 
 

@@ -41,17 +41,20 @@ class StratumRecord:
     """One refined stratum: an instability vector plus a stabiliser index.
 
     ``delta`` is None for the zero record and for the terminal graded record
-    of a nonzero vector (flagged by ``graded``).
+    of a nonzero vector, so ``graded`` is read off the two.
     """
 
     beta: BetaVector
     delta: int | None
-    graded: bool
     member_ids: tuple
 
     @property
     def norm_sq(self) -> Fraction:
         return self.beta.norm_sq
+
+    @property
+    def graded(self) -> bool:
+        return self.delta is None and not self.beta.is_zero
 
     def to_json(self) -> dict:
         return {
@@ -102,7 +105,7 @@ def assemble(corpus, ctx: CurveContext, max_first_slope=None) -> list[StratumRec
     candidates = default_beta_candidates(ctx, max_first_slope)
     nonzero = [b for b in candidates if not b.is_zero]
     zero = next((b for b in candidates if b.is_zero), None)
-    buckets: dict[tuple, list] = {}  # (beta, delta, graded) -> member ids
+    buckets: dict[tuple, list] = {}  # (beta, delta) -> member ids
 
     for point_id, point in corpus:
         matches = []
@@ -118,25 +121,17 @@ def assemble(corpus, ctx: CurveContext, max_first_slope=None) -> list[StratumRec
         beta, got = matches[0] if matches else (zero, None)
         if beta is None:
             raise UnclassifiedPoint(point_id)
-        if got is not Membership.IN_Y_NOT_Z:
-            key = (beta, None, got is Membership.IN_Z)
-        else:
-            key = (beta, unipotent_stabilizer_dim(point, beta.flag, ctx), False)
-        buckets.setdefault(key, []).append(point_id)
+        delta = unipotent_stabilizer_dim(point, beta.flag, ctx) if got is Membership.IN_Y_NOT_Z else None
+        buckets.setdefault((beta, delta), []).append(point_id)
 
-    records = [
-        StratumRecord(beta, delta, graded, tuple(ids))
-        for (beta, delta, graded), ids in buckets.items()
-    ]
+    records = [StratumRecord(beta, delta, tuple(ids)) for (beta, delta), ids in buckets.items()]
     records.sort(
-        key=lambda rec: (
-            rec.norm_sq,
-            rec.beta.tau.slope_vector,
-            rec.graded,
-            rec.delta if rec.delta is not None else -1,
-        )
+        key=lambda rec: (rec.norm_sq, rec.beta.tau.slope_vector, rec.graded, -1 if rec.delta is None else rec.delta)
     )
     return records
+
+
+_NORM_ORDER = {-1: "Less", 0: "Equal", 1: "Greater"}
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,19 @@ class ClosureReport:
     """
 
     rows: tuple[StratumRecord, ...]
-    pairs: tuple[tuple[HNType, HNType, PolygonOrder, str], ...]
 
     @property
     def types(self) -> tuple[HNType, ...]:
         """The distinct source types, in row order (the order of ``pairs``)."""
         return tuple(_first_rows(self.rows))
+
+    @property
+    def pairs(self) -> tuple[tuple[HNType, HNType, PolygonOrder, str], ...]:
+        """Each pair of distinct types with its polygon order and norm order."""
+        return tuple(
+            (a, b, compare_polygon(a, b), _NORM_ORDER[(x.norm_sq > y.norm_sq) - (x.norm_sq < y.norm_sq)])
+            for (a, x), (b, y) in itertools.combinations(_first_rows(self.rows).items(), 2)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -204,18 +206,8 @@ def _first_rows(rows) -> dict[HNType, StratumRecord]:
 
 
 def closure_order_report(records) -> ClosureReport:
-    """Records sorted by norm, with the pairwise polygon/norm comparison table."""
-    rows = tuple(sorted(records, key=lambda r: (r.norm_sq, r.beta.tau.slope_vector)))
-    pairs = []
-    for (a, rec_a), (b, rec_b) in itertools.combinations(_first_rows(rows).items(), 2):
-        if rec_a.norm_sq < rec_b.norm_sq:
-            norm_order = "Less"
-        elif rec_a.norm_sq > rec_b.norm_sq:
-            norm_order = "Greater"
-        else:
-            norm_order = "Equal"
-        pairs.append((a, b, compare_polygon(a, b), norm_order))
-    return ClosureReport(rows, tuple(pairs))
+    """Records sorted by norm, then slope vector; the report derives its pairs."""
+    return ClosureReport(tuple(sorted(records, key=lambda r: (r.norm_sq, r.beta.tau.slope_vector))))
 
 
 @dataclass(frozen=True)

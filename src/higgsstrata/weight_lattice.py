@@ -250,10 +250,13 @@ def norm_sq(v) -> Fraction:
 
 @dataclass(frozen=True)
 class BBWeights:
-    """Weights of the grading subgroup on the Higgs-field fibre, with multiplicity."""
+    """Weights of the grading subgroup on the Higgs-field fibre, with multiplicity, ascending."""
 
     weights: tuple[Fraction, ...]
-    min_weight: Fraction
+
+    @property
+    def min_weight(self) -> Fraction:
+        return self.weights[0]
 
 
 def bb_weights(tau: HNType, ctx: CurveContext) -> BBWeights:
@@ -271,7 +274,7 @@ def bb_weights(tau: HNType, ctx: CurveContext) -> BBWeights:
             if i != j:
                 weights.append(ratios[j] - ratios[i])
     weights.sort()
-    return BBWeights(tuple(weights), weights[0])
+    return BBWeights(tuple(weights))
 
 
 def coordinate_index_count(ctx: CurveContext) -> int:

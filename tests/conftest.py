@@ -9,7 +9,9 @@ points keep only the diagonal blocks on both sides.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -47,6 +49,19 @@ def count_calls(run, *functions) -> list[int]:
     finally:
         sys.setprofile(previous)
     return counts
+
+
+def bench_workload(name: str, seed: int):
+    """A workload's request list and input files, built by ``bench/workloads.py`` (read-only)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        return module.build(name, seed)
+    finally:
+        del sys.modules[spec.name]
 
 
 # (r, d, npoints) of a full genus-0 weight lattice and whether the index set

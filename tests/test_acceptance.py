@@ -95,7 +95,7 @@ def test_ac02_min_norm_oracle_equivalence():
             [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
             for _ in range(npts)
         ]
-        cloud = PointCloud.from_points(pts)
+        cloud = PointCloud(pts)
         if min_norm_point(cloud) != min_norm_point_by_faces(cloud):
             ok = False
             break

@@ -71,6 +71,15 @@ class TestWorkedExamples:
         code, out, _ = run(capsys, "order", "--a", "1,0", "--b", "2,-1", "--rank", "2")
         assert code == 0 and out.strip() == "Less"
 
+    def test_order_incomparable(self, capsys):
+        # rank 3, degree 3: the polygons' heights at x = 1, 2 are (3, 3) and (2, 4)
+        argv = ["order", "--a", "3,0", "--ranks-a", "1,2", "--b", "4,-1", "--ranks-b", "2,1", "--rank", "3"]
+        assert run(capsys, *argv) == (0, "Incomparable\n", "")
+
+    def test_classify_text_states_the_constraint(self, capsys):
+        got = run(capsys, "classify", "--tau-type", "1,1,1", "--mu-type", "2,1")
+        assert got == (0, "AllowedWithConstraint (E^1 contains E'^1)\n", "")
+
     def test_minnorm_example(self, capsys):
         code, out, _ = run(capsys, "minnorm", "--points", "[[1,0],[0,1]]")
         assert code == 0 and out.strip() == "(1/2, 1/2)"
@@ -604,6 +613,28 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 1, reason
         assert err.strip(), reason  # error name on the diagnostic stream
+
+    def test_beta_rising_slopes(self, capsys):
+        assert run(capsys, "beta", "--tau", "1,2") == (1, "", "ValueError: slopes must strictly decrease\n")
+
+    def test_report_c0_is_ambiguous(self, capsys, tmp_path):
+        # ROADMAP's c = 0 repro: a point whose two factors have c = 0 is
+        # IN_Y_NOT_Z for ((1,4),(1,3)) and IN_Z for ((1,5),(1,2)), and step 2
+        # passes for both; the min-norm rule of ROADMAP item 10 will answer
+        # ((1,5),(1,2)) instead, and must edit this test
+        point = ModelPoint((
+            Factor([[1, -2, -1, -2, 0], [0, 0, 0, 0, 1]], 0, [[-2, 0], [0, 0]]),
+            Factor([[1, 2, 3, 1, 0], [0, 0, 0, 0, -1]], 0, [[-1, 0], [0, -2]]),
+        ))
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"points": [{"id": "c0", "point": point.to_json()}]}))
+        code, out, err = run(
+            capsys, *REPORT_CTX, "--npoints", "2", "--max-slope", "5",
+            "--corpus-file", str(corpus), "--out-prefix", str(tmp_path / "out"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "AmbiguousMembership: point 'c0' matches 2 distinct nonzero candidates\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
 
     def test_order_types_of_another_rank(self, capsys):
         code, out, err = run(capsys, "order", "--a", "1,0", "--b", "2,-1", "--rank", "3")

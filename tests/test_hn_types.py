@@ -99,6 +99,12 @@ class TestPolygonOrder:
         b = blocks((1, 1), (1, 0))
         assert compare_polygon(a, b) is PolygonOrder.GREATER
 
+    def test_crossing_polygons_are_incomparable(self):
+        # rank 3, degree 3: the heights at x = 1, 2 are (3, 3) and (2, 4), so the polygons cross
+        a = blocks((1, 3), (2, 0))
+        b = blocks((2, 4), (1, -1))
+        assert compare_polygon(a, b) is compare_polygon(b, a) is PolygonOrder.INCOMPARABLE
+
     def test_reflexive_equal(self):
         a = blocks((1, 2), (1, -1))
         assert compare_polygon(a, a) is PolygonOrder.EQUAL
@@ -322,6 +328,16 @@ class TestTypeBlocks:
             HNType.from_json(data)
         assert type(exc.value) is kind and str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [(((0, 1),), "block ranks must be >= 1"), (((1, 1), (1, 2)), "slopes must strictly decrease")],
+        ids=["rank-zero", "slopes-rise"],
+    )
+    def test_invalid_blocks_refused(self, blocks, message):
+        with pytest.raises(ValueError) as exc:
+            HNType(blocks)
+        assert str(exc.value) == message
+
     def test_blocks_read_from_any_iterable(self):
         tau = HNType(iter([iter([1, 4]), (1, 3)]))
         assert tau.blocks == ((1, 4), (1, 3)) and HNType.from_json(tau.to_json()) == tau
@@ -341,6 +357,22 @@ class TestCurveContext:
         kwargs = {"rank": 2, "degree": 7, field: True}
         with pytest.raises(TypeError):
             CurveContext(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("genus", -1, "genus must be >= 0"), ("deg_line", -1, "deg_line must be >= 0"),
+         ("npoints", 0, "npoints must be >= 1")],
+    )
+    def test_out_of_range_fields_refused(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            CurveContext(2, 7, **{field: value})
+        assert str(exc.value) == message
+
+    def test_nonpositive_section_count_refused(self):
+        # m = d + r(1 - g) = 1 + 2(1 - 2) = -1
+        with pytest.raises(ValueError) as exc:
+            CurveContext(2, 1, genus=2).require_positive_sections()
+        assert str(exc.value) == "section count m = -1 <= 0; degree too small for this genus"
 
 
 class TestPhiBlocks:

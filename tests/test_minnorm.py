@@ -42,7 +42,7 @@ def random_cloud(rng: random.Random, dim=None, npts=None) -> PointCloud:
         [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim)]
         for _ in range(npts)
     ]
-    return PointCloud.from_points(pts)
+    return PointCloud(pts)
 
 
 @st.composite
@@ -120,21 +120,21 @@ def _run_under_optimize(
 
 class TestPointCloud:
     def test_integer_form_and_fraction_view(self):
-        cloud = PointCloud.from_points([["1/2", F(2, 3)], [1, {"num": 2, "den": -4}]])
+        cloud = PointCloud([["1/2", F(2, 3)], [1, {"num": 2, "den": -4}]])
         assert (cloud.dim, cloud.P, cloud.D) == (2, ((3, 4), (6, -3)), 6)
         assert cloud.points == ((F(1, 2), F(2, 3)), (F(1), F(-1, 2)))
 
     def test_equality_and_hash_are_those_of_the_points(self):
-        a, b = PointCloud.from_points([["1/2", 3]]), PointCloud.from_points([[F(2, 4), "6/2"]])
+        a, b = PointCloud([["1/2", 3]]), PointCloud([[F(2, 4), "6/2"]])
         assert a == b and hash(a) == hash(b)
-        assert a != PointCloud.from_points([["1/2", 4]])
+        assert a != PointCloud([["1/2", 4]])
 
     def test_each_entry_read_once_with_no_fraction(self):
         points = [[1, {"num": 1, "den": 2}], [{"num": -3, "den": 4}, 5], [0, 7]]
-        assert count_calls(lambda: PointCloud.from_points(points), ratio, F.__new__) == [6, 0]
+        assert count_calls(lambda: PointCloud(points), ratio, F.__new__) == [6, 0]
 
     def test_answers_build_fractions_only_for_their_points(self):
-        cloud = PointCloud.from_points([[1, {"num": 1, "den": 2}], [{"num": -3, "den": 4}, 5], [0, 7]])
+        cloud = PointCloud([[1, {"num": 1, "den": 2}], [{"num": -3, "den": 4}, 5], [0, 7]])
         got = []
         assert count_calls(lambda: got.append(min_norm_point(cloud)), F.__new__) == [2]
         assert count_calls(lambda: got.append(index_set_B(cloud, restrict_to_chamber=False)), F.__new__) == [
@@ -156,27 +156,28 @@ class TestPointCloud:
     )
     def test_refusals(self, points, error, message):
         with pytest.raises(error) as exc:
-            PointCloud.from_points(points)
+            PointCloud(points)
         assert str(exc.value) == message
 
     def test_given_dimension_checked(self):
+        # the dimension is the first point's, and a longer later point is refused too
+        assert PointCloud([[1, 2, 3]]).dim == 3
         with pytest.raises(ValueError, match="cloud dimension"):
-            PointCloud(3, [[1, 2]])
-        assert PointCloud(2, [[1, 2]]) == PointCloud.from_points([[1, 2]])
+            PointCloud([[1, 2], [1, 2, 3]])
 
 
 class TestMinNorm:
     def test_origin_inside(self):
-        assert min_norm_point(PointCloud.from_points([[1, 1], [-1, -1]])) == (F(0), F(0))
+        assert min_norm_point(PointCloud([[1, 1], [-1, -1]])) == (F(0), F(0))
 
     def test_segment_projection(self):
-        assert min_norm_point(PointCloud.from_points([[1, 0], [0, 1]])) == (
+        assert min_norm_point(PointCloud([[1, 0], [0, 1]])) == (
             F(1, 2),
             F(1, 2),
         )
 
     def test_single_point(self):
-        assert min_norm_point(PointCloud.from_points([[2, 3]])) == (F(2), F(3))
+        assert min_norm_point(PointCloud([[2, 3]])) == (F(2), F(3))
 
     def test_methods_agree_on_examples(self):
         for pts in ([[1, 0], [0, 1]], [[1, 1], [-1, -1]], [[2, 3]], [[1, 2], [3, 1], [-1, 5]]):
@@ -199,7 +200,7 @@ class TestMinNorm:
             # possible: the minimum over actives alone must agree
             active = [p for p in cloud.points if dot(p, x) == xx]
             assert active
-            assert min_norm_point(PointCloud.from_points(active)) == x
+            assert min_norm_point(PointCloud(active)) == x
 
     def test_failed_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(higgsstrata.minnorm, "_wolfe", lambda sets: ((1, 1), 1))
@@ -292,6 +293,11 @@ class TestKktIntegerForm:
             kkt_certificate([], (0,))
         with pytest.raises(ValueError):
             kkt_certificate([[1, 2], [1]], (1, 2))
+
+    def test_point_of_another_dimension_refused(self):
+        with pytest.raises(ValueError) as exc:
+            kkt_certificate([[1, 2]], [1])
+        assert str(exc.value) == "length mismatch: 2 vs 1"
 
 
 class TestHullMembership:

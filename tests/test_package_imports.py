@@ -70,6 +70,14 @@ print(json.dumps({"bare": bare, "dir": names, "star": sorted(n for n in star if 
     assert SUBMODULES <= PUBLIC and set(got["loaded"]) == SUBMODULES  # the star import read them all
 
 
+def test_dir_lists_every_public_name_sorted():
+    # in this session, which has imported ``higgsstrata.cli`` too
+    import higgsstrata
+
+    names = dir(higgsstrata)
+    assert names == sorted(names) and PUBLIC <= set(names)
+
+
 def test_cli_verbs_load_only_their_modules(tmp_path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"points": [{"id": "a", "point": json.loads(POINT)}]}))

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib.util
 import inspect
 import itertools
 import math
 import pathlib
 import random
 import re
-import sys
 import time
 from fractions import Fraction as F
 
@@ -20,10 +18,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    build_flagged_point, count_calls, fresh_factors, model_supported, mutate_break_flag, random_block,
+    bench_workload, build_flagged_point, count_calls, fresh_factors, model_supported, mutate_break_flag,
+    random_block,
 )
 from higgsstrata import (
+    BBWeights,
     CapExceeded,
+    ClosureReport,
     CoordinateIndex,
     CurveContext,
     DegeneratePoint,
@@ -35,6 +36,9 @@ from higgsstrata import (
     Membership,
     ModelPoint,
     NotInY,
+    PhiBlock,
+    PointCloud,
+    StratumRecord,
     alpha_of_index,
     beta_of_type,
     coordinate_index_count,
@@ -396,6 +400,11 @@ class TestInputChecks:
         with pytest.raises(InvariantViolation, match="factor 1: y does not have full row rank$"):
             from_higgs_data(h)
 
+    def test_rescaling_by_zero_refused(self):
+        with pytest.raises(ValueError) as exc:
+            flagged_point(3, self.PHI).rescale_factor(0, 0)
+        assert str(exc.value) == "rescaling must be by a nonzero scalar"
+
     def test_point_context_mismatch(self):
         p = flagged_point(3, self.PHI)
         message = r"^point shape \(2x5, 1 factors\) does not match context \(2x5, 2 factors\)$"
@@ -615,7 +624,8 @@ class TestBetaIntegerForm:
 
 
 class TestStepSurface:
-    """The steps' parameters and report fields, as the library exposes them.
+    """The steps' parameters, their report fields and the answer records'
+    fields, as the library exposes them.
 
     A report holds only what the point decides, and each parameter changes
     an answer; adding or dropping a knob or a field is an edit of this table."""
@@ -631,7 +641,15 @@ class TestStepSurface:
     FIELDS = {
         point_model.Step1Report: ["membership", "min_support_weight", "violations", "equality_witness"],
         Step2Report: ["blocks"],
-        BlockReport: ["index", "semistable", "witness", "vacuous"],
+        BlockReport: ["index", "witness", "vacuous"],
+        # and the answer records: a fact that a record's fields decide
+        # (BlockReport.semistable, StratumRecord.graded, ClosureReport.pairs,
+        # PhiBlock.defined, BBWeights.min_weight, PointCloud.dim) is a property
+        StratumRecord: ["beta", "delta", "member_ids"],
+        ClosureReport: ["rows"],
+        PhiBlock: ["entries"],
+        BBWeights: ["weights"],
+        PointCloud: ["P", "D"],
     }
 
     def test_parameters(self):
@@ -641,6 +659,7 @@ class TestStepSurface:
     def test_report_fields(self):
         for cls, names in self.FIELDS.items():
             assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+        assert not hasattr(PointCloud, "from_points")  # PointCloud(points) is its one constructor
 
     def test_passed_reads_the_verdict_and_the_blocks(self):
         # two in-locus points, one graded, one with a failing block, and
@@ -659,8 +678,8 @@ class TestStepSurface:
             assert s2 is None or s2.passed == all(b.semistable for b in s2.blocks)
             verdicts.append((s1.passed, s2 and s2.passed))
         assert verdicts == [(True, True), (True, False), (False, None)]
-        vacuous = Step2Report((BlockReport(1, True, None, vacuous=True), BlockReport(2, True, None)))
-        assert vacuous.passed and not Step2Report((BlockReport(1, False, (1, -1)),)).passed
+        vacuous = Step2Report((BlockReport(1, None, vacuous=True), BlockReport(2, None)))
+        assert vacuous.passed and not Step2Report((BlockReport(1, (1, -1)),)).passed
 
 
 class TestStep1:
@@ -808,12 +827,11 @@ def step2_by_faces(p: ModelPoint, beta, ctx: CurveContext) -> Step2Report:
         per_factor = [cramer_block_weights(*args, m_g) for args in zip(y_bs, c_vals, phi_bs)]
         weights = minkowski_sum(per_factor) if all(per_factor) else set()
         if not weights:
-            blocks.append(BlockReport(gamma, True, None, vacuous=True))
+            blocks.append(BlockReport(gamma, None, vacuous=True))
             continue
         chi = sum(F(m_g - r_b, m_g) for r_b in r_bs)
         v = min_norm_point_by_faces(sorted(tuple(a - chi for a in w) for w in weights))
-        ss = not any(v)
-        blocks.append(BlockReport(gamma, ss, None if ss else clear_denominators(v)[0]))
+        blocks.append(BlockReport(gamma, clear_denominators(v)[0] if any(v) else None))
     return Step2Report(tuple(blocks))
 
 
@@ -1423,19 +1441,6 @@ class TestStabilizerDenseOracle:
         assert time.monotonic() - start < 5
 
 
-def _bench_workload(name: str, seed: int):
-    """A workload's request list, built by ``bench/workloads.py`` (read-only)."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        return module.build(name, seed)
-    finally:
-        del sys.modules[spec.name]
-
-
 class TestStabilizerInvariance:
     """The stabiliser as per-factor subspace invariance, which reads no table."""
 
@@ -1505,7 +1510,7 @@ class TestStabilizerInvariance:
     def test_rows_fed_on_the_stratify_stabdim_points(self, capsys, monkeypatch):
         # 77 nonzero rows fed and 47 kept through the cofactor tables; the
         # invariance rows keep the same 47 and feed no dependent row
-        requests = [req for req in _bench_workload("stratify", 1).requests if req.kind == "stabdim"]
+        requests = [req for req in bench_workload("stratify", 1).requests if req.kind == "stabdim"]
         assert len(requests) == 36
         fed, real = [], EchelonAccumulator.add
 
@@ -1848,6 +1853,16 @@ class TestCoordinateTableType:
         t1 = CoordinateTable({a: F(1), b: F(0)})
         t2 = CoordinateTable({a: F(0), b: F(1)})
         assert not t1.proportional_to(t2)
+
+    def test_proportionality_rejects_other_index_sets(self):
+        from higgsstrata import CoordinateTable
+
+        a = CoordinateIndex("det", ((1, 2),))
+        b = CoordinateIndex("det", ((1, 3),))
+        t1 = CoordinateTable({a: F(1)})
+        assert t1.proportional_to(CoordinateTable({a: F(2)}))
+        assert not t1.proportional_to(CoordinateTable({a: F(2), b: F(0)}))
+        assert not CoordinateTable({b: F(1)}).proportional_to(t1)
 
 
 class TestJson:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from conftest import build_flagged_point, count_calls
-from higgsstrata import point_model
+from conftest import bench_workload, build_flagged_point, count_calls
+from higgsstrata import cli, point_model
 from higgsstrata.oracles import compat_pairs
 from higgsstrata import (
     CurveContext,
@@ -20,15 +22,18 @@ from higgsstrata import (
     ModelPoint,
     PolygonOrder,
     UnclassifiedPoint,
+    alpha_of_index,
     assemble,
     beta_of_type,
     closure_order_report,
     compare_polygon,
     compat_cross_table,
+    coordinates,
     default_beta_candidates,
     enumerate_hn_types,
     general_first_slope_bound,
     membership,
+    min_norm_point,
     u_tau_candidates,
     unipotent_stabilizer_dim,
 )
@@ -124,6 +129,46 @@ class TestAssemble:
         assert default_beta_candidates(CTX, 3) == []
         with pytest.raises(UnclassifiedPoint):
             assemble([mixed_corpus()[5]], CTX, max_first_slope=3)
+
+
+def beta_star(point, ctx):
+    """The min-norm point of the point's support weights, taken to trace zero
+    (ROADMAP item 10): every weight has trace N(m - r), so moving the weights
+    by N(m - r)/m times the all-ones vector moves their hull's min-norm point
+    by the same vector."""
+    shift = F(ctx.npoints * (ctx.sections_dim - ctx.rank), ctx.sections_dim)
+    weights = {alpha_of_index(idx, ctx) for idx in coordinates(point, ctx).support()}
+    return min_norm_point([[a - shift for a in w] for w in sorted(weights)])
+
+
+class TestMinNormRule:
+    """ROADMAP item 10's rule on the benchmark's ``stratify`` report corpora:
+    a nonzero record's beta is the point's beta*, and a point in the zero
+    record has beta* zero or beta* outside the candidates."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_assemble_agrees_with_beta_star(self, seed):
+        workload = bench_workload("stratify", seed)
+        checked = 0
+        for req in workload.requests:
+            if req.kind != "report":
+                continue
+            args = cli.build_parser()[1]["report"].parse_args(req.argv[1:])
+            ctx = CurveContext(args.rank, args.degree, args.genus, args.degl, args.npoints)
+            entries = json.loads(workload.files[Path(args.corpus_file).name])["points"]
+            corpus = [(e["id"], ModelPoint.from_json(e["point"])) for e in entries]
+            bound = F(args.max_slope)
+            candidates = {b.entries for b in default_beta_candidates(ctx, bound)}
+            points = dict(corpus)
+            for rec in assemble(corpus, ctx, max_first_slope=bound):
+                for pid in rec.member_ids:
+                    star = beta_star(points[pid], ctx)
+                    if rec.beta.is_zero:
+                        assert not any(star) or star not in candidates, pid
+                    else:
+                        assert rec.beta.entries == star, pid
+                    checked += 1
+        assert checked == 15
 
 
 class TestClosureReport:

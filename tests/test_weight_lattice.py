@@ -157,6 +157,25 @@ class TestAlpha:
         with pytest.raises(ValueError):
             CoordinateIndex("end", ((1, 2),))
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError) as exc:
+            CoordinateIndex("foo", ((1, 2),))
+        assert str(exc.value) == "kind must be 'det' or 'end'"
+
+    @pytest.mark.parametrize(
+        "idx,message",
+        [
+            (CoordinateIndex("det", ((1, 2), (1, 3))), "index carries 2 subsets, expected 1"),
+            (CoordinateIndex("det", ((1, 2, 3),)), "subset (1, 2, 3) is not an r-element subset"),
+            (CoordinateIndex("end", ((1, 2),), ((1, 3),)), "(i, j) = (1,3) out of range 1..2"),
+        ],
+        ids=["subset-count", "subset-size", "ij-range"],
+    )
+    def test_index_out_of_range_refused(self, idx, message):
+        with pytest.raises(ValueError) as exc:
+            alpha_of_index(idx, self.ctx)
+        assert str(exc.value) == message
+
     def test_unsorted_subset_refused(self):
         # sorting would move position 1 of the subset from section 2 to
         # section 1 and give weight (-1, 1, 1, 1) at (r, d) = (2, 2)
@@ -201,6 +220,10 @@ class TestPairing:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pairing((F(1),), (F(1), F(2)))
+
+    def test_norm_sq_of_a_beta_and_of_a_vector(self):
+        beta = beta_of_type(HNType(((1, 4), (1, 3))), CurveContext(2, 7, genus=2))
+        assert norm_sq(beta) == norm_sq(beta.entries) == pairing(beta, beta) == F(1, 30)
 
 
 class TestBBWeights:
